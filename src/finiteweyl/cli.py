@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import dirac
@@ -208,6 +207,8 @@ def cmd_transform(args) -> int:
 def _grid(spec: str) -> list[float]:
     lo, hi, count = spec.split(":")
     lo, hi, count = float(lo), float(hi), int(count)
+    if count < 1:
+        raise ValueError(f"grid point count must be at least 1, got {count}")
     if count == 1:
         return [lo]
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
@@ -224,8 +225,7 @@ def cmd_propagator(args) -> int:
         params = dirac.ScaleParams(h, mu)
         quantity = f"free[t={args.t}]"
 
-        def sample(pt):
-            x1, x2 = pt
+        def sample(x1, x2):
             return dirac.free_propagator(x1, x2, t, params)
     else:
         e, f, c = (int(x) for x in args.triple.split(","))
@@ -233,16 +233,10 @@ def cmd_propagator(args) -> int:
         params = dirac.ScaleParams(h, mu)
         quantity = f"qho[{e},{f},{c}]"
 
-        def sample(pt):
-            x1, x2 = pt
+        def sample(x1, x2):
             return dirac.qho_propagator(x1, x2, (e, f, c), params)
 
-    points = [(x1, x2) for x1 in xs for x2 in xs]
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            samples = list(pool.map(sample, points))
-    else:
-        samples = [sample(pt) for pt in points]
+    samples = [sample(x1, x2) for x1 in xs for x2 in xs]
 
     worst = 0.0
     for s in samples:
@@ -353,7 +347,8 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--mode", choices=["exact", "float"], default="exact",
                         help="exact: scalar strings; float: evaluated (re, im) pairs")
     common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--jobs", type=int, default=1)
+    common.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; kernels run serially")
     common.add_argument("--seed", type=int, default=0)
 
     p = argparse.ArgumentParser(
@@ -437,6 +432,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, ZeroDivisionError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except (MemoryError, OverflowError) as exc:
+        print(f"input too large ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2
 
 

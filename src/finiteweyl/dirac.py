@@ -23,6 +23,7 @@ from .errors import (
     NotPythagorean,
     OutOfRange,
 )
+from .exactnum import gauss_sum_float, symmetric_phase_sum
 from .lattice import GenWord, WeylDesc
 from .repmod import StateVec, inner
 
@@ -104,7 +105,6 @@ class KernelSample:
     x2: float
     value: complex
     closed_form: complex
-    phase_free: bool = True
 
     @property
     def abs_err(self) -> float:
@@ -190,10 +190,7 @@ def xp_kernel(x: float, p: float, params: ScaleParams) -> KernelSample:
 @lru_cache(maxsize=32)
 def _gauss_constant(Nb: int, sign: int) -> complex:
     """sqrt(Nb)/G(Nb) for the clock e^{2 pi i sign/Nb}, by direct summation."""
-    m = np.arange(Nb, dtype=np.int64)
-    r = (m * m) % (2 * Nb)
-    g = np.exp(1j * math.pi * sign * r / Nb).sum()
-    return math.sqrt(Nb) / complex(g)
+    return math.sqrt(Nb) / gauss_sum_float(Nb, sign)
 
 
 def free_propagator(x1: float, x2: float, t: Fraction, params: ScaleParams) -> KernelSample:
@@ -275,7 +272,16 @@ def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
 
 
 def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
-    """Brute-force diagonal sum of the raw kernels vs 1/(i |sin(t/2)|)."""
+    """Brute-force diagonal sum of the raw kernels vs 1/(i |sin(t/2)|).
+
+    The diagonal has N/(e c (c-f)) = c L terms (reported as `terms`) with
+    phases e^{-2 pi i M (n^2 mod N)/N}, M = e c^2 (c-f), N = M L.  Since
+    M (n^2 mod N) = M (n^2 mod L) mod N, they repeat with period L, and n,
+    L - n give the same n^2 mod L: the actual Gauss sum is evaluated from
+    L/2 + 1 terms in fixed-size chunks (exactnum.symmetric_phase_sum), never
+    replaced by its closed form.  Raises OutOfRange when (L/2)^2 would
+    overflow int64, before anything is summed.
+    """
     e, f, c = triple
     if e * e + f * f != c * c or e <= 0 or f <= 0 or c <= f:
         raise NotPythagorean(f"({e},{f},{c}) is not a usable Pythagorean triple")
@@ -286,14 +292,11 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
     L = N // M
     if L % 4:
         raise DivisibilityViolation(f"need 4 | L = {L} (pick mu with more factors of 2)")
-    terms = N // (e * c * (c - f))
-    n = np.arange(terms, dtype=np.int64)
-    expo = (e * c * c * (c - f) * ((n * n) % N)) % N
-    total = np.exp(-2j * np.pi * expo / N).sum()
-    value = cmath.exp(-1j * math.pi / 4) * math.sqrt(e * c / N) * complex(total)
+    total = c * symmetric_phase_sum(L, -1, L)
+    value = cmath.exp(-1j * math.pi / 4) * math.sqrt(e * c / N) * total
     sin_half = math.sqrt((1 - f / c) / 2)
     closed = 1 / (1j * sin_half)
-    return TraceResult(value, closed, terms)
+    return TraceResult(value, closed, c * L)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,14 @@ A float backend carries the same API for large-scale numerics.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 import mpmath
 
-from .errors import ExactnessLost
+from .errors import ExactnessLost, OutOfRange
 
 Rat = Fraction
 
@@ -188,7 +189,15 @@ class Cyc:
         if _trusted:
             self.coeffs = coeffs
         else:
-            self.coeffs = {k % order: Fraction(c) for k, c in coeffs.items() if c}
+            reduced = {k % order: Fraction(c) for k, c in coeffs.items() if c}
+            if len(reduced) < len(coeffs):
+                # keys that collide mod order must add up, not overwrite
+                reduced = {}
+                for k, c in coeffs.items():
+                    k %= order
+                    reduced[k] = reduced.get(k, 0) + Fraction(c)
+                reduced = {k: c for k, c in reduced.items() if c}
+            self.coeffs = reduced
         self._canon = None
 
     # -- constructors -------------------------------------------------------
@@ -534,8 +543,6 @@ class Scalar:
     def to_complex(self, prec: int = 53) -> complex:
         if not self.is_exact:
             return self.z
-        import math
-
         val = self.cyc.eval(prec)
         return val * math.sqrt(self.rad)
 
@@ -580,13 +587,60 @@ def gauss_sum(N: int) -> Scalar:
     return Scalar(1, Cyc(M, acc))
 
 
-def gauss_sum_float(N: int) -> complex:
-    """G(N) by direct summation in floats (vectorised for large N)."""
+# Terms per chunk of quadratic_phase_sum: a few MiB of temporaries at most.
+PHASE_CHUNK = 1 << 16
+# Largest n whose square int64 holds (3037000499).
+INT64_SQRT_MAX = math.isqrt(2**63 - 1)
+
+
+def quadratic_phase_sum(P: int, sign: int, stop: int) -> complex:
+    """sum_{0 <= n < stop} e^{2 pi i sign (n^2 mod P)/P}, in bounded memory.
+
+    Terms are evaluated PHASE_CHUNK at a time with int64 squares, so memory
+    stays fixed whatever the range.  numpy sums each chunk pairwise and
+    math.fsum combines the chunk partials without further rounding.  Raises
+    OutOfRange, before anything is summed, when (stop - 1)^2 would overflow
+    int64.
+    """
     import numpy as np
 
-    m = np.arange(N, dtype=np.int64)
-    r = (m * m) % (2 * N)
-    return complex(np.exp(1j * np.pi * r / N).sum())
+    if stop - 1 > INT64_SQRT_MAX:
+        raise OutOfRange(
+            f"largest index n = {stop - 1} would overflow int64 in n^2 "
+            f"(need n <= {INT64_SQRT_MAX})"
+        )
+    w = 2 * np.pi * sign / P
+    re, im = [], []
+    for lo in range(0, stop, PHASE_CHUNK):
+        n = np.arange(lo, min(lo + PHASE_CHUNK, stop), dtype=np.int64)
+        theta = w * ((n * n) % P)
+        re.append(float(np.cos(theta).sum()))
+        im.append(float(np.sin(theta).sum()))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def symmetric_phase_sum(P: int, sign: int, K: int) -> complex:
+    """sum_{0 <= n < K} e^{2 pi i sign (n^2 mod P)/P} from half the terms.
+
+    Requires K even with P | 2K and P | K^2, so that n and K - n give the
+    same n^2 mod P: the sum is twice the terms n = 0..K/2 less the two
+    unpaired ones, n = 0 and n = K/2.
+    """
+    if K % 2 or (2 * K) % P or (K * K) % P:
+        raise ValueError(f"n -> K - n is not a symmetry of n^2 mod {P} for K = {K}")
+    half = K // 2
+    middle = cmath.exp(2j * math.pi * sign * (half * half % P) / P)
+    return 2 * quadratic_phase_sum(P, sign, half + 1) - 1 - middle
+
+
+def gauss_sum_float(N: int, sign: int = 1) -> complex:
+    """G(N) = sum_{m<N} e^{i pi sign m^2/N} by direct summation in floats.
+
+    For even N, m and N - m agree mod 2N in m^2, so half the terms suffice.
+    """
+    if N % 2:
+        return quadratic_phase_sum(2 * N, sign, N)
+    return symmetric_phase_sum(2 * N, sign, N)
 
 
 def eval_complex(s: Scalar, precision_bits: int = 53) -> tuple[float, float]:

@@ -1,5 +1,8 @@
 import json
 
+import pytest
+
+from finiteweyl import dirac
 from finiteweyl.cli import main
 
 
@@ -75,6 +78,26 @@ class TestTrace:
         code = main(["trace", "qho", "--triple", "3,4,5", "--mu", "16"])
         assert code == 2
 
+    def test_large_n_bounded_memory(self, capsys):
+        # N = 1.0e10: a whole-array sum of 6.7e8 terms would not fit in memory
+        code, out = run(capsys, "trace", "qho", "--triple", "3,4,5", "--mu-min", "100000")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["meta"]["terms"] == payload["meta"]["N"] // 15
+        assert payload["results"]["abs_err"] <= 1e-9
+
+    @pytest.mark.parametrize("exc", [MemoryError, OverflowError])
+    def test_resource_errors_exit_2(self, capsys, monkeypatch, exc):
+        def fail(*args):
+            raise exc("simulated")
+
+        monkeypatch.setattr(dirac, "qho_trace", fail)
+        code = main(["trace", "qho", "--triple", "3,4,5", "--mu", "auto"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert exc.__name__ in captured.err
+
 
 class TestPropagator:
     def test_free_json(self, capsys):
@@ -95,6 +118,18 @@ class TestPropagator:
     def test_tolerance_failure_exit_1(self, capsys):
         code = main(["propagator", "free", "--t", "1/2", "--mu", "240", "--tol", "1e-30"])
         assert code == 1
+
+    @pytest.mark.parametrize("grid", ["-1:1:0", "-1:1:-3"])
+    def test_empty_grid_exit_2(self, capsys, monkeypatch, grid):
+        def fail(*args):
+            raise AssertionError("kernel ran on an empty grid")
+
+        monkeypatch.setattr(dirac, "free_propagator", fail)
+        code = main(["propagator", "free", "--t", "1/2", "--mu", "240", f"--grid={grid}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "grid point count must be at least 1" in captured.err
 
     def test_jobs_deterministic(self, capsys):
         code1, out1 = run(capsys, "propagator", "free", "--t", "1/2", "--mu", "240",

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from finiteweyl.dirac import (
     ScaleParams,
+    _gauss_constant,
     auto_mu,
     ccr_residual,
     converge_study,
@@ -190,6 +192,12 @@ class TestFreePropagator:
         # snapped onto the nearest lattice multiple of b hbar / mu
         assert abs(s.x1 - round(0.5001) * p.hbar / p.mu) < 1e-15
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_gauss_constant_by_summation(self, sign):
+        # sqrt(Nb)/G(Nb) = e^{-i sign pi/4} for even Nb; summed over Nb/2 + 1 terms
+        assert abs(_gauss_constant(451584, sign) - cmath.exp(-sign * 1j * math.pi / 4)) < 1e-11
+        assert _gauss_constant.cache_info().maxsize == 32
+
     def test_divisibility_errors(self):
         with pytest.raises(DivisibilityViolation):
             free_propagator(0, 0, F(1, 7), ScaleParams(F(1), 10))
@@ -241,6 +249,46 @@ class TestQHOTrace:
         r = qho_trace((3, 4, 5), ScaleParams(F(1), 210))
         assert abs(abs(r.value) - math.sqrt(10)) < 1e-8
         assert abs(r.closed_form - (-1j * math.sqrt(10))) < 1e-12
+
+    @pytest.mark.parametrize(
+        "triple,mu",
+        [((3, 4, 5), 210), ((3, 4, 5), 1200), ((5, 12, 13), 520), ((8, 15, 17), 1632)],
+    )
+    def test_matches_full_diagonal_sum(self, triple, mu):
+        # the whole diagonal, every term, as one array: checks the one-period
+        # and half-period reductions instead of assuming them
+        e, f, c = triple
+        params = ScaleParams(F(1), mu)
+        N = params.N
+        r = qho_trace(triple, params)
+        assert r.terms == N // (e * c * (c - f))
+        n = np.arange(r.terms, dtype=np.int64)
+        expo = (e * c * c * (c - f) * ((n * n) % N)) % N
+        total = complex(np.exp(-2j * np.pi * expo / N).sum())
+        direct = cmath.exp(-1j * math.pi / 4) * math.sqrt(e * c / N) * total
+        assert abs(r.value - direct) < 1e-11
+
+    def test_bounded_memory(self):
+        # a whole-array sum at this size peaks near 250 MB
+        tracemalloc.start()
+        try:
+            r = qho_trace((3, 4, 5), ScaleParams(F(1), 8370))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.abs_err < 1e-9
+        assert peak < 16 * 2**20
+
+    def test_int64_limit_refused_before_allocating(self):
+        # L = mu^2/75 = 1.08e10: n = L/2 would overflow int64 in n^2
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match="int64"):
+                qho_trace((3, 4, 5), ScaleParams(F(1), 900000))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
     def test_divisibility(self):
         with pytest.raises(DivisibilityViolation):

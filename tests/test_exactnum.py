@@ -1,12 +1,17 @@
 import cmath
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finiteweyl.errors import OutOfRange
 from finiteweyl.exactnum import (
+    INT64_SQRT_MAX,
+    PHASE_CHUNK,
     Cyc,
     Scalar,
     conjugate,
@@ -14,9 +19,11 @@ from finiteweyl.exactnum import (
     eval_complex,
     gauss_sum,
     gauss_sum_float,
+    quadratic_phase_sum,
     root_of_unity,
     split_square,
     sqrt_as_cyc,
+    symmetric_phase_sum,
 )
 
 
@@ -121,6 +128,77 @@ class TestGaussSum:
     def test_float_backend_matches_exact(self):
         for N in (3, 5, 7, 9, 12):
             assert approx_eq(complex(*eval_complex(gauss_sum(N))), gauss_sum_float(N), 1e-10)
+
+    @pytest.mark.parametrize("N", [3, 12, 70001, 451584])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_backend_matches_direct_sum(self, N, sign):
+        # odd N sums the whole range, even N half of it
+        assert approx_eq(gauss_sum_float(N, sign), direct_phase_sum(2 * N, sign, N), 1e-9)
+
+
+def direct_phase_sum(P, sign, stop):
+    """The whole range as one numpy array: the reference for the chunked kernel."""
+    n = np.arange(stop, dtype=np.int64)
+    return complex(np.exp(2j * np.pi * sign * ((n * n) % P) / P).sum())
+
+
+class TestQuadraticPhaseSum:
+    # odd and even P on both sides of each chunk boundary
+    SIZES = [PHASE_CHUNK - 1, PHASE_CHUNK, PHASE_CHUNK + 1, 2 * PHASE_CHUNK + 3]
+
+    @pytest.mark.parametrize("P", SIZES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_full_period_matches_direct_sum(self, P, sign):
+        assert approx_eq(quadratic_phase_sum(P, sign, P), direct_phase_sum(P, sign, P), 1e-9)
+
+    @pytest.mark.parametrize("P", SIZES)
+    def test_partial_period_matches_direct_sum(self, P):
+        stop = P // 2 + 12345
+        assert approx_eq(quadratic_phase_sum(P, -1, stop), direct_phase_sum(P, -1, stop), 1e-9)
+
+    def test_empty_range(self):
+        assert quadratic_phase_sum(7, 1, 0) == 0
+
+    @pytest.mark.parametrize("P", [PHASE_CHUNK, 2 * PHASE_CHUNK + 2, 2 * PHASE_CHUNK + 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_half_period_identity(self, P, sign):
+        # n and P - n give the same n^2 mod P
+        assert approx_eq(symmetric_phase_sum(P, sign, P), direct_phase_sum(P, sign, P), 1e-9)
+
+    @pytest.mark.parametrize("K", [PHASE_CHUNK, 2 * PHASE_CHUNK + 2])
+    def test_half_period_identity_gauss(self, K):
+        # m and K - m agree mod 2K in m^2 when K is even
+        assert approx_eq(symmetric_phase_sum(2 * K, 1, K), direct_phase_sum(2 * K, 1, K), 1e-9)
+
+    @pytest.mark.parametrize("P,K", [(7, 7), (10, 6), (12, 4)])
+    def test_half_period_rejects_non_symmetry(self, P, K):
+        with pytest.raises(ValueError):
+            symmetric_phase_sum(P, 1, K)
+
+    def test_int64_limit_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match="int64"):
+                quadratic_phase_sum(2**61 - 1, 1, INT64_SQRT_MAX + 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+class TestCycConstruction:
+    def test_colliding_keys_add(self):
+        a = Cyc(4, {0: 1, 4: 1})
+        assert a.coeffs == {0: 2}
+        assert a == Cyc.rational(2)
+        assert approx_eq(a.eval(), 2)
+
+    def test_colliding_keys_cancel(self):
+        a = Cyc(4, {1: 1, 5: -1, 2: 3})
+        assert a.coeffs == {2: 3}
+
+    def test_zero_coefficients_dropped(self):
+        assert Cyc(6, {1: 0, 7: 0}).coeffs == {}
 
 
 class TestScalarAlgebra:
