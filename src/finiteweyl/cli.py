@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from fractions import Fraction
@@ -49,7 +48,7 @@ def fmt_rat(x: Fraction) -> str:
 def _emit(payload: dict, args, rows=None) -> None:
     out = sys.stdout if args.out is None else open(args.out, "w")
     try:
-        if args.format == "csv" and rows is not None:
+        if rows is not None and args.format == "csv":
             w = csv.writer(out)
             w.writerow(CSV_HEADER)
             w.writerows(rows)
@@ -266,7 +265,6 @@ def cmd_propagator(args) -> int:
             "grid": args.grid,
             "t": args.t if args.kind == "free" else None,
             "triple": args.triple if args.kind == "qho" else None,
-            "seed": args.seed,
         },
         "results": {"max_abs_err": worst, "samples": len(samples)},
         "checks": checks,
@@ -343,13 +341,11 @@ def cmd_converge(args) -> int:
 def make_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--mode", choices=["exact", "float"], default="exact",
-                        help="exact: scalar strings; float: evaluated (re, im) pairs")
-    common.add_argument("--tol", type=float, default=1e-9)
-    common.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; kernels run serially")
-    common.add_argument("--seed", type=int, default=0)
+    # options of the float commands, whose checks have a tolerance and whose
+    # samples can be written as CSV rows
+    checked = argparse.ArgumentParser(add_help=False)
+    checked.add_argument("--format", choices=["json", "csv"], default="json")
+    checked.add_argument("--tol", type=float, default=1e-9)
 
     p = argparse.ArgumentParser(
         prog="finiteweyl",
@@ -357,8 +353,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, **kw):
-        return sub.add_parser(name, parents=[common], **kw)
+    def add_parser(name, checks=False, **kw):
+        return sub.add_parser(name, parents=[common, checked] if checks else [common], **kw)
 
     lat = add_parser("lattice", help="inclusion/center/O(A) queries")
     lat.add_argument("--center", help='algebra "a,b"')
@@ -373,6 +369,8 @@ def make_parser() -> argparse.ArgumentParser:
     bas.add_argument("--which", choices=["u", "v", "s"], default="u")
     bas.add_argument("--s-word", help='"u_exp,v_exp" for the S generator')
     bas.add_argument("--t-word", help='"u_exp,v_exp" for the T generator')
+    bas.add_argument("--mode", choices=["exact", "float"], default="exact",
+                     help="exact: scalar strings; float: evaluated (re, im) pairs")
     bas.set_defaults(func=cmd_basis)
 
     par = add_parser("pairing", help="[e|f] of two basis vectors")
@@ -395,7 +393,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     mu_help = ('integer, or "auto": smallest even mu divisible by the parts of h '
                "and every index the computation needs, scaled up to --mu-min")
-    prop_p = add_parser("propagator", help="free/qho kernels vs closed forms")
+    prop_p = add_parser("propagator", checks=True, help="free/qho kernels vs closed forms")
     prop_p.add_argument("kind", choices=["free", "qho"])
     prop_p.add_argument("--h", default="1")
     prop_p.add_argument("--mu", default="auto", help=mu_help)
@@ -403,9 +401,11 @@ def make_parser() -> argparse.ArgumentParser:
     prop_p.add_argument("--t", default="1/2")
     prop_p.add_argument("--triple", default="3,4,5")
     prop_p.add_argument("--grid", default="-1:1:5")
+    prop_p.add_argument("--jobs", type=int, default=1,
+                        help="accepted for compatibility; kernels run serially")
     prop_p.set_defaults(func=cmd_propagator)
 
-    trc = add_parser("trace", help="QHO trace vs 1/(i|sin(t/2)|)")
+    trc = add_parser("trace", checks=True, help="QHO trace vs 1/(i|sin(t/2)|)")
     trc.add_argument("kind", choices=["qho"])
     trc.add_argument("--triple", default="3,4,5")
     trc.add_argument("--h", default="1")
@@ -413,10 +413,11 @@ def make_parser() -> argparse.ArgumentParser:
     trc.add_argument("--mu-min", type=int, default=None)
     trc.set_defaults(func=cmd_trace)
 
-    cv = add_parser("converge", help="residual sweeps over mu")
+    cv = add_parser("converge", checks=True, help="residual sweeps over mu")
     cv.add_argument("quantity", choices=["ccr", "free", "qho", "weakring"])
     cv.add_argument("--mu", dest="mu_list", required=True, help="comma list of mu")
     cv.add_argument("--h", default="1")
+    cv.add_argument("--seed", type=int, default=0, help="seed of the weak-ring samples")
     cv.set_defaults(func=cmd_converge)
 
     return p

@@ -78,9 +78,7 @@ class ScaleParams:
 def auto_mu(h: Fraction, divisors: list[int], min_mu: int = 2) -> int:
     """Smallest even mu divisible by h's parts and all required indices."""
     h = Fraction(h)
-    base = 2
-    for d in [h.numerator, h.denominator] + [abs(d) for d in divisors if d]:
-        base = base * d // gcd(base, d)
+    base = math.lcm(2, h.numerator, h.denominator, *(d for d in divisors if d))
     k = (min_mu + base - 1) // base
     return base * max(1, k)
 

@@ -4,7 +4,9 @@ Values are elements of Q(zeta_M) scaled by a square root of a positive
 rational, i.e. r * sqrt(s) * (cyclotomic element).  This covers every
 constant the algebraic layers produce: q^(k/2) phases, 1/sqrt(N) basis
 normalisations, quadratic Gauss sums and the constant e^{-i pi/4}.
-A float backend carries the same API for large-scale numerics.
+Floats appear only where a value leaves the exact layer: `Cyc.eval`
+embeds zeta_M -> e^{2 pi i/M}, and the chunked phase sums at the end of
+this module serve the float kernels in `dirac`.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ import cmath
 import math
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
-
-import mpmath
+from math import gcd, lcm
 
 from .errors import ExactnessLost, OutOfRange
 
@@ -50,10 +50,6 @@ def split_square(n: int) -> tuple[int, int]:
         if e % 2:
             r *= p
     return s, r
-
-
-def lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +337,25 @@ class Cyc:
         terms = [f"{v}*z{c.order}^{k}" if k else f"{v}" for k, v in sorted(c.coeffs.items())]
         return " + ".join(terms)
 
-    def eval(self, prec: int = 53) -> complex:
-        with mpmath.workprec(prec + 10):
-            tot = mpmath.mpc(0)
-            for k, c in self.coeffs.items():
-                tot += mpmath.mpc(c.numerator) / c.denominator * mpmath.e ** (
-                    2j * mpmath.pi * k / self.order
-                )
-            return complex(tot)
+    def eval(self) -> complex:
+        """Value under zeta_M -> e^{2 pi i/M}, the terms summed by math.fsum.
+
+        Each root is taken from its nearest quarter turn: with 4k = qM + n and
+        |n| <= M/2, zeta_M^k = i^q e^{i pi n/(2M)}, whose angle stays within
+        pi/4 and is computed from the exact integer n.
+        """
+        M = self.order
+        re, im = [], []
+        for k, c in self.coeffs.items():
+            q, r = divmod(4 * k + M // 2, M)
+            t = math.pi * (r - M // 2) / (2 * M)
+            x, y = math.cos(t), math.sin(t)
+            for _ in range(q % 4):
+                x, y = -y, x
+            c = float(c)
+            re.append(c * x)
+            im.append(c * y)
+        return complex(math.fsum(re), math.fsum(im))
 
 
 # ---------------------------------------------------------------------------
@@ -377,19 +384,17 @@ def sqrt_as_cyc(n: int) -> Cyc:
 
 
 # ---------------------------------------------------------------------------
-# Scalar: exact r*sqrt(s)*cyc or float backend
+# Scalar: exact sqrt(rad) * cyc
 # ---------------------------------------------------------------------------
 
 class Scalar:
-    """Amplitude value: exact sqrt(rad) * cyc, or a complex float."""
+    """Amplitude value sqrt(rad) * cyc, rad a positive squarefree integer."""
 
-    __slots__ = ("rad", "cyc", "z")
+    __slots__ = ("rad", "cyc")
 
-    def __init__(self, rad: int | None, cyc: Cyc | None, z: complex | None = None):
-        # exact when z is None; rad is a positive squarefree integer
+    def __init__(self, rad: int, cyc: Cyc):
         self.rad = rad
         self.cyc = cyc
-        self.z = z
 
     # -- constructors --------------------------------------------------------
     @staticmethod
@@ -415,75 +420,55 @@ class Scalar:
         return Scalar.rational(1)
 
     @staticmethod
-    def from_float(z: complex) -> "Scalar":
-        z = complex(z)
-        if not (cmath.isfinite(z.real) and cmath.isfinite(z.imag)):
-            raise ValueError("float scalar must be finite")
-        return Scalar(None, None, z)
-
-    @staticmethod
     def phase(turns: Fraction) -> "Scalar":
         """e^{2 pi i turns} for rational turns."""
         t = Fraction(turns)
         return _phase_cached(t.numerator % t.denominator, t.denominator)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.z is None
-
     # -- radical handling ----------------------------------------------------
     def lift_radical(self) -> "Scalar":
         """Fold sqrt(rad) into the cyclotomic part (rad becomes 1)."""
-        if not self.is_exact or self.rad == 1:
+        if self.rad == 1:
             return self
         return Scalar(1, self.cyc * sqrt_as_cyc(self.rad))
 
     # -- arithmetic ----------------------------------------------------------
-    def _coerce(self, other) -> "Scalar":
+    @staticmethod
+    def _coerce(other) -> "Scalar":
+        """Scalars pass through and ints or Fractions become rational scalars."""
         if isinstance(other, Scalar):
             return other
         if isinstance(other, (int, Fraction)):
             return Scalar.rational(other)
-        if isinstance(other, (float, complex)):
-            return Scalar.from_float(other)
-        raise TypeError(f"cannot coerce {other!r} to Scalar")
+        raise TypeError(f"cannot coerce {other!r} to an exact Scalar")
 
     def __mul__(self, other) -> "Scalar":
         if not isinstance(other, Scalar):
             other = self._coerce(other)
-        if self.z is None and other.z is None:
-            if self.rad == 1 and other.rad == 1:
-                return Scalar(1, self.cyc * other.cyc)
-            n = self.rad * other.rad
-            s, r = split_square(n)
-            cyc = self.cyc * other.cyc
-            return Scalar(r, cyc if s == 1 else cyc.scale(s))
-        return Scalar.from_float(self.to_complex() * other.to_complex())
+        if self.rad == 1 and other.rad == 1:
+            return Scalar(1, self.cyc * other.cyc)
+        s, r = split_square(self.rad * other.rad)
+        cyc = self.cyc * other.cyc
+        return Scalar(r, cyc if s == 1 else cyc.scale(s))
 
     __rmul__ = __mul__
 
     def __add__(self, other) -> "Scalar":
         other = self._coerce(other)
-        if self.is_exact and other.is_exact:
-            if self.rad == other.rad:
-                return Scalar(self.rad, self.cyc + other.cyc)
-            a, b = self.lift_radical(), other.lift_radical()
-            return Scalar(1, a.cyc + b.cyc)
-        return Scalar.from_float(self.to_complex() + other.to_complex())
+        if self.rad == other.rad:
+            return Scalar(self.rad, self.cyc + other.cyc)
+        a, b = self.lift_radical(), other.lift_radical()
+        return Scalar(1, a.cyc + b.cyc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Scalar":
-        if self.is_exact:
-            return Scalar(self.rad, -self.cyc)
-        return Scalar.from_float(-self.z)
+        return Scalar(self.rad, -self.cyc)
 
     def __sub__(self, other) -> "Scalar":
         other = self._coerce(other)
         if (
-            self.is_exact
-            and other.is_exact
-            and self.rad == other.rad
+            self.rad == other.rad
             and self.cyc.order == other.cyc.order
             and self.cyc.coeffs == other.cyc.coeffs
         ):
@@ -491,39 +476,29 @@ class Scalar:
         return self + (-other)
 
     def inv(self) -> "Scalar":
-        if self.is_exact:
-            # 1/(sqrt(r) c) = sqrt(r) c^{-1} / r
-            return Scalar(self.rad, self.cyc.inverse().scale(Fraction(1, self.rad)))
-        return Scalar.from_float(1 / self.z)
+        # 1/(sqrt(r) c) = sqrt(r) c^{-1} / r
+        return Scalar(self.rad, self.cyc.inverse().scale(Fraction(1, self.rad)))
 
     def __truediv__(self, other) -> "Scalar":
         return self * self._coerce(other).inv()
 
     def conj(self) -> "Scalar":
-        if self.is_exact:
-            return Scalar(self.rad, self.cyc.conj())
-        return Scalar.from_float(self.z.conjugate())
+        return Scalar(self.rad, self.cyc.conj())
 
     def __eq__(self, other) -> bool:
         try:
             other = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if self.is_exact and other.is_exact:
-            return (self - other).is_zero()
-        return self.to_complex() == other.to_complex()
+        return (self - other).is_zero()
 
     def is_zero(self) -> bool:
-        if self.is_exact:
-            return self.cyc.is_zero()
-        return self.z == 0
+        return self.cyc.is_zero()
 
     def is_rational(self) -> bool:
-        return self.is_exact and self.rad == 1 and self.cyc.is_rational()
+        return self.rad == 1 and self.cyc.is_rational()
 
     def rational_value(self) -> Fraction:
-        if not self.is_exact:
-            raise ExactnessLost("float scalar has no rational value")
         if self.rad != 1:
             if self.cyc.is_zero():
                 return Fraction(0)
@@ -532,23 +507,16 @@ class Scalar:
 
     def sqrt_of_rational(self) -> "Scalar":
         """sqrt of a nonnegative rational scalar (norms)."""
-        if not self.is_exact:
-            return Scalar.from_float(cmath.sqrt(self.z))
         v = self.rational_value()
         if v < 0:
             raise ExactnessLost("negative radicand")
         return Scalar.exact(Cyc.rational(1), v.numerator, v.denominator)
 
     # -- numerics ------------------------------------------------------------
-    def to_complex(self, prec: int = 53) -> complex:
-        if not self.is_exact:
-            return self.z
-        val = self.cyc.eval(prec)
-        return val * math.sqrt(self.rad)
+    def to_complex(self) -> complex:
+        return self.cyc.eval() * math.sqrt(self.rad)
 
     def __repr__(self) -> str:
-        if not self.is_exact:
-            return f"Scalar(float {self.z})"
         if self.rad == 1:
             return f"Scalar({self.cyc!r})"
         return f"Scalar(sqrt({self.rad})*({self.cyc!r}))"
@@ -643,9 +611,9 @@ def gauss_sum_float(N: int, sign: int = 1) -> complex:
     return symmetric_phase_sum(2 * N, sign, N)
 
 
-def eval_complex(s: Scalar, precision_bits: int = 53) -> tuple[float, float]:
+def eval_complex(s: Scalar) -> tuple[float, float]:
     """Numerical embedding zeta_M -> e^{2 pi i / M}, returned as (re, im)."""
-    z = s.to_complex(max(precision_bits, 53))
+    z = s.to_complex()
     return (z.real, z.imag)
 
 
@@ -656,25 +624,12 @@ def sum_scalars(values) -> Scalar:
     dict, so summing t monomials costs O(t) instead of O(t^2).
     """
     by_rad: dict[int, list] = {}
-    float_acc = 0j
-    have_float = False
     for v in values:
-        if v.z is not None:
-            float_acc += v.z
-            have_float = True
-        elif v.cyc.coeffs:
+        if v.cyc.coeffs:
             by_rad.setdefault(v.rad, []).append(v.cyc)
-    if have_float:
-        total = float_acc
-        for rad, cycs in by_rad.items():
-            for c in cycs:
-                total += Scalar(rad, c).to_complex()
-        return Scalar.from_float(total)
     total = None
     for rad, cycs in by_rad.items():
-        L = 1
-        for c in cycs:
-            L = lcm(L, c.order)
+        L = lcm(*(c.order for c in cycs))
         acc: dict[int, Fraction] = {}
         for c in cycs:
             step = L // c.order

@@ -17,6 +17,12 @@ from .errors import BadMatrix, NotCommutative, NotIncluded, NotInAlgebra
 Rat = Fraction
 
 
+def _mod1(x) -> Fraction:
+    """x reduced to [0, 1): a phase as a fraction of a full turn."""
+    x = Fraction(x)
+    return x - (x.numerator // x.denominator)
+
+
 def rat_gcd(x: Fraction, y: Fraction) -> Fraction:
     """gcd on Q: generator of the group xZ + yZ."""
     return Fraction(gcd(x.numerator * y.denominator, y.numerator * x.denominator),
@@ -51,8 +57,7 @@ class WeylDesc:
     @property
     def q_phase(self) -> Fraction:
         """q = e^{2 pi i ab} as a fraction of a full turn, reduced mod 1."""
-        ab = self.a * self.b
-        return ab - (ab.numerator // ab.denominator)
+        return _mod1(self.a * self.b)
 
     def is_commutative(self) -> bool:
         return q_order(self) == 1
@@ -87,8 +92,7 @@ class GenWord:
     def __post_init__(self):
         object.__setattr__(self, "u_exp", Fraction(self.u_exp))
         object.__setattr__(self, "v_exp", Fraction(self.v_exp))
-        ph = Fraction(self.phase)
-        object.__setattr__(self, "phase", ph - (ph.numerator // ph.denominator))
+        object.__setattr__(self, "phase", _mod1(self.phase))
 
     def __mul__(self, other: "GenWord") -> "GenWord":
         return GenWord(
@@ -118,8 +122,7 @@ class GenWord:
         For the standard generators this is [U, V] = q: the phase by which
         the shift moves past the clock.
         """
-        t = self.u_exp * other.v_exp - other.u_exp * self.v_exp
-        return t - (t.numerator // t.denominator)
+        return _mod1(self.u_exp * other.v_exp - other.u_exp * self.v_exp)
 
     def __repr__(self):
         return f"GenWord(U^{self.u_exp} V^{self.v_exp}, e2pi({self.phase}))"

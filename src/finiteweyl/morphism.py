@@ -14,13 +14,8 @@ from fractions import Fraction
 
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
 from .exactnum import Cyc, Scalar
-from .lattice import WeylDesc, includes, join, relative_indices, spectrum_project
+from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
 from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner
-
-
-def _mod1(x: Fraction) -> Fraction:
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
 
 
 @dataclass
@@ -78,8 +73,7 @@ def decompose(M: ModuleRep, B: WeylDesc):
                     amps[idx] = inv_sqrt_n * Scalar.phase(ph)
                 basis.append(StateVec(M, amps))
             # spectral invariants of the summand
-            u_sub = _mod1(n * M.u_phase + n * ell_v * q)
-            v_sub = _mod1(k * (M.v_phase + ell_u * q))
+            u_sub, v_sub = _summand_params(M, B, ell_u, ell_v)
             beta = SpecPoint(_mod1(NB * u_sub), _mod1(NB * v_sub))
             out.append((beta, basis))
     return out

@@ -16,12 +16,7 @@ from fractions import Fraction
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
 from .exactnum import Cyc, Scalar, sum_scalars
-from .lattice import GenWord, WeylDesc
-
-
-def _mod1(x: Fraction) -> Fraction:
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
+from .lattice import GenWord, WeylDesc, _mod1
 
 
 @dataclass(frozen=True)
@@ -128,8 +123,7 @@ class StateVec:
         return StateVec(self.module, [a - b for a, b in zip(self.amps, other.amps)])
 
     def scale(self, s) -> "StateVec":
-        if not isinstance(s, Scalar):
-            s = Scalar.rational(s) if isinstance(s, (int, Fraction)) else Scalar.from_float(s)
+        s = Scalar._coerce(s)
         return StateVec(self.module, [s * a for a in self.amps])
 
     def _check(self, other: "StateVec"):
@@ -216,16 +210,12 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
 def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
     """sum_i coeffs[i] * vecs[i], accumulated column-wise in one pass."""
     out = []
-    pairs = [
-        (c, v)
-        for c, v in zip(coeffs, vecs)
-        if not ((c.z is None and not c.cyc.coeffs) or c.z == 0)
-    ]
+    pairs = [(c, v) for c, v in zip(coeffs, vecs) if c.cyc.coeffs]
     for j in range(module.dim):
         terms = []
         for c, v in pairs:
             a = v.amps[j]
-            if (a.z is None and not a.cyc.coeffs) or a.z == 0:
+            if not a.cyc.coeffs:
                 continue
             terms.append(c * a)
         out.append(sum_scalars(terms))
@@ -237,9 +227,7 @@ def inner(x: StateVec, y: StateVec) -> Scalar:
     x._check(y)
     total = None
     for a, b in zip(x.amps, y.amps):
-        if (a.z is None and not a.cyc.coeffs) or a.z == 0:
-            continue
-        if (b.z is None and not b.cyc.coeffs) or b.z == 0:
+        if not a.cyc.coeffs or not b.cyc.coeffs:
             continue
         t = a.conj() * b
         total = t if total is None else total + t
@@ -261,8 +249,6 @@ def root_of_unity_turns(s: Scalar) -> Fraction:
     import cmath
     import math
 
-    if not s.is_exact:
-        raise ExactnessLost("float scalar has no exact phase")
     # fast path: sparse monomial with coefficient +-1 and no radical
     if s.rad == 1 and len(s.cyc.coeffs) == 1:
         (k, coeff), = s.cyc.coeffs.items()
@@ -330,7 +316,7 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
             break
     n2 = seed.norm2()
     if not n2.is_rational():
-        raise ExactnessLost("seed norm is not rational; use float mode")
+        raise ExactnessLost("seed norm is not rational")
     seed = seed.scale(n2.sqrt_of_rational().inv())
 
     basis = [seed] + [None] * (N - 1)

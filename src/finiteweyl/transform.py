@@ -9,7 +9,7 @@ g(L2 o L1) = g(L1) g(L2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -21,14 +21,9 @@ from .errors import (
     OddOrder,
 )
 from .exactnum import Cyc, Scalar
-from .lattice import GenWord, WeylDesc, lattice_intersect
+from .lattice import GenWord, WeylDesc, _mod1, lattice_intersect
 from .morphism import decompose
-from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, inner, u_basis
-
-
-def _mod1(x: Fraction) -> Fraction:
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
+from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, inner, u_basis, v_basis
 
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -127,11 +122,7 @@ def fourier(M: ModuleRep) -> RegUnitary:
         _mod1(-M.v_phase),
         M.u_phase,
     )
-    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, N)
-    images = []
-    for m in range(N):
-        amps = [inv_sqrt * M.q_power(m * k) for k in range(N)]
-        images.append(StateVec(target, amps))
+    images = [StateVec(target, v.amps) for v in v_basis(M)]
     U, V = GenWord(A.a, 0), GenWord(0, A.b)
     return RegUnitary(
         name="fourier",
@@ -231,19 +222,7 @@ def free_evolution(M: ModuleRep, b: int, d: int) -> RegUnitary:
     """
     if b == 0 or d == 0:
         raise DivisibilityViolation("t = b/d needs nonzero b, d")
-    L = gaussian(M, b=b, d=d)
-    return RegUnitary(
-        name=f"free[t={b}/{d}]",
-        ambient_dom=L.ambient_dom,
-        ambient_ran=L.ambient_ran,
-        dom_words=L.dom_words,
-        sigma=L.sigma,
-        gL=L.gL,
-        phase_const=L.phase_const,
-        dim=L.dim,
-        dom_basis=L.dom_basis,
-        images=L.images,
-    )
+    return replace(gaussian(M, b=b, d=d), name=f"free[t={b}/{d}]")
 
 
 def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
@@ -420,15 +399,9 @@ def verify_conjugation(L: RegUnitary, names: list[str] | None = None,
                 lhs = inner(L.image(i), L.image(j))
                 rhs = inner(L.dom(i), L.dom(j))
                 diff = lhs - rhs
-                if diff.is_exact:
-                    if not diff.is_zero():
-                        ok = False
-                        worst = max(worst, abs(diff.to_complex()))
-                else:
-                    r = abs(diff.to_complex())
-                    worst = max(worst, r)
-                    if r > 1e-10:
-                        ok = False
+                if not diff.is_zero():
+                    ok = False
+                    worst = max(worst, abs(diff.to_complex()))
         reports.append(ConjugationReport("unitary", ok, worst))
 
     for nm, W, Wimg in L.sigma:
@@ -440,14 +413,8 @@ def verify_conjugation(L: RegUnitary, names: list[str] | None = None,
             lhs = L.apply(apply_word(W, L.dom(m)))
             rhs = apply_word(Wimg, L.image(m))
             diff = lhs - rhs
-            if all(a.is_exact for a in diff.amps):
-                if not diff.is_zero():
-                    ok = False
-                    worst = max(worst, max(abs(a.to_complex()) for a in diff.amps))
-            else:
-                r = max(abs(a.to_complex()) for a in diff.amps)
-                worst = max(worst, r)
-                if r > 1e-10:
-                    ok = False
+            if not diff.is_zero():
+                ok = False
+                worst = max(worst, max(abs(a.to_complex()) for a in diff.amps))
         reports.append(ConjugationReport(nm, ok, worst))
     return reports

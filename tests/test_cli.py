@@ -155,6 +155,22 @@ class TestConverge:
         assert code == 2
 
 
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["lattice", "--center", "1/2,1/2", "--format", "csv"],
+        ["basis", "--alg", "1,1/4", "--tol", "1e-3"],
+        ["pairing", "--n", "8", "--left", "u:3", "--right", "v:5", "--seed", "1"],
+        ["transform", "--name", "fourier", "--n", "8", "--mode", "float"],
+        ["trace", "qho", "--jobs", "2"],
+    ])
+    def test_option_of_another_subcommand_exit_2(self, capsys, argv):
+        # argparse refuses the option instead of ignoring it
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
 class TestOutputFile:
     def test_out_path(self, tmp_path, capsys):
         path = tmp_path / "res.json"

@@ -1,13 +1,19 @@
 import cmath
+import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import finiteweyl
 from finiteweyl.errors import OutOfRange
 from finiteweyl.exactnum import (
     INT64_SQRT_MAX,
@@ -234,10 +240,14 @@ class TestScalarAlgebra:
         a = Scalar.one() + root_of_unity(5, 1)
         assert a * a.inv() == Scalar.one()
 
-    def test_float_promotion(self):
-        a = Scalar.from_float(1 + 2j)
-        b = root_of_unity(4, 1)
-        assert approx_eq((a * b).to_complex(), (1 + 2j) * 1j, 1e-14)
+    def test_floats_refused(self):
+        with pytest.raises(TypeError):
+            Scalar.one() * 0.5
+        with pytest.raises(TypeError):
+            0.5 * Scalar.one()
+        with pytest.raises(TypeError):
+            Scalar.one() + 1j
+        assert Scalar.one() != 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -279,6 +289,24 @@ class TestScalarAlgebra:
 class TestEvalPrecision:
     def test_high_precision_eval(self):
         z = root_of_unity(360, 77)
-        re, im = eval_complex(z, 120)
+        re, im = eval_complex(z)
         expect = cmath.exp(2j * cmath.pi * 77 / 360)
         assert approx_eq(complex(re, im), expect, 1e-13)
+
+    @pytest.mark.parametrize("M", [8, 360, 1024, 2520])
+    def test_roots_of_unity_sum_to_zero(self, M):
+        # the unreduced sum of every M-th root of unity: M terms, value 0
+        assert approx_eq(Cyc(M, {k: 1 for k in range(M)}).eval(), 0, 1e-12)
+
+    def test_gauss_sum_closed_form(self):
+        # every even N up to 128, then a stride through 4096
+        for N in list(range(2, 130, 2)) + list(range(130, 4097, 126)) + [4096]:
+            expect = math.sqrt(N) * cmath.exp(1j * math.pi / 4)
+            assert approx_eq(gauss_sum(N).to_complex(), expect, 1e-12), N
+
+    def test_import_leaves_mpmath_out(self):
+        src = str(Path(finiteweyl.__file__).resolve().parents[1])
+        code = "import sys, finiteweyl; print('mpmath' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert proc.stdout.strip() == "False"

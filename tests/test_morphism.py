@@ -264,15 +264,3 @@ class TestRowSums:
         f = StateVec(M, amps)
         assert (f.norm2() - Scalar.one()).is_zero()
         assert pairing_row_sum(B, f) == Scalar.one()
-
-    def test_float_mode_parseval(self):
-        import numpy as np
-
-        rng = random.Random(7)
-        M = module_of_dim(12)
-        B = sub_desc(M, 2, 3)
-        z = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(12)])
-        z /= np.linalg.norm(z)
-        f = StateVec(M, [Scalar.from_float(c) for c in z])
-        total = pairing_row_sum(B, f)
-        assert abs(total.to_complex() - 1) < 1e-10
