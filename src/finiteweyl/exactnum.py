@@ -52,6 +52,13 @@ def split_square(n: int) -> tuple[int, int]:
     return s, r
 
 
+def _rat(x) -> Fraction:
+    """Fraction(x), refusing floats: an exact constructor never rounds."""
+    if isinstance(x, (float, complex)):
+        raise TypeError(f"cannot take {x!r} as an exact rational")
+    return Fraction(x)
+
+
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
@@ -185,13 +192,14 @@ class Cyc:
         if _trusted:
             self.coeffs = coeffs
         else:
-            reduced = {k % order: Fraction(c) for k, c in coeffs.items() if c}
+            coeffs = {k: _rat(c) for k, c in coeffs.items()}
+            reduced = {k % order: c for k, c in coeffs.items() if c}
             if len(reduced) < len(coeffs):
                 # keys that collide mod order must add up, not overwrite
                 reduced = {}
                 for k, c in coeffs.items():
                     k %= order
-                    reduced[k] = reduced.get(k, 0) + Fraction(c)
+                    reduced[k] = reduced.get(k, 0) + c
                 reduced = {k: c for k, c in reduced.items() if c}
             self.coeffs = reduced
         self._canon = None
@@ -203,7 +211,7 @@ class Cyc:
 
     @staticmethod
     def rational(r) -> "Cyc":
-        return Cyc(1, {0: Fraction(r)})
+        return Cyc(1, {0: _rat(r)})
 
     @staticmethod
     def zeta(M: int, k: int = 1) -> "Cyc":
@@ -248,11 +256,14 @@ class Cyc:
 
     def __mul__(self, other: "Cyc") -> "Cyc":
         L = lcm(self.order, other.order)
+        if not self.coeffs or not other.coeffs:
+            return Cyc(L, {}, _trusted=True)
+        if len(self.coeffs) == 1 and len(other.coeffs) == 1:
+            (k1, c1), = self.coeffs.items()
+            (k2, c2), = other.coeffs.items()
+            k = k1 * (L // self.order) + k2 * (L // other.order)
+            return Cyc(L, {k % L: c1 * c2}, _trusted=True)
         a, b = self.lift(L), other.lift(L)
-        if len(a.coeffs) == 1 and len(b.coeffs) == 1:
-            (k1, c1), = a.coeffs.items()
-            (k2, c2), = b.coeffs.items()
-            return Cyc(L, {(k1 + k2) % L: c1 * c2}, _trusted=True)
         out: dict[int, Fraction] = {}
         for k1, c1 in a.coeffs.items():
             for k2, c2 in b.coeffs.items():
@@ -547,12 +558,12 @@ def gauss_sum(N: int) -> Scalar:
     """Exact quadratic Gauss sum G(N) = sum_m e^{i pi m^2 / N}."""
     if N < 1:
         raise ValueError("N must be positive")
-    acc: dict[int, Fraction] = {}
     M = 2 * N
+    counts: dict[int, int] = {}
     for m in range(N):
         k = (m * m) % M
-        acc[k] = acc.get(k, Fraction(0)) + 1
-    return Scalar(1, Cyc(M, acc))
+        counts[k] = counts.get(k, 0) + 1
+    return Scalar(1, Cyc(M, {k: Fraction(c) for k, c in counts.items()}, _trusted=True))
 
 
 # Terms per chunk of quadratic_phase_sum: a few MiB of temporaries at most.
@@ -617,29 +628,45 @@ def eval_complex(s: Scalar) -> tuple[float, float]:
     return (z.real, z.imag)
 
 
-def sum_scalars(values) -> Scalar:
-    """Sum a sequence of scalars, batching the exact accumulation.
+def dot(xs, ys, conj: bool = False) -> Scalar:
+    """Exact sum_i xs[i] * ys[i], or sum_i conj(xs[i]) * ys[i] when conj is set.
 
-    Exact terms are merged radicand-by-radicand into a single coefficient
-    dict, so summing t monomials costs O(t) instead of O(t^2).
+    Beyond a lone pair, no product is built as a Scalar.  Every exponent is
+    lifted once to L, the lcm of the orders involved, and the products'
+    integer numerators are summed keyed by radicand (split_square of the
+    two radicands), denominator and exponent; each term of the result
+    becomes one Fraction at the end.
     """
-    by_rad: dict[int, list] = {}
-    for v in values:
-        if v.cyc.coeffs:
-            by_rad.setdefault(v.rad, []).append(v.cyc)
+    pairs = [(a, b) for a, b in zip(xs, ys) if a.cyc.coeffs and b.cyc.coeffs]
+    if not pairs:
+        return Scalar.zero()
+    if len(pairs) == 1:  # a single product: no accumulation to share
+        a, b = pairs[0]
+        return (a.conj() if conj else a) * b
+    L = lcm(*{s.cyc.order for pair in pairs for s in pair})
+    sign = -1 if conj else 1
+    acc: dict[tuple[int, int, int], int] = {}
+    get = acc.get
+    for a, b in pairs:
+        s, r = split_square(a.rad * b.rad)
+        sa, sb = sign * (L // a.cyc.order), L // b.cyc.order
+        for ka, fa in a.cyc.coeffs.items():
+            ka, na, da = ka * sa, fa.numerator * s, fa.denominator
+            for kb, fb in b.cyc.coeffs.items():
+                key = (r, da * fb.denominator, (ka + kb * sb) % L)
+                acc[key] = get(key, 0) + na * fb.numerator
+    # per radicand: a common denominator, then one Fraction per exponent
+    dens: dict[int, int] = {}
+    for r, d, _ in acc:
+        dens[r] = lcm(dens.get(r, 1), d)
+    nums: dict[int, dict[int, int]] = {r: {} for r in dens}
+    for (r, d, k), n in acc.items():
+        part = nums[r]
+        part[k] = part.get(k, 0) + n * (dens[r] // d)
     total = None
-    for rad, cycs in by_rad.items():
-        L = lcm(*(c.order for c in cycs))
-        acc: dict[int, Fraction] = {}
-        for c in cycs:
-            step = L // c.order
-            for k, co in c.coeffs.items():
-                kk = k * step
-                s = acc.get(kk, 0) + co
-                if s:
-                    acc[kk] = s
-                else:
-                    acc.pop(kk, None)
-        part = Scalar(rad, Cyc(L, acc, _trusted=True))
-        total = part if total is None else total + part
+    for r, part in nums.items():
+        coeffs = {k: Fraction(n, dens[r]) for k, n in part.items() if n}
+        if coeffs:
+            term = Scalar(r, Cyc(L, coeffs, _trusted=True))
+            total = term if total is None else total + term
     return Scalar.zero() if total is None else total

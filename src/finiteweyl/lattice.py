@@ -189,11 +189,6 @@ def intersect_centers(A: WeylDesc, B: WeylDesc) -> WeylDesc:
     return WeylDesc(rat_lcm(ZA.a, ZB.a), rat_lcm(ZA.b, ZB.b))
 
 
-def join_via_centers(A: WeylDesc, B: WeylDesc) -> WeylDesc:
-    """(Z(A) n Z(B))^up; agrees with `join` on numerator-1 algebras."""
-    return up_functor(intersect_centers(A, B))
-
-
 def _cyclic_subgroups_order_n(N: int) -> list[tuple[int, int]]:
     """Canonical generators of the cyclic subgroups of order N in (Z/N)^2."""
     if N == 1:
@@ -225,20 +220,6 @@ def maximal_commutative(A: WeylDesc) -> list[GenWord]:
     if N == 1:
         return [GenWord(A.a, A.b)]
     return [GenWord(g1 * A.a, g2 * A.b) for g1, g2 in _cyclic_subgroups_order_n(N)]
-
-
-def count_cyclic_subgroups_bruteforce(N: int) -> int:
-    """Oracle: enumerate order-N cyclic subgroups of (Z/N)^2 as element sets."""
-    if N == 1:
-        return 1
-    groups = set()
-    for g1 in range(N):
-        for g2 in range(N):
-            if N // gcd(gcd(g1, g2), N) != N:
-                continue
-            elems = frozenset(((k * g1) % N, (k * g2) % N) for k in range(N))
-            groups.add(elems)
-    return len(groups)
 
 
 def spectrum_project(B: WeylDesc, A: WeylDesc, beta):

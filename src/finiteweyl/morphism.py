@@ -137,11 +137,12 @@ def embed_pbeta(Msub: ModuleRep, ambient, branch: int | None = None, root: int =
     if sigma is None or tau is None:
         raise BadBranch("submodule roots are incompatible with the summand")
 
-    gphase = Scalar.phase(Fraction(root % NB, NB)) if NB > 1 else Scalar.one()
-    cols = []
-    for j in range(NB):
-        col = basis[(j + sigma) % NB].scale(Scalar.phase(_mod1(Fraction(tau * j) * qB)))
-        cols.append(col.scale(gphase))
+    # column j carries the alignment phase qB^{tau j} times the root's phase
+    root_turns = Fraction(root % NB, NB)
+    cols = [
+        basis[(j + sigma) % NB].scale(Scalar.phase(_mod1(Fraction(tau * j) * qB + root_turns)))
+        for j in range(NB)
+    ]
     return Embedding(Msub, Mamb, Msub.point, idx, cols)
 
 

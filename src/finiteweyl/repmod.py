@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from .exactnum import Cyc, Scalar, sum_scalars
+from .exactnum import Cyc, Scalar, dot
 from .lattice import GenWord, WeylDesc, _mod1
 
 
@@ -124,7 +124,7 @@ class StateVec:
 
     def scale(self, s) -> "StateVec":
         s = Scalar._coerce(s)
-        return StateVec(self.module, [s * a for a in self.amps])
+        return StateVec(self.module, [s * a if a.cyc.coeffs else a for a in self.amps])
 
     def _check(self, other: "StateVec"):
         if not self.module.compatible(other.module):
@@ -134,7 +134,7 @@ class StateVec:
         return all(a.is_zero() for a in self.amps)
 
     def norm2(self) -> Scalar:
-        return sum_scalars(a.conj() * a for a in self.amps if not a.is_zero())
+        return dot(self.amps, self.amps, conj=True)
 
     def to_complex(self):
         return [a.to_complex() for a in self.amps]
@@ -200,38 +200,29 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
     """
     N = M.dim
     inv_sqrt = Scalar.exact(Cyc.rational(1), 1, N)
-    out = []
-    for m in range(N):
-        amps = [inv_sqrt * M.q_power(m * k) for k in range(N)]
-        out.append(StateVec(M, amps))
-    return out
+    # q^N = 1, so the N^2 amplitudes take only the N values q^r/sqrt(N)
+    amp = [inv_sqrt * M.q_power(r) for r in range(N)]
+    return [StateVec(M, [amp[(m * k) % N] for k in range(N)]) for m in range(N)]
 
 
 def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
-    """sum_i coeffs[i] * vecs[i], accumulated column-wise in one pass."""
-    out = []
-    pairs = [(c, v) for c, v in zip(coeffs, vecs) if c.cyc.coeffs]
-    for j in range(module.dim):
-        terms = []
-        for c, v in pairs:
-            a = v.amps[j]
-            if not a.cyc.coeffs:
-                continue
-            terms.append(c * a)
-        out.append(sum_scalars(terms))
-    return StateVec(module, out)
+    """sum_i coeffs[i] * vecs[i]: one scan of each vector's nonzero entries
+    gathers the terms of every coordinate, and `dot` sums each coordinate."""
+    cs: list[list[Scalar]] = [[] for _ in range(module.dim)]
+    amps: list[list[Scalar]] = [[] for _ in range(module.dim)]
+    for c, v in zip(coeffs, vecs):
+        if c.cyc.coeffs:
+            for j, a in enumerate(v.amps):
+                if a.cyc.coeffs:
+                    cs[j].append(c)
+                    amps[j].append(a)
+    return StateVec(module, [dot(c, a) for c, a in zip(cs, amps)])
 
 
 def inner(x: StateVec, y: StateVec) -> Scalar:
     """Inner product, conjugate-linear in the first argument."""
     x._check(y)
-    total = None
-    for a, b in zip(x.amps, y.amps):
-        if not a.cyc.coeffs or not b.cyc.coeffs:
-            continue
-        t = a.conj() * b
-        total = t if total is None else total + t
-    return Scalar.zero() if total is None else total
+    return dot(x.amps, y.amps, conj=True)
 
 
 def _word_scalar_on_module(w: GenWord, M: ModuleRep) -> Scalar:

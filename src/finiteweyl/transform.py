@@ -167,12 +167,9 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1, phase_const: Scalar | None = 
     inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
     from .repmod import linear_combination
 
-    images = []
-    for m in range(Nb):
-        weights = [
-            cc * inv_sqrt * Scalar.phase(_mod1(((l - m) ** 2) * half_qb)) for l in range(Nb)
-        ]
-        images.append(linear_combination(M, weights, h))
+    # the weight of u_l in the image of u_m depends only on |l - m|
+    weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
+    images = [linear_combination(M, [weight[abs(l - m)] for l in range(Nb)], h) for m in range(Nb)]
     Ud = GenWord(d * A.a, 0)
     Vb = GenWord(0, b * A.b)
     S = GenWord(d * A.a, -b * A.b, -half_qb)  # qb^{-1/2} U^d V^{-b}

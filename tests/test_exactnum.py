@@ -22,6 +22,7 @@ from finiteweyl.exactnum import (
     Scalar,
     conjugate,
     cyclotomic_poly,
+    dot,
     eval_complex,
     gauss_sum,
     gauss_sum_float,
@@ -135,11 +136,28 @@ class TestGaussSum:
         for N in (3, 5, 7, 9, 12):
             assert approx_eq(complex(*eval_complex(gauss_sum(N))), gauss_sum_float(N), 1e-10)
 
+    def test_matches_per_term_sum(self):
+        # every N <= 200, odd and even: counting residues as ints gives the
+        # same element as adding one Fraction per term
+        for N in range(1, 201):
+            g, o = gauss_sum(N), gauss_sum_per_term(N)
+            assert (g.rad, g.cyc.order, g.cyc.coeffs) == (o.rad, o.cyc.order, o.cyc.coeffs)
+
     @pytest.mark.parametrize("N", [3, 12, 70001, 451584])
     @pytest.mark.parametrize("sign", [1, -1])
     def test_float_backend_matches_direct_sum(self, N, sign):
         # odd N sums the whole range, even N half of it
         assert approx_eq(gauss_sum_float(N, sign), direct_phase_sum(2 * N, sign, N), 1e-9)
+
+
+def gauss_sum_per_term(N):
+    """Oracle: G(N) with one Fraction addition per term m."""
+    acc = {}
+    M = 2 * N
+    for m in range(N):
+        k = (m * m) % M
+        acc[k] = acc.get(k, Fraction(0)) + 1
+    return Scalar(1, Cyc(M, acc))
 
 
 def direct_phase_sum(P, sign, stop):
@@ -248,6 +266,21 @@ class TestScalarAlgebra:
         with pytest.raises(TypeError):
             Scalar.one() + 1j
         assert Scalar.one() != 1.0
+        # the exact constructors refuse floats instead of rounding them
+        for build in (
+            lambda: Scalar.rational(0.1),
+            lambda: Cyc.rational(0.5),
+            lambda: Cyc(4, {1: 0.5}),
+            lambda: Cyc(4, {0: 1, 1: 0.0}),
+            lambda: Cyc(4, {1: 1j}),
+            lambda: Scalar.rational(np.float64(2.0)),
+        ):
+            with pytest.raises(TypeError):
+                build()
+        assert Cyc(4, {1: Fraction(1, 2), 2: 3, 3: "1/3"}).coeffs == {
+            1: Fraction(1, 2), 2: 3, 3: Fraction(1, 3)
+        }
+        assert Scalar.rational(Fraction(1, 10)) == Scalar.one() / 10
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -310,3 +343,60 @@ class TestEvalPrecision:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
         assert proc.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# the fused dot kernel against Scalar * and + as the oracle
+# ---------------------------------------------------------------------------
+
+def naive_dot(xs, ys, conj=False):
+    total = Scalar.zero()
+    for a, b in zip(xs, ys):
+        total = total + (a.conj() if conj else a) * b
+    return total
+
+
+def random_amplitude(rng, N):
+    """A random exact amplitude: radicand 1/2/3/6, order 1/4/8/12/24/2N, up
+    to three terms with raw exponents past the order, or zero."""
+    if rng.randrange(5) == 0:
+        return Scalar.zero()
+    order = rng.choice([1, 4, 8, 12, 24, 2 * N])
+    terms = {rng.randrange(2 * order + 1): Fraction(rng.randint(-36, 36), rng.randint(1, 12))
+             for _ in range(rng.randrange(4))}
+    return Scalar(rng.choice([1, 2, 3, 6]), Cyc(order, terms))
+
+
+class TestDot:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False), st.booleans())
+    def test_matches_sum_of_products(self, rng, conj):
+        N, n = rng.randint(1, 30), rng.randint(0, 8)
+        xs = [random_amplitude(rng, N) for _ in range(n)]
+        ys = [random_amplitude(rng, N) for _ in range(n)]
+        got = dot(xs, ys, conj=conj)
+        assert (got - naive_dot(xs, ys, conj)).is_zero()
+        assert all(type(c) is Fraction for c in got.cyc.coeffs.values())
+
+    def test_lifted_exponents_collide_and_cancel(self):
+        # zeta_4 and zeta_8^2 are the same root: lifted to order 8 they share
+        # an exponent, so i*1 + 1*(-zeta_8^2) must cancel exactly
+        i, z82 = root_of_unity(4, 1), root_of_unity(8, 2)
+        assert dot([i, Scalar.one()], [Scalar.one(), -z82]).is_zero()
+        # conj(zeta_12) zeta_12 + conj(zeta_3) zeta_3 = 2 across orders 12 and 3
+        z12, z3 = root_of_unity(12, 1), root_of_unity(3, 1)
+        assert dot([z12, z3], [z12, z3], conj=True) == Scalar.rational(2)
+
+    def test_radicands_merge(self):
+        # sqrt2*sqrt2 + sqrt3*sqrt3 + sqrt6*sqrt(3/2): radicands square out
+        r2, r3 = Scalar.exact(Cyc.rational(1), 2), Scalar.exact(Cyc.rational(1), 3)
+        r6 = Scalar.exact(Cyc.rational(1), 6)
+        r32 = Scalar.exact(Cyc.rational(1), 3, 2)
+        assert dot([r2, r3, r6], [r2, r3, r32]) == Scalar.rational(8)
+        # mixed radicands that survive: sqrt2 + sqrt3
+        assert dot([r2, r3], [Scalar.one(), Scalar.one()]) == r2 + r3
+
+    def test_empty_and_zero(self):
+        assert dot([], []).is_zero()
+        assert dot([Scalar.zero(), root_of_unity(8, 3)], [Scalar.one(), Scalar.zero()]).is_zero()
+

@@ -13,11 +13,9 @@ from finiteweyl.lattice import (
     WeylDesc,
     apply_automorphism,
     center,
-    count_cyclic_subgroups_bruteforce,
     includes,
     intersect_centers,
     join,
-    join_via_centers,
     lattice_intersect,
     maximal_commutative,
     q_order,
@@ -26,6 +24,25 @@ from finiteweyl.lattice import (
     up_functor,
 )
 from finiteweyl.repmod import SpecPoint
+
+
+def join_via_centers(A: WeylDesc, B: WeylDesc) -> WeylDesc:
+    """Oracle: (Z(A) n Z(B))^up; agrees with `join` on numerator-1 algebras."""
+    return up_functor(intersect_centers(A, B))
+
+
+def count_cyclic_subgroups_bruteforce(N: int) -> int:
+    """Oracle: enumerate order-N cyclic subgroups of (Z/N)^2 as element sets."""
+    if N == 1:
+        return 1
+    groups = set()
+    for g1 in range(N):
+        for g2 in range(N):
+            if N // gcd(gcd(g1, g2), N) != N:
+                continue
+            elems = frozenset(((k * g1) % N, (k * g2) % N) for k in range(N))
+            groups.add(elems)
+    return len(groups)
 
 
 def rand_desc(rng, max_den=60, numerator_one=False):

@@ -2,17 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finiteweyl.errors import ModuleMismatch, NotGenerating, NotInAlgebra
 from finiteweyl.exactnum import Cyc, Scalar, root_of_unity
 from finiteweyl.lattice import GenWord, WeylDesc
 from finiteweyl.repmod import (
     BasisLabel,
+    StateVec,
     SpecPoint,
     apply_word,
     build_module,
     gamma_generator,
     inner,
+    linear_combination,
     quadratic_phase_exponent,
     relate_canonical_bases,
     root_of_unity_turns,
@@ -113,6 +117,23 @@ class TestVBasis:
         M = principal_module(4)
         val = inner(M.basis_vector(1), v_basis(M)[1])
         assert val == root_of_unity(4, 1) * Scalar.rational(F(1, 2))
+
+
+    def test_shared_amplitudes_stay_per_vector(self):
+        # v_basis shares one Scalar per value q^r/sqrt(N) between vectors;
+        # replacing an entry of one vector must not reach any other
+        N = 12
+        M = principal_module(N)
+        vb, fresh = v_basis(M), v_basis(M)
+        u3 = M.basis_vector(3)
+        before = inner(u3, vb[5])
+        vb[5].amps[3] = -vb[5].amps[3]
+        for m in range(N):
+            for k in range(N):
+                expect = -fresh[m].amps[k] if (m, k) == (5, 3) else fresh[m].amps[k]
+                assert (vb[m].amps[k] - expect).is_zero()
+        assert inner(u3, vb[5]) == -before
+        assert inner(u3, vb[1]) == inner(u3, fresh[1])  # vb[1].amps[3] is the same value
 
 
 class TestInner:
@@ -353,3 +374,62 @@ class TestBaseRelations:
         assert root_of_unity_turns(root_of_unity(5, 4)) == F(4, 5)
         assert root_of_unity_turns(Scalar.rational(-1)) == F(1, 2)
         assert root_of_unity_turns(root_of_unity(12, 7)) == F(7, 12)
+
+
+# ---------------------------------------------------------------------------
+# inner and linear_combination against per-amplitude Scalar arithmetic
+# ---------------------------------------------------------------------------
+
+def naive_inner(x, y):
+    total = Scalar.zero()
+    for a, b in zip(x.amps, y.amps):
+        total = total + a.conj() * b
+    return total
+
+
+def naive_linear_combination(M, coeffs, vecs):
+    out = []
+    for j in range(M.dim):
+        total = Scalar.zero()
+        for c, v in zip(coeffs, vecs):
+            total = total + c * v.amps[j]
+        out.append(total)
+    return out
+
+
+def random_amplitude(rng, N, density):
+    """Zero with probability 1 - density, else a one- or two-term sum of
+    radicand 1/2/3/6 times roots of order 4, 8, N or 2N."""
+    if rng.random() >= density:
+        return Scalar.zero()
+    order = rng.choice([4, 8, N, 2 * N])
+    terms = {rng.randrange(order): F(rng.randint(-12, 12), rng.randint(1, 6))
+             for _ in range(rng.randint(1, 2))}
+    return Scalar(rng.choice([1, 2, 3, 6]), Cyc(order, terms))
+
+
+def random_vectors(rng, M, count):
+    density = rng.choice([0.15, 1.0])  # sparse or dense
+    return [StateVec(M, [random_amplitude(rng, M.dim, density) for _ in range(M.dim)])
+            for _ in range(count)]
+
+
+class TestExactKernels:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_inner_matches_naive(self, rng):
+        M = principal_module(rng.choice([3, 4, 6, 8, 12]))
+        x, y = random_vectors(rng, M, 2)
+        assert (inner(x, y) - naive_inner(x, y)).is_zero()
+        assert (x.norm2() - naive_inner(x, x)).is_zero()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_linear_combination_matches_naive(self, rng):
+        M = principal_module(rng.choice([3, 4, 6, 8, 12]))
+        count = rng.randint(0, 5)
+        coeffs = [random_amplitude(rng, M.dim, 0.8) for _ in range(count)]
+        vecs = random_vectors(rng, M, count)
+        got = linear_combination(M, coeffs, vecs)
+        expect = naive_linear_combination(M, coeffs, vecs)
+        assert all((a - b).is_zero() for a, b in zip(got.amps, expect))
