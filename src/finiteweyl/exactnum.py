@@ -94,48 +94,45 @@ def cyclotomic_poly(M: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _monomial_rows(M: int) -> tuple[tuple[int, ...], ...]:
-    """Rows of x^e mod Phi_M (integer coefficients) for e = deg..M-1."""
+def _monomial_rows(M: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Rows of x^e mod Phi_M for e = deg..M-1, each as its nonzero
+    (j, integer coefficient) pairs."""
     phi = cyclotomic_poly(M)
     deg = len(phi) - 1
     rows = []
     cur = [-c for c in phi[:deg]]  # x^deg mod Phi (monic)
-    rows.append(tuple(cur))
-    for _ in range(deg + 1, M):
-        nxt = [0] + cur[:-1]
+    for _ in range(deg, M):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
         lead = cur[-1]
+        cur = [0] + cur[:-1]
         if lead:
             for j in range(deg):
-                nxt[j] -= lead * phi[j]
-        cur = nxt
-        rows.append(tuple(cur))
+                cur[j] -= lead * phi[j]
     return tuple(rows)
 
 
 def _reduce_mod_cyclotomic(coeffs: dict[int, Fraction], M: int) -> dict[int, Fraction]:
-    """Reduce a sparse exponent->coefficient map modulo Phi_M."""
+    """Reduce a sparse exponent->coefficient map modulo Phi_M.
+
+    The coefficients go over one common denominator, their integer
+    numerators are reduced in a list of length phi(M), and each surviving
+    term becomes one Fraction.
+    """
     deg = len(cyclotomic_poly(M)) - 1
     if all(k < deg for k in coeffs):
         return {k: c for k, c in coeffs.items() if c}
     rows = _monomial_rows(M)
-    acc: dict[int, Fraction] = {}
+    den = lcm(*[c.denominator for c in coeffs.values()])
+    acc = [0] * deg
     for k, c in coeffs.items():
+        n = c.numerator * (den // c.denominator)
         k %= M
         if k < deg:
-            s = acc.get(k, 0) + c
-            if s:
-                acc[k] = s
-            else:
-                acc.pop(k, None)
+            acc[k] += n
         else:
-            for j, r in enumerate(rows[k - deg]):
-                if r:
-                    s = acc.get(j, 0) + c * r
-                    if s:
-                        acc[j] = s
-                    else:
-                        acc.pop(j, None)
-    return acc
+            for j, r in rows[k - deg]:
+                acc[j] += n * r
+    return {j: Fraction(n, den) for j, n in enumerate(acc) if n}
 
 
 def _poly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -233,7 +230,7 @@ class Cyc:
             g = gcd(g, k)
             if g == 1:
                 return self
-        return Cyc(self.order // g, {k // g: c for k, c in self.coeffs.items()})
+        return Cyc(self.order // g, {k // g: c for k, c in self.coeffs.items()}, _trusted=True)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "Cyc") -> "Cyc":
@@ -276,7 +273,7 @@ class Cyc:
         return Cyc(L, out, _trusted=True)
 
     def scale(self, r) -> "Cyc":
-        r = Fraction(r)
+        r = _rat(r)
         if not r:
             return Cyc(self.order, {}, _trusted=True)
         return Cyc(self.order, {k: c * r for k, c in self.coeffs.items()}, _trusted=True)
@@ -409,14 +406,15 @@ class Scalar:
 
     # -- constructors --------------------------------------------------------
     @staticmethod
-    def exact(cyc: Cyc, rad_num: int = 1, rad_den: int = 1) -> "Scalar":
-        """sqrt(rad_num/rad_den) * cyc, normalised to an integer radicand."""
-        if rad_num <= 0 or rad_den <= 0:
+    def exact(cyc: Cyc, rad_num: int | Fraction = 1, rad_den: int | Fraction = 1) -> "Scalar":
+        """sqrt(rad_num/rad_den) * cyc for rationals, normalised to an integer radicand."""
+        num, den = _rat(rad_num), _rat(rad_den)
+        if num <= 0 or den <= 0:
             raise ValueError("radicand must be positive")
+        x = num / den
         # sqrt(p/q) = sqrt(p*q)/q
-        n = rad_num * rad_den
-        s, r = split_square(n)
-        return Scalar(r, cyc.scale(Fraction(s, rad_den)))
+        s, r = split_square(x.numerator * x.denominator)
+        return Scalar(r, cyc.scale(Fraction(s, x.denominator)))
 
     @staticmethod
     def rational(x) -> "Scalar":
@@ -433,7 +431,7 @@ class Scalar:
     @staticmethod
     def phase(turns: Fraction) -> "Scalar":
         """e^{2 pi i turns} for rational turns."""
-        t = Fraction(turns)
+        t = _rat(turns)
         return _phase_cached(t.numerator % t.denominator, t.denominator)
 
     # -- radical handling ----------------------------------------------------

@@ -29,10 +29,6 @@ def rat_gcd(x: Fraction, y: Fraction) -> Fraction:
                     x.denominator * y.denominator)
 
 
-def rat_lcm(x: Fraction, y: Fraction) -> Fraction:
-    return x * y / rat_gcd(x, y)
-
-
 # ---------------------------------------------------------------------------
 # descriptors
 # ---------------------------------------------------------------------------
@@ -181,12 +177,6 @@ def relative_indices(B: WeylDesc, A: WeylDesc) -> tuple[int, int]:
 def join(A: WeylDesc, B: WeylDesc) -> WeylDesc:
     """Smallest rational Weyl algebra containing both (gcd of exponent lattices)."""
     return WeylDesc(rat_gcd(A.a, B.a), rat_gcd(A.b, B.b))
-
-
-def intersect_centers(A: WeylDesc, B: WeylDesc) -> WeylDesc:
-    """Z(A) n Z(B): lcm of the central exponent lattices."""
-    ZA, ZB = center(A), center(B)
-    return WeylDesc(rat_lcm(ZA.a, ZB.a), rat_lcm(ZA.b, ZB.b))
 
 
 def _cyclic_subgroups_order_n(N: int) -> list[tuple[int, int]]:

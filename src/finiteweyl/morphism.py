@@ -15,7 +15,7 @@ from fractions import Fraction
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
 from .exactnum import Cyc, Scalar
 from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
-from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner
+from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner, linear_combination
 
 
 @dataclass
@@ -31,8 +31,6 @@ class Embedding:
     def apply(self, x: StateVec) -> StateVec:
         if not self.sub.compatible(x.module):
             raise ModuleMismatch("vector does not live in the embedded module")
-        from .repmod import linear_combination
-
         return linear_combination(self.amb, x.amps, self.columns)
 
 
@@ -42,50 +40,60 @@ class PairingResult:
     compatible: bool
 
 
+def _indices(M: ModuleRep, B: WeylDesc) -> tuple[int, int]:
+    """(n, k) of B inside M's algebra; nk must divide the dimension."""
+    n, k = relative_indices(B, M.alg)  # raises NotIncluded
+    if n * k == 0 or M.dim % (n * k) != 0:
+        raise NotDividing(f"indices ({n},{k}) do not divide the dimension {M.dim}")
+    return n, k
+
+
 def decompose(M: ModuleRep, B: WeylDesc):
     """Split V_A(alpha) into B-submodules with canonical bases.
 
     Returns [(beta, basis)], ordered by increasing branch index
     ell = ell_u * k + ell_v.  Requires nk | N.
     """
-    A = M.alg
-    n, k = relative_indices(B, A)  # raises NotIncluded
-    N = M.dim
-    if n * k == 0 or N % (n * k) != 0:
-        raise NotDividing(f"indices ({n},{k}) do not divide the dimension {N}")
-    NB = N // (n * k)
-    q = M.q_phase
-    inv_sqrt_n = Scalar.exact(Cyc.rational(1), 1, n)
+    n, k = _indices(M, B)
+    return [summand(M, B, ell_u, ell_v) for ell_u in range(n) for ell_v in range(k)]
 
-    out = []
-    for ell_u in range(n):
-        # step 1: <U^n, V> branch ell_u, dimension N/n
-        # g_m = (q^{m ell_u}/sqrt n) sum_r q^{r ell_u N/n} e_{m + r N/n}
-        for ell_v in range(k):
-            # step 2: keep indices m = k m' + ell_v
-            basis = []
-            for mp in range(NB):
-                m = k * mp + ell_v
-                amps = [Scalar.zero()] * N
-                for r in range(n):
-                    idx = (m + r * N // n) % N
-                    ph = _mod1(Fraction(m * ell_u + r * ell_u * N // n, 1) * q)
-                    amps[idx] = inv_sqrt_n * Scalar.phase(ph)
-                basis.append(StateVec(M, amps))
-            # spectral invariants of the summand
-            u_sub, v_sub = _summand_params(M, B, ell_u, ell_v)
-            beta = SpecPoint(_mod1(NB * u_sub), _mod1(NB * v_sub))
-            out.append((beta, basis))
-    return out
+
+def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
+    """The branch (ell_u, ell_v) B-submodule of V_A(alpha): (beta, basis).
+
+    Step 1 takes the <U^n, V> branch ell_u, of dimension N/n:
+    g_m = (q^{m ell_u}/sqrt n) sum_r q^{r ell_u N/n} e_{m + r N/n}.
+    Step 2 keeps the indices m = k m' + ell_v.  Every amplitude is
+    q^{ell_u idx}/sqrt(n) at its index idx, so equal ones are built once.
+    """
+    n, k = _indices(M, B)
+    if not (0 <= ell_u < n and 0 <= ell_v < k):
+        raise BadBranch(f"branch ({ell_u},{ell_v}) is outside {n} x {k}")
+    N = M.dim
+    NB = N // (n * k)
+    inv_sqrt_n = Scalar.exact(Cyc.rational(1), 1, n)
+    table: dict[int, Scalar] = {}
+    basis = []
+    for mp in range(NB):
+        amps = [Scalar.zero()] * N
+        for r in range(n):
+            idx = (k * mp + ell_v + r * N // n) % N
+            t = ell_u * idx % N
+            if t not in table:
+                table[t] = inv_sqrt_n * M.q_power(t)
+            amps[idx] = table[t]
+        basis.append(StateVec(M, amps))
+    return _summand_params(M, B, ell_u, ell_v)[2], basis
 
 
 def _summand_params(M: ModuleRep, B: WeylDesc, ell_u: int, ell_v: int):
-    """(u_sub, v_sub) phases of the branch (ell_u, ell_v) summand."""
+    """(u_sub, v_sub, beta): phases and spectral point of the branch (ell_u, ell_v) summand."""
     n, k = relative_indices(B, M.alg)
     q = M.q_phase
     u_sub = _mod1(n * M.u_phase + n * ell_v * q)
     v_sub = _mod1(k * (M.v_phase + ell_u * q))
-    return u_sub, v_sub
+    NB = M.dim // (n * k)
+    return u_sub, v_sub, SpecPoint(_mod1(NB * u_sub), _mod1(NB * v_sub))
 
 
 def embed_pbeta(Msub: ModuleRep, ambient, branch: int | None = None, root: int = 0) -> Embedding:
@@ -107,23 +115,20 @@ def embed_pbeta(Msub: ModuleRep, ambient, branch: int | None = None, root: int =
     if spectrum_project(B, A, Msub.point) != Mamb.point:
         raise BadBranch("submodule point does not project onto the ambient point")
 
-    n, k = relative_indices(B, A)
+    n, k = _indices(Mamb, B)
     NB = Msub.dim
-    parts = decompose(Mamb, B)
-    target = None
-    for idx, (beta, basis) in enumerate(parts):
-        if beta == Msub.point:
-            target = (idx, basis)
-            break
-    if target is None:
+    # the branch is found from the summands' spectral points alone
+    betas = (_summand_params(Mamb, B, *divmod(i, k))[2] for i in range(n * k))
+    idx = next((i for i, beta in enumerate(betas) if beta == Msub.point), None)
+    if idx is None:
         raise BadBranch("no summand carries the requested spectral point")
-    idx, basis = target
     if branch is not None and branch != idx:
         raise BadBranch(f"point lives on branch {idx}, not {branch}")
-    ell_u, ell_v = idx // k, idx % k
+    ell_u, ell_v = divmod(idx, k)
+    _, basis = summand(Mamb, B, ell_u, ell_v)
 
     qB = _mod1(Fraction(n * k) * Mamb.q_phase)
-    u_sub, v_sub = _summand_params(Mamb, B, ell_u, ell_v)
+    u_sub, v_sub, _ = _summand_params(Mamb, B, ell_u, ell_v)
     # align eigenvalues: u_dom = u_sub * qB^sigma, v_dom = v_sub * qB^tau
     sigma = tau = None
     for s in range(NB):

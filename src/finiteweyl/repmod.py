@@ -205,18 +205,43 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
     return [StateVec(M, [amp[(m * k) % N] for k in range(N)]) for m in range(N)]
 
 
-def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
-    """sum_i coeffs[i] * vecs[i]: one scan of each vector's nonzero entries
-    gathers the terms of every coordinate, and `dot` sums each coordinate."""
-    cs: list[list[Scalar]] = [[] for _ in range(module.dim)]
+def linear_combinations(module: ModuleRep, rows, vecs) -> list[StateVec]:
+    """[sum_i row[i] * vecs[i] for row in rows].
+
+    One scan of the vectors' nonzero entries, skipping a vector whose
+    coefficient is zero in every row, gathers the terms of each coordinate;
+    `dot` sums each coordinate of each row.
+    """
+    n = min((len(r) for r in rows), default=0)  # as zip: extra entries are ignored
+    idx: list[list[int]] = [[] for _ in range(module.dim)]
     amps: list[list[Scalar]] = [[] for _ in range(module.dim)]
-    for c, v in zip(coeffs, vecs):
-        if c.cyc.coeffs:
+    for i, v in enumerate(vecs[:n]):
+        if any(r[i].cyc.coeffs for r in rows):
             for j, a in enumerate(v.amps):
                 if a.cyc.coeffs:
-                    cs[j].append(c)
+                    idx[j].append(i)
                     amps[j].append(a)
-    return StateVec(module, [dot(c, a) for c, a in zip(cs, amps)])
+    # a one-term coordinate is a product; rows and vectors often share their
+    # Scalars, so each product of two objects is built once (keyed by identity)
+    products: dict[tuple[int, int], Scalar] = {}
+    out = []
+    for r in rows:
+        coords = []
+        for ix, am in zip(idx, amps):
+            if len(ix) == 1:
+                key = (id(r[ix[0]]), id(am[0]))
+                if key not in products:
+                    products[key] = dot([r[ix[0]]], am)
+                coords.append(products[key])
+            else:
+                coords.append(dot([r[i] for i in ix], am))
+        out.append(StateVec(module, coords))
+    return out
+
+
+def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
+    """sum_i coeffs[i] * vecs[i]."""
+    return linear_combinations(module, [coeffs], vecs)[0]
 
 
 def inner(x: StateVec, y: StateVec) -> Scalar:

@@ -22,8 +22,9 @@ from .errors import (
 )
 from .exactnum import Cyc, Scalar
 from .lattice import GenWord, WeylDesc, _mod1, lattice_intersect
-from .morphism import decompose
-from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, inner, u_basis, v_basis
+from .morphism import summand
+from .repmod import (ModuleRep, SpecPoint, StateVec, apply_word, inner, linear_combination,
+                     linear_combinations, u_basis, v_basis)
 
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -95,8 +96,6 @@ class RegUnitary:
 
     def apply(self, x: StateVec) -> StateVec:
         """Map a vector of the domain submodule; exact expansion in dom_basis."""
-        from .repmod import linear_combination
-
         coeffs = [inner(b, x) for b in self.dom_basis]
         residual = x - linear_combination(self.ambient_dom, coeffs, self.dom_basis)
         if not residual.is_zero():
@@ -158,18 +157,16 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1, phase_const: Scalar | None = 
     if Nb % 2 != 0:
         raise OddOrder(f"submodule dimension {Nb} is odd; the constant needs even order")
     B = WeylDesc(d * A.a, abs(b) * A.b)
-    beta, h = decompose(M, B)[0]
+    _, h = summand(M, B)
     half_qb = Fraction(b * d) * M.q_phase / 2
     # sqrt(Nb)/G(Nb) for the clock qb = q^{bd}: e^{-i pi/4} when bd > 0,
     # conjugate for reversed time
     sign = 1 if b * d > 0 else -1
     cc = phase_const if phase_const is not None else Scalar.phase(Fraction(-sign, 8))
     inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
-    from .repmod import linear_combination
-
     # the weight of u_l in the image of u_m depends only on |l - m|
     weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
-    images = [linear_combination(M, [weight[abs(l - m)] for l in range(Nb)], h) for m in range(Nb)]
+    images = linear_combinations(M, [[weight[abs(l - m)] for l in range(Nb)] for m in range(Nb)], h)
     Ud = GenWord(d * A.a, 0)
     Vb = GenWord(0, b * A.b)
     S = GenWord(d * A.a, -b * A.b, -half_qb)  # qb^{-1/2} U^d V^{-b}
@@ -195,8 +192,8 @@ def diagonal(M: ModuleRep, m: int) -> RegUnitary:
         raise NotDividing(f"m = {m} must divide N = {N}")
     Bdom = WeylDesc(A.a, m * A.b)
     Bran = WeylDesc(m * A.a, A.b)
-    _, dom = decompose(M, Bdom)[0]
-    _, ran = decompose(M, Bran)[0]
+    _, dom = summand(M, Bdom)
+    _, ran = summand(M, Bran)
     U, Vm = GenWord(A.a, 0), GenWord(0, m * A.b)
     return RegUnitary(
         name=f"diagonal[{m}]",
@@ -243,7 +240,7 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
     if N % (c * c * e) != 0 or N % e != 0:
         raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
     B = WeylDesc(c * A.a, c * e * A.b)
-    _, dom = decompose(M, B)[0]
+    _, dom = summand(M, B)
     dim = N // (c * c * e)
     C0 = phase_const if phase_const is not None else Scalar.phase(Fraction(-1, 8))
     pref = C0 * Scalar.exact(Cyc.rational(1), e, N)
@@ -251,10 +248,10 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
     images = []
     for m in range(dim):
         amps = [Scalar.zero()] * N
+        # l -> e(l + mf) mod N is injective on 0 <= l < N/e: one term per index
         for l in range(N // e):
             expo = Fraction(e * f * (l * l - e * e * m * m), 2) - e ** 3 * m * l
-            idx = (e * (l + m * f)) % N
-            amps[idx] = amps[idx] + pref * Scalar.phase(_mod1(expo * q))
+            amps[(e * (l + m * f)) % N] = pref * Scalar.phase(_mod1(expo * q))
         images.append(StateVec(M, amps))
     Uc = GenWord(c * A.a, 0)
     Vce = GenWord(0, c * e * A.b)

@@ -19,6 +19,7 @@ from finiteweyl.exactnum import (
     INT64_SQRT_MAX,
     PHASE_CHUNK,
     Cyc,
+    _reduce_mod_cyclotomic,
     Scalar,
     conjugate,
     cyclotomic_poly,
@@ -274,6 +275,11 @@ class TestScalarAlgebra:
             lambda: Cyc(4, {0: 1, 1: 0.0}),
             lambda: Cyc(4, {1: 1j}),
             lambda: Scalar.rational(np.float64(2.0)),
+            # construction only: a canonical form of zeta_{2^55} is never built
+            lambda: Scalar.phase(0.1),
+            lambda: Cyc.zeta(8, 1).scale(0.5),
+            lambda: Scalar.exact(Cyc.rational(1), 0.5),
+            lambda: Scalar.exact(Cyc.rational(1), 1, 2.0),
         ):
             with pytest.raises(TypeError):
                 build()
@@ -281,6 +287,21 @@ class TestScalarAlgebra:
             1: Fraction(1, 2), 2: 3, 3: Fraction(1, 3)
         }
         assert Scalar.rational(Fraction(1, 10)) == Scalar.one() / 10
+
+    def test_exact_rational_radicands(self):
+        # sqrt(1/2) = sqrt(2)/2 whether the radicand comes as a Fraction or
+        # as numerator and denominator; a float is refused by name
+        half = Scalar.exact(Cyc.rational(1), Fraction(1, 2), 1)
+        assert (half.rad, half.cyc.coeffs) == (2, {0: Fraction(1, 2)})
+        assert half == Scalar.exact(Cyc.rational(1), 1, 2)
+        assert approx_eq(half.to_complex(), math.sqrt(0.5), 1e-15)
+        assert Scalar.exact(Cyc.rational(3), Fraction(8, 3), Fraction(2, 3)) == Scalar.rational(6)
+        assert Scalar.exact(Cyc.rational(1), 2, 4) == half
+        with pytest.raises(TypeError, match="0.5"):
+            Scalar.exact(Cyc.rational(1), 0.5)
+        for bad in ((0, 1), (1, 0), (Fraction(-1, 2), 1)):
+            with pytest.raises(ValueError):
+                Scalar.exact(Cyc.rational(1), *bad)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -400,3 +421,50 @@ class TestDot:
         assert dot([], []).is_zero()
         assert dot([Scalar.zero(), root_of_unity(8, 3)], [Scalar.one(), Scalar.zero()]).is_zero()
 
+
+
+# ---------------------------------------------------------------------------
+# reduction mod Phi_M on integer numerators against Fraction long division
+# ---------------------------------------------------------------------------
+
+def reduce_oracle(coeffs, M):
+    """Oracle: long division by Phi_M with one Fraction operation per entry."""
+    phi = cyclotomic_poly(M)
+    deg = len(phi) - 1
+    poly = [Fraction(0)] * max(M, deg)
+    for k, c in coeffs.items():
+        poly[k % M] += c
+    for i in range(len(poly) - 1, deg - 1, -1):
+        c = poly[i]
+        if c:
+            for j, p in enumerate(phi):
+                poly[i - deg + j] -= c * p
+    return {j: c for j, c in enumerate(poly[:deg]) if c}
+
+
+class TestReduceModCyclotomic:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 2, 8, 12, 120, 240, 600, 1024]),
+           st.randoms(use_true_random=False), st.booleans())
+    def test_matches_fraction_oracle(self, M, rng, cancel):
+        coeffs = {rng.randrange(2 * M): Fraction(rng.randint(-40, 40), rng.choice([1, 2, 3, 7, 12, 360]))
+                  for _ in range(rng.randint(1, 12))}
+        if cancel:
+            # times Phi_M, mod x^M - 1: every such element is zero
+            prod = {}
+            for k, c in coeffs.items():
+                for j, p in enumerate(cyclotomic_poly(M)):
+                    prod[(k + j) % M] = prod.get((k + j) % M, 0) + c * p
+            coeffs = {k: c for k, c in prod.items() if c} or {0: Fraction(0)}
+        got = _reduce_mod_cyclotomic(coeffs, M)
+        assert got == reduce_oracle(coeffs, M)
+        assert all(type(c) is Fraction for c in got.values())
+        if cancel:
+            assert got == {}
+            assert Cyc(M, coeffs).is_zero()
+
+    @pytest.mark.parametrize("M", [3, 97, 105, 210])
+    def test_dense_rows(self, M):
+        # Phi_p is dense and Phi_105 has a coefficient -2: every exponent at once
+        coeffs = {k: Fraction(k + 1, 1 + k % 5) for k in range(M)}
+        assert _reduce_mod_cyclotomic(coeffs, M) == reduce_oracle(coeffs, M)

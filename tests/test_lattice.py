@@ -14,16 +14,26 @@ from finiteweyl.lattice import (
     apply_automorphism,
     center,
     includes,
-    intersect_centers,
     join,
     lattice_intersect,
     maximal_commutative,
     q_order,
+    rat_gcd,
     relative_indices,
     spectrum_project,
     up_functor,
 )
 from finiteweyl.repmod import SpecPoint
+
+
+def intersect_centers(A: WeylDesc, B: WeylDesc) -> WeylDesc:
+    """Oracle: Z(A) n Z(B), the lcm of the central exponent lattices."""
+    ZA, ZB = center(A), center(B)
+    return WeylDesc(rat_lcm(ZA.a, ZB.a), rat_lcm(ZA.b, ZB.b))
+
+
+def rat_lcm(x, y):
+    return x * y / rat_gcd(x, y)
 
 
 def join_via_centers(A: WeylDesc, B: WeylDesc) -> WeylDesc:

@@ -4,9 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from finiteweyl.errors import BadBranch, NotDividing, NotIncluded
-from finiteweyl.exactnum import Scalar, root_of_unity
-from finiteweyl.lattice import GenWord, WeylDesc, q_order
-from finiteweyl.morphism import decompose, embed_pbeta, pairing, pairing_row_sum
+from finiteweyl.exactnum import Cyc, Scalar, root_of_unity
+from finiteweyl.lattice import GenWord, WeylDesc, _mod1, q_order, relative_indices
+from finiteweyl.morphism import decompose, embed_pbeta, pairing, pairing_row_sum, summand
 from finiteweyl.repmod import (
     SpecPoint,
     StateVec,
@@ -264,3 +264,116 @@ class TestRowSums:
         f = StateVec(M, amps)
         assert (f.norm2() - Scalar.one()).is_zero()
         assert pairing_row_sum(B, f) == Scalar.one()
+
+
+# ---------------------------------------------------------------------------
+# one summand at a time against the full decomposition, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def decompose_oracle(M, B):
+    """Oracle: every summand, each amplitude built as its own phase / sqrt(n)."""
+    n, k = relative_indices(B, M.alg)
+    N = M.dim
+    NB = N // (n * k)
+    q = M.q_phase
+    inv_sqrt_n = Scalar.exact(Cyc.rational(1), 1, n)
+    out = []
+    for ell_u in range(n):
+        for ell_v in range(k):
+            basis = []
+            for mp in range(NB):
+                m = k * mp + ell_v
+                amps = [Scalar.zero()] * N
+                for r in range(n):
+                    ph = _mod1(F(m * ell_u + r * ell_u * N // n) * q)
+                    amps[(m + r * N // n) % N] = inv_sqrt_n * Scalar.phase(ph)
+                basis.append(StateVec(M, amps))
+            u_sub = _mod1(n * M.u_phase + n * ell_v * q)
+            v_sub = _mod1(k * (M.v_phase + ell_u * q))
+            out.append((SpecPoint(_mod1(NB * u_sub), _mod1(NB * v_sub)), basis))
+    return out
+
+
+def embed_oracle(Msub, Mamb, parts, root=0):
+    """Oracle: (branch, columns) of p^beta, the branch found by searching
+    every summand of parts = decompose_oracle(Mamb, B) for the submodule's point."""
+    n, k = relative_indices(Msub.alg, Mamb.alg)
+    NB = Msub.dim
+    idx, basis = next((i, basis) for i, (beta, basis) in enumerate(parts) if beta == Msub.point)
+    ell_u, ell_v = divmod(idx, k)
+    q = Mamb.q_phase
+    qB = _mod1(F(n * k) * q)
+    u_sub = _mod1(n * Mamb.u_phase + n * ell_v * q)
+    v_sub = _mod1(k * (Mamb.v_phase + ell_u * q))
+    sigma = next(s for s in range(NB) if _mod1(u_sub + s * qB) == Msub.u_phase)
+    tau = next(t for t in range(NB) if _mod1(v_sub + t * qB) == Msub.v_phase)
+    return idx, [basis[(j + sigma) % NB].scale(Scalar.phase(_mod1(F(tau * j) * qB + F(root % NB, NB))))
+                 for j in range(NB)]
+
+
+def terms(vec):
+    """A vector's amplitudes as (radicand, order, coefficients): equal only
+    when built the same way, not merely equal in value."""
+    return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in vec.amps]
+
+
+# (N, n, k, ambient point, extra u/v root steps): qho's B = <U^5, V^15> at
+# N = 225, Gaussian and diagonal shapes, non-principal points and roots
+SUMMAND_CASES = [
+    (225, 5, 15, (0, 0), (0, 0)),
+    (24, 3, 2, (0, 0), (0, 0)),
+    (12, 1, 3, (0, 0), (0, 0)),
+    (12, 3, 1, (0, 0), (0, 0)),
+    (12, 2, 3, (F(1, 3), F(2, 5)), (0, 0)),
+    (18, 3, 2, (F(1, 2), F(1, 6)), (1, 2)),
+    (16, 4, 4, (F(3, 4), 0), (0, 5)),
+]
+
+
+def ambient(N, point, steps):
+    A = WeylDesc(F(1), F(1, N))
+    pt = SpecPoint(*point)
+    return build_module(A, pt, pt.u_phase / N + F(steps[0], N), pt.v_phase / N + F(steps[1], N))
+
+
+class TestSummandAgainstOracle:
+    @pytest.mark.parametrize("N,n,k,point,steps", SUMMAND_CASES)
+    def test_every_branch_equals_oracle(self, N, n, k, point, steps):
+        M = ambient(N, point, steps)
+        B = sub_desc(M, n, k)
+        oracle = decompose_oracle(M, B)
+        parts = decompose(M, B)
+        assert len(parts) == len(oracle) == n * k
+        for ell, (beta, basis) in enumerate(oracle):
+            for got in (summand(M, B, *divmod(ell, k)), parts[ell]):
+                assert got[0] == beta
+                assert [terms(v) for v in got[1]] == [terms(v) for v in basis]
+
+    def test_default_is_principal_branch(self):
+        M = module_of_dim(225)
+        B = sub_desc(M, 5, 15)
+        beta, basis = summand(M, B)
+        assert beta == decompose_oracle(M, B)[0][0]
+        assert len(basis) == 3
+
+    def test_branch_outside_range(self):
+        M = module_of_dim(12)
+        B = sub_desc(M, 2, 3)
+        for ell_u, ell_v in ((2, 0), (0, 3), (-1, 0)):
+            with pytest.raises(BadBranch):
+                summand(M, B, ell_u, ell_v)
+        with pytest.raises(NotDividing):
+            summand(M, sub_desc(M, 5, 1))
+
+    @pytest.mark.parametrize("N,n,k,point,steps", SUMMAND_CASES)
+    def test_embedding_branch_and_columns_equal_oracle(self, N, n, k, point, steps):
+        Mamb = ambient(N, point, steps)
+        B = sub_desc(Mamb, n, k)
+        parts = decompose_oracle(Mamb, B)
+        for ell, (beta, _) in enumerate(parts):
+            Msub = build_module(B, beta)
+            for root in (0, 1):
+                emb = embed_pbeta(Msub, Mamb, root=root)
+                idx, cols = embed_oracle(Msub, Mamb, parts, root)
+                assert emb.ell == idx == ell
+                assert [terms(c) for c in emb.columns] == [terms(c) for c in cols]

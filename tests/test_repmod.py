@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finiteweyl.errors import ModuleMismatch, NotGenerating, NotInAlgebra
-from finiteweyl.exactnum import Cyc, Scalar, root_of_unity
+from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity
 from finiteweyl.lattice import GenWord, WeylDesc
 from finiteweyl.repmod import (
     BasisLabel,
@@ -17,6 +17,7 @@ from finiteweyl.repmod import (
     gamma_generator,
     inner,
     linear_combination,
+    linear_combinations,
     quadratic_phase_exponent,
     relate_canonical_bases,
     root_of_unity_turns,
@@ -433,3 +434,61 @@ class TestExactKernels:
         got = linear_combination(M, coeffs, vecs)
         expect = naive_linear_combination(M, coeffs, vecs)
         assert all((a - b).is_zero() for a, b in zip(got.amps, expect))
+
+
+def linear_combination_oracle(M, coeffs, vecs):
+    """Oracle: the one-row kernel, which scans the vectors again for every row."""
+    cs = [[] for _ in range(M.dim)]
+    amps = [[] for _ in range(M.dim)]
+    for c, v in zip(coeffs, vecs):
+        if c.cyc.coeffs:
+            for j, a in enumerate(v.amps):
+                if a.cyc.coeffs:
+                    cs[j].append(c)
+                    amps[j].append(a)
+    return StateVec(M, [dot(c, a) for c, a in zip(cs, amps)])
+
+
+def terms(vec):
+    return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in vec.amps]
+
+
+class TestLinearCombinations:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_per_row_oracle(self, rng):
+        M = principal_module(rng.choice([3, 4, 6, 8, 12]))
+        count = rng.randint(0, 6)
+        vecs = random_vectors(rng, M, count)
+        # shared coefficient objects, zero entries, whole zero rows, and a
+        # vector whose coefficient is zero in every row
+        pool = [random_amplitude(rng, M.dim, 0.7) for _ in range(3)] + [Scalar.zero()]
+        rows = [[rng.choice(pool) for _ in range(count)] for _ in range(rng.randint(0, 4))]
+        rows.append([Scalar.zero()] * count)
+        if count:
+            for r in rows:
+                r[0] = Scalar.zero()
+        got = linear_combinations(M, rows, vecs)
+        assert len(got) == len(rows)
+        for r, vec in zip(rows, got):
+            assert terms(vec) == terms(linear_combination_oracle(M, r, vecs))
+            assert terms(linear_combination(M, r, vecs)) == terms(vec)
+
+    def test_shared_products_on_one_term_coordinates(self):
+        # the u-basis gives every coordinate one term: each row's amplitudes
+        # are its own coefficients times one
+        M = principal_module(6)
+        w = [root_of_unity(12, t) for t in range(6)]
+        rows = [[w[abs(l - m)] for l in range(6)] for m in range(6)]
+        for r, vec in zip(rows, linear_combinations(M, rows, u_basis(M))):
+            assert terms(vec) == terms(linear_combination_oracle(M, r, u_basis(M)))
+            assert all((a - c).is_zero() for a, c in zip(vec.amps, r))
+
+    def test_lengths_as_zip(self):
+        # entries past the shorter of coefficients and vectors are ignored
+        M = principal_module(4)
+        one = Scalar.one()
+        got = linear_combination(M, [one, one], u_basis(M))
+        assert [a == one for a in got.amps] == [True, True, False, False]
+        assert all(a == one for a in linear_combination(M, [one] * 6, u_basis(M)).amps)
+        assert linear_combinations(M, [], u_basis(M)) == []

@@ -11,7 +11,7 @@ from finiteweyl.errors import (
     OddOrder,
 )
 from finiteweyl.exactnum import Cyc, Scalar
-from finiteweyl.lattice import WeylDesc
+from finiteweyl.lattice import WeylDesc, _mod1
 from finiteweyl.repmod import (
     SpecPoint,
     apply_word,
@@ -340,3 +340,37 @@ class TestQHO:
         K = qho_evolution(M, 3, 4, 5)
         for rep in verify_conjugation(K):
             assert rep.holds and rep.residual == 0.0
+
+
+def qho_images_oracle(M, e, f, c):
+    """Oracle: the QHO images built by adding each term to a zero amplitude."""
+    N = M.dim
+    pref = Scalar.phase(F(-1, 8)) * Scalar.exact(Cyc.rational(1), e, N)
+    images = []
+    for m in range(N // (c * c * e)):
+        amps = [Scalar.zero()] * N
+        for l in range(N // e):
+            expo = F(e * f * (l * l - e * e * m * m), 2) - e ** 3 * m * l
+            idx = (e * (l + m * f)) % N
+            amps[idx] = amps[idx] + pref * Scalar.phase(_mod1(expo * M.q_phase))
+        images.append(amps)
+    return images
+
+
+class TestQHOAgainstOracle:
+    @pytest.mark.parametrize("N,triple", [(225, (3, 4, 5)), (450, (3, 4, 5)), (200, (4, 3, 5))])
+    def test_images_equal_add_to_zero_build(self, N, triple):
+        M = principal_module(N)
+        K = qho_evolution(M, *triple)
+        oracle = qho_images_oracle(M, *triple)
+        assert len(K.images) == len(oracle)
+        for img, amps in zip(K.images, oracle):
+            assert all((a - b).is_zero() for a, b in zip(img.amps, amps))
+
+    def test_images_are_monomials_times_sqrt3(self):
+        # C0 sqrt(3/225) = zeta_8^{-1} sqrt(3)/15: each image amplitude is one
+        # root of unity times sqrt(3), not sqrt(3) folded into a 4-term sum
+        K = qho_evolution(principal_module(225), 3, 4, 5)
+        nonzero = [a for img in K.images for a in img.amps if a.cyc.coeffs]
+        assert len(nonzero) == K.dim * 225 // 3
+        assert all(a.rad == 3 and len(a.cyc.coeffs) == 1 for a in nonzero)
