@@ -30,7 +30,7 @@ from .dirac import (
     st_mu,
     xp_kernel,
 )
-from .exactnum import Cyc, Rat, Scalar, conjugate, eval_complex, gauss_sum, root_of_unity
+from .exactnum import Cyc, Scalar, conjugate, eval_complex, gauss_sum, root_of_unity
 from .lattice import (
     AutDesc,
     GenWord,
@@ -81,7 +81,6 @@ __all__ = [
     "KernelSample",
     "ModuleRep",
     "PairingResult",
-    "Rat",
     "RegUnitary",
     "RescaleCtx",
     "Scalar",

@@ -27,7 +27,8 @@ from .lattice import (
 )
 from .morphism import pairing
 from .repmod import SpecPoint, build_module, s_basis, u_basis, v_basis
-from .transform import diagonal, fourier, free_evolution, gaussian, qho_evolution, verify_conjugation
+from .transform import (check_sample, diagonal, fourier, free_evolution, gaussian, qho_evolution,
+                        verify_conjugation)
 
 CSV_HEADER = ["mu", "N", "quantity", "x1", "x2", "re", "im", "closed_re", "closed_im", "abs_err"]
 
@@ -156,6 +157,7 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    check_sample(args.sample)
     N = args.n
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())
     if args.name == "fourier":
@@ -388,7 +390,8 @@ def make_parser() -> argparse.ArgumentParser:
     tr.add_argument("--m", type=int, default=2)
     tr.add_argument("--t", default="1/2", help='rational time "b/d"')
     tr.add_argument("--triple", default="3,4,5")
-    tr.add_argument("--sample", type=int, default=None)
+    tr.add_argument("--sample", type=int, default=None,
+                    help="check about this many evenly spaced basis indices (at least 1)")
     tr.set_defaults(func=cmd_transform)
 
     mu_help = ('integer, or "auto": smallest even mu divisible by the parts of h '

@@ -19,8 +19,6 @@ from math import gcd, lcm
 
 from .errors import ExactnessLost, OutOfRange
 
-Rat = Fraction
-
 
 # ---------------------------------------------------------------------------
 # integer helpers
@@ -204,7 +202,7 @@ class Cyc:
     # -- constructors -------------------------------------------------------
     @staticmethod
     def zero(order: int = 1) -> "Cyc":
-        return Cyc(order, {})
+        return Cyc(order, {}, _trusted=True)
 
     @staticmethod
     def rational(r) -> "Cyc":

@@ -14,8 +14,6 @@ from math import gcd
 
 from .errors import BadMatrix, NotCommutative, NotIncluded, NotInAlgebra
 
-Rat = Fraction
-
 
 def _mod1(x) -> Fraction:
     """x reduced to [0, 1): a phase as a fraction of a full turn."""

@@ -38,14 +38,6 @@ class SpecPoint:
     def principal(self) -> bool:
         return self.u_phase == 0 and self.v_phase == 0
 
-    @property
-    def uN(self) -> Scalar:
-        return Scalar.phase(self.u_phase)
-
-    @property
-    def vN(self) -> Scalar:
-        return Scalar.phase(self.v_phase)
-
     @staticmethod
     def principal_point() -> "SpecPoint":
         return SpecPoint(Fraction(0), Fraction(0))
@@ -69,12 +61,6 @@ class ModuleRep:
         self._qpow: dict = {}
 
     # -- scalars of the action ------------------------------------------------
-    def u_eigen_phase(self, k: int) -> Fraction:
-        return _mod1(self.u_phase + k * self.q_phase)
-
-    def u_eigenvalue(self, k: int) -> Scalar:
-        return Scalar.phase(self.u_eigen_phase(k))
-
     def q_power(self, k) -> Scalar:
         out = self._qpow.get(k)
         if out is None:
@@ -179,12 +165,14 @@ def apply_word(w: GenWord, x: StateVec) -> StateVec:
     m, n = M.alg.word_coords(w)  # raises NotInAlgebra
     N = M.dim
     phase_kernel = _mod1(w.phase + m * M.u_phase + n * M.v_phase)
+    kernel = Scalar.phase(phase_kernel) if phase_kernel else None
     out = [Scalar.zero()] * N
     for j in range(N):
         src = x.amps[(j + n) % N]
         if src.is_zero():
             continue
-        out[j] = Scalar.phase(_mod1(phase_kernel + Fraction(j * m) * M.q_phase)) * src
+        qjm = M.q_power(j * m % N)  # q^N = 1
+        out[j] = (qjm if kernel is None else kernel * qjm) * src
     return StateVec(M, out)
 
 

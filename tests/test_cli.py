@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from finiteweyl import dirac
+from finiteweyl import cli, dirac
 from finiteweyl.cli import main
 
 
@@ -64,6 +64,18 @@ class TestTransform:
         payload = json.loads(out)
         names = {c["name"] for c in payload["checks"]}
         assert {"unitary", "KU", "mKU"} <= names
+
+    @pytest.mark.parametrize("sample", ["0", "-2"])
+    def test_sample_below_one_exit_2(self, capsys, monkeypatch, sample):
+        def fail(*args):
+            raise AssertionError("transform built for a refused sample")
+
+        monkeypatch.setattr(cli, "fourier", fail)
+        code = main(["transform", "--name", "fourier", "--n", "8", "--sample", sample])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "sample must be at least 1" in captured.err
 
 
 class TestTrace:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finiteweyl.errors import ModuleMismatch, NotGenerating, NotInAlgebra
 from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity
-from finiteweyl.lattice import GenWord, WeylDesc
+from finiteweyl.lattice import GenWord, WeylDesc, _mod1
 from finiteweyl.repmod import (
     BasisLabel,
     StateVec,
@@ -492,3 +492,35 @@ class TestLinearCombinations:
         assert [a == one for a in got.amps] == [True, True, False, False]
         assert all(a == one for a in linear_combination(M, [one] * 6, u_basis(M)).amps)
         assert linear_combinations(M, [], u_basis(M)) == []
+
+
+def apply_word_oracle(w, x):
+    """Oracle: one Scalar.phase of a Fraction exponent per entry."""
+    M = x.module
+    m, n = M.alg.word_coords(w)
+    N = M.dim
+    kernel = _mod1(w.phase + m * M.u_phase + n * M.v_phase)
+    out = [Scalar.zero()] * N
+    for j in range(N):
+        src = x.amps[(j + n) % N]
+        if not src.is_zero():
+            out[j] = Scalar.phase(_mod1(kernel + F(j * m) * M.q_phase)) * src
+    return out
+
+
+class TestApplyWordAgainstOracle:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_per_entry_phases(self, rng):
+        # words with a phase and negative exponents, on principal and
+        # non-principal modules, with roots other than the principal ones
+        N = rng.choice([3, 4, 6, 8, 12])
+        A = WeylDesc(F(rng.choice([1, 2])), F(1, N * rng.choice([1, 2])))
+        point = SpecPoint(F(rng.randrange(5), 5), F(rng.randrange(3), 3))
+        M = build_module(A, point, u_phase=(point.u_phase + rng.randrange(N)) / A.N,
+                         v_phase=(point.v_phase + rng.randrange(N)) / A.N)
+        x = random_vectors(rng, M, 1)[0]
+        w = GenWord(rng.randrange(-2 * N, 2 * N) * A.a, rng.randrange(-2 * N, 2 * N) * A.b,
+                    F(rng.randrange(-7, 8), rng.choice([1, 2, 8, 2 * N])))
+        got = apply_word(w, x)
+        assert all((a - b).is_zero() for a, b in zip(got.amps, apply_word_oracle(w, x)))

@@ -1,22 +1,28 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from finiteweyl.errors import (
     DivisibilityViolation,
+    ModuleMismatch,
     NoCommonSubalgebra,
     NotDividing,
+    NotIncluded,
     NotPythagorean,
     OddOrder,
+    OutOfRange,
 )
 from finiteweyl.exactnum import Cyc, Scalar
 from finiteweyl.lattice import WeylDesc, _mod1
 from finiteweyl.repmod import (
     SpecPoint,
+    StateVec,
     apply_word,
     build_module,
     inner,
+    linear_combination,
     v_basis,
 )
 from finiteweyl.transform import (
@@ -374,3 +380,131 @@ class TestQHOAgainstOracle:
         nonzero = [a for img in K.images for a in img.amps if a.cyc.coeffs]
         assert len(nonzero) == K.dim * 225 // 3
         assert all(a.rad == 3 and len(a.cyc.coeffs) == 1 for a in nonzero)
+
+
+def apply_oracle(L, x):
+    """Oracle: the expansion by one inner product per domain basis vector,
+    refused when the whole residual x - sum c_m dom_m is nonzero."""
+    coeffs = [inner(b, x) for b in L.dom_basis]
+    residual = x - linear_combination(L.ambient_dom, coeffs, L.dom_basis)
+    if not residual.is_zero():
+        raise NotIncluded("vector does not lie in the transformation domain")
+    return linear_combination(L.ambient_ran, coeffs, L.images)
+
+
+def verify_oracle(L, sample=None):
+    """Oracle: the sigma pairs compared through a whole difference vector."""
+    idx = range(L.dim) if sample is None or L.dim <= sample else range(0, L.dim, max(1, L.dim // sample))
+    reports = []
+    for nm, W, Wimg in L.sigma:
+        worst, ok = 0.0, True
+        for m in idx:
+            diff = apply_oracle(L, apply_word(W, L.dom(m))) - apply_word(Wimg, L.image(m))
+            if not diff.is_zero():
+                ok = False
+                worst = max(worst, max(abs(a.to_complex()) for a in diff.amps))
+        reports.append((nm, ok, worst))
+    return reports
+
+
+def same_vector(x, y):
+    return x.module.compatible(y.module) and all((a - b).is_zero() for a, b in zip(x.amps, y.amps))
+
+
+def _builders():
+    M24, M16 = principal_module(24), principal_module(16)
+    Phi = fourier(principal_module(12))
+    Kh = free_evolution(M16, 1, 2)
+    yield fourier(M24)
+    for b, d in [(1, 1), (1, 2), (3, 2), (-1, 2)]:
+        yield gaussian(M24, b, d)
+    yield diagonal(M24, 2)
+    yield diagonal(M24, 3)
+    yield Kh
+    yield qho_evolution(principal_module(225), 3, 4, 5)
+    yield qho_evolution(principal_module(450), 3, 4, 5)
+    yield qho_evolution(principal_module(200), 4, 3, 5)
+    yield compose(fourier(Phi.ambient_ran), Phi)
+    yield compose(free_evolution(M16, -1, 2), Kh)
+    yield compose(Kh, Kh)
+
+
+BUILDERS = list(_builders())
+
+
+class TestApplyAgainstOracle:
+    @pytest.mark.parametrize("L", BUILDERS, ids=lambda L: f"{L.name}-N{L.ambient_dom.dim}")
+    def test_domain_vectors_and_dense_combinations(self, L):
+        assert L.materialized
+        rng = random.Random(L.dim)
+        picks = sorted(rng.sample(range(L.dim), min(L.dim, 4)))
+        xs = [L.dom(m) for m in picks]
+        for density in (0.5, 1.0):
+            coeffs = [Scalar.phase(F(rng.randrange(8), 8)) * Scalar.rational(rng.randrange(1, 4))
+                      if rng.random() < density else Scalar.zero() for _ in range(L.dim)]
+            xs.append(linear_combination(L.ambient_dom, coeffs, L.dom_basis))
+        for x in xs:
+            assert same_vector(L.apply(x), apply_oracle(L, x))
+
+    def test_unreduced_zero_coordinates(self):
+        # Phi2 Phi u_4 = u_8 at N = 12 comes back with 11 coordinates that are
+        # zero only after reduction, on and off the supports of D_2's domain
+        M = principal_module(12)
+        Phi = fourier(M)
+        x = fourier(Phi.ambient_ran).apply(Phi.image(4))
+        assert sum(1 for a in x.amps if a.cyc.coeffs and a.is_zero()) == 11
+        D = diagonal(M, 2)
+        assert same_vector(D.apply(x), apply_oracle(D, x))
+        assert same_vector(D.apply(x), D.image(4))
+
+    def test_refusals(self):
+        D = diagonal(principal_module(24), 2)
+        K = qho_evolution(principal_module(225), 3, 4, 5)
+        amps = list(K.dom(1).amps)
+        j = next(j for j, a in enumerate(amps) if a.cyc.coeffs)
+        amps[j] = amps[j] * K.ambient_dom.q_power(1)
+        refused = [
+            (D, principal_module(24).basis_vector(1), NotIncluded),  # off the support
+            (K, StateVec(K.ambient_dom, amps), NotIncluded),  # not proportional on a support
+            (D, principal_module(12).basis_vector(0), ModuleMismatch),
+        ]
+        for L, x, exc in refused:
+            with pytest.raises(exc):
+                L.apply(x)
+            with pytest.raises(exc):
+                apply_oracle(L, x)
+
+    def test_overlapping_supports_rejected(self):
+        G = gaussian(principal_module(8))
+        with pytest.raises(ValueError, match="disjoint"):
+            replace(G, dom_basis=G.images)
+
+
+def corrupted(L, m, zero=False):
+    """L with image m multiplied by q, or by 0."""
+    images = list(L.images)
+    images[m] = images[m].scale(Scalar.zero() if zero else L.ambient_ran.q_power(1))
+    return replace(L, name="corrupt", images=images)
+
+
+# image 3 of fourier and gaussian[b=1,d=1] at N = 24, image 0 of qho at N = 225
+CORRUPTED = [corrupted(BUILDERS[0], 3), corrupted(BUILDERS[0], 3, zero=True),
+             corrupted(BUILDERS[1], 3), corrupted(BUILDERS[8], 0)]
+
+
+class TestVerifyAgainstOracle:
+    @pytest.mark.parametrize("L", BUILDERS + CORRUPTED, ids=lambda L: f"{L.name}-N{L.ambient_dom.dim}")
+    def test_reports_equal_oracle(self, L):
+        # sample 6 at N = 24 checks m = 4 but not m = 3: a zeroed image 3 then
+        # shows only where the left side is empty and the right side is not
+        for sample in (3,) if L.ambient_dom.dim > 100 else (None, 6):
+            got = [(r.name, r.holds, r.residual) for r in verify_conjugation(L, sample=sample)
+                   if r.name != "unitary"]
+            assert got == verify_oracle(L, sample)
+            if L in CORRUPTED:
+                assert any(not ok and worst > 0 for _, ok, worst in got)
+
+    @pytest.mark.parametrize("sample", [0, -2])
+    def test_sample_below_one(self, sample):
+        with pytest.raises(OutOfRange, match="sample must be at least 1"):
+            verify_conjugation(fourier(principal_module(8)), sample=sample)
