@@ -1,0 +1,300 @@
+"""Dense exact products of vectors whose entries are one term zeta_M^k c sqrt(r).
+
+`monomial_products` is the kernel behind `repmod.linear_combinations` for
+large inputs: each output coordinate is one numpy exponent histogram, and
+the histograms are reduced mod Phi_L together.  Integer counts are held in
+float64 only while they stay below 2^53, and the one-term forms guessed
+from float values are verified exactly.  `repmod` imports this module on
+first use, so a process that never sums a large product (a CLI run, the
+float kernels) does not compile it.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
+from typing import NamedTuple
+
+import numpy as np
+
+from .exactnum import (Cyc, Scalar, _factorize, _monomial_rows, cyclotomic_poly, split_square,
+                       sqrt_as_cyc)
+
+
+# Fewest nonzero products monomial_products takes on.  Measured crossover
+# against the per-coordinate `dot` path on dense applies: equal at 144
+# products (Fourier, N = 12), the kernel 1.6x faster at 256 (N = 16).
+PRODUCTS_MIN = 256
+# Bytes of numpy temporaries one chunk of monomial_products may hold; the
+# operands add a 4-byte index and a 1-byte mask per entry on top.
+PRODUCTS_CHUNK_BYTES = 8 << 20
+# Elements per temporary array: about eight 8-byte arrays are alive at once.
+_CHUNK_ELEMS = PRODUCTS_CHUNK_BYTES // 64
+# float64 holds every integer of magnitude below 2^53 exactly.
+_FLOAT_EXACT = 1 << 53
+
+
+class _Reduction(NamedTuple):
+    """_monomial_rows(L) as numpy arrays.
+
+    Pair p sends x^(deg + src[p]) to coef[p] x^dst[p].  growth bounds how
+    much reducing a histogram can enlarge its largest entry: the largest sum
+    of |coef| landing on one power, that power's own count included.  cos
+    and sin hold the embedding of zeta_L^e, e < L, for the float guesses.
+    """
+
+    deg: int
+    src: object
+    dst: object
+    coef: object
+    growth: int
+    cos: object
+    sin: object
+
+
+@lru_cache(maxsize=None)
+def _reduction(L: int) -> _Reduction:
+    """The reduction mod Phi_L, built once per L."""
+    rows = _monomial_rows(L)
+    deg = len(cyclotomic_poly(L)) - 1
+    sums = [1] * deg
+    for r in rows:
+        for j, c in r:
+            sums[j] += abs(c)
+    src = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
+    dst = np.array([j for r in rows for j, _ in r], dtype=np.int64)
+    coef = np.array([float(c) for r in rows for _, c in r], dtype=np.float64)
+    angle = 2 * np.pi * np.arange(L) / L
+    return _Reduction(deg, src, dst, coef, max(sums), np.cos(angle), np.sin(angle))
+
+
+def _reduce_rows(H, red):
+    """Rows of exponent counts (float64, rows x L) reduced mod Phi_L: rows x deg."""
+    deg, src, dst, coef = red.deg, red.src, red.dst, red.coef
+    out = H[:, :deg].copy()
+    if len(src):
+        w = len(H)
+        keys = (np.arange(w)[:, None] * deg + dst).ravel()
+        out += np.bincount(keys, (H[:, deg + src] * coef).ravel(), minlength=w * deg).reshape(w, deg)
+    return out
+
+
+def _intern(vectors, width):
+    """Index the first `width` entries of sequences of Scalars by identity.
+
+    Returns (slots, objs): slots[i, j] (int32) is the position of
+    vectors[i][j] in objs, the distinct objects in order of first appearance,
+    so that each object is read once however often it is shared.  Ids are
+    sorted a block of vectors at a time, keeping temporaries within a chunk.
+    """
+    slots = np.empty((len(vectors), width), dtype=np.int32)
+    seen: dict[int, int] = {}
+    objs: list = []
+    per = max(1, _CHUNK_ELEMS // max(1, width))
+    for b0 in range(0, len(vectors), per):
+        block = [v if len(v) == width else v[:width] for v in vectors[b0:b0 + per]]
+        ids = np.fromiter(map(id, chain.from_iterable(block)), dtype=np.uint64,
+                          count=len(block) * width)
+        uniq, first, inv = np.unique(ids, return_index=True, return_inverse=True)
+        lut = []
+        for u, f in zip(uniq.tolist(), first.tolist()):
+            slot = seen.get(u)
+            if slot is None:
+                slot = seen[u] = len(objs)
+                objs.append(block[f // width][f % width])
+            lut.append(slot)
+        slots[b0:b0 + len(block)] = np.array(lut, dtype=np.int32)[inv].reshape(len(block), width)
+    return slots, objs
+
+
+def _monomial_side(objs):
+    """(rad, [(order, k, coeff)]) for one-term or zero entries (zeros as
+    (1, 0, 0)), or None when an entry has several terms or two nonzero
+    entries differ in radicand."""
+    rad = None
+    out = []
+    for s in objs:
+        coeffs = s.cyc.coeffs
+        if not coeffs:
+            out.append((1, 0, 0))
+            continue
+        if len(coeffs) > 1 or (rad is not None and s.rad != rad):
+            return None
+        rad = s.rad
+        (k, c), = coeffs.items()
+        out.append((s.cyc.order, k, c))
+    return (1 if rad is None else rad), out
+
+
+def _exact_arrays(entries, L: int):
+    """Exponents at order L (int64), integer numerators over a common
+    denominator (float64, exact while below 2^53), the largest |numerator|
+    and the denominator."""
+    den = lcm(*[c.denominator for _, _, c in entries])
+    nums = [c.numerator * (den // c.denominator) for _, _, c in entries]
+    exps = np.array([k * (L // o) for o, k, _ in entries], dtype=np.int64)
+    big = max(map(abs, nums))
+    if big >= _FLOAT_EXACT:
+        return exps, None, big, den
+    return exps, np.array(nums, dtype=np.float64), big, den
+
+
+def _probe_terms(cols) -> int:
+    """Nonzero entries at the first nonzero coordinate of the first nonzero column."""
+    for col in cols:
+        j = next((j for j, a in enumerate(col) if a.cyc.coeffs), None)
+        if j is not None:
+            return sum(1 for c in cols if c[j].cyc.coeffs)
+    return 0
+
+
+def _split_square_over(m: int, primes) -> tuple[int, int] | None:
+    """(t, r) with m = t^2 r, r a product of the given primes and squarefree;
+    None when m has a square-free part outside them."""
+    t, r = 1, 1
+    for p in primes:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        t *= p ** (e // 2)
+        if e % 2:
+            r *= p
+    root = math.isqrt(m)
+    return (t * root, r) if root * root == m else None
+
+
+@lru_cache(maxsize=256)
+def _sqrt_at(r: int, L: int):
+    """sqrt_as_cyc(r) at order L: (exponents, integer coefficients as
+    float64, the largest |coefficient|), or None when its order does not
+    divide L."""
+    s = sqrt_as_cyc(r)
+    if L % s.order or any(c.denominator != 1 for c in s.coeffs.values()):
+        return None
+    return (np.array([k * (L // s.order) for k in s.coeffs], dtype=np.int64),
+            np.array([float(c) for c in s.coeffs.values()]),
+            max(abs(c.numerator) for c in s.coeffs.values()))
+
+
+def _monomials(H, reduced, L: int, red: _Reduction):
+    """[(t, r, j) or None] for the rows Y of H (reduced counts `reduced`)
+    that are t zeta_L^j sqrt(r), t a positive integer.
+
+    A row's float value gives |Y|^2 = t^2 r, an integer, and the angle
+    2 pi j/L.  The guess is kept only when the reduced counts of
+    t zeta^j sqrt_as_cyc(r) equal the row's exactly.
+    """
+    re, im = H @ red.cos, H @ red.sin
+    m = np.rint(re * re + im * im)
+    j = np.rint(np.arctan2(im, re) * (L / (2 * np.pi))).astype(np.int64) % L
+    rows = np.flatnonzero(reduced.any(axis=1) & (m >= 1) & (m < _FLOAT_EXACT))
+    primes = list(_factorize(L))
+    out = [None] * len(H)
+    for mi in set(m[rows].tolist()):
+        split = _split_square_over(int(mi), primes)
+        root = split and _sqrt_at(split[1], L)
+        if not root or split[0] * root[2] * red.growth >= _FLOAT_EXACT:
+            continue
+        (t, r), (exps, coefs, _) = split, root
+        sel = rows[m[rows] == mi]
+        keys = (np.arange(len(sel))[:, None] * L + (j[sel][:, None] + exps) % L).ravel()
+        C = np.bincount(keys, np.tile(t * coefs, len(sel)), minlength=len(sel) * L)
+        match = (_reduce_rows(C.reshape(len(sel), L), red) == reduced[sel]).all(axis=1)
+        for row in sel[match].tolist():
+            out[row] = (t, r, int(j[row]))
+    return out
+
+
+def monomial_products(rows, cols, conj: bool = False):
+    """[[sum_i row[i] * cols[i][j] for j] for row in rows] as lists of
+    Scalars, with conj(row[i]) in place of row[i] when conj is set, or None
+    where this kernel does not apply.
+
+    Takes rows of at least n entries (later ones are ignored) and n columns
+    of equal length, all entries zero or one term zeta_M^k * c * sqrt(r)
+    with one radicand per side.  Operands are read by object identity, each
+    distinct Scalar once, and nothing is kept between calls.  Every output
+    coordinate is one np.bincount histogram of exponents at L, the lcm of 2
+    and the orders, weighted by integer numerators over a common
+    denominator; the histograms are reduced mod Phi_L together, a chunk of
+    coordinates at a time (PRODUCTS_CHUNK_BYTES).  A coordinate whose value
+    is t zeta^j sqrt(r') comes back as that one-term Scalar at minimal
+    order; others as their reduced power-basis form.
+
+    Returns None, for the caller's per-coordinate path, when the inputs
+    have fewer than PRODUCTS_MIN nonzero products, when the first nonzero
+    coordinate of the first nonzero column has one term (no sum to share),
+    when an entry has several terms or a side mixes radicands, and when the
+    float64 sums could pass 2^53 (the largest numerators' product times n
+    times the reduction's growth).
+    """
+    n = len(cols)
+    dim = len(cols[0]) if n else 0
+    if len(rows) * n * dim < PRODUCTS_MIN or _probe_terms(cols) < 2:
+        return None
+    xslots, xobjs = _intern(cols, dim)
+    xside = _monomial_side(xobjs)
+    rslots, robjs = _intern(rows, n)
+    rside = _monomial_side(robjs)
+    if xside is None or rside is None:
+        return None
+    nzx = np.array([c != 0 for _, _, c in xside[1]])[xslots]
+    nzr = np.array([c != 0 for _, _, c in rside[1]])[rslots]
+    if int(nzr.sum(axis=0) @ nzx.sum(axis=1)) < PRODUCTS_MIN:
+        return None
+
+    L = lcm(2, *{o for o, _, _ in rside[1]}, *{o for o, _, _ in xside[1]})
+    red = _reduction(L)
+    rexp, rnum, rbig, rden = _exact_arrays(rside[1], L)
+    if conj:  # conjugation inverts roots of unity and fixes radicals
+        rexp = -rexp % L
+    xexp, xnum, xbig, xden = _exact_arrays(xside[1], L)
+    if rnum is None or xnum is None or rbig * xbig * n * red.growth >= _FLOAT_EXACT:
+        return None
+
+    s, r = split_square(rside[0] * xside[0])
+    den = rden * xden
+    zero = Scalar.zero()
+    shared: dict[tuple[int, int, int], Scalar] = {}
+
+    def to_scalar(counts, found):
+        if found is None:
+            nz = np.flatnonzero(counts)
+            if not len(nz):
+                return zero
+            return Scalar(r, Cyc(L, {k: Fraction(int(counts[k]) * s, den) for k in nz.tolist()},
+                                 _trusted=True))
+        out = shared.get(found)
+        if out is None:
+            t, r2, j = found
+            s2, rr = split_square(r * r2)
+            g = gcd(j, L)
+            out = Scalar(rr, Cyc(L // g, {j // g: Fraction(s * s2 * t, den)}, _trusted=True))
+            shared[found] = out
+        return out
+
+    result = []
+    for row in range(len(rows)):
+        live = np.flatnonzero(nzr[row])
+        if not len(live):
+            result.append([zero] * dim)
+            continue
+        er = rexp[rslots[row, live]][:, None]
+        nr = rnum[rslots[row, live]][:, None]
+        width = max(1, _CHUNK_ELEMS // max(L, len(live), len(red.src)))
+        coords = []
+        for j0 in range(0, dim, width):
+            sl = xslots[live, j0:j0 + width]
+            w = sl.shape[1]
+            E = er + xexp[sl]
+            E %= L
+            E += np.arange(w) * L
+            H = np.bincount(E.ravel(), (nr * xnum[sl]).ravel(), minlength=w * L).reshape(w, L)
+            reduced = _reduce_rows(H, red)
+            coords.extend(map(to_scalar, reduced, _monomials(H, reduced, L, red)))
+        result.append(coords)
+    return result

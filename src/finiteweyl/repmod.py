@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from .exactnum import Cyc, Scalar, dot
+from .exactnum import Cyc, Scalar, dot, sqrt_as_cyc
 from .lattice import GenWord, WeylDesc, _mod1
 
 
@@ -160,19 +161,43 @@ def build_module(A: WeylDesc, point: SpecPoint, u_phase: Fraction | None = None,
 
 
 def apply_word(w: GenWord, x: StateVec) -> StateVec:
-    """Linear action of a pseudo-unitary word, with commutation phases."""
+    """Linear action of a pseudo-unitary word, with commutation phases.
+
+    out[j] = kernel * q^{jm} * x[j + n].  A one-term entry is moved by
+    exponent arithmetic alone, reusing its coefficient, at the order the
+    Scalar product would give: the lcm of the kernel's, q^{jm}'s and its own.
+    """
     M = x.module
     m, n = M.alg.word_coords(w)  # raises NotInAlgebra
     N = M.dim
     phase_kernel = _mod1(w.phase + m * M.u_phase + n * M.v_phase)
     kernel = Scalar.phase(phase_kernel) if phase_kernel else None
+    d0, k0 = phase_kernel.denominator, phase_kernel.numerator
+    phases: dict[int, tuple[int, int]] = {}  # j m mod N -> (order, exponent)
     out = [Scalar.zero()] * N
+    amps = x.amps
     for j in range(N):
-        src = x.amps[(j + n) % N]
-        if src.is_zero():
+        src = amps[(j + n) % N]
+        coeffs = src.cyc.coeffs
+        if not coeffs:
             continue
-        qjm = M.q_power(j * m % N)  # q^N = 1
-        out[j] = (qjm if kernel is None else kernel * qjm) * src
+        t = j * m % N  # q^N = 1
+        if len(coeffs) > 1:
+            if not src.is_zero():
+                qjm = M.q_power(t)
+                out[j] = (qjm if kernel is None else kernel * qjm) * src
+            continue
+        ph = phases.get(t)
+        if ph is None:
+            q = M.q_power(t).cyc
+            (k1, _), = q.coeffs.items()
+            P = lcm(d0, q.order)
+            ph = phases[t] = (P, (k0 * (P // d0) + k1 * (P // q.order)) % P)
+        P, e = ph
+        (k, c), = coeffs.items()
+        o = src.cyc.order
+        L = lcm(P, o)
+        out[j] = Scalar(src.rad, Cyc(L, {(e * (L // P) + k * (L // o)) % L: c}, _trusted=True))
     return StateVec(M, out)
 
 
@@ -196,27 +221,39 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
 def linear_combinations(module: ModuleRep, rows, vecs) -> list[StateVec]:
     """[sum_i row[i] * vecs[i] for row in rows].
 
-    One scan of the vectors' nonzero entries, skipping a vector whose
-    coefficient is zero in every row, gathers the terms of each coordinate;
-    `dot` sums each coordinate of each row.
+    Vectors whose coefficient is zero in every row are skipped.  Products
+    of at least products.PRODUCTS_MIN nonzero terms go to
+    `products.monomial_products`, which sums a coordinate as one exponent
+    histogram.  Otherwise, or when that kernel declines, one scan of the
+    vectors' nonzero entries gathers the terms of each coordinate and `dot`
+    sums each coordinate of each row.
     """
+    from .products import monomial_products  # compiled on first use only
+
     n = min((len(r) for r in rows), default=0)  # as zip: extra entries are ignored
+    live = [i for i in range(min(n, len(vecs))) if any(r[i].cyc.coeffs for r in rows)]
+    sub = rows if len(live) == n else [[r[i] for i in live] for r in rows]
+    out = monomial_products(sub, [vecs[i].amps for i in live])
+    if out is not None:
+        return [StateVec(module, coords) for coords in out]
     idx: list[list[int]] = [[] for _ in range(module.dim)]
     amps: list[list[Scalar]] = [[] for _ in range(module.dim)]
-    for i, v in enumerate(vecs[:n]):
-        if any(r[i].cyc.coeffs for r in rows):
-            for j, a in enumerate(v.amps):
-                if a.cyc.coeffs:
-                    idx[j].append(i)
-                    amps[j].append(a)
+    for i in live:
+        for j, a in enumerate(vecs[i].amps):
+            if a.cyc.coeffs:
+                idx[j].append(i)
+                amps[j].append(a)
     # a one-term coordinate is a product; rows and vectors often share their
     # Scalars, so each product of two objects is built once (keyed by identity)
     products: dict[tuple[int, int], Scalar] = {}
+    zero = Scalar.zero()
     out = []
     for r in rows:
         coords = []
         for ix, am in zip(idx, amps):
-            if len(ix) == 1:
+            if not ix:
+                coords.append(zero)
+            elif len(ix) == 1:
                 key = (id(r[ix[0]]), id(am[0]))
                 if key not in products:
                     products[key] = dot([r[ix[0]]], am)
@@ -247,8 +284,10 @@ def _word_scalar_on_module(w: GenWord, M: ModuleRep) -> Scalar:
 def root_of_unity_turns(s: Scalar) -> Fraction:
     """Turns t with s = e^{2 pi i t} for a unit-modulus exact scalar.
 
-    A float-guided guess is verified exactly; on failure the group of
-    roots of unity of Q(zeta_M) (order lcm(2, M)) is searched exhaustively.
+    The roots of unity of the field of s = sqrt(rad) c, c in Q(zeta_M), are
+    the order-th ones for order = lcm(2, M, the order of sqrt(rad)).  The
+    one nearest the float value of s is verified exactly; ExactnessLost is
+    raised when it does not match.
     """
     import cmath
     import math
@@ -260,16 +299,11 @@ def root_of_unity_turns(s: Scalar) -> Fraction:
             return Fraction(k, s.cyc.order)
         if coeff == -1:
             return _mod1(Fraction(k, s.cyc.order) + Fraction(1, 2))
-    M = s.cyc.order
-    order = M if M % 2 == 0 else 2 * M
+    order = lcm(2, s.cyc.order, sqrt_as_cyc(s.rad).order)
     theta = cmath.phase(s.to_complex()) / (2 * math.pi)
-    guess = Fraction(theta).limit_denominator(order)
+    guess = _mod1(Fraction(round(theta * order), order))
     if (s - Scalar.phase(guess)).is_zero():
-        return _mod1(guess)
-    for k in range(order):
-        cand = Fraction(k, order)
-        if (s - Scalar.phase(cand)).is_zero():
-            return cand
+        return guess
     raise ExactnessLost("scalar is not a root of unity")
 
 
@@ -282,9 +316,11 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     """Canonical S-basis: S-eigenvectors on which T acts by index decrement.
 
     Built by projecting a reference vector onto an S-eigenspace
-    (sum_k s^{-k} S^k, exact and O(N^2)), normalising the seed so its first
-    nonzero amplitude is a positive real multiple of 1, then generating the
-    rest of the basis with T.
+    (sum_k s^{-k} S^k, exact), normalising the seed so its first nonzero
+    amplitude is a positive real multiple of 1, then generating the rest of
+    the basis with T.  S = phase U^m V^n moves e_i to a multiple of
+    e_{i-n}, so the projection of e_start is one walk of N steps along the
+    orbit of start, O(N) per start.
     """
     alg = M.alg
     if not (alg.contains_word(S) and alg.contains_word(T)):
@@ -300,13 +336,19 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     s0_inv = Scalar.phase(_mod1(-s0_turns))
     t_inv = Scalar.phase(_mod1(-t0_turns))
 
+    m, n = alg.word_coords(S)
+    phase_kernel = _mod1(S.phase + m * M.u_phase + n * M.v_phase)
+    kernel = Scalar.phase(phase_kernel) if phase_kernel else None
     seed = None
     for start in range(N):
         acc = M.basis_vector(start)
-        vec = acc
+        i, c = start, acc.amps[start]
         for _ in range(N - 1):
-            vec = apply_word(S, vec).scale(s0_inv)
-            acc = acc + vec
+            # the entry apply_word(S, .) then scale(s0_inv) would give
+            i = (i - n) % N
+            qim = M.q_power(i * m % N)
+            c = s0_inv * ((qim if kernel is None else kernel * qim) * c)
+            acc.amps[i] = acc.amps[i] + c
         if not acc.is_zero():
             seed = acc
             break

@@ -411,13 +411,21 @@ def verify_conjugation(L: RegUnitary, names: list[str] | None = None,
     idx = range(L.dim) if sample is None or L.dim <= sample else range(0, L.dim, max(1, L.dim // sample))
 
     if names is None or "unitary" in names:
+        from .products import monomial_products  # compiled on first use only
+
         worst = 0.0
         ok = True
-        for i in idx:
-            for j in idx:
-                lhs = inner(L.image(i), L.image(j))
-                rhs = inner(L.dom(i), L.dom(j))
-                diff = lhs - rhs
+        # the images' Gram matrix as one product, when the kernel takes it
+        imgs = [L.image(i).amps for i in idx]
+        gram = monomial_products(imgs, [list(col) for col in zip(*imgs)], conj=True)
+        for a, i in enumerate(idx):
+            # distinct domain vectors have disjoint supports: <dom i|dom j> = 0
+            b = L.dom(i).amps
+            supp = [b[j] for j in L._supports[i]]
+            norm2 = dot(supp, supp, conj=True)
+            for c, j in enumerate(idx):
+                lhs = inner(L.image(i), L.image(j)) if gram is None else gram[a][c]
+                diff = lhs - (norm2 if i == j else Scalar.zero())
                 if not diff.is_zero():
                     ok = False
                     worst = max(worst, abs(diff.to_complex()))

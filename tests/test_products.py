@@ -1,0 +1,302 @@
+"""products.monomial_products against the per-coordinate path it replaces.
+
+The oracle is linear_combinations as it stood before the kernel: one scan
+of the vectors' nonzero entries per call and one `dot` per coordinate and
+row.  Results are compared term for term after reducing both sides mod
+Phi_L at a common order L.
+"""
+
+import random
+import tracemalloc
+from contextlib import contextmanager
+from fractions import Fraction as F
+from math import lcm
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from finiteweyl import products
+from finiteweyl.exactnum import Cyc, Scalar, _reduce_mod_cyclotomic, dot
+from finiteweyl.products import PRODUCTS_CHUNK_BYTES, monomial_products
+from finiteweyl.lattice import WeylDesc
+from finiteweyl.repmod import SpecPoint, StateVec, build_module, linear_combinations, v_basis
+from finiteweyl.transform import fourier, gaussian
+
+
+def linear_combinations_oracle(module, rows, vecs):
+    """Oracle: the per-coordinate path, products shared by identity."""
+    n = min((len(r) for r in rows), default=0)
+    idx = [[] for _ in range(module.dim)]
+    amps = [[] for _ in range(module.dim)]
+    for i, v in enumerate(vecs[:n]):
+        if any(r[i].cyc.coeffs for r in rows):
+            for j, a in enumerate(v.amps):
+                if a.cyc.coeffs:
+                    idx[j].append(i)
+                    amps[j].append(a)
+    shared = {}
+    out = []
+    for r in rows:
+        coords = []
+        for ix, am in zip(idx, amps):
+            if len(ix) == 1:
+                key = (id(r[ix[0]]), id(am[0]))
+                if key not in shared:
+                    shared[key] = dot([r[ix[0]]], am)
+                coords.append(shared[key])
+            else:
+                coords.append(dot([r[i] for i in ix], am))
+        out.append(StateVec(module, coords))
+    return out
+
+
+def same(a, b):
+    """a = b, term for term after reduction mod Phi_L at a common order L.
+
+    Values with different radicands are compared through their squares,
+    which carry none, and then by sign; folding sqrt(26) into a conductor
+    1800 value would need Phi_23400.
+    """
+    if a.rad != b.rad:
+        za, zb = a.to_complex(), b.to_complex()
+        return same(a * a, b * b) and abs(za - zb) <= 1e-9 * (1 + abs(za))
+    L = lcm(a.cyc.order, b.cyc.order)
+    return (_reduce_mod_cyclotomic(a.cyc.lift(L).coeffs, L)
+            == _reduce_mod_cyclotomic(b.cyc.lift(L).coeffs, L))
+
+
+def module(N):
+    return build_module(WeylDesc(1, F(1, N)), SpecPoint.principal_point())
+
+
+@contextmanager
+def products_min(value):
+    saved = products.PRODUCTS_MIN
+    products.PRODUCTS_MIN = value
+    try:
+        yield
+    finally:
+        products.PRODUCTS_MIN = saved
+
+
+def monomial(rng, conductor, rad, density=0.8, big=12):
+    """Zero, or zeta_d^k * (a/b) * sqrt(rad) for a divisor d of the conductor."""
+    if rng.random() >= density:
+        return Scalar.zero()
+    d = rng.choice([x for x in (1, 2, 4, 8, conductor // 2, conductor) if conductor % x == 0])
+    a = rng.choice([-1, 1]) * rng.randint(1, big)
+    return Scalar(rad, Cyc(d, {rng.randrange(d): F(a, rng.randint(1, 6))}))
+
+
+def random_operands(rng, conductor, nrows, n, dim, rads=(1, 1), density=0.8):
+    rows = [[monomial(rng, conductor, rads[0], density) for _ in range(n)] for _ in range(nrows)]
+    # one entry of full order on each side, and a dense first column so that
+    # the kernel's probe finds a coordinate with two terms
+    rows[0][0] = Scalar(rads[0], Cyc(conductor, {1: F(1)}))
+    cols = [[monomial(rng, conductor, rads[1], density) for _ in range(dim)] for _ in range(n)]
+    for c in cols:
+        c[0] = Scalar(rads[1], Cyc(conductor, {rng.randrange(conductor): F(rng.randint(1, 5))}))
+    return rows, cols
+
+
+def check_against_oracle(rows, cols, expect_kernel=True):
+    dim = len(cols[0])
+    M = module(dim)
+    vecs = [StateVec(M, c) for c in cols]
+    got = monomial_products(rows, cols)
+    assert (got is not None) == expect_kernel
+    expect = linear_combinations_oracle(M, rows, vecs)
+    routed = linear_combinations(M, rows, vecs)
+    for g, r, e in zip(got or [v.amps for v in routed], routed, expect):
+        assert len(g) == dim
+        assert all(same(a, b) for a, b in zip(g, e.amps))
+        assert all(same(a, b) for a, b in zip(r.amps, e.amps))
+    return got
+
+
+CONDUCTORS = (8, 120, 208, 240, 1800, 2048)
+RADICANDS = ((1, 1), (2, 1), (1, 3), (6, 6), (26, 2), (3, 26))
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("conductor", CONDUCTORS)
+    @pytest.mark.parametrize("rads", RADICANDS)
+    def test_conductors_and_radicands(self, conductor, rads):
+        rng = random.Random(conductor * 100 + rads[0] * 10 + rads[1])
+        with products_min(0):
+            check_against_oracle(*random_operands(rng, conductor, 2, 5, 7, rads))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_random_shapes(self, rng):
+        conductor = rng.choice(CONDUCTORS)
+        rads = rng.choice(RADICANDS)
+        shape = (rng.randint(1, 3), rng.randint(2, 9), rng.randint(1, 9))
+        with products_min(0):
+            check_against_oracle(*random_operands(rng, conductor, *shape, rads,
+                                                  density=rng.choice([0.3, 1.0])))
+
+    @pytest.mark.parametrize("conductor", CONDUCTORS)
+    def test_conjugated_rows(self, conductor):
+        # conj(zeta^k c sqrt(r)) = zeta^-k c sqrt(r): the Gram matrices of
+        # verify_conjugation's unitary check
+        rng = random.Random(conductor)
+        rows, cols = random_operands(rng, conductor, 3, 6, 5, rads=(6, 2))
+        M = module(5)
+        with products_min(0):
+            got = monomial_products(rows, cols, conj=True)
+        expect = linear_combinations_oracle(M, [[a.conj() for a in r] for r in rows],
+                                            [StateVec(M, c) for c in cols])
+        for g, e in zip(got, expect):
+            assert all(same(a, b) for a, b in zip(g, e.amps))
+
+    def test_zero_rows_and_zero_coordinates(self):
+        rng = random.Random(5)
+        rows, cols = random_operands(rng, 120, 3, 6, 8)
+        rows[1] = [Scalar.zero()] * 6
+        for c in cols:
+            c[3] = Scalar.zero()
+        with products_min(0):
+            got = check_against_oracle(rows, cols)
+        assert all(not a.cyc.coeffs for a in got[1])
+        assert all(not row[3].cyc.coeffs for row in got)
+
+    def test_multi_term_entries_fall_back(self):
+        rng = random.Random(6)
+        rows, cols = random_operands(rng, 240, 2, 5, 6)
+        cols[2][1] = Scalar(1, Cyc(240, {1: F(1), 7: F(-2, 3)}))
+        with products_min(0):
+            check_against_oracle(rows, cols, expect_kernel=False)
+            rows, cols = random_operands(rng, 240, 2, 5, 6)
+            rows[1][3] = Scalar(1, Cyc(8, {1: F(1), 3: F(1)}))
+            check_against_oracle(rows, cols, expect_kernel=False)
+
+    def test_mixed_radicands_fall_back(self):
+        rng = random.Random(7)
+        rows, cols = random_operands(rng, 208, 2, 5, 6, rads=(2, 3))
+        cols[4][2] = Scalar(6, Cyc(8, {1: F(1)}))
+        with products_min(0):
+            check_against_oracle(rows, cols, expect_kernel=False)
+
+    def test_exactness_bound(self):
+        # the largest numerators' product times the terms per coordinate times
+        # the reduction's growth must stay below 2^53 for float64 sums
+        def operands(num):
+            rows = [[Scalar(1, Cyc(8, {k: F(num)})) for k in range(4)]]
+            cols = [[Scalar(1, Cyc(8, {(k + j) % 8: F(num)})) for j in range(5)] for k in range(4)]
+            return rows, cols
+
+        growth = products._reduction(8).growth
+        fits = int((2**53 // (4 * growth)) ** 0.5) - 1
+        with products_min(0):
+            check_against_oracle(*operands(fits))
+            check_against_oracle(*operands(2**26), expect_kernel=False)
+            check_against_oracle(*operands(2**60), expect_kernel=False)
+
+
+class TestDispatch:
+    def test_both_sides_of_the_threshold(self):
+        rng = random.Random(8)
+        n_min = products.PRODUCTS_MIN
+        # one dense row: n * dim nonzero products
+        for n, dim, used in ((16, n_min // 16, True), (16, n_min // 16 - 1, False)):
+            rows = [[monomial(rng, 48, 1, density=1.0) for _ in range(n)]]
+            cols = [[monomial(rng, 48, 2, density=1.0) for _ in range(dim)] for _ in range(n)]
+            check_against_oracle(rows, cols, expect_kernel=used)
+
+    def test_one_term_coordinates_stay_on_dot(self):
+        # a basis with one nonzero entry per coordinate: nothing to sum
+        M = module(32)
+        rows = [[Scalar(1, Cyc(64, {k: F(1)})) for k in range(32)] for _ in range(32)]
+        cols = [M.basis_vector(k).amps for k in range(32)]
+        assert monomial_products(rows, cols) is None
+
+
+class TestRecognition:
+    @pytest.mark.parametrize("N", [24, 52, 104])
+    def test_gaussian_eigenvectors(self, N):
+        M = module(N)
+        G, vb = gaussian(M), v_basis(M)
+        for n in (0, 3, N // 2 + 1):
+            img = G.apply(vb[n])
+            target = vb[n].scale(M.q_power(F(-n * n, 2)))
+            assert all(len(a.cyc.coeffs) == 1 for a in img.amps)
+            assert all(same(a, b) for a, b in zip(img.amps, target.amps))
+            assert (img - target).is_zero()
+
+    @pytest.mark.parametrize("N", [24, 120])
+    def test_fourier_squared(self, N):
+        M = module(N)
+        Phi = fourier(M)
+        Phi2 = fourier(Phi.ambient_ran)
+        for m in (1, 5):
+            img = Phi2.apply(Phi.image(m))
+            for j, a in enumerate(img.amps):
+                if j == (-m) % N:
+                    assert a.rad == 1 and a.cyc.order == 1 and a.cyc.coeffs == {0: 1}
+                else:
+                    assert not a.cyc.coeffs
+
+    def test_minimal_order(self):
+        # zeta_8 zeta_8 + zeta_8 zeta_8 = 2 zeta_4 comes back at order 4
+        z8 = Scalar(1, Cyc(8, {1: F(1)}))
+        with products_min(0):
+            got = monomial_products([[z8, z8]], [[z8] * 2, [z8] * 2])
+        assert all(a.cyc.order == 4 and a.cyc.coeffs == {1: 2} for a in got[0])
+
+    def test_two_root_sum_is_not_a_monomial(self):
+        # 1 + zeta_8 has no one-term form: it comes back reduced, two terms
+        one, z8 = Scalar.one(), Scalar(1, Cyc(8, {1: F(1)}))
+        rows = [[one, one]]
+        cols = [[one] * 3, [z8] * 3]
+        with products_min(0):
+            got = check_against_oracle(rows, cols)
+        assert all(len(a.cyc.coeffs) == 2 for a in got[0])
+
+    def test_radicand_from_the_sum(self):
+        # zeta_8 + zeta_8^7 = sqrt(2): rational products, radicand 2 result
+        z = [Scalar(1, Cyc(8, {k: F(1)})) for k in (1, 7)]
+        rows = [[Scalar.rational(3), Scalar.rational(3)]]
+        with products_min(0):
+            got = check_against_oracle(rows, [[z[0]] * 2, [z[1]] * 2])
+        assert all(a.rad == 2 and a.cyc.order == 1 and a.cyc.coeffs == {0: 3} for a in got[0])
+        # with sqrt(2) on the row side too, sqrt(2) sqrt(2) = 2: rational
+        rows = [[Scalar(2, Cyc(1, {0: F(3)}))] * 2]
+        with products_min(0):
+            got = check_against_oracle(rows, [[z[0]] * 2, [z[1]] * 2])
+        assert all(a.rad == 1 and a.cyc.order == 1 and a.cyc.coeffs == {0: 6} for a in got[0])
+
+
+class TestAmplitudesStayPlainLists:
+    def test_flip_after_a_kernel_call_is_seen(self):
+        M = module(52)
+        G, vb = gaussian(M), v_basis(M)
+        x = vb[3]
+        first = G.apply(x)
+        assert (first - x.scale(M.q_power(F(-9, 2)))).is_zero()
+        x.amps[7] = -x.amps[7]
+        second = G.apply(x)
+        expect = linear_combinations_oracle(M, [[x.amps[j] for j in range(52)]], G.images)[0]
+        assert all(same(a, b) for a, b in zip(second.amps, expect.amps))
+        assert not (second - first).is_zero()
+        first.amps[0] = -first.amps[0]
+        assert not (first - x.scale(M.q_power(F(-9, 2)))).is_zero()
+
+
+class TestLargeN:
+    def test_bounded_memory_at_1024(self):
+        N = 1024
+        M = module(N)
+        G, vb = gaussian(M), v_basis(M)
+        tracemalloc.start()
+        try:
+            img = G.apply(vb[5])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # chunk temporaries, a 4-byte slot and a 1-byte mask per operand
+        # entry, and the N output Scalars
+        assert peak < PRODUCTS_CHUNK_BYTES + 5 * (N * N + N) + (1 << 20)
+        assert all(len(a.cyc.coeffs) == 1 for a in img.amps)
+        assert (img - vb[5].scale(M.q_power(F(-25, 2)))).is_zero()

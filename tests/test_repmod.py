@@ -524,3 +524,115 @@ class TestApplyWordAgainstOracle:
                     F(rng.randrange(-7, 8), rng.choice([1, 2, 8, 2 * N])))
         got = apply_word(w, x)
         assert all((a - b).is_zero() for a, b in zip(got.amps, apply_word_oracle(w, x)))
+
+
+# ---------------------------------------------------------------------------
+# s_basis's orbit walk and root_of_unity_turns against the code they replace
+# ---------------------------------------------------------------------------
+
+def s_basis_oracle(M, S, T):
+    """Oracle: s_basis projecting with N - 1 whole-vector apply_words per start."""
+    from finiteweyl.repmod import _principal_root_turns, _unit_phase_inverse, _word_scalar_on_module
+
+    N = M.dim
+    s0_inv = Scalar.phase(_mod1(-_principal_root_turns(_word_scalar_on_module(S ** N, M), N)))
+    t_inv = Scalar.phase(_mod1(-_principal_root_turns(_word_scalar_on_module(T ** N, M), N)))
+    seed = None
+    for start in range(N):
+        acc = M.basis_vector(start)
+        vec = acc
+        for _ in range(N - 1):
+            vec = apply_word(S, vec).scale(s0_inv)
+            acc = acc + vec
+        if not acc.is_zero():
+            seed = acc
+            break
+    for a in seed.amps:
+        if not a.is_zero():
+            seed = seed.scale(_unit_phase_inverse(a))
+            break
+    seed = seed.scale(seed.norm2().sqrt_of_rational().inv())
+    basis = [seed] + [None] * (N - 1)
+    cur = seed
+    for k in range(1, N):
+        cur = apply_word(T, cur).scale(t_inv)
+        basis[N - k] = cur
+    return basis
+
+
+def representation(vec):
+    return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in vec.amps]
+
+
+class TestSBasisAgainstOracle:
+    @pytest.mark.parametrize("N", [6, 8, 12])
+    @pytest.mark.parametrize("words", ["U,V", "V,U^-1", "UV^-1,V", "UV^2,V"])
+    def test_principal(self, N, words):
+        M = principal_module(N)
+        S, T = {
+            "U,V": (word_U(M), word_V(M)),
+            "V,U^-1": (word_V(M), word_U(M).inv()),
+            "UV^-1,V": (word_U(M) * word_V(M).inv(), word_V(M)),
+            "UV^2,V": (word_U(M) * word_V(M, 2), word_V(M)),
+        }[words]
+        got, expect = s_basis(M, S, T), s_basis_oracle(M, S, T)
+        assert [representation(v) for v in got] == [representation(v) for v in expect]
+
+    def test_word_with_a_phase_on_a_non_principal_module(self):
+        A = WeylDesc(F(1), F(1, 6))
+        point = SpecPoint(F(1, 5), F(2, 3))
+        M = build_module(A, point, u_phase=(point.u_phase + 2) / A.N, v_phase=(point.v_phase + 1) / A.N)
+        S = GenWord(A.a, -2 * A.b, F(3, 7))
+        T = GenWord(0, A.b, F(1, 4))
+        assert S.commutator_phase(T) == M.q_phase
+        got, expect = s_basis(M, S, T), s_basis_oracle(M, S, T)
+        assert [representation(v) for v in got] == [representation(v) for v in expect]
+
+
+def root_of_unity_turns_oracle(s):
+    """Oracle: the float guess, then a search of every root of the field."""
+    import cmath
+    import math
+
+    from finiteweyl.errors import ExactnessLost
+    from finiteweyl.exactnum import sqrt_as_cyc
+
+    order = math.lcm(2, s.cyc.order, sqrt_as_cyc(s.rad).order)
+    guess = F(cmath.phase(s.to_complex()) / (2 * math.pi)).limit_denominator(order)
+    if (s - Scalar.phase(guess)).is_zero():
+        return _mod1(guess)
+    for k in range(order):
+        if (s - Scalar.phase(F(k, order))).is_zero():
+            return F(k, order)
+    raise ExactnessLost("scalar is not a root of unity")
+
+
+class TestRootOfUnityTurnsAgainstOracle:
+    def test_every_root_up_to_order_64(self):
+        from finiteweyl.exactnum import sqrt_as_cyc
+
+        for M in range(1, 65):
+            for k in range(M):
+                z = Cyc.zeta(M, k)
+                # one term; several terms (2 + zeta_3 + zeta_3^2 = 1); and with a
+                # radicand: sqrt(r) (zeta sqrt_as_cyc(r) / r)
+                forms = [Scalar(1, z), Scalar(1, z * Cyc(3, {0: F(2), 1: F(1), 2: F(1)}))]
+                for r in (2, 3) if M <= 24 else (2,):
+                    forms.append(Scalar(r, (z * sqrt_as_cyc(r)).scale(F(1, r))))
+                for s in forms:
+                    assert root_of_unity_turns(s) == F(k, M)
+                    assert root_of_unity_turns_oracle(s) == F(k, M)
+
+    def test_zeta8_as_sqrt2_times_one_plus_i(self):
+        s = Scalar(2, Cyc(4, {0: F(1, 2), 1: F(1, 2)}))
+        assert root_of_unity_turns(s) == root_of_unity_turns_oracle(s) == F(1, 8)
+
+    @pytest.mark.parametrize("s", [Scalar.rational(2), Scalar(1, Cyc(4, {0: F(1), 1: F(1)}))],
+                             ids=["2", "1+i"])
+    def test_refusals(self, s):
+        from finiteweyl.errors import ExactnessLost
+
+        with pytest.raises(ExactnessLost):
+            root_of_unity_turns(s)
+        with pytest.raises(ExactnessLost):
+            root_of_unity_turns_oracle(s)

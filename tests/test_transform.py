@@ -508,3 +508,41 @@ class TestVerifyAgainstOracle:
     def test_sample_below_one(self, sample):
         with pytest.raises(OutOfRange, match="sample must be at least 1"):
             verify_conjugation(fourier(principal_module(8)), sample=sample)
+
+
+def unitary_oracle(L, sample=None):
+    """Oracle: the unitary check with both Gram matrices taken in full."""
+    idx = range(L.dim) if sample is None or L.dim <= sample else range(0, L.dim, max(1, L.dim // sample))
+    worst, ok = 0.0, True
+    for i in idx:
+        for j in idx:
+            diff = inner(L.image(i), L.image(j)) - inner(L.dom(i), L.dom(j))
+            if not diff.is_zero():
+                ok = False
+                worst = max(worst, abs(diff.to_complex()))
+    return ("unitary", ok, worst)
+
+
+def corrupted_domain(L, m):
+    """L with domain basis vector m doubled: same support, norm 4."""
+    dom = list(L.dom_basis)
+    dom[m] = dom[m].scale(Scalar.rational(2))
+    return replace(L, name="corrupt-dom", dom_basis=dom)
+
+
+# a zeroed image 3 (seen only unsampled) and doubled domain vectors 0; an
+# image times q keeps every inner product
+NOT_UNITARY = [CORRUPTED[1], corrupted_domain(BUILDERS[0], 0), corrupted_domain(BUILDERS[8], 0)]
+
+
+class TestUnitaryAgainstOracle:
+    @pytest.mark.parametrize("L", BUILDERS + CORRUPTED + NOT_UNITARY[1:],
+                             ids=lambda L: f"{L.name}-N{L.ambient_dom.dim}")
+    def test_reports_equal_oracle(self, L):
+        # the domain Gram matrix is read off the disjoint supports: 0 off the
+        # diagonal without a product, norm2 over the support on it
+        for sample in (None, 3):
+            got, = [(r.name, r.holds, r.residual) for r in verify_conjugation(L, ["unitary"], sample)]
+            assert got == unitary_oracle(L, sample)
+            if L in NOT_UNITARY and (sample is None or L.name == "corrupt-dom"):
+                assert not got[1] and got[2] > 0
