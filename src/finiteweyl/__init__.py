@@ -46,7 +46,6 @@ from .lattice import (
 )
 from .morphism import Embedding, PairingResult, decompose, embed_pbeta, pairing, pairing_row_sum
 from .repmod import (
-    BasisLabel,
     ModuleRep,
     SpecPoint,
     StateVec,
@@ -72,7 +71,6 @@ from .transform import (
 
 __all__ = [
     "AutDesc",
-    "BasisLabel",
     "ConjugationReport",
     "ConvergenceReport",
     "Cyc",

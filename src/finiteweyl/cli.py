@@ -289,7 +289,7 @@ def cmd_trace(args) -> int:
          r.closed_form.real, r.closed_form.imag, r.abs_err]
     ]
     payload = {
-        "meta": {"command": "trace qho", "h": args.h, "mu": params.mu, "N": params.N,
+        "meta": {"command": f"trace {args.kind}", "h": args.h, "mu": params.mu, "N": params.N,
                  "triple": args.triple, "terms": r.terms},
         "results": {
             "tr_re": r.value.real,
@@ -404,8 +404,6 @@ def make_parser() -> argparse.ArgumentParser:
     prop_p.add_argument("--t", default="1/2")
     prop_p.add_argument("--triple", default="3,4,5")
     prop_p.add_argument("--grid", default="-1:1:5")
-    prop_p.add_argument("--jobs", type=int, default=1,
-                        help="accepted for compatibility; kernels run serially")
     prop_p.set_defaults(func=cmd_propagator)
 
     trc = add_parser("trace", checks=True, help="QHO trace vs 1/(i|sin(t/2)|)")

@@ -26,6 +26,7 @@ from .errors import (
 from .exactnum import gauss_sum_float, symmetric_phase_sum
 from .lattice import GenWord, WeylDesc
 from .repmod import StateVec, inner
+from .transform import check_triple, qho_exponent
 
 
 # ---------------------------------------------------------------------------
@@ -127,24 +128,16 @@ class ConvergenceReport:
     fitted_order: float
 
 
-def _word_coords(w: GenWord, params: ScaleParams) -> tuple[int, int]:
-    """(rho, tau) with w = phase * U^{rho/mu} V^{h tau/mu}."""
-    rho = w.u_exp * params.mu
-    tau = w.v_exp * params.mu / params.h
-    if rho.denominator != 1 or tau.denominator != 1:
-        raise DivisibilityViolation("word does not lie in the ambient algebra")
-    return int(rho), int(tau)
-
-
 def delta_k(r_word: GenWord, s_word: GenWord, params: ScaleParams, d: int = 1) -> RescaleCtx:
     """Dirac rescaling step: Delta k = b cc/(aR aS sqrt N), or cc sqrt(d/N).
 
     b is the minimal positive commutation exponent of the two words; aR, aS
     are the maximal root divisibilities R^{1/aR}, S^{1/aS} in the ambient
-    algebra.
+    algebra (words outside it raise NotInAlgebra).
     """
-    rR, tR = _word_coords(r_word, params)
-    rS, tS = _word_coords(s_word, params)
+    A = params.algebra
+    rR, tR = A.word_coords(r_word)
+    rS, tS = A.word_coords(s_word)
     b = abs(rR * tS - rS * tR)
     N = params.N
     if b == 0:
@@ -235,12 +228,11 @@ def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
     evaluated by summing the c lattice contributions directly.
     """
     e, f, c = triple
-    if e * e + f * f != c * c or e <= 0 or f <= 0:
-        raise NotPythagorean(f"({e},{f},{c}) is not a positive Pythagorean triple")
+    check_triple(e, f, c)
     if gcd(e, f) != 1:
         raise NotPythagorean("triple must be primitive for the x-rescaling")
     N = params.N
-    if N % (c * c * e) or N % (c * e):
+    if N % (c * c * e):
         raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
     hbar, mu = params.hbar, params.mu
     dx = e * hbar / mu
@@ -252,13 +244,12 @@ def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
         raise OutOfRange("grid point outside the submodule window")
     xs1, xs2 = n * step, m * step
 
-    # sum over the c overlapping lattice sites: l_k = cn - mf + k N/(ce)
+    # sum over the c overlapping lattice sites: l_k = cn - mf + k N/(ce), at
+    # the phases of the exact transform's kernel
     total = 0.0 + 0.0j
-    M2 = 2 * N
     for k in range(c):
         lk = c * n - m * f + k * N // (c * e)
-        e2 = (e * f * (lk * lk - e * e * m * m) - 2 * e ** 3 * m * lk) % M2
-        total += cmath.exp(1j * math.pi * e2 / N)
+        total += cmath.exp(1j * math.pi * qho_exponent(e, f, m, lk, N) / N)
     C0 = cmath.exp(-1j * math.pi / 4)
     value = C0 * math.sqrt(e / N) / math.sqrt(c) * total / dx
 
@@ -281,8 +272,7 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
     overflow int64, before anything is summed.
     """
     e, f, c = triple
-    if e * e + f * f != c * c or e <= 0 or f <= 0 or c <= f:
-        raise NotPythagorean(f"({e},{f},{c}) is not a usable Pythagorean triple")
+    check_triple(e, f, c)  # so c > f: sin(t/2) != 0
     N = params.N
     M = e * c * c * (c - f)
     if N % M:
@@ -360,7 +350,7 @@ def weakring_max_phase_error(params: ScaleParams, count: int = 1000, seed: int =
     return worst
 
 
-def _position_window(params: ScaleParams, width_scale: float = 1.0):
+def _position_window(params: ScaleParams):
     """Discrete-Gaussian regularization of the x=0 state, lattice width sqrt(mu/h).
 
     A basis eigenstate has a Theta(1) CCR residual (the commutator has zero
@@ -368,7 +358,7 @@ def _position_window(params: ScaleParams, width_scale: float = 1.0):
     the geometric-mean width is the scaling at which the residual decays at
     the advertised O(1/mu) rate.
     """
-    sigma = math.sqrt(params.mu / float(params.h)) * width_scale
+    sigma = math.sqrt(params.mu / float(params.h))
     W = max(8, int(10 * sigma))
     k = np.arange(-W, W + 1, dtype=np.int64)
     psi = np.exp(-(k.astype(float) ** 2) / (4 * sigma * sigma)).astype(complex)
@@ -376,7 +366,7 @@ def _position_window(params: ScaleParams, width_scale: float = 1.0):
     return k, psi
 
 
-def ccr_residual(kind: str, params: ScaleParams, width_scale: float = 1.0) -> float:
+def ccr_residual(kind: str, params: ScaleParams) -> float:
     """||(QP - PQ) e - i hbar e|| / hbar for the regularized eigenstate e.
 
     Q = mu (U - U^{-1})/2i acts diagonally with eigenvalues mu sin(hbar k/mu^2);
@@ -385,7 +375,7 @@ def ccr_residual(kind: str, params: ScaleParams, width_scale: float = 1.0) -> fl
     'sstate' a chirped packet along the U V diagonal.
     """
     hbar, mu = params.hbar, params.mu
-    k, psi = _position_window(params, width_scale)
+    k, psi = _position_window(params)
     if kind == "sstate":
         half_q = math.pi * float(params.h) / mu ** 2
         psi = psi * np.exp(1j * half_q * k.astype(float) ** 2)
@@ -393,7 +383,7 @@ def ccr_residual(kind: str, params: ScaleParams, width_scale: float = 1.0) -> fl
     elif kind not in ("position", "momentum"):
         raise ValueError("kind must be position, momentum or sstate")
 
-    diag = mu * np.sin(hbar * k.astype(float) / mu ** 2)
+    diag = q_operator_eigenvalue(k, params)
 
     def apply_diag(v):
         return diag * v
@@ -420,8 +410,9 @@ def ccr_residual(kind: str, params: ScaleParams, width_scale: float = 1.0) -> fl
 
 
 def q_operator_eigenvalue(k: int, params: ScaleParams) -> float:
-    """Exact eigenvalue of Q = mu(U - U^{-1})/2i on the lattice state u(q^k)."""
-    return params.mu * math.sin(params.hbar * k / params.mu ** 2)
+    """Exact eigenvalue of Q = mu(U - U^{-1})/2i on the lattice state u(q^k);
+    k may be an array of indices."""
+    return params.mu * np.sin(params.hbar * k / params.mu ** 2)
 
 
 # ---------------------------------------------------------------------------

@@ -122,9 +122,6 @@ class GenWord:
         return f"GenWord(U^{self.u_exp} V^{self.v_exp}, e2pi({self.phase}))"
 
 
-IDENTITY_WORD = GenWord(Fraction(0), Fraction(0))
-
-
 @dataclass(frozen=True)
 class AutDesc:
     """Heisenberg automorphism data: 2x2 integer matrix plus two q-powers."""

@@ -1,12 +1,13 @@
-"""Dense exact products of vectors whose entries are one term zeta_M^k c sqrt(r).
+"""Exact sums of products: linear_combinations, the one entry point.
 
-`monomial_products` is the kernel behind `repmod.linear_combinations` for
-large inputs: each output coordinate is one numpy exponent histogram, and
-the histograms are reduced mod Phi_L together.  Integer counts are held in
-float64 only while they stay below 2^53, and the one-term forms guessed
-from float values are verified exactly.  `repmod` imports this module on
-first use, so a process that never sums a large product (a CLI run, the
-float kernels) does not compile it.
+Large sums of one-term entries zeta_M^k c sqrt(r) go to a kernel in which
+each output coordinate is one numpy exponent histogram, and the histograms
+are reduced mod Phi_L together.  Integer counts are held in float64 only
+while they stay below 2^53, and the one-term forms guessed from float
+values are verified exactly.  Every other sum is gathered per coordinate
+and summed by `dot`.  `repmod` and `transform` import this module on first
+use, so a process that never sums a product (a CLI run, the float kernels)
+does not compile it.
 """
 
 from __future__ import annotations
@@ -20,15 +21,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import (Cyc, Scalar, _factorize, _monomial_rows, cyclotomic_poly, split_square,
-                       sqrt_as_cyc)
+from .exactnum import (Cyc, Scalar, _factorize, _monomial_rows, cyclotomic_poly, dot,
+                       split_square, sqrt_as_cyc)
 
 
-# Fewest nonzero products monomial_products takes on.  Measured crossover
+# Fewest nonzero products the histogram kernel takes on.  Measured crossover
 # against the per-coordinate `dot` path on dense applies: equal at 144
 # products (Fourier, N = 12), the kernel 1.6x faster at 256 (N = 16).
 PRODUCTS_MIN = 256
-# Bytes of numpy temporaries one chunk of monomial_products may hold; the
+# Bytes of numpy temporaries one chunk of the histogram kernel may hold; the
 # operands add a 4-byte index and a 1-byte mask per entry on top.
 PRODUCTS_CHUNK_BYTES = 8 << 20
 # Elements per temporary array: about eight 8-byte arrays are alive at once.
@@ -209,13 +210,13 @@ def _monomials(H, reduced, L: int, red: _Reduction):
     return out
 
 
-def monomial_products(rows, cols, conj: bool = False):
-    """[[sum_i row[i] * cols[i][j] for j] for row in rows] as lists of
+def _monomial_products(rows, cols, dim: int, conj: bool):
+    """[[sum_i row[i] * cols[i][j] for j < dim] for row in rows] as lists of
     Scalars, with conj(row[i]) in place of row[i] when conj is set, or None
     where this kernel does not apply.
 
     Takes rows of at least n entries (later ones are ignored) and n columns
-    of equal length, all entries zero or one term zeta_M^k * c * sqrt(r)
+    of length dim, all entries zero or one term zeta_M^k * c * sqrt(r)
     with one radicand per side.  Operands are read by object identity, each
     distinct Scalar once, and nothing is kept between calls.  Every output
     coordinate is one np.bincount histogram of exponents at L, the lcm of 2
@@ -225,15 +226,14 @@ def monomial_products(rows, cols, conj: bool = False):
     is t zeta^j sqrt(r') comes back as that one-term Scalar at minimal
     order; others as their reduced power-basis form.
 
-    Returns None, for the caller's per-coordinate path, when the inputs
-    have fewer than PRODUCTS_MIN nonzero products, when the first nonzero
-    coordinate of the first nonzero column has one term (no sum to share),
-    when an entry has several terms or a side mixes radicands, and when the
+    Returns None, for the per-coordinate path, when the inputs have fewer
+    than PRODUCTS_MIN nonzero products, when the first nonzero coordinate
+    of the first nonzero column has one term (no sum to share), when an
+    entry has several terms or a side mixes radicands, and when the
     float64 sums could pass 2^53 (the largest numerators' product times n
     times the reduction's growth).
     """
     n = len(cols)
-    dim = len(cols[0]) if n else 0
     if len(rows) * n * dim < PRODUCTS_MIN or _probe_terms(cols) < 2:
         return None
     xslots, xobjs = _intern(cols, dim)
@@ -298,3 +298,48 @@ def monomial_products(rows, cols, conj: bool = False):
             coords.extend(map(to_scalar, reduced, _monomials(H, reduced, L, red)))
         result.append(coords)
     return result
+
+
+def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[Scalar]]:
+    """[[sum_i row[i] * cols[i][j] for j < dim] for row in rows], with
+    conj(row[i]) in place of row[i] when conj is set.
+
+    As with zip, entries past the shortest row are ignored, and columns
+    whose entry is zero in every row are skipped.  Sums of at least
+    PRODUCTS_MIN nonzero products go to the histogram kernel.  Otherwise,
+    or when that kernel declines, one scan of the columns' nonzero entries
+    gathers the terms of each coordinate and `dot` sums each coordinate of
+    each row.
+    """
+    n = min((len(r) for r in rows), default=0)
+    live = [i for i in range(min(n, len(cols))) if any(r[i].cyc.coeffs for r in rows)]
+    sub = rows if len(live) == n else [[r[i] for i in live] for r in rows]
+    out = _monomial_products(sub, [cols[i] for i in live], dim, conj)
+    if out is not None:
+        return out
+    idx: list[list[int]] = [[] for _ in range(dim)]
+    amps: list[list[Scalar]] = [[] for _ in range(dim)]
+    for i in live:
+        for j, a in enumerate(cols[i]):
+            if a.cyc.coeffs:
+                idx[j].append(i)
+                amps[j].append(a)
+    # a one-term coordinate is a product; rows and columns often share their
+    # Scalars, so each product of two objects is built once (keyed by identity)
+    products: dict[tuple[int, int], Scalar] = {}
+    zero = Scalar.zero()
+    out = []
+    for r in rows:
+        coords = []
+        for ix, am in zip(idx, amps):
+            if not ix:
+                coords.append(zero)
+            elif len(ix) == 1:
+                key = (id(r[ix[0]]), id(am[0]))
+                if key not in products:
+                    products[key] = dot([r[ix[0]]], am, conj=conj)
+                coords.append(products[key])
+            else:
+                coords.append(dot([r[i] for i in ix], am, conj=conj))
+        out.append(coords)
+    return out

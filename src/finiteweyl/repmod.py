@@ -70,9 +70,6 @@ class ModuleRep:
         return out
 
     # -- vectors ---------------------------------------------------------------
-    def zero_vector(self) -> "StateVec":
-        return StateVec(self, [Scalar.zero()] * self.dim)
-
     def basis_vector(self, k: int) -> "StateVec":
         amps = [Scalar.zero()] * self.dim
         amps[k % self.dim] = Scalar.one()
@@ -130,21 +127,6 @@ class StateVec:
         return f"StateVec({self.amps!r})"
 
 
-@dataclass(frozen=True)
-class BasisLabel:
-    """Names one vector of a canonical S-basis: (S word, T word, index mod N)."""
-
-    sWord: GenWord
-    tWord: GenWord
-    index: int
-
-    def validate(self, alg: WeylDesc) -> None:
-        if not (alg.contains_word(self.sWord) and alg.contains_word(self.tWord)):
-            raise NotInAlgebra("basis label words must lie in the algebra")
-        if self.sWord.commutator_phase(self.tWord) != alg.q_phase:
-            raise NotGenerating("label words do not have commutator q")
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
@@ -160,6 +142,14 @@ def build_module(A: WeylDesc, point: SpecPoint, u_phase: Fraction | None = None,
     return ModuleRep(A, point, u_phase, v_phase)
 
 
+def _kernel_turns(w: GenWord, M: ModuleRep) -> Fraction:
+    """Turns t of the phase e^{2 pi i t} that w = phase U^{ma} V^{nb} puts on
+    every entry on M besides q^{jm}: phase + m u + n v mod 1.  Raises
+    NotInAlgebra."""
+    m, n = M.alg.word_coords(w)
+    return _mod1(w.phase + m * M.u_phase + n * M.v_phase)
+
+
 def apply_word(w: GenWord, x: StateVec) -> StateVec:
     """Linear action of a pseudo-unitary word, with commutation phases.
 
@@ -170,7 +160,7 @@ def apply_word(w: GenWord, x: StateVec) -> StateVec:
     M = x.module
     m, n = M.alg.word_coords(w)  # raises NotInAlgebra
     N = M.dim
-    phase_kernel = _mod1(w.phase + m * M.u_phase + n * M.v_phase)
+    phase_kernel = _kernel_turns(w, M)
     kernel = Scalar.phase(phase_kernel) if phase_kernel else None
     d0, k0 = phase_kernel.denominator, phase_kernel.numerator
     phases: dict[int, tuple[int, int]] = {}  # j m mod N -> (order, exponent)
@@ -219,49 +209,11 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
 
 
 def linear_combinations(module: ModuleRep, rows, vecs) -> list[StateVec]:
-    """[sum_i row[i] * vecs[i] for row in rows].
+    """[sum_i row[i] * vecs[i] for row in rows], by `products.linear_combinations`."""
+    from . import products  # compiled on first use only
 
-    Vectors whose coefficient is zero in every row are skipped.  Products
-    of at least products.PRODUCTS_MIN nonzero terms go to
-    `products.monomial_products`, which sums a coordinate as one exponent
-    histogram.  Otherwise, or when that kernel declines, one scan of the
-    vectors' nonzero entries gathers the terms of each coordinate and `dot`
-    sums each coordinate of each row.
-    """
-    from .products import monomial_products  # compiled on first use only
-
-    n = min((len(r) for r in rows), default=0)  # as zip: extra entries are ignored
-    live = [i for i in range(min(n, len(vecs))) if any(r[i].cyc.coeffs for r in rows)]
-    sub = rows if len(live) == n else [[r[i] for i in live] for r in rows]
-    out = monomial_products(sub, [vecs[i].amps for i in live])
-    if out is not None:
-        return [StateVec(module, coords) for coords in out]
-    idx: list[list[int]] = [[] for _ in range(module.dim)]
-    amps: list[list[Scalar]] = [[] for _ in range(module.dim)]
-    for i in live:
-        for j, a in enumerate(vecs[i].amps):
-            if a.cyc.coeffs:
-                idx[j].append(i)
-                amps[j].append(a)
-    # a one-term coordinate is a product; rows and vectors often share their
-    # Scalars, so each product of two objects is built once (keyed by identity)
-    products: dict[tuple[int, int], Scalar] = {}
-    zero = Scalar.zero()
-    out = []
-    for r in rows:
-        coords = []
-        for ix, am in zip(idx, amps):
-            if not ix:
-                coords.append(zero)
-            elif len(ix) == 1:
-                key = (id(r[ix[0]]), id(am[0]))
-                if key not in products:
-                    products[key] = dot([r[ix[0]]], am)
-                coords.append(products[key])
-            else:
-                coords.append(dot([r[i] for i in ix], am))
-        out.append(StateVec(module, coords))
-    return out
+    sums = products.linear_combinations(rows, [v.amps for v in vecs], module.dim)
+    return [StateVec(module, c) for c in sums]
 
 
 def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
@@ -273,12 +225,6 @@ def inner(x: StateVec, y: StateVec) -> Scalar:
     """Inner product, conjugate-linear in the first argument."""
     x._check(y)
     return dot(x.amps, y.amps, conj=True)
-
-
-def _word_scalar_on_module(w: GenWord, M: ModuleRep) -> Scalar:
-    """Value of a central word (acts as a scalar); read off from e_0."""
-    vec = apply_word(w, M.basis_vector(0))
-    return vec.amps[0]
 
 
 def root_of_unity_turns(s: Scalar) -> Fraction:
@@ -307,11 +253,6 @@ def root_of_unity_turns(s: Scalar) -> Fraction:
     raise ExactnessLost("scalar is not a root of unity")
 
 
-def _principal_root_turns(s: Scalar, N: int) -> Fraction:
-    """For a root of unity e^{2 pi i t}, return t/N (principal N-th root)."""
-    return root_of_unity_turns(s) / N
-
-
 def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     """Canonical S-basis: S-eigenvectors on which T acts by index decrement.
 
@@ -329,15 +270,13 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
         raise NotGenerating("[S,T] must equal q")
     N = M.dim
 
-    sN = _word_scalar_on_module(S ** N, M)
-    s0_turns = _principal_root_turns(sN, N)
-    tN = _word_scalar_on_module(T ** N, M)
-    t0_turns = _principal_root_turns(tN, N)
-    s0_inv = Scalar.phase(_mod1(-s0_turns))
-    t_inv = Scalar.phase(_mod1(-t0_turns))
+    # S^N and T^N are central: scalars e^{2 pi i t}; divide by their
+    # principal N-th roots e^{2 pi i t/N}
+    s0_inv = Scalar.phase(_mod1(-_kernel_turns(S ** N, M) / N))
+    t_inv = Scalar.phase(_mod1(-_kernel_turns(T ** N, M) / N))
 
     m, n = alg.word_coords(S)
-    phase_kernel = _mod1(S.phase + m * M.u_phase + n * M.v_phase)
+    phase_kernel = _kernel_turns(S, M)
     kernel = Scalar.phase(phase_kernel) if phase_kernel else None
     seed = None
     for start in range(N):
@@ -382,38 +321,15 @@ def _unit_phase_inverse(a: Scalar) -> Scalar:
     return Scalar.phase(_mod1(-t))
 
 
-class GammaMap:
-    """Unitary generator of Gamma_A(alpha) in the reference basis."""
-
-    def __init__(self, kind: str, module: ModuleRep):
-        if kind not in ("mu", "nu"):
-            raise ValueError("kind must be 'mu' or 'nu'")
-        self.kind = kind
-        self.module = module
-
-    def apply(self, x: StateVec) -> StateVec:
-        N = self.module.dim
-        if self.kind == "mu":
-            # index decrement: coefficient moves from e_m to e_{m-1}
-            return StateVec(self.module, [x.amps[(j + 1) % N] for j in range(N)])
-        return StateVec(
-            self.module,
-            [self.module.q_power(-j) * x.amps[j] for j in range(N)],
-        )
-
-    def inverse_apply(self, x: StateVec) -> StateVec:
-        N = self.module.dim
-        if self.kind == "mu":
-            return StateVec(self.module, [x.amps[(j - 1) % N] for j in range(N)])
-        return StateVec(
-            self.module,
-            [self.module.q_power(j) * x.amps[j] for j in range(N)],
-        )
-
-
-def gamma_generator(M: ModuleRep, which: str) -> GammaMap:
-    """mu: u-basis index decrement; nu: u_m -> q^{-m} u_m."""
-    return GammaMap(which, M)
+def gamma_generator(M: ModuleRep, which: str) -> GenWord:
+    """Generator of Gamma_A(alpha) as a word for apply_word; its inverse is
+    .inv().  mu = v^{-1} V, the u-basis index decrement; nu = u U^{-1},
+    which sends u_m to q^{-m} u_m."""
+    if which == "mu":
+        return GenWord(0, M.alg.b, -M.v_phase)
+    if which == "nu":
+        return GenWord(-M.alg.a, 0, M.u_phase)
+    raise ValueError("kind must be 'mu' or 'nu'")
 
 
 def relate_canonical_bases(b1: list[StateVec], b2: list[StateVec]) -> Scalar:
@@ -438,10 +354,11 @@ def quadratic_phase_exponent(hat: list[StateVec], base: list[StateVec],
                              M: ModuleRep) -> tuple[Scalar, Fraction, Fraction]:
     """Fit hat[k] = c q^{j k - n k(k+1)/2} base[k]; returns (c, n, j).
 
-    The quadratic coefficient n is the invariant of interest; the linear
-    term j absorbs the principal-root choice of the T-multiplier, and the
-    sign/normalisation of n is not fixed by the theory, so the computed
-    instance values are returned.
+    Checks the paper's statement that canonical bases for different S
+    differ by a quadratic phase.  The quadratic coefficient n is the
+    invariant of interest; the linear term j absorbs the principal-root
+    choice of the T-multiplier, and the sign/normalisation of n is not
+    fixed by the theory, so the computed instance values are returned.
     """
     N = M.dim
     ratios = [relate_canonical_bases([base[k]], [hat[k]]) for k in range(N)]

@@ -24,7 +24,7 @@ from .errors import (
 from .exactnum import Cyc, Scalar, dot
 from .lattice import GenWord, WeylDesc, _mod1, lattice_intersect
 from .morphism import summand
-from .repmod import (ModuleRep, SpecPoint, StateVec, apply_word, inner, linear_combination,
+from .repmod import (ModuleRep, SpecPoint, StateVec, apply_word, linear_combination,
                      linear_combinations, u_basis, v_basis)
 
 
@@ -76,11 +76,8 @@ class RegUnitary:
     dim: int
     dom_basis: list[StateVec] | None = None
     images: list[StateVec] | None = None
-    ambiguity_order: int = 0
 
     def __post_init__(self):
-        if self.ambiguity_order == 0:
-            self.ambiguity_order = 2 * self.ambient_dom.dim
         if mat_det(self.gL) != 1:
             raise ValueError("associated matrix must have determinant 1")
         if self.dom_basis is not None:
@@ -241,6 +238,19 @@ def free_evolution(M: ModuleRep, b: int, d: int) -> RegUnitary:
     return replace(gaussian(M, b=b, d=d), name=f"free[t={b}/{d}]")
 
 
+def check_triple(e: int, f: int, c: int) -> None:
+    """Refuse (e, f, c) unless it is a Pythagorean triple of positive
+    integers, sin t = e/c and cos t = f/c (NotPythagorean)."""
+    if e <= 0 or f <= 0 or c <= 0 or e * e + f * f != c * c:
+        raise NotPythagorean(f"({e},{f},{c}) is not a Pythagorean triple of positive integers")
+
+
+def qho_exponent(e: int, f: int, m: int, l: int, N: int) -> int:
+    """t = e f (l^2 - e^2 m^2) - 2 e^3 m l mod 2N: the QHO kernel carries
+    q^{t/2} from the m-th domain vector to u(q^{e(l+mf)})."""
+    return e * (f * (l * l - e * e * m * m) - 2 * e * e * m * l) % (2 * N)
+
+
 def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
                   phase_const: Scalar | None = None) -> RegUnitary:
     """Harmonic-oscillator evolution at Pythagorean time sin t = e/c.
@@ -253,13 +263,10 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
     with C0 = e^{-i pi/4}.  Satisfies K U^c K^{-1} = q^{-ef/2} U^f V^{-e}
     and K V^{ce} K^{-1} = q^{e^3 f/2} U^{e^2} V^{ef}.
     """
-    if e * e + f * f != c * c:
-        raise NotPythagorean(f"({e},{f},{c}) is not a Pythagorean triple")
-    if e <= 0 or f <= 0 or c <= 0:
-        raise NotPythagorean("triple entries must be positive")
+    check_triple(e, f, c)
     A = M.alg
     N = M.dim
-    if N % (c * c * e) != 0 or N % e != 0:
+    if N % (c * c * e):
         raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
     B = WeylDesc(c * A.a, c * e * A.b)
     _, dom = summand(M, B)
@@ -267,14 +274,14 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
     C0 = phase_const if phase_const is not None else Scalar.phase(Fraction(-1, 8))
     pref = C0 * Scalar.exact(Cyc.rational(1), e, N)
     q = M.q_phase
-    # pref q^{t/2} for t = 2 expo mod 2N (q^N = 1), each built on first use
+    # pref q^{t/2} for t = qho_exponent (q^N = 1), each built on first use
     table: dict[int, Scalar] = {}
     images = []
     for m in range(dim):
         amps = [Scalar.zero()] * N
         # l -> e(l + mf) mod N is injective on 0 <= l < N/e: one term per index
         for l in range(N // e):
-            t = (e * f * (l * l - e * e * m * m) - 2 * e ** 3 * m * l) % (2 * N)
+            t = qho_exponent(e, f, m, l, N)
             if t not in table:
                 table[t] = pref * M.q_power(Fraction(t, 2))
             amps[(e * (l + m * f)) % N] = table[t]
@@ -386,7 +393,6 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
         dim=dim,
         dom_basis=dom_basis,
         images=images,
-        ambiguity_order=2 * N,
     )
 
 
@@ -411,21 +417,20 @@ def verify_conjugation(L: RegUnitary, names: list[str] | None = None,
     idx = range(L.dim) if sample is None or L.dim <= sample else range(0, L.dim, max(1, L.dim // sample))
 
     if names is None or "unitary" in names:
-        from .products import monomial_products  # compiled on first use only
+        from . import products  # compiled on first use only
 
         worst = 0.0
         ok = True
-        # the images' Gram matrix as one product, when the kernel takes it
+        # the images' Gram matrix as one product
         imgs = [L.image(i).amps for i in idx]
-        gram = monomial_products(imgs, [list(col) for col in zip(*imgs)], conj=True)
+        gram = products.linear_combinations(imgs, list(zip(*imgs)), len(imgs), conj=True)
         for a, i in enumerate(idx):
             # distinct domain vectors have disjoint supports: <dom i|dom j> = 0
             b = L.dom(i).amps
             supp = [b[j] for j in L._supports[i]]
             norm2 = dot(supp, supp, conj=True)
             for c, j in enumerate(idx):
-                lhs = inner(L.image(i), L.image(j)) if gram is None else gram[a][c]
-                diff = lhs - (norm2 if i == j else Scalar.zero())
+                diff = gram[a][c] - (norm2 if i == j else Scalar.zero())
                 if not diff.is_zero():
                     ok = False
                     worst = max(worst, abs(diff.to_complex()))

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -143,13 +144,6 @@ class TestPropagator:
         assert captured.out == ""
         assert "grid point count must be at least 1" in captured.err
 
-    def test_jobs_deterministic(self, capsys):
-        code1, out1 = run(capsys, "propagator", "free", "--t", "1/2", "--mu", "240",
-                          "--grid=-1:1:3", "--jobs", "1", "--format", "csv")
-        code2, out2 = run(capsys, "propagator", "free", "--t", "1/2", "--mu", "240",
-                          "--grid=-1:1:3", "--jobs", "4", "--format", "csv")
-        assert out1 == out2
-
 
 class TestConverge:
     def test_ccr_order(self, capsys):
@@ -173,7 +167,7 @@ class TestOptions:
         ["basis", "--alg", "1,1/4", "--tol", "1e-3"],
         ["pairing", "--n", "8", "--left", "u:3", "--right", "v:5", "--seed", "1"],
         ["transform", "--name", "fourier", "--n", "8", "--mode", "float"],
-        ["trace", "qho", "--jobs", "2"],
+        ["trace", "qho", "--grid=-1:1:3"],
     ])
     def test_option_of_another_subcommand_exit_2(self, capsys, argv):
         # argparse refuses the option instead of ignoring it
@@ -190,3 +184,50 @@ class TestOutputFile:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["results"]["center"] == "2,2"
+
+
+class ReadRecorder(argparse.Namespace):
+    """Namespace that records which attributes are read."""
+
+    def __init__(self, **kw):
+        super().__init__(**kw)
+        object.__setattr__(self, "_read", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestEveryOptionIsRead:
+    # per subcommand, argvs whose runs together reach every branch that
+    # reads an option
+    ARGVS = {
+        "lattice": [["lattice", "--center", "1/2,1/2"]],
+        "basis": [["basis", "--alg", "1,1/4", "--which", "s", "--s-word", "1,-1/4",
+                   "--t-word", "0,1/4"]],
+        "pairing": [["pairing", "--n", "8", "--left", "u:3", "--right", "v:5"]],
+        "transform": [["transform", "--name", name, "--n", "8", "--sample", "1"]
+                      for name in ("fourier", "gaussian", "diagonal", "free")]
+                     + [["transform", "--name", "qho", "--n", "75", "--sample", "1"]],
+        "propagator": [["propagator", "free", "--mu", "auto", "--grid=0:0:1"],
+                       ["propagator", "qho", "--mu", "auto", "--grid=0:0:1"]],
+        "trace": [["trace", "qho"]],
+        "converge": [["converge", "weakring", "--mu", "10,20"]],
+    }
+
+    def test_every_subcommand_is_covered(self):
+        sub = next(a for a in cli.make_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.ARGVS)
+
+    @pytest.mark.parametrize("command", sorted(ARGVS))
+    def test_every_option_is_read(self, capsys, command):
+        parser = cli.make_parser()
+        dests, read = set(), set()
+        for argv in self.ARGVS[command]:
+            args = ReadRecorder(**vars(parser.parse_args(argv)))
+            dests |= set(vars(args)) - {"command", "func", "_read"}
+            assert args.func(args) == 0
+            read |= object.__getattribute__(args, "_read")
+        capsys.readouterr()
+        assert dests - read == set()

@@ -1,9 +1,10 @@
-"""products.monomial_products against the per-coordinate path it replaces.
+"""products.linear_combinations and its histogram kernel against oracles.
 
-The oracle is linear_combinations as it stood before the kernel: one scan
-of the vectors' nonzero entries per call and one `dot` per coordinate and
-row.  Results are compared term for term after reducing both sides mod
-Phi_L at a common order L.
+The kernel's oracle is linear_combinations as it stood before the kernel:
+one scan of the vectors' nonzero entries per call and one `dot` per
+coordinate and row.  The entry point's oracle is the naive
+sum_i row[i] * cols[i][j] in Scalar arithmetic.  Results are compared term
+for term after reducing both sides mod Phi_L at a common order L.
 """
 
 import random
@@ -18,10 +19,15 @@ from hypothesis import strategies as st
 
 from finiteweyl import products
 from finiteweyl.exactnum import Cyc, Scalar, _reduce_mod_cyclotomic, dot
-from finiteweyl.products import PRODUCTS_CHUNK_BYTES, monomial_products
+from finiteweyl.products import PRODUCTS_CHUNK_BYTES
 from finiteweyl.lattice import WeylDesc
 from finiteweyl.repmod import SpecPoint, StateVec, build_module, linear_combinations, v_basis
 from finiteweyl.transform import fourier, gaussian
+
+
+def monomial_products(rows, cols, conj=False):
+    """The histogram kernel alone: None where it declines."""
+    return products._monomial_products(rows, cols, len(cols[0]), conj)
 
 
 def linear_combinations_oracle(module, rows, vecs):
@@ -211,6 +217,85 @@ class TestDispatch:
         rows = [[Scalar(1, Cyc(64, {k: F(1)})) for k in range(32)] for _ in range(32)]
         cols = [M.basis_vector(k).amps for k in range(32)]
         assert monomial_products(rows, cols) is None
+
+
+def naive_combinations(rows, cols, dim, conj=False):
+    """Oracle: sum_i row[i] * cols[i][j] in Scalar arithmetic, as zip pairs them."""
+    out = []
+    for r in rows:
+        coords = []
+        for j in range(dim):
+            acc = Scalar.zero()
+            for a, col in zip(r, cols):
+                acc = acc + (a.conj() if conj else a) * col[j]
+            coords.append(acc)
+        out.append(coords)
+    return out
+
+
+def check_entry_point(rows, cols, dim, conj):
+    got = products.linear_combinations(rows, cols, dim, conj=conj)
+    expect = naive_combinations(rows, cols, dim, conj)
+    assert len(got) == len(rows)
+    for g, e in zip(got, expect):
+        assert len(g) == dim
+        assert all((a - b).is_zero() for a, b in zip(g, e))
+    return got
+
+
+@pytest.mark.parametrize("conj", [False, True], ids=["plain", "conj"])
+@pytest.mark.parametrize("threshold", [0, 10**9], ids=["kernel-allowed", "below-threshold"])
+class TestEntryPointAgainstNaive:
+    """products.linear_combinations on both sides of PRODUCTS_MIN, against
+    sum_i row[i] * cols[i][j]."""
+
+    def test_dense_one_term_entries(self, conj, threshold):
+        rng = random.Random(11)
+        rows, cols = random_operands(rng, 120, 3, 6, 7, rads=(2, 3))
+        with products_min(threshold):
+            assert (monomial_products(rows, cols, conj) is not None) == (threshold == 0)
+            check_entry_point(rows, cols, 7, conj)
+
+    def test_block_sparse_one_term_coordinates(self, conj, threshold):
+        # a summand basis: column i is nonzero on block i only, and the rows
+        # share their Scalars, so the one-term products are memoised by identity
+        rng = random.Random(12)
+        block, n = 3, 4
+        cols = [[monomial(rng, 24, 1, density=1.0) if j // block == i else Scalar.zero()
+                 for j in range(block * n)] for i in range(n)]
+        shared = [Scalar(2, Cyc(24, {5: F(3, 2)})), Scalar(2, Cyc(8, {3: F(-1)}))]
+        rows = [[shared[(i + k) % 2] for i in range(n)] for k in range(3)]
+        with products_min(threshold):
+            assert monomial_products(rows, cols, conj) is None
+            got = check_entry_point(rows, cols, block * n, conj)
+        assert got[0][0] is got[2][0]
+
+    def test_multi_term_entries_and_mixed_radicands(self, conj, threshold):
+        rng = random.Random(13)
+        rows, cols = random_operands(rng, 240, 2, 5, 6)
+        cols[2][1] = Scalar(1, Cyc(240, {1: F(1), 7: F(-2, 3)}))
+        rows[1][3] = Scalar(6, Cyc(8, {1: F(1)}))
+        with products_min(threshold):
+            assert monomial_products(rows, cols, conj) is None
+            check_entry_point(rows, cols, 6, conj)
+
+    def test_all_zero_rows_and_ragged_rows(self, conj, threshold):
+        rng = random.Random(14)
+        rows, cols = random_operands(rng, 48, 3, 5, 4)
+        rows[1] = [Scalar.zero()] * 5
+        rows[2] = rows[2] + [Scalar.one()]  # entries past the columns are ignored
+        with products_min(threshold):
+            got = check_entry_point(rows, cols, 4, conj)
+        assert all(not a.cyc.coeffs for a in got[1])
+
+    def test_empty_column_list(self, conj, threshold):
+        with products_min(threshold):
+            got = check_entry_point([[Scalar.one()], []], [], 5, conj)
+        assert all(not a.cyc.coeffs for row in got for a in row)
+        M = module(5)
+        with products_min(threshold):
+            vecs = linear_combinations(M, [[Scalar.one()]], [])
+        assert len(vecs) == 1 and len(vecs[0].amps) == 5 and vecs[0].is_zero()
 
 
 class TestRecognition:

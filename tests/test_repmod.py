@@ -9,7 +9,6 @@ from finiteweyl.errors import ModuleMismatch, NotGenerating, NotInAlgebra
 from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1
 from finiteweyl.repmod import (
-    BasisLabel,
     StateVec,
     SpecPoint,
     apply_word,
@@ -285,7 +284,6 @@ class TestSBasis:
             if not b.is_zero():
                 lam = a / b
                 break
-        seed2 = M.zero_vector()
         vec = M.basis_vector(1)
         acc = vec
         for _ in range(5):
@@ -306,12 +304,6 @@ class TestSBasis:
         with pytest.raises(NotGenerating):
             s_basis(M, word_U(M), word_U(M))
 
-    def test_basis_label_validation(self):
-        M = principal_module(4)
-        BasisLabel(word_U(M), word_V(M), 0).validate(M.alg)
-        with pytest.raises(NotGenerating):
-            BasisLabel(word_U(M), word_U(M), 0).validate(M.alg)
-
 
 class TestGamma:
     @pytest.mark.parametrize("N", [2, 3, 4, 8, 16, 64])
@@ -321,7 +313,7 @@ class TestGamma:
         vec = v_basis(M)[1 % N]
         out = vec
         for _ in range(N):
-            out = mu.apply(out)
+            out = apply_word(mu, out)
         assert all((a - b).is_zero() for a, b in zip(out.amps, vec.amps))
 
     def test_mu_conjugation(self):
@@ -330,10 +322,10 @@ class TestGamma:
         mu = gamma_generator(M, "mu")
         for k in (0, 2, 5):
             vec = M.basis_vector(k)
-            lhs = mu.apply(apply_word(word_U(M), mu.inverse_apply(vec)))
+            lhs = apply_word(mu, apply_word(word_U(M), apply_word(mu.inv(), vec)))
             rhs = apply_word(word_U(M), vec).scale(M.q_power(1))
             assert all((a - b).is_zero() for a, b in zip(lhs.amps, rhs.amps))
-            lhs_v = mu.apply(apply_word(word_V(M), mu.inverse_apply(vec)))
+            lhs_v = apply_word(mu, apply_word(word_V(M), apply_word(mu.inv(), vec)))
             rhs_v = apply_word(word_V(M), vec)
             assert all((a - b).is_zero() for a, b in zip(lhs_v.amps, rhs_v.amps))
 
@@ -343,10 +335,10 @@ class TestGamma:
         nu = gamma_generator(M, "nu")
         for k in (0, 1, 4):
             vec = M.basis_vector(k)
-            lhs = nu.apply(apply_word(word_V(M), nu.inverse_apply(vec)))
+            lhs = apply_word(nu, apply_word(word_V(M), apply_word(nu.inv(), vec)))
             rhs = apply_word(word_V(M), vec).scale(M.q_power(1))
             assert all((a - b).is_zero() for a, b in zip(lhs.amps, rhs.amps))
-            lhs_u = nu.apply(apply_word(word_U(M), nu.inverse_apply(vec)))
+            lhs_u = apply_word(nu, apply_word(word_U(M), apply_word(nu.inv(), vec)))
             rhs_u = apply_word(word_U(M), vec)
             assert all((a - b).is_zero() for a, b in zip(lhs_u.amps, rhs_u.amps))
 
@@ -355,7 +347,37 @@ class TestGamma:
         for kind in ("mu", "nu"):
             g = gamma_generator(M, kind)
             x, y = v_basis(M)[2], v_basis(M)[4]
-            assert (inner(g.apply(x), g.apply(y)) - inner(x, y)).is_zero()
+            assert (inner(apply_word(g, x), apply_word(g, y)) - inner(x, y)).is_zero()
+
+    @pytest.mark.parametrize("N", range(1, 13))
+    @pytest.mark.parametrize("principal", [True, False], ids=["principal", "non-principal"])
+    def test_words_against_the_index_and_phase_maps(self, N, principal):
+        # oracle: mu moves the coefficient of e_{j+1} to e_j and nu multiplies
+        # e_j by q^{-j}; the inverses shift and multiply the other way
+        A = WeylDesc(F(1), F(1, N))
+        if principal:
+            M = build_module(A, SpecPoint.principal_point())
+        else:
+            point = SpecPoint(F(1, 5), F(2, 3))
+            M = build_module(A, point, u_phase=(point.u_phase + 1) / N, v_phase=(point.v_phase + N - 1) / N)
+            assert M.u_phase and M.v_phase
+        rng = random.Random(N)
+        x = StateVec(M, [random_amplitude(rng, N, 0.8) for _ in range(N)])
+        mu, nu = gamma_generator(M, "mu"), gamma_generator(M, "nu")
+        expect = {
+            "mu": [x.amps[(j + 1) % N] for j in range(N)],
+            "mu^-1": [x.amps[(j - 1) % N] for j in range(N)],
+            "nu": [M.q_power(-j) * x.amps[j] for j in range(N)],
+            "nu^-1": [M.q_power(j) * x.amps[j] for j in range(N)],
+        }
+        got = {"mu": apply_word(mu, x), "mu^-1": apply_word(mu.inv(), x),
+               "nu": apply_word(nu, x), "nu^-1": apply_word(nu.inv(), x)}
+        for name, vec in got.items():
+            assert all((a - b).is_zero() for a, b in zip(vec.amps, expect[name])), name
+
+    def test_unknown_generator(self):
+        with pytest.raises(ValueError):
+            gamma_generator(principal_module(4), "lambda")
 
 
 class TestBaseRelations:
@@ -531,12 +553,17 @@ class TestApplyWordAgainstOracle:
 # ---------------------------------------------------------------------------
 
 def s_basis_oracle(M, S, T):
-    """Oracle: s_basis projecting with N - 1 whole-vector apply_words per start."""
-    from finiteweyl.repmod import _principal_root_turns, _unit_phase_inverse, _word_scalar_on_module
+    """Oracle: s_basis projecting with N - 1 whole-vector apply_words per start,
+    reading the central scalars S^N and T^N off apply_word on e_0."""
+    from finiteweyl.repmod import _unit_phase_inverse
 
     N = M.dim
-    s0_inv = Scalar.phase(_mod1(-_principal_root_turns(_word_scalar_on_module(S ** N, M), N)))
-    t_inv = Scalar.phase(_mod1(-_principal_root_turns(_word_scalar_on_module(T ** N, M), N)))
+
+    def principal_root_turns(w):
+        return root_of_unity_turns(apply_word(w, M.basis_vector(0)).amps[0]) / N
+
+    s0_inv = Scalar.phase(_mod1(-principal_root_turns(S ** N)))
+    t_inv = Scalar.phase(_mod1(-principal_root_turns(T ** N)))
     seed = None
     for start in range(N):
         acc = M.basis_vector(start)

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from finiteweyl.dirac import ScaleParams, qho_propagator, qho_trace
 from finiteweyl.errors import (
     DivisibilityViolation,
     ModuleMismatch,
@@ -27,6 +28,7 @@ from finiteweyl.repmod import (
 )
 from finiteweyl.transform import (
     RegUnitary,
+    check_triple,
     compose,
     diagonal,
     fourier,
@@ -52,7 +54,7 @@ def sub_v_basis(L):
     inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
     out = []
     for p in range(Nb):
-        vec = M.zero_vector()
+        vec = StateVec(M, [Scalar.zero()] * M.dim)
         for m in range(Nb):
             vec = vec + L.dom(m).scale(inv_sqrt * M.q_power(step * p * m))
         out.append(vec)
@@ -346,6 +348,29 @@ class TestQHO:
         K = qho_evolution(M, 3, 4, 5)
         for rep in verify_conjugation(K):
             assert rep.holds and rep.residual == 0.0
+
+    @pytest.mark.parametrize("triple", [(3, 4, 6), (0, 5, 5), (-3, 4, 5), (3, -4, 5), (3, 4, -5)])
+    def test_every_qho_entry_refuses_a_bad_triple(self, triple):
+        with pytest.raises(NotPythagorean):
+            check_triple(*triple)
+        with pytest.raises(NotPythagorean):
+            qho_evolution(principal_module(225), *triple)
+        with pytest.raises(NotPythagorean):
+            qho_propagator(0.0, 0.0, triple, ScaleParams(F(1), 60))
+        with pytest.raises(NotPythagorean):
+            qho_trace(triple, ScaleParams(F(1), 60))
+
+    def test_float_propagator_sums_the_exact_kernel(self):
+        # qho_propagator times its grid step is <dom n|K dom m> of the exact
+        # transform on the same module (N = mu^2 = 900), indices taken mod dim
+        e, f, c = 3, 4, 5
+        params = ScaleParams(F(1), 30)
+        K = qho_evolution(principal_module(params.N), e, f, c)
+        step, dx = c * e * params.hbar / params.mu, e * params.hbar / params.mu
+        for n in range(-K.dim // 2, K.dim // 2 + 1):
+            for m in range(-K.dim // 2, K.dim // 2 + 1):
+                s = qho_propagator(n * step, m * step, (e, f, c), params)
+                assert abs(s.value * dx - inner(K.dom(n), K.image(m)).to_complex()) < 1e-12
 
 
 def qho_images_oracle(M, e, f, c):
