@@ -425,8 +425,12 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse reads a word such as "-1,0" as an option: glue it to its flag
+    for i in reversed(range(len(argv) - 1)):
+        if argv[i] in ("--s-word", "--t-word") and not argv[i + 1].startswith("--"):
+            argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    args = make_parser().parse_args(argv)
     try:
         return args.func(args)
     except FiniteWeylError as exc:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
-from .exactnum import Cyc, Scalar
+from .exactnum import Cyc, Scalar, dot
 from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
 from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner, linear_combination
 
@@ -52,10 +53,11 @@ def decompose(M: ModuleRep, B: WeylDesc):
     """Split V_A(alpha) into B-submodules with canonical bases.
 
     Returns [(beta, basis)], ordered by increasing branch index
-    ell = ell_u * k + ell_v.  Requires nk | N.
+    ell = ell_u * k + ell_v.  Requires nk | N.  The summands share one amplitude table.
     """
     n, k = _indices(M, B)
-    return [summand(M, B, ell_u, ell_v) for ell_u in range(n) for ell_v in range(k)]
+    amp = _amplitudes(M, n)
+    return [_summand(M, B, n, k, ell_u, ell_v, amp) for ell_u in range(n) for ell_v in range(k)]
 
 
 def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
@@ -69,19 +71,30 @@ def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
     n, k = _indices(M, B)
     if not (0 <= ell_u < n and 0 <= ell_v < k):
         raise BadBranch(f"branch ({ell_u},{ell_v}) is outside {n} x {k}")
-    N = M.dim
-    NB = N // (n * k)
+    return _summand(M, B, n, k, ell_u, ell_v, _amplitudes(M, n))
+
+
+def _amplitudes(M: ModuleRep, n: int):
+    """t -> q^t/sqrt(n), each value built on first use and then shared."""
     inv_sqrt_n = Scalar.exact(Cyc.rational(1), 1, n)
-    table: dict[int, Scalar] = {}
+    return cache(lambda t: inv_sqrt_n * M.q_power(t))
+
+
+def _supports(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
+    """For each basis vector g_m' of the branch (ell_u, ell_v) summand, its n
+    support pairs (idx, amp(ell_u idx mod N)), idx = (k m' + ell_v + r N/n) mod N."""
+    N = M.dim
+    for mp in range(N // (n * k)):
+        idxs = [(k * mp + ell_v + r * N // n) % N for r in range(n)]
+        yield [(idx, amp(ell_u * idx % N)) for idx in idxs]
+
+
+def _summand(M: ModuleRep, B: WeylDesc, n: int, k: int, ell_u: int, ell_v: int, amp):
     basis = []
-    for mp in range(NB):
-        amps = [Scalar.zero()] * N
-        for r in range(n):
-            idx = (k * mp + ell_v + r * N // n) % N
-            t = ell_u * idx % N
-            if t not in table:
-                table[t] = inv_sqrt_n * M.q_power(t)
-            amps[idx] = table[t]
+    for g in _supports(M, n, k, ell_u, ell_v, amp):
+        amps = [Scalar.zero()] * M.dim
+        for idx, a in g:
+            amps[idx] = a
         basis.append(StateVec(M, amps))
     return _summand_params(M, B, ell_u, ell_v)[2], basis
 
@@ -130,24 +143,16 @@ def embed_pbeta(Msub: ModuleRep, ambient, branch: int | None = None, root: int =
     qB = _mod1(Fraction(n * k) * Mamb.q_phase)
     u_sub, v_sub, _ = _summand_params(Mamb, B, ell_u, ell_v)
     # align eigenvalues: u_dom = u_sub * qB^sigma, v_dom = v_sub * qB^tau
-    sigma = tau = None
-    for s in range(NB):
-        if _mod1(u_sub + s * qB) == Msub.u_phase:
-            sigma = s
-            break
-    for t in range(NB):
-        if _mod1(v_sub + t * qB) == Msub.v_phase:
-            tau = t
-            break
+    sigma = next((s for s in range(NB) if _mod1(u_sub + s * qB) == Msub.u_phase), None)
+    tau = next((t for t in range(NB) if _mod1(v_sub + t * qB) == Msub.v_phase), None)
     if sigma is None or tau is None:
         raise BadBranch("submodule roots are incompatible with the summand")
 
     # column j carries the alignment phase qB^{tau j} times the root's phase
     root_turns = Fraction(root % NB, NB)
-    cols = [
-        basis[(j + sigma) % NB].scale(Scalar.phase(_mod1(Fraction(tau * j) * qB + root_turns)))
-        for j in range(NB)
-    ]
+    turns = [_mod1(Fraction(tau * j) * qB + root_turns) for j in range(NB)]
+    cols = [basis[(j + sigma) % NB].scale(Scalar.phase(t)) if t else basis[(j + sigma) % NB]
+            for j, t in enumerate(turns)]
     return Embedding(Msub, Mamb, Msub.point, idx, cols)
 
 
@@ -174,17 +179,17 @@ def pairing_row_sum(B: WeylDesc, f: StateVec) -> Scalar:
     """Sum of [e|f] over a canonical orthonormal basis of the B-bundle slice.
 
     The basis runs over all summands of the ambient decomposition lying over
-    f's fiber, so the sum is exactly <p(f)|p(f)> = 1 for unit f.
+    f's fiber, so the sum is exactly <p(f)|p(f)> = 1 for unit f.  Each
+    s_g = <g|p(f)> is one `dot` over g's n support pairs, and the sum of
+    |s_g|^2 is one more `dot`; no dense basis vector is built.
     """
     D = f.module.alg
     A = join(B, D)
     alpha = spectrum_project(D, A, f.module.point)
     Mamb = build_module(A, alpha)
-    pf = embed_pbeta(f.module, Mamb).apply(f)
-    total = Scalar.zero()
-    for _beta, basis in decompose(Mamb, B):
-        for g in basis:
-            s = inner(g, pf)
-            if not s.is_zero():
-                total = total + s.conj() * s
-    return total
+    pf = embed_pbeta(f.module, Mamb).apply(f).amps
+    n, k = _indices(Mamb, B)
+    amp = _amplitudes(Mamb, n)
+    S = [dot([a for _, a in g], [pf[idx] for idx, _ in g], conj=True)
+         for ell in range(n * k) for g in _supports(Mamb, n, k, *divmod(ell, k), amp)]
+    return dot(S, S, conj=True)

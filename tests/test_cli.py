@@ -41,6 +41,24 @@ class TestBasis:
         basis = payload["results"]["basis"]
         assert len(basis) == 4 and len(basis[0]) == 4
 
+    # a word whose first exponent is negative, space-separated or glued
+    @pytest.mark.parametrize("alg,s_word,t_word", [("1,1/6", "0,1/6", "-1,0"),
+                                                   ("1,1/4", "-1,1/4", "0,-1/4")])
+    def test_negative_word_parses_in_both_forms(self, capsys, alg, s_word, t_word):
+        head = ["basis", "--alg", alg, "--which", "s"]
+        code, spaced = run(capsys, *head, "--s-word", s_word, "--t-word", t_word)
+        assert code == 0
+        code, glued = run(capsys, *head, f"--s-word={s_word}", f"--t-word={t_word}")
+        assert code == 0
+        assert spaced == glued
+        assert len(json.loads(spaced)["results"]["basis"]) == int(alg.split("/")[1])
+
+    def test_missing_word_value_still_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["basis", "--alg", "1,1/4", "--which", "s", "--s-word", "1,0", "--t-word"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+
 
 class TestPairing:
     def test_u_v_pairing(self, capsys):

@@ -2,10 +2,21 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finiteweyl import morphism, repmod
 from finiteweyl.errors import BadBranch, NotDividing, NotIncluded
 from finiteweyl.exactnum import Cyc, Scalar, root_of_unity
-from finiteweyl.lattice import GenWord, WeylDesc, _mod1, q_order, relative_indices
+from finiteweyl.lattice import (
+    GenWord,
+    WeylDesc,
+    _mod1,
+    join,
+    q_order,
+    relative_indices,
+    spectrum_project,
+)
 from finiteweyl.morphism import decompose, embed_pbeta, pairing, pairing_row_sum, summand
 from finiteweyl.repmod import (
     SpecPoint,
@@ -13,6 +24,7 @@ from finiteweyl.repmod import (
     apply_word,
     build_module,
     inner,
+    linear_combination,
     v_basis,
 )
 
@@ -120,6 +132,16 @@ class TestEmbedding:
         emb = embed_pbeta(M, M.alg)
         for k in range(5):
             assert (emb.apply(M.basis_vector(k)) - emb.amb.basis_vector(k)).is_zero()
+
+    def test_unit_phase_columns_own_their_amps(self):
+        # the self-embedding's columns are the summand vectors, unscaled, yet
+        # each column is its own vector: editing one changes no other
+        M = module_of_dim(12)
+        cols = embed_pbeta(M, M).columns
+        assert len({id(c) for c in cols}) == len({id(c.amps) for c in cols}) == 12
+        cols[0].amps[0] = -cols[0].amps[0]
+        assert cols[1].amps[1] == Scalar.one()
+        assert embed_pbeta(M, M).columns[0].amps[0] == Scalar.one()
 
     def test_intertwines_and_preserves_inner(self):
         rng = random.Random(23)
@@ -349,6 +371,23 @@ class TestSummandAgainstOracle:
                 assert got[0] == beta
                 assert [terms(v) for v in got[1]] == [terms(v) for v in basis]
 
+    def test_summands_share_one_amplitude_per_phase(self):
+        # every amplitude is q^t/sqrt(n) with t = ell_u idx mod N: decompose
+        # builds one Scalar per t for all summands, summand one per t
+        M = module_of_dim(24)
+        B = sub_desc(M, 3, 2)
+        ids = {}
+        for ell, (_, basis) in enumerate(decompose(M, B)):
+            ell_u = ell // 2
+            for v in basis:
+                for idx, a in enumerate(v.amps):
+                    if a.cyc.coeffs:
+                        ids.setdefault(ell_u * idx % 24, set()).add(id(a))
+        assert len(ids) == 24 and all(len(group) == 1 for group in ids.values())
+        _, basis = summand(M, B, 2, 1)
+        amps = [(2 * idx % 24, a) for v in basis for idx, a in enumerate(v.amps) if a.cyc.coeffs]
+        assert len({t for t, _ in amps}) == len({id(a) for _, a in amps}) < len(amps)
+
     def test_default_is_principal_branch(self):
         M = module_of_dim(225)
         B = sub_desc(M, 5, 15)
@@ -377,3 +416,94 @@ class TestSummandAgainstOracle:
                 idx, cols = embed_oracle(Msub, Mamb, parts, root)
                 assert emb.ell == idx == ell
                 assert [terms(c) for c in emb.columns] == [terms(c) for c in cols]
+
+
+# ---------------------------------------------------------------------------
+# row sums against the dense loop, kept as the oracle
+# ---------------------------------------------------------------------------
+
+def row_sum_oracle(B, f):
+    """Oracle: p(f) from the oracle embedding, then one `inner` per dense
+    basis vector of every oracle summand, |s|^2 summed one Scalar at a time."""
+    D = f.module.alg
+    A = join(B, D)
+    Mamb = build_module(A, spectrum_project(D, A, f.module.point))
+    _, cols = embed_oracle(f.module, Mamb, decompose_oracle(Mamb, D))
+    pf = linear_combination(Mamb, f.amps, cols)
+    total = Scalar.zero()
+    for _beta, basis in decompose_oracle(Mamb, B):
+        for g in basis:
+            s = inner(g, pf)
+            if not s.is_zero():
+                total = total + s.conj() * s
+    return total
+
+
+# (N, B's (n, k), D's (n, k), point of join(B, D)) inside A(1, 1/N): B = D = A
+# (n = k = 1), B inside D, B not inside D (join(B, D) = A or a proper
+# subalgebra), principal and non-principal points
+ROW_SUM_CASES = [
+    (6, (1, 1), (1, 1), (0, 0)),
+    (8, (2, 1), (1, 1), (F(1, 4), 0)),
+    (8, (2, 1), (1, 2), (0, 0)),
+    (12, (2, 3), (3, 1), (F(1, 3), F(2, 5))),
+    (12, (1, 2), (2, 2), (F(1, 2), F(1, 6))),
+    (12, (2, 2), (2, 1), (0, F(1, 2))),
+    (18, (3, 2), (1, 3), (F(3, 4), 0)),
+]
+
+
+def random_amplitude(rng):
+    """Zero, or 1 to 3 roots of unity with rational coefficients times sqrt(1, 2, 3 or 6)."""
+    if rng.random() < 0.2:
+        return Scalar.zero()
+    order = rng.choice([4, 6, 8, 12])
+    terms = {rng.randrange(order): F(rng.randint(-3, 3) or 1, rng.randint(1, 4))
+             for _ in range(rng.randint(1, 3))}
+    return Scalar(rng.choice([1, 2, 3, 6]), Cyc(order, terms))
+
+
+def unit_vector(M, rng):
+    c = Scalar.exact(Cyc.rational(1), 1, M.dim)
+    return StateVec(M, [c * root_of_unity(M.dim, rng.randrange(M.dim)) for _ in range(M.dim)])
+
+
+class TestRowSumAgainstOracle:
+    @pytest.mark.parametrize("case", ROW_SUM_CASES)
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(rng=st.randoms(use_true_random=False))
+    def test_equals_dense_loop(self, case, rng):
+        # f lives over a random summand of join(B, D), with random roots
+        N, (nB, kB), (nD, kD), point = case
+        A0 = WeylDesc(F(1), F(1, N))
+        B, D = WeylDesc(nB * A0.a, kB * A0.b), WeylDesc(nD * A0.a, kD * A0.b)
+        parts = decompose(build_module(join(B, D), SpecPoint(*point)), D)
+        beta = rng.choice(parts)[0]
+        ND = build_module(D, beta).dim
+        MD = build_module(D, beta, beta.u_phase / ND + F(rng.randrange(ND), ND),
+                          beta.v_phase / ND + F(rng.randrange(ND), ND))
+        f = StateVec(MD, [random_amplitude(rng) for _ in range(ND)])
+        assert (pairing_row_sum(B, f) - row_sum_oracle(B, f)).is_zero()
+
+    def test_largest_benchmark_shape_is_exactly_one(self):
+        # (n, k, NB) = (5, 2, 12): N_A = 120, ten summands of dimension 12
+        M = module_of_dim(120)
+        B = sub_desc(M, 5, 2)
+        f = unit_vector(M, random.Random(12))
+        got = pairing_row_sum(B, f)
+        assert got == Scalar.one()
+        assert (got - row_sum_oracle(B, f)).is_zero()
+
+    def test_builds_no_dense_basis(self, monkeypatch):
+        # the row sum reads the summands' supports: neither the dense
+        # decomposition nor a full-length inner product may run
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense row-sum path")
+
+        monkeypatch.setattr(morphism, "decompose", refuse)
+        monkeypatch.setattr(morphism, "inner", refuse)
+        monkeypatch.setattr(repmod, "inner", refuse)
+        M = module_of_dim(24)
+        f = unit_vector(M, random.Random(3))
+        assert pairing_row_sum(sub_desc(M, 3, 2), f) == Scalar.one()
+        assert pairing_row_sum(sub_desc(M, 2, 1), M.basis_vector(5)) == Scalar.one()
