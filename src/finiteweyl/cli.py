@@ -307,6 +307,8 @@ def cmd_trace(args) -> int:
 
 def cmd_converge(args) -> int:
     mus = [int(x) for x in args.mu_list.split(",")]
+    if args.quantity == "ccr" and len(mus) < 2:
+        raise ValueError("converge ccr fits an order and needs at least two mu values")
     rep = dirac.converge_study(args.quantity, mus, h=parse_rat(args.h), seed=args.seed)
     checks = []
     if args.quantity == "ccr":

@@ -71,9 +71,9 @@ class ScaleParams:
     def algebra(self) -> WeylDesc:
         return WeylDesc(Fraction(1, self.mu), self.h / self.mu)
 
-    def word(self, rho: int, tau: int, phase: Fraction = Fraction(0)) -> GenWord:
-        """U^{rho/mu} V^{h tau/mu} with an optional phase."""
-        return GenWord(Fraction(rho, self.mu), self.h * tau / self.mu, phase)
+    def word(self, rho: int, tau: int) -> GenWord:
+        """U^{rho/mu} V^{h tau/mu}."""
+        return GenWord(Fraction(rho, self.mu), self.h * tau / self.mu)
 
 
 def auto_mu(h: Fraction, divisors: list[int], min_mu: int = 2) -> int:
@@ -128,8 +128,8 @@ class ConvergenceReport:
     fitted_order: float
 
 
-def delta_k(r_word: GenWord, s_word: GenWord, params: ScaleParams, d: int = 1) -> RescaleCtx:
-    """Dirac rescaling step: Delta k = b cc/(aR aS sqrt N), or cc sqrt(d/N).
+def delta_k(r_word: GenWord, s_word: GenWord, params: ScaleParams) -> RescaleCtx:
+    """Dirac rescaling step: Delta k = b cc/(aR aS sqrt N), or cc/sqrt(N) when b = 0.
 
     b is the minimal positive commutation exponent of the two words; aR, aS
     are the maximal root divisibilities R^{1/aR}, S^{1/aS} in the ambient
@@ -141,7 +141,7 @@ def delta_k(r_word: GenWord, s_word: GenWord, params: ScaleParams, d: int = 1) -
     b = abs(rR * tS - rS * tR)
     N = params.N
     if b == 0:
-        delta = params.cc * math.sqrt(d / N)
+        delta = params.cc * math.sqrt(1 / N)
         return RescaleCtx(r_word, s_word, 0, 1, 1, delta)
     aR = gcd(abs(rR), abs(tR))
     aS = gcd(abs(rS), abs(tS))
@@ -291,6 +291,10 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
 # coordinatization and CCR
 # ---------------------------------------------------------------------------
 
+# Half-width of the standard-part window the weak-ring samples are drawn from.
+WEAKRING_WINDOW = 8.0
+
+
 def st_mu(m: int, params: ScaleParams, window: float = math.inf) -> float:
     """Standard-part coordinate m/mu on the window [-N/2, N/2)."""
     N = params.N
@@ -303,9 +307,9 @@ def st_mu(m: int, params: ScaleParams, window: float = math.inf) -> float:
     return x
 
 
-def weakring_samples(params: ScaleParams, count: int, seed: int = 0,
-                     window: float = 8.0):
-    """Quadruples (m1,n1,m2,n2) with m1 n1 = m2 n2 (mod mu^2) on the window.
+def weakring_samples(params: ScaleParams, count: int, seed: int = 0):
+    """Quadruples (m1,n1,m2,n2) with m1 n1 = m2 n2 (mod mu^2) on the window
+    [-WEAKRING_WINDOW, WEAKRING_WINDOW) of standard parts.
 
     Patterns: swapped factors, mu-divisor shifts, and (a mu + c)-block pairs;
     the congruence holds by construction.
@@ -314,7 +318,7 @@ def weakring_samples(params: ScaleParams, count: int, seed: int = 0,
 
     rng = _random.Random(seed)
     mu = params.mu
-    Wm = int(window * mu)
+    Wm = int(WEAKRING_WINDOW * mu)
     out = []
     while len(out) < count:
         pat = rng.randrange(3)
@@ -323,25 +327,23 @@ def weakring_samples(params: ScaleParams, count: int, seed: int = 0,
             n1 = rng.randrange(-Wm, Wm)
             out.append((m1, n1, n1, m1))
         elif pat == 1:
-            j = rng.randrange(1, int(window))
-            s = rng.randrange(1, int(window))
+            j = rng.randrange(1, int(WEAKRING_WINDOW))
+            s = rng.randrange(1, int(WEAKRING_WINDOW))
             m1 = rng.randrange(-Wm // 2, Wm // 2)
             # n = j mu fixed; shifting m by s mu changes the product by s j mu^2
             out.append((m1, j * mu, m1 + s * mu, j * mu))
         else:
             a, bb = rng.randrange(1, 4), rng.randrange(1, 4)
             cval = rng.randrange(mu)
-            # (a mu + c) * (b mu) = (b mu + c') * (a mu) requires a c' = b c... use
-            # symmetric blocks: (a mu + c)(b mu) vs (b mu)(a mu + c)
+            # swapped block factors: (a mu + c)(b mu) = (b mu)(a mu + c)
             out.append((a * mu + cval, bb * mu, bb * mu, a * mu + cval))
     return out[:count]
 
 
-def weakring_max_phase_error(params: ScaleParams, count: int = 1000, seed: int = 0,
-                             window: float = 8.0) -> float:
+def weakring_max_phase_error(params: ScaleParams, count: int = 1000, seed: int = 0) -> float:
     """max |e^{2 pi i x1 y1} - e^{2 pi i x2 y2}| over congruent quadruples."""
     worst = 0.0
-    for m1, n1, m2, n2 in weakring_samples(params, count, seed, window):
+    for m1, n1, m2, n2 in weakring_samples(params, count, seed):
         x1, y1 = st_mu(m1, params), st_mu(n1, params)
         x2, y2 = st_mu(m2, params), st_mu(n2, params)
         p1 = cmath.exp(2j * math.pi * x1 * y1)

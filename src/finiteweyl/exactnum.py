@@ -201,8 +201,8 @@ class Cyc:
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def zero(order: int = 1) -> "Cyc":
-        return Cyc(order, {}, _trusted=True)
+    def zero() -> "Cyc":
+        return Cyc(1, {}, _trusted=True)
 
     @staticmethod
     def rational(r) -> "Cyc":

@@ -237,7 +237,8 @@ def apply_automorphism(xi: AutDesc, w: GenWord, A: WeylDesc) -> GenWord:
 
 
 # ---------------------------------------------------------------------------
-# rank-2 rational lattices (used for composing transformations)
+# 2x2 rational matrices and rank-2 rational lattices (used for composing
+# transformations)
 # ---------------------------------------------------------------------------
 
 def _row_hnf_2col(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -278,24 +279,32 @@ def _row_hnf_2col(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
     return out
 
 
-def _mat_inv_t(rows):
-    """(M^{-1})^T for a 2x2 full-rank matrix given as two rows."""
-    (a, b), (c, d) = rows
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError("lattice basis is singular")
-    return [(Fraction(d, 1) / det, Fraction(-c, 1) / det),
-            (Fraction(-b, 1) / det, Fraction(a, 1) / det)]
+Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+
+
+def mat_mul(g1: Mat2, g2: Mat2) -> Mat2:
+    return (
+        (g1[0][0] * g2[0][0] + g1[0][1] * g2[1][0], g1[0][0] * g2[0][1] + g1[0][1] * g2[1][1]),
+        (g1[1][0] * g2[0][0] + g1[1][1] * g2[1][0], g1[1][0] * g2[0][1] + g1[1][1] * g2[1][1]),
+    )
+
+
+def mat_det(g: Mat2) -> Fraction:
+    return g[0][0] * g[1][1] - g[0][1] * g[1][0]
+
+
+def mat_inv(g: Mat2) -> Mat2:
+    d = Fraction(mat_det(g))
+    return ((g[1][1] / d, -g[0][1] / d), (-g[1][0] / d, g[0][0] / d))
 
 
 def lattice_intersect(rows1, rows2):
     """Intersection of two full-rank rational lattices in Q^2 (rows generate).
 
-    Computed through duals: (L1 n L2)* = L1* + L2*.
+    Computed through duals: (L1 n L2)* = L1* + L2*, where the dual of the
+    lattice with basis rows M has basis rows (M^T)^{-1}.
     """
-    d1 = _mat_inv_t([[Fraction(x) for x in r] for r in rows1])
-    d2 = _mat_inv_t([[Fraction(x) for x in r] for r in rows2])
-    stacked = list(d1) + list(d2)
+    stacked = mat_inv(tuple(zip(*rows1))) + mat_inv(tuple(zip(*rows2)))
     den = 1
     for r in stacked:
         for x in r:
@@ -305,5 +314,4 @@ def lattice_intersect(rows1, rows2):
     if len(H) != 2:
         raise ValueError("dual sum is not full rank")
     sum_basis = [[Fraction(x, den) for x in r] for r in H]
-    back = _mat_inv_t(sum_basis)
-    return [tuple(r) for r in back]
+    return list(mat_inv(tuple(zip(*sum_basis))))

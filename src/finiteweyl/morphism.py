@@ -16,23 +16,32 @@ from functools import cache
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
 from .exactnum import Cyc, Scalar, dot
 from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
-from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner, linear_combination
+from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner
 
 
 @dataclass
 class Embedding:
-    """B-module isomorphism V_B(beta) -> V_AB(beta) inside V_A(alpha)."""
+    """B-module isomorphism V_B(beta) -> V_AB(beta) inside V_A(alpha).
+
+    columns[j] holds the (ambient index, amplitude) pairs of the image of the
+    j-th reference basis vector, one phased summand basis vector.  The
+    columns have disjoint supports, so each image entry is one product.
+    """
 
     sub: ModuleRep
     amb: ModuleRep
-    beta: SpecPoint
     ell: int
-    columns: list  # columns[j] = image of the j-th reference basis vector
+    columns: list
 
     def apply(self, x: StateVec) -> StateVec:
         if not self.sub.compatible(x.module):
             raise ModuleMismatch("vector does not live in the embedded module")
-        return linear_combination(self.amb, x.amps, self.columns)
+        out = [Scalar.zero()] * self.amb.dim
+        for c, col in zip(x.amps, self.columns):
+            if c.cyc.coeffs:
+                for idx, b in col:
+                    out[idx] = c * b
+        return StateVec(self.amb, out)
 
 
 @dataclass
@@ -57,7 +66,7 @@ def decompose(M: ModuleRep, B: WeylDesc):
     """
     n, k = _indices(M, B)
     amp = _amplitudes(M, n)
-    return [_summand(M, B, n, k, ell_u, ell_v, amp) for ell_u in range(n) for ell_v in range(k)]
+    return [_summand(M, n, k, ell_u, ell_v, amp) for ell_u in range(n) for ell_v in range(k)]
 
 
 def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
@@ -71,7 +80,7 @@ def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
     n, k = _indices(M, B)
     if not (0 <= ell_u < n and 0 <= ell_v < k):
         raise BadBranch(f"branch ({ell_u},{ell_v}) is outside {n} x {k}")
-    return _summand(M, B, n, k, ell_u, ell_v, _amplitudes(M, n))
+    return _summand(M, n, k, ell_u, ell_v, _amplitudes(M, n))
 
 
 def _amplitudes(M: ModuleRep, n: int):
@@ -89,19 +98,18 @@ def _supports(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
         yield [(idx, amp(ell_u * idx % N)) for idx in idxs]
 
 
-def _summand(M: ModuleRep, B: WeylDesc, n: int, k: int, ell_u: int, ell_v: int, amp):
+def _summand(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
     basis = []
     for g in _supports(M, n, k, ell_u, ell_v, amp):
         amps = [Scalar.zero()] * M.dim
         for idx, a in g:
             amps[idx] = a
         basis.append(StateVec(M, amps))
-    return _summand_params(M, B, ell_u, ell_v)[2], basis
+    return _summand_params(M, n, k, ell_u, ell_v)[2], basis
 
 
-def _summand_params(M: ModuleRep, B: WeylDesc, ell_u: int, ell_v: int):
+def _summand_params(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int):
     """(u_sub, v_sub, beta): phases and spectral point of the branch (ell_u, ell_v) summand."""
-    n, k = relative_indices(B, M.alg)
     q = M.q_phase
     u_sub = _mod1(n * M.u_phase + n * ell_v * q)
     v_sub = _mod1(k * (M.v_phase + ell_u * q))
@@ -109,20 +117,13 @@ def _summand_params(M: ModuleRep, B: WeylDesc, ell_u: int, ell_v: int):
     return u_sub, v_sub, SpecPoint(_mod1(NB * u_sub), _mod1(NB * v_sub))
 
 
-def embed_pbeta(Msub: ModuleRep, ambient, branch: int | None = None, root: int = 0) -> Embedding:
+def embed_pbeta(Msub: ModuleRep, Mamb: ModuleRep, root: int = 0) -> Embedding:
     """Local embedding p^beta of V_B(beta) onto its copy inside V_A(alpha).
 
-    `ambient` is the ambient algebra (WeylDesc) or a prebuilt ambient module.
     There are exactly n_B embeddings; `root` selects the n_B-th root of
     unity multiplying the canonical one.
     """
-    B = Msub.alg
-    if isinstance(ambient, ModuleRep):
-        Mamb = ambient
-        A = Mamb.alg
-    else:
-        A = ambient
-        Mamb = build_module(A, spectrum_project(B, A, Msub.point))
+    B, A = Msub.alg, Mamb.alg
     if not includes(B, A):
         raise NotIncluded(f"{B} is not a subalgebra of {A}")
     if spectrum_project(B, A, Msub.point) != Mamb.point:
@@ -131,29 +132,32 @@ def embed_pbeta(Msub: ModuleRep, ambient, branch: int | None = None, root: int =
     n, k = _indices(Mamb, B)
     NB = Msub.dim
     # the branch is found from the summands' spectral points alone
-    betas = (_summand_params(Mamb, B, *divmod(i, k))[2] for i in range(n * k))
-    idx = next((i for i, beta in enumerate(betas) if beta == Msub.point), None)
-    if idx is None:
+    params = (_summand_params(Mamb, n, k, *divmod(ell, k)) for ell in range(n * k))
+    found = next(((ell, p) for ell, p in enumerate(params) if p[2] == Msub.point), None)
+    if found is None:
         raise BadBranch("no summand carries the requested spectral point")
-    if branch is not None and branch != idx:
-        raise BadBranch(f"point lives on branch {idx}, not {branch}")
-    ell_u, ell_v = divmod(idx, k)
-    _, basis = summand(Mamb, B, ell_u, ell_v)
+    ell, (u_sub, v_sub, _) = found
 
     qB = _mod1(Fraction(n * k) * Mamb.q_phase)
-    u_sub, v_sub, _ = _summand_params(Mamb, B, ell_u, ell_v)
     # align eigenvalues: u_dom = u_sub * qB^sigma, v_dom = v_sub * qB^tau
     sigma = next((s for s in range(NB) if _mod1(u_sub + s * qB) == Msub.u_phase), None)
     tau = next((t for t in range(NB) if _mod1(v_sub + t * qB) == Msub.v_phase), None)
     if sigma is None or tau is None:
         raise BadBranch("submodule roots are incompatible with the summand")
 
-    # column j carries the alignment phase qB^{tau j} times the root's phase
+    # column j is summand vector (j + sigma) mod NB times the alignment
+    # phase qB^{tau j} and the root's phase
+    basis = list(_supports(Mamb, n, k, *divmod(ell, k), _amplitudes(Mamb, n)))
     root_turns = Fraction(root % NB, NB)
-    turns = [_mod1(Fraction(tau * j) * qB + root_turns) for j in range(NB)]
-    cols = [basis[(j + sigma) % NB].scale(Scalar.phase(t)) if t else basis[(j + sigma) % NB]
-            for j, t in enumerate(turns)]
-    return Embedding(Msub, Mamb, Msub.point, idx, cols)
+    cols = []
+    for j in range(NB):
+        g = basis[(j + sigma) % NB]
+        t = _mod1(Fraction(tau * j) * qB + root_turns)
+        if t:
+            ph = Scalar.phase(t)
+            g = [(idx, ph * a) for idx, a in g]
+        cols.append(g)
+    return Embedding(Msub, Mamb, ell, cols)
 
 
 def pairing(e: StateVec, f: StateVec) -> PairingResult:

@@ -22,29 +22,10 @@ from .errors import (
     OutOfRange,
 )
 from .exactnum import Cyc, Scalar, dot
-from .lattice import GenWord, WeylDesc, _mod1, lattice_intersect
+from .lattice import GenWord, Mat2, WeylDesc, _mod1, lattice_intersect, mat_det, mat_inv, mat_mul
 from .morphism import summand
 from .repmod import (ModuleRep, SpecPoint, StateVec, apply_word, linear_combination,
                      linear_combinations, u_basis, v_basis)
-
-
-Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
-
-
-def mat_mul(g1: Mat2, g2: Mat2) -> Mat2:
-    return (
-        (g1[0][0] * g2[0][0] + g1[0][1] * g2[1][0], g1[0][0] * g2[0][1] + g1[0][1] * g2[1][1]),
-        (g1[1][0] * g2[0][0] + g1[1][1] * g2[1][0], g1[1][0] * g2[0][1] + g1[1][1] * g2[1][1]),
-    )
-
-
-def mat_det(g: Mat2) -> Fraction:
-    return g[0][0] * g[1][1] - g[0][1] * g[1][0]
-
-
-def mat_inv(g: Mat2) -> Mat2:
-    d = mat_det(g)
-    return ((g[1][1] / d, -g[0][1] / d), (-g[1][0] / d, g[0][0] / d))
 
 
 def _frac_mat(rows) -> Mat2:
@@ -251,8 +232,7 @@ def qho_exponent(e: int, f: int, m: int, l: int, N: int) -> int:
     return e * (f * (l * l - e * e * m * m) - 2 * e * e * m * l) % (2 * N)
 
 
-def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
-                  phase_const: Scalar | None = None) -> RegUnitary:
+def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
     """Harmonic-oscillator evolution at Pythagorean time sin t = e/c.
 
     Maps the <U^c, V^{ce}>-submodule basis into the ambient module by
@@ -271,7 +251,7 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int,
     B = WeylDesc(c * A.a, c * e * A.b)
     _, dom = summand(M, B)
     dim = N // (c * c * e)
-    C0 = phase_const if phase_const is not None else Scalar.phase(Fraction(-1, 8))
+    C0 = Scalar.phase(Fraction(-1, 8))
     pref = C0 * Scalar.exact(Cyc.rational(1), e, N)
     q = M.q_phase
     # pref q^{t/2} for t = qho_exponent (q^N = 1), each built on first use
@@ -324,12 +304,9 @@ def sigma_word_image(L: RegUnitary, w: GenWord) -> GenWord:
     """
     A = L.ambient_dom.alg
     W1, W2 = L.dom_words
-    r1 = (W1.u_exp / A.a, W1.v_exp / A.b)
-    r2 = (W2.u_exp / A.a, W2.v_exp / A.b)
+    # the exponent row of w is (j, k) times the generators' rows
     rw = (w.u_exp / A.a, w.v_exp / A.b)
-    det = r1[0] * r2[1] - r1[1] * r2[0]
-    j = (rw[0] * r2[1] - rw[1] * r2[0]) / det
-    k = (-rw[0] * r1[1] + rw[1] * r1[0]) / det
+    j, k = (rw[0] * c0 + rw[1] * c1 for c0, c1 in zip(*mat_inv(_dom_lattice_rows(L))))
     if j.denominator != 1 or k.denominator != 1:
         raise NotIncluded("word is not in the domain subalgebra")
     img1, img2 = L.sigma[0][2], L.sigma[1][2]
@@ -350,17 +327,9 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
     A = L1.ambient_dom.alg
     rows1 = _dom_lattice_rows(L1)
     rows2 = _dom_lattice_rows(L2)
-    g1inv = mat_inv(L1.gL)
-    pre2 = [
-        (
-            r[0] * g1inv[0][0] + r[1] * g1inv[1][0],
-            r[0] * g1inv[0][1] + r[1] * g1inv[1][1],
-        )
-        for r in rows2
-    ]
-    C_rows = lattice_intersect(rows1, pre2)
+    C_rows = lattice_intersect(rows1, mat_mul(rows2, mat_inv(L1.gL)))
     N = L1.ambient_dom.dim
-    covol = abs(C_rows[0][0] * C_rows[1][1] - C_rows[0][1] * C_rows[1][0])
+    covol = abs(mat_det(C_rows))
     dim_c = Fraction(N, 1) / covol
     if dim_c < 1:
         raise NoCommonSubalgebra("common subalgebra has no room in the module")

@@ -178,7 +178,8 @@ class TestAcceptance:
                 er = embed_pbeta(Msub, Mamb, root=r)
                 g = Scalar.phase(F(r, NB))
                 if not all(
-                    (er.columns[j2] - base.columns[j2].scale(g)).is_zero() for j2 in range(NB)
+                    (er.apply(e) - base.apply(e).scale(g)).is_zero()
+                    for e in map(Msub.basis_vector, range(NB))
                 ):
                     ok = False
                 seen.add(r)

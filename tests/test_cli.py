@@ -178,6 +178,28 @@ class TestConverge:
         code = main(["converge", "ccr", "--mu", "240,60"])
         assert code == 2
 
+    def test_ccr_one_mu_exit_2(self, capsys, monkeypatch):
+        # one residual has no slope: refused before any residual is computed
+        def fail(*args, **kwargs):
+            raise AssertionError("residual computed for a one-point fit")
+
+        monkeypatch.setattr(dirac, "converge_study", fail)
+        monkeypatch.setattr(dirac, "ccr_residual", fail)
+        code = main(["converge", "ccr", "--mu", "60"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "needs at least two mu values" in captured.err
+
+    def test_ccr_several_mu_unchanged(self, capsys):
+        code, out = run(capsys, "converge", "ccr", "--mu", "60,120")
+        assert code == 0
+        payload = json.loads(out)
+        rep = dirac.converge_study("ccr", [60, 120])
+        assert payload["meta"]["mu_list"] == [60, 120]
+        assert payload["results"] == {"residuals": rep.residuals, "fitted_order": rep.fitted_order}
+        assert [c["name"] for c in payload["checks"]] == ["fitted_order_is_minus_one"]
+
 
 class TestOptions:
     @pytest.mark.parametrize("argv", [

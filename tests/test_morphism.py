@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finiteweyl import morphism, repmod
-from finiteweyl.errors import BadBranch, NotDividing, NotIncluded
+from finiteweyl import morphism, products, repmod
+from finiteweyl.errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
 from finiteweyl.exactnum import Cyc, Scalar, root_of_unity
 from finiteweyl.lattice import (
     GenWord,
@@ -126,22 +126,29 @@ class TestDecompose:
             decompose(M, WeylDesc(M.alg.a / 2, M.alg.b))
 
 
+def columns(emb):
+    """The embedding's columns as vectors: column j is the image of e_j."""
+    return [emb.apply(emb.sub.basis_vector(j)) for j in range(emb.sub.dim)]
+
+
 class TestEmbedding:
     def test_identity_embedding(self):
         M = module_of_dim(5)
-        emb = embed_pbeta(M, M.alg)
+        emb = embed_pbeta(M, M)
         for k in range(5):
             assert (emb.apply(M.basis_vector(k)) - emb.amb.basis_vector(k)).is_zero()
 
-    def test_unit_phase_columns_own_their_amps(self):
-        # the self-embedding's columns are the summand vectors, unscaled, yet
-        # each column is its own vector: editing one changes no other
+    def test_applies_own_their_amps(self):
+        # the self-embedding's columns are the summand supports, unscaled, yet
+        # each apply returns its own vector: editing one changes no other
         M = module_of_dim(12)
-        cols = embed_pbeta(M, M).columns
-        assert len({id(c) for c in cols}) == len({id(c.amps) for c in cols}) == 12
-        cols[0].amps[0] = -cols[0].amps[0]
-        assert cols[1].amps[1] == Scalar.one()
-        assert embed_pbeta(M, M).columns[0].amps[0] == Scalar.one()
+        emb = embed_pbeta(M, M)
+        x = M.basis_vector(0)
+        first, second = emb.apply(x), emb.apply(x)
+        assert first.amps is not second.amps
+        first.amps[0] = -first.amps[0]
+        assert second.amps[0] == Scalar.one()
+        assert emb.apply(x).amps[0] == Scalar.one()
 
     def test_intertwines_and_preserves_inner(self):
         rng = random.Random(23)
@@ -176,27 +183,39 @@ class TestEmbedding:
         e0 = embed_pbeta(Msub, Mamb, root=0)
         e1 = embed_pbeta(Msub, Mamb, root=1)
         g = Scalar.phase(F(1, NB))
-        for j in range(NB):
-            diff = e1.columns[j] - e0.columns[j].scale(g)
-            assert diff.is_zero()
+        for c1, c0 in zip(columns(e1), columns(e0)):
+            assert (c1 - c0.scale(g)).is_zero()
+
+    def test_refuses_subalgebra_not_included(self):
+        Mamb = module_of_dim(4)
+        Msub = build_module(WeylDesc(Mamb.alg.a / 2, Mamb.alg.b), SpecPoint.principal_point())
+        with pytest.raises(NotIncluded):
+            embed_pbeta(Msub, Mamb)
 
     def test_bad_branch(self):
+        # beta lies over the point (1/3, 0), not over the principal ambient point
+        B = sub_desc(module_of_dim(6), 2, 1)
+        beta, _ = decompose(module_of_dim(6, SpecPoint(F(1, 3), F(0))), B)[0]
+        with pytest.raises(BadBranch):
+            embed_pbeta(build_module(B, beta), module_of_dim(6))
+
+    def test_refuses_vector_of_another_module(self):
         Mamb = module_of_dim(6)
         B = sub_desc(Mamb, 2, 1)
-        parts = decompose(Mamb, B)
-        beta0 = parts[0][0]
-        Msub = build_module(B, beta0)
-        with pytest.raises(BadBranch):
-            embed_pbeta(Msub, Mamb, branch=1)
+        (beta0, _), (beta1, _) = decompose(Mamb, B)
+        emb = embed_pbeta(build_module(B, beta0), Mamb)
+        for x in (build_module(B, beta1).basis_vector(0), Mamb.basis_vector(0)):
+            with pytest.raises(ModuleMismatch):
+                emb.apply(x)
 
     def test_matrix_columns_orthonormal(self):
         Mamb = module_of_dim(12)
         B = sub_desc(Mamb, 2, 3)
         beta, _ = decompose(Mamb, B)[3]
         Msub = build_module(B, beta)
-        emb = embed_pbeta(Msub, Mamb)
-        for i, ci in enumerate(emb.columns):
-            for j, cj in enumerate(emb.columns):
+        cols = columns(embed_pbeta(Msub, Mamb))
+        for i, ci in enumerate(cols):
+            for j, cj in enumerate(cols):
                 val = inner(ci, cj)
                 assert val == (Scalar.one() if i == j else Scalar.zero())
 
@@ -406,16 +425,40 @@ class TestSummandAgainstOracle:
 
     @pytest.mark.parametrize("N,n,k,point,steps", SUMMAND_CASES)
     def test_embedding_branch_and_columns_equal_oracle(self, N, n, k, point, steps):
+        # every basis vector, and one dense vector of multi-term entries with
+        # radicands, maps as the dense oracle columns map it, term for term
         Mamb = ambient(N, point, steps)
         B = sub_desc(Mamb, n, k)
         parts = decompose_oracle(Mamb, B)
         for ell, (beta, _) in enumerate(parts):
             Msub = build_module(B, beta)
+            NB = Msub.dim
+            dense = StateVec(Msub, [Scalar((1, 2, 3, 6)[j % 4], Cyc(12, {j: F(1, j + 1), j + 5: F(-3)}))
+                                    for j in range(NB)])
             for root in (0, 1):
                 emb = embed_pbeta(Msub, Mamb, root=root)
                 idx, cols = embed_oracle(Msub, Mamb, parts, root)
                 assert emb.ell == idx == ell
-                assert [terms(c) for c in emb.columns] == [terms(c) for c in cols]
+                for x in [Msub.basis_vector(j) for j in range(NB)] + [dense]:
+                    assert terms(emb.apply(x)) == terms(linear_combination(Mamb, x.amps, cols))
+
+    def test_embedding_sums_no_products(self, monkeypatch):
+        # each image entry is one product: neither sum-of-products entry
+        # point may run for an embedding, a pairing or a row sum
+        def refuse(*args, **kwargs):
+            raise AssertionError("embedding routed through a sum of products")
+
+        monkeypatch.setattr(products, "linear_combinations", refuse)
+        monkeypatch.setattr(repmod, "linear_combination", refuse)
+        Mamb = module_of_dim(24)
+        B = sub_desc(Mamb, 3, 2)
+        beta, _ = decompose(Mamb, B)[4]
+        Msub = build_module(B, beta)
+        e, f = Msub.basis_vector(1), v_basis(Mamb)[3]
+        s = inner(embed_pbeta(Msub, Mamb, root=1).apply(e), f)
+        assert (pairing(e, f).value - s.conj() * s).is_zero()
+        assert pairing(e, v_basis(Msub)[2]).value == Scalar.rational(F(1, 4))
+        assert pairing_row_sum(B, unit_vector(Mamb, random.Random(5))) == Scalar.one()
 
 
 # ---------------------------------------------------------------------------
