@@ -36,12 +36,8 @@ class Embedding:
     def apply(self, x: StateVec) -> StateVec:
         if not self.sub.compatible(x.module):
             raise ModuleMismatch("vector does not live in the embedded module")
-        out = [Scalar.zero()] * self.amb.dim
-        for c, col in zip(x.amps, self.columns):
-            if c.cyc.coeffs:
-                for idx, b in col:
-                    out[idx] = c * b
-        return StateVec(self.amb, out)
+        return StateVec.from_pairs(self.amb, [(idx, c * b) for c, col in zip(x.amps, self.columns)
+                                              if c.cyc.coeffs for idx, b in col])
 
 
 @dataclass
@@ -61,16 +57,18 @@ def _indices(M: ModuleRep, B: WeylDesc) -> tuple[int, int]:
 def decompose(M: ModuleRep, B: WeylDesc):
     """Split V_A(alpha) into B-submodules with canonical bases.
 
-    Returns [(beta, basis)], ordered by increasing branch index
-    ell = ell_u * k + ell_v.  Requires nk | N.  The summands share one amplitude table.
+    Returns [(beta, basis)], basis as dense vectors, ordered by increasing branch
+    index ell = ell_u * k + ell_v.  Requires nk | N.  The summands share one amplitude table.
     """
     n, k = _indices(M, B)
     amp = _amplitudes(M, n)
-    return [_summand(M, n, k, ell_u, ell_v, amp) for ell_u in range(n) for ell_v in range(k)]
+    parts = (_summand(M, n, k, ell_u, ell_v, amp) for ell_u in range(n) for ell_v in range(k))
+    return [(beta, [StateVec.from_pairs(M, g) for g in pairs]) for beta, pairs in parts]
 
 
 def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
-    """The branch (ell_u, ell_v) B-submodule of V_A(alpha): (beta, basis).
+    """The branch (ell_u, ell_v) B-submodule of V_A(alpha): (beta, pairs),
+    pairs[m'] the (ambient index, amplitude) pairs of basis vector g_m'.
 
     Step 1 takes the <U^n, V> branch ell_u, of dimension N/n:
     g_m = (q^{m ell_u}/sqrt n) sum_r q^{r ell_u N/n} e_{m + r N/n}.
@@ -99,13 +97,7 @@ def _supports(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
 
 
 def _summand(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
-    basis = []
-    for g in _supports(M, n, k, ell_u, ell_v, amp):
-        amps = [Scalar.zero()] * M.dim
-        for idx, a in g:
-            amps[idx] = a
-        basis.append(StateVec(M, amps))
-    return _summand_params(M, n, k, ell_u, ell_v)[2], basis
+    return _summand_params(M, n, k, ell_u, ell_v)[2], list(_supports(M, n, k, ell_u, ell_v, amp))
 
 
 def _summand_params(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int):
@@ -146,15 +138,16 @@ def embed_pbeta(Msub: ModuleRep, Mamb: ModuleRep, root: int = 0) -> Embedding:
         raise BadBranch("submodule roots are incompatible with the summand")
 
     # column j is summand vector (j + sigma) mod NB times the alignment
-    # phase qB^{tau j} and the root's phase
+    # phase qB^{tau j} and the root's phase, together e^{2 pi i t/D} for the
+    # integer t = (tau j qB + root/NB) D mod D, D = NB * denominator(qB)
     basis = list(_supports(Mamb, n, k, *divmod(ell, k), _amplitudes(Mamb, n)))
-    root_turns = Fraction(root % NB, NB)
+    D = NB * qB.denominator
     cols = []
     for j in range(NB):
         g = basis[(j + sigma) % NB]
-        t = _mod1(Fraction(tau * j) * qB + root_turns)
+        t = (tau * j * qB.numerator * NB + root % NB * qB.denominator) % D
         if t:
-            ph = Scalar.phase(t)
+            ph = Scalar.phase(Fraction(t, D))
             g = [(idx, ph * a) for idx, a in g]
         cols.append(g)
     return Embedding(Msub, Mamb, ell, cols)

@@ -71,9 +71,7 @@ class ModuleRep:
 
     # -- vectors ---------------------------------------------------------------
     def basis_vector(self, k: int) -> "StateVec":
-        amps = [Scalar.zero()] * self.dim
-        amps[k % self.dim] = Scalar.one()
-        return StateVec(self, amps)
+        return StateVec.from_pairs(self, [(k % self.dim, Scalar.one())])
 
     def compatible(self, other: "ModuleRep") -> bool:
         return (
@@ -97,6 +95,14 @@ class StateVec:
             raise ValueError("amplitude count must equal the module dimension")
         self.module = module
         self.amps = list(amps)
+
+    @classmethod
+    def from_pairs(cls, module: ModuleRep, pairs) -> "StateVec":
+        """The vector with amplitude a at each (index, a) of pairs, zero elsewhere."""
+        amps = [Scalar.zero()] * module.dim
+        for idx, a in pairs:
+            amps[idx] = a
+        return cls(module, amps)
 
     def __add__(self, other: "StateVec") -> "StateVec":
         self._check(other)
@@ -208,17 +214,12 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
     return [StateVec(M, [amp[(m * k) % N] for k in range(N)]) for m in range(N)]
 
 
-def linear_combinations(module: ModuleRep, rows, vecs) -> list[StateVec]:
-    """[sum_i row[i] * vecs[i] for row in rows], by `products.linear_combinations`."""
+def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
+    """sum_i coeffs[i] * vecs[i], by `products.linear_combinations`."""
     from . import products  # compiled on first use only
 
-    sums = products.linear_combinations(rows, [v.amps for v in vecs], module.dim)
-    return [StateVec(module, c) for c in sums]
-
-
-def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
-    """sum_i coeffs[i] * vecs[i]."""
-    return linear_combinations(module, [coeffs], vecs)[0]
+    sums, = products.linear_combinations([coeffs], [v.amps for v in vecs], module.dim)
+    return StateVec(module, sums)
 
 
 def inner(x: StateVec, y: StateVec) -> Scalar:

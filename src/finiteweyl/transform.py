@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import (
     DivisibilityViolation,
+    ModuleMismatch,
     NoCommonSubalgebra,
     NotDividing,
     NotIncluded,
@@ -24,8 +25,7 @@ from .errors import (
 from .exactnum import Cyc, Scalar, dot
 from .lattice import GenWord, Mat2, WeylDesc, _mod1, lattice_intersect, mat_det, mat_inv, mat_mul
 from .morphism import summand
-from .repmod import (ModuleRep, SpecPoint, StateVec, apply_word, linear_combination,
-                     linear_combinations, u_basis, v_basis)
+from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, linear_combination, v_basis
 
 
 def _frac_mat(rows) -> Mat2:
@@ -43,8 +43,9 @@ class ConjugationReport:
 class RegUnitary:
     """A regular unitary transformation with its bookkeeping data.
 
-    dom_basis/images are canonical bases of the domain/range submodules in
-    ambient coordinates; they may be None for bookkeeping-only composites.
+    domain[m] lists the (ambient index, amplitude) pairs of the m-th domain basis
+    vector as `morphism.summand` gives them, so the supports are disjoint;
+    images[m] is its dense image.  Both may be None for bookkeeping-only composites.
     """
 
     name: str
@@ -53,49 +54,47 @@ class RegUnitary:
     dom_words: tuple[GenWord, GenWord]
     sigma: tuple[tuple[str, GenWord, GenWord], ...]  # (identity name, W, W^sigma)
     gL: Mat2
-    phase_const: Scalar
     dim: int
-    dom_basis: list[StateVec] | None = None
+    domain: list[list[tuple[int, Scalar]]] | None = None
     images: list[StateVec] | None = None
 
     def __post_init__(self):
         if mat_det(self.gL) != 1:
             raise ValueError("associated matrix must have determinant 1")
-        if self.dom_basis is not None:
-            # a domain basis is one summand basis, so the supports are disjoint
-            self._supports = [[j for j, a in enumerate(b.amps) if a.cyc.coeffs] for b in self.dom_basis]
-            covered = {j for s in self._supports for j in s}
-            if len(covered) < sum(map(len, self._supports)):
+        if self.domain is not None:
+            covered = {j for g in self.domain for j, _ in g}
+            if len(covered) < sum(map(len, self.domain)):
                 raise ValueError("domain basis vectors must have disjoint supports")
             self._off = [j for j in range(self.ambient_dom.dim) if j not in covered]
 
     # -- basis access ---------------------------------------------------------
     def dom(self, m: int) -> StateVec:
-        return self.dom_basis[m % self.dim]
+        return StateVec.from_pairs(self.ambient_dom, self.domain[m % self.dim])
 
     def image(self, m: int) -> StateVec:
         return self.images[m % self.dim]
 
     @property
     def materialized(self) -> bool:
-        return self.dom_basis is not None and self.images is not None
+        return self.domain is not None and self.images is not None
 
     def apply(self, x: StateVec) -> StateVec:
-        """Map a vector of the domain submodule; exact expansion in dom_basis.
+        """Map a vector of the domain submodule; exact expansion in the domain basis.
 
         Each coefficient is read off x on its basis vector's support; x must
         vanish off the supports and be proportional to the basis on each.
         """
-        self.dom_basis[0]._check(x)  # ModuleMismatch
+        if not self.ambient_dom.compatible(x.module):
+            raise ModuleMismatch("vectors live in different modules")
         amps = x.amps
         if not all(amps[j].is_zero() for j in self._off):
             raise NotIncluded("vector does not lie in the transformation domain")
         coeffs = []
-        for b, supp in zip(self.dom_basis, self._supports):
-            xs = [amps[j] for j in supp]
+        for g in self.domain:
+            xs = [amps[j] for j, _ in g]
             c = Scalar.zero()
             if any(a.cyc.coeffs for a in xs):
-                bs = [b.amps[j] for j in supp]
+                bs = [b for _, b in g]
                 c = dot(bs, xs, conj=True)
                 if not all((a - c * bj).is_zero() for a, bj in zip(xs, bs)):
                     raise NotIncluded("vector does not lie in the transformation domain")
@@ -130,14 +129,13 @@ def fourier(M: ModuleRep) -> RegUnitary:
         dom_words=(U, V),
         sigma=(("sigma-U", U, V), ("sigma-V", V, U.inv())),
         gL=_frac_mat([[0, 1], [-1, 0]]),
-        phase_const=Scalar.one(),
         dim=N,
-        dom_basis=u_basis(M),
+        domain=[[(m, Scalar.one())] for m in range(N)],
         images=images,
     )
 
 
-def gaussian(M: ModuleRep, b: int = 1, d: int = 1, phase_const: Scalar | None = None) -> RegUnitary:
+def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
     """Gaussian transformation on the <U^d, V^b>-submodule.
 
     G: u_m -> (c/sqrt(Nb)) sum_l qb^{(l-m)^2/2} u_l on the canonical basis of
@@ -162,11 +160,23 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1, phase_const: Scalar | None = 
     # sqrt(Nb)/G(Nb) for the clock qb = q^{bd}: e^{-i pi/4} when bd > 0,
     # conjugate for reversed time
     sign = 1 if b * d > 0 else -1
-    cc = phase_const if phase_const is not None else Scalar.phase(Fraction(-sign, 8))
+    cc = Scalar.phase(Fraction(-sign, 8))
     inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
     # the weight of u_l in the image of u_m depends only on |l - m|
     weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
-    images = linear_combinations(M, [[weight[abs(l - m)] for l in range(Nb)] for m in range(Nb)], h)
+    # the h_l have disjoint supports: entry idx of image m is weight[|l - m|] * a
+    # for the pair (idx, a) of h_l; each amplitude object gets one row of products
+    amp = {id(a): a for g in h for _, a in g}
+    row = {i: [w * a for w in weight] for i, a in amp.items()}
+    pairs = [[(idx, row[id(a)]) for idx, a in g] for g in h]
+    images = []
+    for m in range(Nb):
+        amps = [Scalar.zero()] * N
+        for l, g in enumerate(pairs):
+            t = abs(l - m)
+            for idx, p in g:
+                amps[idx] = p[t]
+        images.append(StateVec(M, amps))
     Ud = GenWord(d * A.a, 0)
     Vb = GenWord(0, b * A.b)
     S = GenWord(d * A.a, -b * A.b, -half_qb)  # qb^{-1/2} U^d V^{-b}
@@ -177,9 +187,8 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1, phase_const: Scalar | None = 
         dom_words=(Ud, Vb),
         sigma=(("Sv2", Ud, S), ("w2", Vb, Vb)),
         gL=_frac_mat([[1, Fraction(-b, d)], [0, 1]]),
-        phase_const=cc,
         dim=Nb,
-        dom_basis=h,
+        domain=h,
         images=images,
     )
 
@@ -202,10 +211,9 @@ def diagonal(M: ModuleRep, m: int) -> RegUnitary:
         dom_words=(U, Vm),
         sigma=(("sigma-U", U, GenWord(m * A.a, 0)), ("sigma-V", Vm, GenWord(0, A.b))),
         gL=_frac_mat([[m, 0], [0, Fraction(1, m)]]),
-        phase_const=Scalar.one(),
         dim=N // m,
-        dom_basis=dom,
-        images=ran,
+        domain=dom,
+        images=[StateVec.from_pairs(M, g) for g in ran],
     )
 
 
@@ -277,9 +285,8 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
         dom_words=(Uc, Vce),
         sigma=(("KU", Uc, S_t), ("mKU", Vce, R_t_e)),
         gL=_frac_mat([[Fraction(f, c), Fraction(-e, c)], [Fraction(e, c), Fraction(f, c)]]),
-        phase_const=C0,
         dim=dim,
-        dom_basis=dom,
+        domain=dom,
         images=images,
     )
 
@@ -343,14 +350,14 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
     )
     gL = mat_mul(L1.gL, L2.gL)
 
-    dom_basis = images = None
+    domain = images = None
     if L1.materialized and L2.materialized:
         try:
             images = [L2.apply(L1.image(m)) for m in range(L1.dim)]
-            dom_basis = L1.dom_basis
+            domain = L1.domain
         except NotIncluded:
-            dom_basis = images = None
-    dim = L1.dim if dom_basis is not None else int(dim_c) if dim_c.denominator == 1 else 1
+            domain = images = None
+    dim = L1.dim if domain is not None else int(dim_c) if dim_c.denominator == 1 else 1
     return RegUnitary(
         name=f"({L2.name} o {L1.name})",
         ambient_dom=L1.ambient_dom,
@@ -358,9 +365,8 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
         dom_words=(W1, W2),
         sigma=sig,
         gL=gL,
-        phase_const=L2.phase_const * L1.phase_const,
         dim=dim,
-        dom_basis=dom_basis,
+        domain=domain,
         images=images,
     )
 
@@ -395,8 +401,7 @@ def verify_conjugation(L: RegUnitary, names: list[str] | None = None,
         gram = products.linear_combinations(imgs, list(zip(*imgs)), len(imgs), conj=True)
         for a, i in enumerate(idx):
             # distinct domain vectors have disjoint supports: <dom i|dom j> = 0
-            b = L.dom(i).amps
-            supp = [b[j] for j in L._supports[i]]
+            supp = [b for _, b in L.domain[i]]
             norm2 = dot(supp, supp, conj=True)
             for c, j in enumerate(idx):
                 diff = gram[a][c] - (norm2 if i == j else Scalar.zero())

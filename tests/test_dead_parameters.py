@@ -4,8 +4,10 @@ A default that no call in src/, tests/ or bench/ overrides is an option
 nothing uses: the parameter and its docstring clause should go.  Calls are
 matched by the called name alone (f(...) or obj.f(...)), so a name that
 several functions share counts for all of them.  A call of a class is a
-call of its __init__, and a call with *args or **kwargs passes every
-parameter.
+call of its __init__.  A starred name whose length its file shows (every
+binding of it is a literal tuple or list, or a for target over a literal
+list of equal-length ones) passes that many positional arguments; any other
+*args or **kwargs passes every parameter.
 """
 
 import ast
@@ -40,19 +42,58 @@ def defaulted_parameters(trees):
     return out
 
 
+def literal_length(node):
+    """The length of a literal tuple or list without starred items, else None."""
+    if isinstance(node, (ast.Tuple, ast.List)) and not any(isinstance(e, ast.Starred) for e in node.elts):
+        return len(node.elts)
+    return None
+
+
+def starred_lengths(tree):
+    """name -> length for each name that every binding in tree gives one known
+    length: `name = literal` or `for name in [literal, ...]`."""
+    lengths, targets = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+            target, sizes = node.targets[0], {literal_length(node.value)}
+        elif isinstance(node, ast.For) and isinstance(node.target, ast.Name):
+            elts = node.iter.elts if isinstance(node.iter, (ast.Tuple, ast.List)) else [None]
+            target, sizes = node.target, {literal_length(e) for e in elts} or {None}
+        else:
+            continue
+        targets.add(id(target))
+        lengths.setdefault(target.id, set()).update(sizes)
+    # any other binding of the name (an argument, a with or comprehension
+    # target, a second assignment form) leaves its length unknown
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            lengths[node.arg] = {None}
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store) and id(node) not in targets:
+            lengths[node.id] = {None}
+    return {name: n for name, (n, *more) in lengths.items() if n is not None and not more}
+
+
 def calls(trees):
     """called name -> (keywords passed, most positional arguments, any starred call)."""
     seen = {}
     for tree in trees:
+        lengths = starred_lengths(tree)
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             kws, most, starred = seen.get(name, (frozenset(), 0, False))
-            starred = (starred or any(isinstance(a, ast.Starred) for a in node.args)
-                       or any(k.arg is None for k in node.keywords))
-            seen[name] = (kws | {k.arg for k in node.keywords}, max(most, len(node.args)), starred)
+            count = 0
+            for a in node.args:
+                if not isinstance(a, ast.Starred):
+                    count += 1
+                elif isinstance(a.value, ast.Name) and a.value.id in lengths:
+                    count += lengths[a.value.id]
+                else:
+                    starred = True
+            starred = starred or any(k.arg is None for k in node.keywords)
+            seen[name] = (kws | {k.arg for k in node.keywords}, max(most, count), starred)
     return seen
 
 
@@ -89,3 +130,32 @@ def test_checker_reads_positions_keywords_classes_and_stars():
     callers = [ast.parse("f(1, 2)\nK(x=1)\nK(0)\nk.m(*args)\nK.s(1)\ng(**kw)\n")]
     assert dead_parameters(defined, callers) == ["f(c)", "K(y)"]
     assert dead_parameters(defined, []) == ["f(b)", "f(c)", "g(d)", "K(x)", "K(y)", "m(z)", "s(w)"]
+
+
+def test_checker_counts_starred_names_of_known_length():
+    defined = [ast.parse(
+        "def qho(M, e, f, c, extra=None): pass\n"
+        "def h(a, b, c=0): pass\n"
+        "def r(a=0, b=0): pass\n"
+        "def p(a=0, b=0): pass\n"
+        "def z(a=0, b=0): pass\n"
+    )]
+    callers = [ast.parse(
+        "for t in [(3, 4, 5), (4, 3, 5)]:\n"
+        "    qho(M, *t)\n"
+        "u = [1, 2]\n"
+        "h(*u)\n"
+        "v = (1,)\n"
+        "v += (2,)\n"
+        "r(*v)\n"
+        "for w in [(1,), (1, 2)]:\n"
+        "    p(*w)\n"
+        "x = (1,)\n"
+        "def run(x):\n"
+        "    z(*x)\n"
+    )]
+    # t and u have one known length; v is rebound, w's items differ in length
+    # and x is also a parameter, so those calls still pass everything
+    assert dead_parameters(defined, callers) == ["qho(extra)", "h(c)"]
+    callers = [ast.parse("t = (3, 4, 5)\nqho(M, *t)\nqho(M, *t, 0)\n")]
+    assert "qho(extra)" not in dead_parameters(defined, callers)

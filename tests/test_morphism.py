@@ -358,6 +358,11 @@ def terms(vec):
     return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in vec.amps]
 
 
+def pair_terms(pairs):
+    """(index, radicand, order, coefficients) of each (index, amplitude) pair."""
+    return [(j, a.rad, a.cyc.order, a.cyc.coeffs) for j, a in pairs]
+
+
 # (N, n, k, ambient point, extra u/v root steps): qho's B = <U^5, V^15> at
 # N = 225, Gaussian and diagonal shapes, non-principal points and roots
 SUMMAND_CASES = [
@@ -386,9 +391,11 @@ class TestSummandAgainstOracle:
         parts = decompose(M, B)
         assert len(parts) == len(oracle) == n * k
         for ell, (beta, basis) in enumerate(oracle):
-            for got in (summand(M, B, *divmod(ell, k)), parts[ell]):
-                assert got[0] == beta
-                assert [terms(v) for v in got[1]] == [terms(v) for v in basis]
+            got_beta, pairs = summand(M, B, *divmod(ell, k))
+            assert got_beta == parts[ell][0] == beta
+            support = [[(j, a) for j, a in enumerate(v.amps) if a.cyc.coeffs] for v in basis]
+            assert [pair_terms(g) for g in pairs] == [pair_terms(g) for g in support]
+            assert [terms(v) for v in parts[ell][1]] == [terms(v) for v in basis]
 
     def test_summands_share_one_amplitude_per_phase(self):
         # every amplitude is q^t/sqrt(n) with t = ell_u idx mod N: decompose
@@ -403,16 +410,16 @@ class TestSummandAgainstOracle:
                     if a.cyc.coeffs:
                         ids.setdefault(ell_u * idx % 24, set()).add(id(a))
         assert len(ids) == 24 and all(len(group) == 1 for group in ids.values())
-        _, basis = summand(M, B, 2, 1)
-        amps = [(2 * idx % 24, a) for v in basis for idx, a in enumerate(v.amps) if a.cyc.coeffs]
+        _, pairs = summand(M, B, 2, 1)
+        amps = [(2 * idx % 24, a) for g in pairs for idx, a in g]
         assert len({t for t, _ in amps}) == len({id(a) for _, a in amps}) < len(amps)
 
     def test_default_is_principal_branch(self):
         M = module_of_dim(225)
         B = sub_desc(M, 5, 15)
-        beta, basis = summand(M, B)
+        beta, pairs = summand(M, B)
         assert beta == decompose_oracle(M, B)[0][0]
-        assert len(basis) == 3
+        assert len(pairs) == 3 and all(len(g) == 5 for g in pairs)
 
     def test_branch_outside_range(self):
         M = module_of_dim(12)

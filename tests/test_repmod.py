@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finiteweyl import products
 from finiteweyl.errors import ModuleMismatch, NotGenerating, NotInAlgebra
 from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1
@@ -16,7 +17,6 @@ from finiteweyl.repmod import (
     gamma_generator,
     inner,
     linear_combination,
-    linear_combinations,
     quadratic_phase_exponent,
     relate_canonical_bases,
     root_of_unity_turns,
@@ -490,9 +490,10 @@ class TestLinearCombinations:
         if count:
             for r in rows:
                 r[0] = Scalar.zero()
-        got = linear_combinations(M, rows, vecs)
+        got = products.linear_combinations(rows, [v.amps for v in vecs], M.dim)
         assert len(got) == len(rows)
-        for r, vec in zip(rows, got):
+        for r, amps in zip(rows, got):
+            vec = StateVec(M, amps)
             assert terms(vec) == terms(linear_combination_oracle(M, r, vecs))
             assert terms(linear_combination(M, r, vecs)) == terms(vec)
 
@@ -502,7 +503,8 @@ class TestLinearCombinations:
         M = principal_module(6)
         w = [root_of_unity(12, t) for t in range(6)]
         rows = [[w[abs(l - m)] for l in range(6)] for m in range(6)]
-        for r, vec in zip(rows, linear_combinations(M, rows, u_basis(M))):
+        for r, amps in zip(rows, products.linear_combinations(rows, [v.amps for v in u_basis(M)], 6)):
+            vec = StateVec(M, amps)
             assert terms(vec) == terms(linear_combination_oracle(M, r, u_basis(M)))
             assert all((a - c).is_zero() for a, c in zip(vec.amps, r))
 
@@ -513,7 +515,7 @@ class TestLinearCombinations:
         got = linear_combination(M, [one, one], u_basis(M))
         assert [a == one for a in got.amps] == [True, True, False, False]
         assert all(a == one for a in linear_combination(M, [one] * 6, u_basis(M)).amps)
-        assert linear_combinations(M, [], u_basis(M)) == []
+        assert products.linear_combinations([], [v.amps for v in u_basis(M)], 4) == []
 
 
 def apply_word_oracle(w, x):

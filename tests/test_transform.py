@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from finiteweyl import products
 from finiteweyl.dirac import ScaleParams, qho_propagator, qho_trace
 from finiteweyl.errors import (
     DivisibilityViolation,
@@ -17,6 +18,7 @@ from finiteweyl.errors import (
 )
 from finiteweyl.exactnum import Cyc, Scalar
 from finiteweyl.lattice import WeylDesc, _mod1
+from finiteweyl.morphism import decompose
 from finiteweyl.repmod import (
     SpecPoint,
     StateVec,
@@ -115,7 +117,8 @@ class TestGaussian:
     def test_wrong_constant_breaks_eigen_relation(self):
         # the eigen-relation pins the constant sqrt(N)/G(N); perturbing by q fails
         M = principal_module(8)
-        G = gaussian(M, phase_const=Scalar.phase(F(-1, 8)) * M.q_power(1))
+        G = gaussian(M)
+        G = replace(G, images=[img.scale(M.q_power(1)) for img in G.images])
         vb = v_basis(M)
         img = G.apply(vb[1])
         target = vb[1].scale(M.q_power(F(-1, 2)))
@@ -125,7 +128,8 @@ class TestGaussian:
         # a global unit constant cancels in K X K^{-1}: the verifier must
         # still pass, which is why the eigen-relation is the sharp test
         M = principal_module(8)
-        G = gaussian(M, phase_const=Scalar.phase(F(-1, 8)) * M.q_power(1))
+        G = gaussian(M)
+        G = replace(G, images=[img.scale(M.q_power(1)) for img in G.images])
         for rep in verify_conjugation(G, names=["Sv2", "w2"]):
             assert rep.holds
 
@@ -141,9 +145,8 @@ class TestGaussian:
             dom_words=G.dom_words,
             sigma=G.sigma,
             gL=G.gL,
-            phase_const=G.phase_const,
             dim=G.dim,
-            dom_basis=G.dom_basis,
+            domain=G.domain,
             images=bad_images,
         )
         # scaling one image breaks the shift identity w2 (Sv2 pairs
@@ -407,11 +410,57 @@ class TestQHOAgainstOracle:
         assert all(a.rad == 3 and len(a.cyc.coeffs) == 1 for a in nonzero)
 
 
+def gaussian_images_oracle(M, b, d):
+    """Oracle: the images as one gather of the weight rows over the dense
+    principal summand basis, the build before the pairs were read."""
+    Nb = M.dim // abs(b * d)
+    _, h = decompose(M, WeylDesc(d * M.alg.a, abs(b) * M.alg.b))[0]
+    half_qb = F(b * d) * M.q_phase / 2
+    cc = Scalar.phase(F(-1 if b * d > 0 else 1, 8))
+    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
+    weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
+    rows = [[weight[abs(l - m)] for l in range(Nb)] for m in range(Nb)]
+    return products.linear_combinations(rows, [v.amps for v in h], M.dim)
+
+
+def terms(amps):
+    """Amplitudes as (radicand, order, coefficients): equal only when built
+    the same way, not merely equal in value."""
+    return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in amps]
+
+
+class TestGaussianAgainstOracle:
+    @pytest.mark.parametrize("N,b,d", [(8, 1, 1), (24, 1, 2), (24, 3, 2), (24, -1, 2),
+                                       (12, 1, 3), (104, 1, 1)])
+    def test_images_equal_dense_gather(self, N, b, d):
+        M = principal_module(N)
+        G = gaussian(M, b, d)
+        oracle = gaussian_images_oracle(M, b, d)
+        assert len(G.images) == len(oracle) == G.dim
+        for img, amps in zip(G.images, oracle):
+            assert terms(img.amps) == terms(amps)
+
+    def test_builders_sum_no_products(self, monkeypatch):
+        # every image entry of gaussian, diagonal and qho is one product or
+        # one amplitude; gaussian and qho read the summand's pairs without a
+        # dense domain vector
+        def refuse(*args, **kwargs):
+            raise AssertionError("builder routed through a sum of products or a dense summand")
+
+        monkeypatch.setattr(products, "linear_combinations", refuse)
+        assert diagonal(principal_module(24), 3).materialized
+        monkeypatch.setattr(StateVec, "from_pairs", refuse)
+        for b, d in [(1, 1), (3, 2), (-1, 2)]:
+            assert gaussian(principal_module(24), b, d).materialized
+        assert qho_evolution(principal_module(225), 3, 4, 5).materialized
+
+
 def apply_oracle(L, x):
     """Oracle: the expansion by one inner product per domain basis vector,
     refused when the whole residual x - sum c_m dom_m is nonzero."""
-    coeffs = [inner(b, x) for b in L.dom_basis]
-    residual = x - linear_combination(L.ambient_dom, coeffs, L.dom_basis)
+    dom_basis = [L.dom(m) for m in range(L.dim)]
+    coeffs = [inner(b, x) for b in dom_basis]
+    residual = x - linear_combination(L.ambient_dom, coeffs, dom_basis)
     if not residual.is_zero():
         raise NotIncluded("vector does not lie in the transformation domain")
     return linear_combination(L.ambient_ran, coeffs, L.images)
@@ -467,7 +516,7 @@ class TestApplyAgainstOracle:
         for density in (0.5, 1.0):
             coeffs = [Scalar.phase(F(rng.randrange(8), 8)) * Scalar.rational(rng.randrange(1, 4))
                       if rng.random() < density else Scalar.zero() for _ in range(L.dim)]
-            xs.append(linear_combination(L.ambient_dom, coeffs, L.dom_basis))
+            xs.append(linear_combination(L.ambient_dom, coeffs, [L.dom(m) for m in range(L.dim)]))
         for x in xs:
             assert same_vector(L.apply(x), apply_oracle(L, x))
 
@@ -501,8 +550,9 @@ class TestApplyAgainstOracle:
 
     def test_overlapping_supports_rejected(self):
         G = gaussian(principal_module(8))
+        overlapping = [[(j, a) for j, a in enumerate(img.amps) if a.cyc.coeffs] for img in G.images]
         with pytest.raises(ValueError, match="disjoint"):
-            replace(G, dom_basis=G.images)
+            replace(G, domain=overlapping)
 
 
 def corrupted(L, m, zero=False):
@@ -550,9 +600,9 @@ def unitary_oracle(L, sample=None):
 
 def corrupted_domain(L, m):
     """L with domain basis vector m doubled: same support, norm 4."""
-    dom = list(L.dom_basis)
-    dom[m] = dom[m].scale(Scalar.rational(2))
-    return replace(L, name="corrupt-dom", dom_basis=dom)
+    domain = list(L.domain)
+    domain[m] = [(j, Scalar.rational(2) * a) for j, a in domain[m]]
+    return replace(L, name="corrupt-dom", domain=domain)
 
 
 # a zeroed image 3 (seen only unsampled) and doubled domain vectors 0; an
