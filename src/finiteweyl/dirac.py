@@ -90,8 +90,6 @@ def auto_mu(h: Fraction, divisors: list[int], min_mu: int = 2) -> int:
 
 @dataclass
 class RescaleCtx:
-    r_word: GenWord
-    s_word: GenWord
     b: int
     aR: int
     aS: int
@@ -142,11 +140,11 @@ def delta_k(r_word: GenWord, s_word: GenWord, params: ScaleParams) -> RescaleCtx
     N = params.N
     if b == 0:
         delta = params.cc * math.sqrt(1 / N)
-        return RescaleCtx(r_word, s_word, 0, 1, 1, delta)
+        return RescaleCtx(0, 1, 1, delta)
     aR = gcd(abs(rR), abs(tR))
     aS = gcd(abs(rS), abs(tS))
     delta = b * params.cc / (aR * aS * math.sqrt(N))
-    return RescaleCtx(r_word, s_word, b, aR, aS, delta)
+    return RescaleCtx(b, aR, aS, delta)
 
 
 def dirac_inner(e: StateVec, f: StateVec, ctx: RescaleCtx) -> complex:

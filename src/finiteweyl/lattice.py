@@ -298,6 +298,21 @@ def mat_inv(g: Mat2) -> Mat2:
     return ((g[1][1] / d, -g[0][1] / d), (-g[1][0] / d, g[0][0] / d))
 
 
+def word_image(w: GenWord, g: Mat2, A: WeylDesc) -> GenWord:
+    """Image of w under the automorphism W(x) -> W(x g) of g in SL(2,Q).
+
+    Words are written symmetrically, W(j, k) = q^{jk/2} U^{ja} V^{kb} with
+    q = A.q_phase reduced mod 1: w = e^{2 pi i phi} W(j, k) goes to
+    e^{2 pi i (phi + (j'k' - jk) q/2)} U^{j'a} V^{k'b}, (j', k') = (j, k) g.
+    The image may leave A when g is not integral.  Raises NotInAlgebra
+    when w is not in A.
+    """
+    j, k = A.word_coords(w)
+    jg = j * g[0][0] + k * g[1][0]
+    kg = j * g[0][1] + k * g[1][1]
+    return GenWord(jg * A.a, kg * A.b, w.phase + (jg * kg - j * k) * A.q_phase / 2)
+
+
 def lattice_intersect(rows1, rows2):
     """Intersection of two full-rank rational lattices in Q^2 (rows generate).
 

@@ -231,7 +231,9 @@ def _monomial_products(rows, cols, dim: int, conj: bool):
     of the first nonzero column has one term (no sum to share), when an
     entry has several terms or a side mixes radicands, and when the
     float64 sums could pass 2^53 (the largest numerators' product times n
-    times the reduction's growth).
+    times the reduction's growth).  The one-term rule is reached only by
+    the sigma checks' applies that combine a single image, as for QHO at
+    N = 450 (six calls in a verify at sample 3).
     """
     n = len(cols)
     if len(rows) * n * dim < PRODUCTS_MIN or _probe_terms(cols) < 2:

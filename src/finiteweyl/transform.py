@@ -4,7 +4,8 @@ Each transformation is a basis-to-basis partial isometry between
 submodules of a fixed module, intertwining an algebra isomorphism sigma
 and carrying an associated SL(2,Q) matrix.  Matrices act on generator
 exponent rows, so composing maps multiplies the matrices in map order:
-g(L2 o L1) = g(L1) g(L2).
+g(L2 o L1) = g(L1) g(L2).  sigma is derived from the matrix alone, by
+`lattice.word_image`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .errors import (
     OutOfRange,
 )
 from .exactnum import Cyc, Scalar, dot
-from .lattice import GenWord, Mat2, WeylDesc, _mod1, lattice_intersect, mat_det, mat_inv, mat_mul
+from .lattice import (GenWord, Mat2, WeylDesc, _mod1, lattice_intersect, mat_det, mat_inv, mat_mul,
+                      word_image)
 from .morphism import summand
 from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, linear_combination, v_basis
 
@@ -46,13 +48,14 @@ class RegUnitary:
     domain[m] lists the (ambient index, amplitude) pairs of the m-th domain basis
     vector as `morphism.summand` gives them, so the supports are disjoint;
     images[m] is its dense image.  Both may be None for bookkeeping-only composites.
+    sigma_names names the conjugation identities of the two domain words.
     """
 
     name: str
     ambient_dom: ModuleRep
     ambient_ran: ModuleRep
     dom_words: tuple[GenWord, GenWord]
-    sigma: tuple[tuple[str, GenWord, GenWord], ...]  # (identity name, W, W^sigma)
+    sigma_names: tuple[str, str]
     gL: Mat2
     dim: int
     domain: list[list[tuple[int, Scalar]]] | None = None
@@ -61,11 +64,19 @@ class RegUnitary:
     def __post_init__(self):
         if mat_det(self.gL) != 1:
             raise ValueError("associated matrix must have determinant 1")
+        if not all(self.ambient_ran.alg.contains_word(w) for _, _, w in self.sigma):
+            raise ValueError("associated matrix maps a domain word outside the target algebra")
         if self.domain is not None:
             covered = {j for g in self.domain for j, _ in g}
             if len(covered) < sum(map(len, self.domain)):
                 raise ValueError("domain basis vectors must have disjoint supports")
             self._off = [j for j in range(self.ambient_dom.dim) if j not in covered]
+
+    @property
+    def sigma(self) -> tuple[tuple[str, GenWord, GenWord], ...]:
+        """(identity name, W, W^sigma) for each domain word W, W^sigma = W(x gL)."""
+        A = self.ambient_dom.alg
+        return tuple((nm, w, word_image(w, self.gL, A)) for nm, w in zip(self.sigma_names, self.dom_words))
 
     # -- basis access ---------------------------------------------------------
     def dom(self, m: int) -> StateVec:
@@ -109,8 +120,8 @@ class RegUnitary:
 def fourier(M: ModuleRep) -> RegUnitary:
     """Phi: u_m -> (1/sqrt N) sum_k q^{mk} u'_k, associated with [[0,1],[-1,0]].
 
-    The target module carries roots u' = v^{-1}, v' = u, so that
-    sigma: U -> V, V -> U^{-1} intertwines exactly.
+    The target module carries roots u' = v^{-1}, v' = u, so that the
+    matrix's sigma: U -> V, V -> U^{-1} intertwines exactly.
     """
     A = M.alg
     N = M.dim
@@ -127,7 +138,7 @@ def fourier(M: ModuleRep) -> RegUnitary:
         ambient_dom=M,
         ambient_ran=target,
         dom_words=(U, V),
-        sigma=(("sigma-U", U, V), ("sigma-V", V, U.inv())),
+        sigma_names=("sigma-U", "sigma-V"),
         gL=_frac_mat([[0, 1], [-1, 0]]),
         dim=N,
         domain=[[(m, Scalar.one())] for m in range(N)],
@@ -177,15 +188,12 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
             for idx, p in g:
                 amps[idx] = p[t]
         images.append(StateVec(M, amps))
-    Ud = GenWord(d * A.a, 0)
-    Vb = GenWord(0, b * A.b)
-    S = GenWord(d * A.a, -b * A.b, -half_qb)  # qb^{-1/2} U^d V^{-b}
     return RegUnitary(
         name=f"gaussian[b={b},d={d}]",
         ambient_dom=M,
         ambient_ran=M,
-        dom_words=(Ud, Vb),
-        sigma=(("Sv2", Ud, S), ("w2", Vb, Vb)),
+        dom_words=(GenWord(d * A.a, 0), GenWord(0, b * A.b)),
+        sigma_names=("Sv2", "w2"),
         gL=_frac_mat([[1, Fraction(-b, d)], [0, 1]]),
         dim=Nb,
         domain=h,
@@ -203,13 +211,12 @@ def diagonal(M: ModuleRep, m: int) -> RegUnitary:
     Bran = WeylDesc(m * A.a, A.b)
     _, dom = summand(M, Bdom)
     _, ran = summand(M, Bran)
-    U, Vm = GenWord(A.a, 0), GenWord(0, m * A.b)
     return RegUnitary(
         name=f"diagonal[{m}]",
         ambient_dom=M,
         ambient_ran=M,
-        dom_words=(U, Vm),
-        sigma=(("sigma-U", U, GenWord(m * A.a, 0)), ("sigma-V", Vm, GenWord(0, A.b))),
+        dom_words=(GenWord(A.a, 0), GenWord(0, m * A.b)),
+        sigma_names=("sigma-U", "sigma-V"),
         gL=_frac_mat([[m, 0], [0, Fraction(1, m)]]),
         dim=N // m,
         domain=dom,
@@ -261,7 +268,6 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
     dim = N // (c * c * e)
     C0 = Scalar.phase(Fraction(-1, 8))
     pref = C0 * Scalar.exact(Cyc.rational(1), e, N)
-    q = M.q_phase
     # pref q^{t/2} for t = qho_exponent (q^N = 1), each built on first use
     table: dict[int, Scalar] = {}
     images = []
@@ -274,16 +280,12 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
                 table[t] = pref * M.q_power(Fraction(t, 2))
             amps[(e * (l + m * f)) % N] = table[t]
         images.append(StateVec(M, amps))
-    Uc = GenWord(c * A.a, 0)
-    Vce = GenWord(0, c * e * A.b)
-    S_t = GenWord(f * A.a, -e * A.b, -Fraction(e * f) * q / 2)
-    R_t_e = GenWord(e * e * A.a, e * f * A.b, Fraction(e ** 3 * f) * q / 2)
     return RegUnitary(
         name=f"qho[{e},{f},{c}]",
         ambient_dom=M,
         ambient_ran=M,
-        dom_words=(Uc, Vce),
-        sigma=(("KU", Uc, S_t), ("mKU", Vce, R_t_e)),
+        dom_words=(GenWord(c * A.a, 0), GenWord(0, c * e * A.b)),
+        sigma_names=("KU", "mKU"),
         gL=_frac_mat([[Fraction(f, c), Fraction(-e, c)], [Fraction(e, c), Fraction(f, c)]]),
         dim=dim,
         domain=dom,
@@ -301,25 +303,6 @@ def _dom_lattice_rows(L: RegUnitary):
     for w in L.dom_words:
         rows.append((w.u_exp / A.a, w.v_exp / A.b))
     return rows
-
-
-def sigma_word_image(L: RegUnitary, w: GenWord) -> GenWord:
-    """sigma(w) for w in the domain algebra, via the generator images.
-
-    w is expanded as phase * W1^j W2^k; the image is phase * W1'^j W2'^k.
-    Defined up to the ambiguity class of roots of unity.
-    """
-    A = L.ambient_dom.alg
-    W1, W2 = L.dom_words
-    # the exponent row of w is (j, k) times the generators' rows
-    rw = (w.u_exp / A.a, w.v_exp / A.b)
-    j, k = (rw[0] * c0 + rw[1] * c1 for c0, c1 in zip(*mat_inv(_dom_lattice_rows(L))))
-    if j.denominator != 1 or k.denominator != 1:
-        raise NotIncluded("word is not in the domain subalgebra")
-    img1, img2 = L.sigma[0][2], L.sigma[1][2]
-    base = (img1 ** int(j)) * (img2 ** int(k))
-    lead = (W1 ** int(j)) * (W2 ** int(k))
-    return GenWord(base.u_exp, base.v_exp, base.phase + w.phase - lead.phase)
 
 
 def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
@@ -343,12 +326,6 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
 
     W1 = GenWord(C_rows[0][0] * A.a, C_rows[0][1] * A.b)
     W2 = GenWord(C_rows[1][0] * A.a, C_rows[1][1] * A.b)
-    sig1 = (sigma_word_image(L1, W1), sigma_word_image(L1, W2))
-    sig = tuple(
-        ("sigma-" + nm, w, sigma_word_image(L2, s1))
-        for nm, w, s1 in (("C1", W1, sig1[0]), ("C2", W2, sig1[1]))
-    )
-    gL = mat_mul(L1.gL, L2.gL)
 
     domain = images = None
     if L1.materialized and L2.materialized:
@@ -363,8 +340,8 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
         ambient_dom=L1.ambient_dom,
         ambient_ran=L2.ambient_ran,
         dom_words=(W1, W2),
-        sigma=sig,
-        gL=gL,
+        sigma_names=("sigma-C1", "sigma-C2"),
+        gL=mat_mul(L1.gL, L2.gL),
         dim=dim,
         domain=domain,
         images=images,
@@ -377,13 +354,13 @@ def check_sample(sample: int | None) -> None:
         raise OutOfRange(f"sample must be at least 1, got {sample}")
 
 
-def verify_conjugation(L: RegUnitary, names: list[str] | None = None,
-                       sample: int | None = None) -> list[ConjugationReport]:
+def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[ConjugationReport]:
     """Check each operator identity of L by exact computation on its bases.
 
-    Always checks inner-product preservation ("unitary"); each sigma pair
-    (W, W') is checked as L(W x) = W' L(x) on the domain basis, or on about
-    `sample` evenly spaced basis indices when sample (at least 1) is given.
+    Checks inner-product preservation ("unitary"), then each sigma pair
+    (W, W(x gL)) as L(W x) = W(x gL) L(x), so the associated matrix itself
+    is checked; on the domain basis, or on about `sample` evenly spaced
+    basis indices when sample (at least 1) is given.
     """
     check_sample(sample)
     if not L.materialized:
@@ -391,32 +368,33 @@ def verify_conjugation(L: RegUnitary, names: list[str] | None = None,
     reports = []
     idx = range(L.dim) if sample is None or L.dim <= sample else range(0, L.dim, max(1, L.dim // sample))
 
-    if names is None or "unitary" in names:
-        from . import products  # compiled on first use only
+    from . import products  # compiled on first use only
 
-        worst = 0.0
-        ok = True
-        # the images' Gram matrix as one product
-        imgs = [L.image(i).amps for i in idx]
-        gram = products.linear_combinations(imgs, list(zip(*imgs)), len(imgs), conj=True)
-        for a, i in enumerate(idx):
-            # distinct domain vectors have disjoint supports: <dom i|dom j> = 0
-            supp = [b for _, b in L.domain[i]]
-            norm2 = dot(supp, supp, conj=True)
-            for c, j in enumerate(idx):
-                diff = gram[a][c] - (norm2 if i == j else Scalar.zero())
-                if not diff.is_zero():
-                    ok = False
-                    worst = max(worst, abs(diff.to_complex()))
-        reports.append(ConjugationReport("unitary", ok, worst))
+    worst = 0.0
+    ok = True
+    # the images' Gram matrix as one product
+    imgs = [L.image(i).amps for i in idx]
+    gram = products.linear_combinations(imgs, list(zip(*imgs)), len(imgs), conj=True)
+    for a, i in enumerate(idx):
+        # distinct domain vectors have disjoint supports: <dom i|dom j> = 0
+        supp = [b for _, b in L.domain[i]]
+        norm2 = dot(supp, supp, conj=True)
+        for c, j in enumerate(idx):
+            diff = gram[a][c] - (norm2 if i == j else Scalar.zero())
+            if not diff.is_zero():
+                ok = False
+                worst = max(worst, abs(diff.to_complex()))
+    reports.append(ConjugationReport("unitary", ok, worst))
 
     for nm, W, Wimg in L.sigma:
-        if names is not None and nm not in names:
-            continue
         worst = 0.0
         ok = True
         for m in idx:
-            lhs = L.apply(apply_word(W, L.dom(m)))
+            try:
+                lhs = L.apply(apply_word(W, L.dom(m)))
+            except NotIncluded:  # the domain basis is not an orthonormal basis of a submodule
+                ok, worst = False, float("inf")
+                continue
             rhs = apply_word(Wimg, L.image(m))
             for a, b in zip(lhs.amps, rhs.amps):
                 if a.cyc.coeffs or b.cyc.coeffs:

@@ -17,7 +17,7 @@ from finiteweyl.errors import (
     OutOfRange,
 )
 from finiteweyl.exactnum import Cyc, Scalar
-from finiteweyl.lattice import WeylDesc, _mod1
+from finiteweyl.lattice import GenWord, WeylDesc, _mod1, mat_inv
 from finiteweyl.morphism import decompose
 from finiteweyl.repmod import (
     SpecPoint,
@@ -130,8 +130,9 @@ class TestGaussian:
         M = principal_module(8)
         G = gaussian(M)
         G = replace(G, images=[img.scale(M.q_power(1)) for img in G.images])
-        for rep in verify_conjugation(G, names=["Sv2", "w2"]):
-            assert rep.holds
+        for rep in verify_conjugation(G):
+            if rep.name in ("Sv2", "w2"):
+                assert rep.holds
 
     def test_corrupted_images_detected(self):
         M = principal_module(8)
@@ -143,7 +144,7 @@ class TestGaussian:
             ambient_dom=G.ambient_dom,
             ambient_ran=G.ambient_ran,
             dom_words=G.dom_words,
-            sigma=G.sigma,
+            sigma_names=G.sigma_names,
             gL=G.gL,
             dim=G.dim,
             domain=G.domain,
@@ -485,25 +486,184 @@ def same_vector(x, y):
     return x.module.compatible(y.module) and all((a - b).is_zero() for a, b in zip(x.amps, y.amps))
 
 
+def hand_sigma(kind, M, *params):
+    """Oracle: the sigma images each builder stated by hand before sigma was
+    derived from gL, as (identity name, W, W')."""
+    A, q = M.alg, M.q_phase
+    U, V = GenWord(A.a, 0), GenWord(0, A.b)
+    if kind == "fourier":
+        return (("sigma-U", U, V), ("sigma-V", V, U.inv()))
+    if kind in ("gaussian", "free"):
+        b, d = params
+        Ud, Vb = GenWord(d * A.a, 0), GenWord(0, b * A.b)
+        S = GenWord(d * A.a, -b * A.b, -F(b * d) * q / 2)  # qb^{-1/2} U^d V^{-b}
+        return (("Sv2", Ud, S), ("w2", Vb, Vb))
+    if kind == "diagonal":
+        m, = params
+        return (("sigma-U", U, GenWord(m * A.a, 0)), ("sigma-V", GenWord(0, m * A.b), V))
+    e, f, c = params
+    S_t = GenWord(f * A.a, -e * A.b, -F(e * f) * q / 2)
+    R_t_e = GenWord(e * e * A.a, e * f * A.b, F(e ** 3 * f) * q / 2)
+    return (("KU", GenWord(c * A.a, 0), S_t), ("mKU", GenWord(0, c * e * A.b), R_t_e))
+
+
+def sigma_word_image(sigma, A, w):
+    """Oracle: sigma(w) extended from the generator images as a homomorphism.
+
+    w is expanded as phase * W1^j W2^k; the image is phase * W1'^j W2'^k.
+    """
+    (_, W1, img1), (_, W2, img2) = sigma
+    rows = [(W.u_exp / A.a, W.v_exp / A.b) for W in (W1, W2)]
+    rw = (w.u_exp / A.a, w.v_exp / A.b)
+    j, k = (rw[0] * c0 + rw[1] * c1 for c0, c1 in zip(*mat_inv(rows)))
+    assert j.denominator == 1 and k.denominator == 1, "word is not in the domain subalgebra"
+    base = (img1 ** int(j)) * (img2 ** int(k))
+    lead = (W1 ** int(j)) * (W2 ** int(k))
+    return GenWord(base.u_exp, base.v_exp, base.phase + w.phase - lead.phase)
+
+
+BUILD = {"fourier": fourier, "gaussian": gaussian, "free": free_evolution,
+         "diagonal": diagonal, "qho": qho_evolution}
+
+
+def built(kind, M, *params):
+    """(L, its hand-written sigma)."""
+    return BUILD[kind](M, *params), hand_sigma(kind, M, *params)
+
+
+def composed(second, first):
+    """(L2 o L1, its sigma through L1's and then L2's images by the oracle)."""
+    (L2, s2), (L1, s1) = second, first
+    C = compose(L2, L1)
+    A = L1.ambient_dom.alg
+    return C, tuple((nm, W, sigma_word_image(s2, A, sigma_word_image(s1, A, W)))
+                    for nm, W in zip(("sigma-C1", "sigma-C2"), C.dom_words))
+
+
 def _builders():
     M24, M16 = principal_module(24), principal_module(16)
-    Phi = fourier(principal_module(12))
-    Kh = free_evolution(M16, 1, 2)
-    yield fourier(M24)
+    Phi = built("fourier", principal_module(12))
+    Kh = built("free", M16, 1, 2)
+    yield built("fourier", M24)
     for b, d in [(1, 1), (1, 2), (3, 2), (-1, 2)]:
-        yield gaussian(M24, b, d)
-    yield diagonal(M24, 2)
-    yield diagonal(M24, 3)
+        yield built("gaussian", M24, b, d)
+    yield built("diagonal", M24, 2)
+    yield built("diagonal", M24, 3)
     yield Kh
-    yield qho_evolution(principal_module(225), 3, 4, 5)
-    yield qho_evolution(principal_module(450), 3, 4, 5)
-    yield qho_evolution(principal_module(200), 4, 3, 5)
-    yield compose(fourier(Phi.ambient_ran), Phi)
-    yield compose(free_evolution(M16, -1, 2), Kh)
-    yield compose(Kh, Kh)
+    yield built("qho", principal_module(225), 3, 4, 5)
+    yield built("qho", principal_module(450), 3, 4, 5)
+    yield built("qho", principal_module(200), 4, 3, 5)
+    yield composed(built("fourier", Phi[0].ambient_ran), Phi)
+    yield composed(built("free", M16, -1, 2), Kh)
+    yield composed(Kh, Kh)
 
 
-BUILDERS = list(_builders())
+BUILT = list(_builders())
+BUILDERS = [L for L, _ in BUILT]
+
+SPECS = ([("fourier",)]
+         + [("gaussian", b, d) for b, d in [(1, 1), (1, 2), (3, 2), (-1, 2), (2, 1), (1, 3), (-3, 1)]]
+         + [("diagonal", m) for m in (2, 3, 4)]
+         + [("qho", *t) for t in [(3, 4, 5), (4, 3, 5)]])
+
+
+def sweep_modules():
+    """Principal modules, and principal and non-principal modules of algebras
+    with a*b other than 1/N; A(3,5/12) has a*b = 5/4 and reduced q = 1/4."""
+    yield from (principal_module(N) for N in (4, 6, 8, 12, 16, 24))
+    for a, b in [(F(1, 2), F(1, 6)), (F(2, 3), F(1, 4)), (3, F(5, 12)), (F(1, 3), F(7, 4)), (F(5, 2), F(3, 8))]:
+        A = WeylDesc(a, b)
+        yield build_module(A, SpecPoint.principal_point())
+        yield build_module(A, SpecPoint(F(1, 3), F(2, 5)))
+
+
+def instances(M):
+    """(L, hand-written sigma) for every entry of SPECS that M admits."""
+    out = []
+    for kind, *params in SPECS:
+        try:
+            out.append(built(kind, M, *params))
+        except (NotDividing, OddOrder, DivisibilityViolation):
+            pass
+    return out
+
+
+class TestSigmaAgainstOracle:
+    @pytest.mark.parametrize("L,hand", BUILT, ids=[f"{L.name}-N{L.ambient_dom.dim}" for L in BUILDERS])
+    def test_builders(self, L, hand):
+        assert L.sigma == hand
+
+    @pytest.mark.parametrize("M", list(sweep_modules()), ids=repr)
+    def test_every_builder_and_composite(self, M):
+        # two-factor composites over every pair whose modules line up, and
+        # a sample of three-factor ones
+        first = instances(M)
+        assert len(first) >= 6
+        assert all(L.sigma == hand for L, hand in first)
+
+        def on(module):
+            return first if module.compatible(M) else instances(module)
+
+        pairs = []
+        for f1 in first:
+            for f2 in on(f1[0].ambient_ran):
+                try:
+                    pairs.append(composed(f2, f1))
+                except NoCommonSubalgebra:
+                    pass
+        assert len(pairs) >= 20
+        assert all(C.sigma == hand for C, hand in pairs)
+        rng = random.Random(repr(M))
+        triples = 0
+        for f12 in rng.sample(pairs, 12):
+            f3 = rng.choice(on(f12[0].ambient_ran))
+            try:
+                C, hand = composed(f3, f12)
+            except NoCommonSubalgebra:
+                continue
+            triples += 1
+            assert C.sigma == hand
+        assert triples >= 3
+
+    def test_qho_triple_5_12_13(self):
+        L, hand = built("qho", principal_module(845), 5, 12, 13)
+        assert L.sigma == hand
+
+
+class TestWrongMatrix:
+    """A wrong associated matrix is seen: sigma follows from gL alone."""
+
+    @pytest.mark.parametrize("b,d", [(1, 1), (1, 2), (3, 2), (-1, 2)])
+    def test_gaussian_sign_of_b_over_d(self, b, d):
+        G = gaussian(principal_module(24), b, d)
+        bad = replace(G, gL=((F(1), F(b, d)), (F(0), F(1))))
+        assert {r.name: r.holds for r in verify_conjugation(bad)} == {"unitary": True, "Sv2": False, "w2": True}
+
+    @pytest.mark.parametrize("N,triple", [(225, (3, 4, 5)), (200, (4, 3, 5))])
+    def test_qho_inverse_rotation(self, N, triple):
+        e, f, c = triple
+        K = qho_evolution(principal_module(N), e, f, c)
+        bad = replace(K, gL=((F(f, c), F(e, c)), (F(-e, c), F(f, c))))
+        assert {r.name: r.holds for r in verify_conjugation(bad)} == {"unitary": True, "KU": False, "mKU": False}
+
+    @pytest.mark.parametrize("second,first", [(("fourier",), ("diagonal", 2)),
+                                              (("diagonal", 2), ("gaussian", 1, 2)),
+                                              (("gaussian", 1, 1), ("diagonal", 3)),
+                                              (("free", 1, 2), ("fourier",))])
+    def test_composite_with_swapped_product_refused(self, second, first):
+        M = principal_module(24)
+        L2, L1 = (BUILD[kind](M, *params) for kind, *params in (second, first))
+        C = compose(L2, L1)
+        with pytest.raises(ValueError, match="outside the target algebra"):
+            replace(C, gL=mat_mul(L2.gL, L1.gL))
+
+    def test_composite_with_swapped_product_fails_sigma(self):
+        # here the swapped matrix keeps the domain words in the algebra
+        M = principal_module(24)
+        L2, L1 = fourier(M), gaussian(M, 1, 1)
+        bad = replace(compose(L2, L1), gL=mat_mul(L2.gL, L1.gL))
+        assert {r.name: r.holds for r in verify_conjugation(bad)} == {
+            "unitary": True, "sigma-C1": False, "sigma-C2": False}
 
 
 class TestApplyAgainstOracle:
@@ -617,7 +777,14 @@ class TestUnitaryAgainstOracle:
         # the domain Gram matrix is read off the disjoint supports: 0 off the
         # diagonal without a product, norm2 over the support on it
         for sample in (None, 3):
-            got, = [(r.name, r.holds, r.residual) for r in verify_conjugation(L, ["unitary"], sample)]
+            got, = [(r.name, r.holds, r.residual) for r in verify_conjugation(L, sample)
+                    if r.name == "unitary"]
             assert got == unitary_oracle(L, sample)
             if L in NOT_UNITARY and (sample is None or L.name == "corrupt-dom"):
                 assert not got[1] and got[2] > 0
+
+    def test_broken_domain_fails_the_identities(self):
+        # with u_0 doubled, U u_0 and V u_1 are no longer read off the domain
+        # basis: the identities fail instead of raising NotIncluded
+        reports = {r.name: (r.holds, r.residual) for r in verify_conjugation(NOT_UNITARY[1])}
+        assert reports["sigma-U"] == reports["sigma-V"] == (False, float("inf"))
