@@ -11,120 +11,51 @@ All algebraic layers work in exact cyclotomic arithmetic (elements of
 Q(zeta_M) scaled by square roots of rationals); the numeric layer
 evaluates large-N kernels in floats.  Values are immutable after
 construction, so everything here is safe to share across threads.
+
+The names below are resolved on first access, so `import finiteweyl`
+loads no submodule, and numpy is imported only by code that builds
+float arrays.
 """
 
-from .dirac import (
-    ConvergenceReport,
-    KernelSample,
-    RescaleCtx,
-    ScaleParams,
-    TraceResult,
-    auto_mu,
-    ccr_residual,
-    converge_study,
-    delta_k,
-    dirac_inner,
-    free_propagator,
-    qho_propagator,
-    qho_trace,
-    st_mu,
-    xp_kernel,
-)
-from .exactnum import Cyc, Scalar, conjugate, eval_complex, gauss_sum, root_of_unity
-from .lattice import (
-    AutDesc,
-    GenWord,
-    WeylDesc,
-    apply_automorphism,
-    center,
-    includes,
-    join,
-    maximal_commutative,
-    q_order,
-    spectrum_project,
-    up_functor,
-)
-from .morphism import Embedding, PairingResult, decompose, embed_pbeta, pairing, pairing_row_sum
-from .repmod import (
-    ModuleRep,
-    SpecPoint,
-    StateVec,
-    apply_word,
-    build_module,
-    gamma_generator,
-    inner,
-    s_basis,
-    u_basis,
-    v_basis,
-)
-from .transform import (
-    ConjugationReport,
-    RegUnitary,
-    compose,
-    diagonal,
-    fourier,
-    free_evolution,
-    gaussian,
-    qho_evolution,
-    verify_conjugation,
-)
+import importlib
 
-__all__ = [
-    "AutDesc",
-    "ConjugationReport",
-    "ConvergenceReport",
-    "Cyc",
-    "Embedding",
-    "GenWord",
-    "KernelSample",
-    "ModuleRep",
-    "PairingResult",
-    "RegUnitary",
-    "RescaleCtx",
-    "Scalar",
-    "ScaleParams",
-    "SpecPoint",
-    "StateVec",
-    "TraceResult",
-    "WeylDesc",
-    "apply_automorphism",
-    "apply_word",
-    "auto_mu",
-    "build_module",
-    "ccr_residual",
-    "center",
-    "compose",
-    "conjugate",
-    "converge_study",
-    "decompose",
-    "delta_k",
-    "diagonal",
-    "dirac_inner",
-    "embed_pbeta",
-    "eval_complex",
-    "fourier",
-    "free_evolution",
-    "free_propagator",
-    "gamma_generator",
-    "gauss_sum",
-    "gaussian",
-    "includes",
-    "inner",
-    "join",
-    "maximal_commutative",
-    "pairing",
-    "pairing_row_sum",
-    "q_order",
-    "qho_evolution",
-    "qho_propagator",
-    "qho_trace",
-    "root_of_unity",
-    "s_basis",
-    "spectrum_project",
-    "st_mu",
-    "u_basis",
-    "up_functor",
-    "v_basis",
-    "verify_conjugation",
-    "xp_kernel",
-]
+# Each public name and the submodule that defines it.
+_EXPORTS = {
+    "ConvergenceReport": "dirac", "KernelSample": "dirac", "RescaleCtx": "dirac",
+    "ScaleParams": "dirac", "TraceResult": "dirac", "auto_mu": "dirac",
+    "ccr_residual": "dirac", "converge_study": "dirac", "delta_k": "dirac",
+    "dirac_inner": "dirac", "free_propagator": "dirac", "qho_propagator": "dirac",
+    "qho_trace": "dirac", "st_mu": "dirac", "xp_kernel": "dirac",
+    "Cyc": "exactnum", "Scalar": "exactnum", "conjugate": "exactnum",
+    "eval_complex": "exactnum", "gauss_sum": "exactnum", "root_of_unity": "exactnum",
+    "AutDesc": "lattice", "GenWord": "lattice", "WeylDesc": "lattice",
+    "apply_automorphism": "lattice", "center": "lattice", "includes": "lattice",
+    "join": "lattice", "maximal_commutative": "lattice", "q_order": "lattice",
+    "spectrum_project": "lattice", "up_functor": "lattice",
+    "Embedding": "morphism", "PairingResult": "morphism", "decompose": "morphism",
+    "embed_pbeta": "morphism", "pairing": "morphism", "pairing_row_sum": "morphism",
+    "ModuleRep": "repmod", "SpecPoint": "repmod", "StateVec": "repmod",
+    "apply_word": "repmod", "build_module": "repmod", "gamma_generator": "repmod",
+    "inner": "repmod", "s_basis": "repmod", "u_basis": "repmod", "v_basis": "repmod",
+    "ConjugationReport": "transform", "RegUnitary": "transform", "compose": "transform",
+    "diagonal": "transform", "fourier": "transform", "free_evolution": "transform",
+    "gaussian": "transform", "qho_evolution": "transform",
+    "verify_conjugation": "transform",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    """Import the submodule that defines `name` (PEP 562) and cache the value."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    """The exports too, before their first access, as an eager import listed them."""
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -3,6 +3,8 @@
 Exit codes: 0 when all invoked checks pass tolerance, 1 on a tolerance
 failure, 2 on precondition violations (the violated condition is named).
 Rational inputs are strings "p/q" to avoid float parsing ambiguity.
+Only the float subcommands import `dirac`, so the exact ones start
+without numpy.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import dirac
 from .errors import FiniteWeylError
 from .exactnum import eval_complex
 from .lattice import (
@@ -47,7 +48,10 @@ def fmt_rat(x: Fraction) -> str:
 
 
 def _emit(payload: dict, args, rows=None) -> None:
-    out = sys.stdout if args.out is None else open(args.out, "w")
+    try:
+        out = sys.stdout if args.out is None else open(args.out, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
     try:
         if rows is not None and args.format == "csv":
             w = csv.writer(out)
@@ -67,6 +71,8 @@ def _checks_exit(checks: list[dict]) -> int:
 
 def _resolve_mu(args, divisors: list[int], default_min: int) -> int:
     if args.mu == "auto":
+        from . import dirac
+
         return dirac.auto_mu(parse_rat(args.h), divisors, min_mu=args.mu_min or default_min)
     return int(args.mu)
 
@@ -216,6 +222,8 @@ def _grid(spec: str) -> list[float]:
 
 
 def cmd_propagator(args) -> int:
+    from . import dirac
+
     h = parse_rat(args.h)
     rows = []
     checks = []
@@ -276,6 +284,8 @@ def cmd_propagator(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from . import dirac
+
     h = parse_rat(args.h)
     e, f, c = (int(x) for x in args.triple.split(","))
     mu = _resolve_mu(args, [2 * c * e * (c - f)], 200)
@@ -306,6 +316,8 @@ def cmd_trace(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    from . import dirac
+
     mus = [int(x) for x in args.mu_list.split(",")]
     if args.quantity == "ccr" and len(mus) < 2:
         raise ValueError("converge ccr fits an order and needs at least two mu values")

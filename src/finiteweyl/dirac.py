@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import numpy as np
-
 from .errors import (
     DivisibilityViolation,
     ModuleMismatch,
@@ -358,6 +356,8 @@ def _position_window(params: ScaleParams):
     the geometric-mean width is the scaling at which the residual decays at
     the advertised O(1/mu) rate.
     """
+    import numpy as np
+
     sigma = math.sqrt(params.mu / float(params.h))
     W = max(8, int(10 * sigma))
     k = np.arange(-W, W + 1, dtype=np.int64)
@@ -374,6 +374,8 @@ def ccr_residual(kind: str, params: ScaleParams) -> float:
     x=0 regularization in the U-basis, 'momentum' the p=0 one in the V-basis,
     'sstate' a chirped packet along the U V diagonal.
     """
+    import numpy as np
+
     hbar, mu = params.hbar, params.mu
     k, psi = _position_window(params)
     if kind == "sstate":
@@ -412,6 +414,8 @@ def ccr_residual(kind: str, params: ScaleParams) -> float:
 def q_operator_eigenvalue(k: int, params: ScaleParams) -> float:
     """Exact eigenvalue of Q = mu(U - U^{-1})/2i on the lattice state u(q^k);
     k may be an array of indices."""
+    import numpy as np
+
     return params.mu * np.sin(params.hbar * k / params.mu ** 2)
 
 
@@ -450,6 +454,8 @@ def converge_study(quantity: str, mus: list[int], h: Fraction = Fraction(1),
             residuals.append(weakring_max_phase_error(params, count=500, seed=seed))
         else:
             raise ValueError(f"unknown quantity {quantity!r}")
+    import numpy as np
+
     logs = np.log(np.maximum(residuals, 1e-16))
     order = float(np.polyfit(np.log(mus), logs, 1)[0]) if len(mus) > 1 else 0.0
     return ConvergenceReport(list(mus), residuals, order)

@@ -577,13 +577,13 @@ def quadratic_phase_sum(P: int, sign: int, stop: int) -> complex:
     OutOfRange, before anything is summed, when (stop - 1)^2 would overflow
     int64.
     """
-    import numpy as np
-
     if stop - 1 > INT64_SQRT_MAX:
         raise OutOfRange(
             f"largest index n = {stop - 1} would overflow int64 in n^2 "
             f"(need n <= {INT64_SQRT_MAX})"
         )
+    import numpy as np
+
     w = 2 * np.pi * sign / P
     re, im = [], []
     for lo in range(0, stop, PHASE_CHUNK):

@@ -5,9 +5,11 @@ each output coordinate is one numpy exponent histogram, and the histograms
 are reduced mod Phi_L together.  Integer counts are held in float64 only
 while they stay below 2^53, and the one-term forms guessed from float
 values are verified exactly.  Every other sum is gathered per coordinate
-and summed by `dot`.  `repmod` and `transform` import this module on first
-use, so a process that never sums a product (a CLI run, the float kernels)
-does not compile it.
+and summed by `dot`.  `repmod` and `transform` import this module, and so
+numpy, on first use: a process that never sums a product (the float
+kernels, every CLI command but `transform`) does not load it.  A
+`transform` run does, and from N = 8 on its kernel runs too: the unitary
+check's Gram matrix of N dense images has N^3 >= PRODUCTS_MIN products.
 """
 
 from __future__ import annotations

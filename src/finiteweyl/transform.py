@@ -312,8 +312,11 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
     g(L2 o L1) = g(L1) g(L2) (matrices act on exponent rows, so the product
     order is reversed relative to map order).  The basis map is materialized
     when the factors' bases align; otherwise the composite carries
-    bookkeeping only.
+    bookkeeping only.  Raises ModuleMismatch when L2 does not start on the
+    module where L1 ends.
     """
+    if not L2.ambient_dom.compatible(L1.ambient_ran):
+        raise ModuleMismatch("L2's domain module is not L1's range module")
     A = L1.ambient_dom.alg
     rows1 = _dom_lattice_rows(L1)
     rows2 = _dom_lattice_rows(L2)

@@ -1,10 +1,16 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from finiteweyl import cli, dirac
 from finiteweyl.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 
 
 def run(capsys, *argv):
@@ -224,6 +230,45 @@ class TestOutputFile:
         assert code == 0
         payload = json.loads(path.read_text())
         assert payload["results"]["center"] == "2,2"
+
+    def test_unopenable_path_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "res.json"
+        code = main(["lattice", "--center", "1/2,1/2", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert str(path) in captured.err
+
+
+class TestNumpyFree:
+    # the exact commands, `propagator qho` (scalar cmath) and float commands
+    # refused before any sum, run in one process that must never load numpy
+    COMMANDS = [(case["argv"], case["exit"]) for case in GOLDEN
+                if case["argv"][0] != "transform"] + [
+        (["propagator", "qho"], 0),
+        (["trace", "qho", "--mu", "7"], 2),
+        (["trace", "qho", "--triple", "3,4,5", "--mu", "16"], 2),
+        (["propagator", "free", "--t", "1/3", "--mu", "10"], 2),
+        (["trace", "qho", "--mu-min", "1000000"], 2),  # int64 overflow, refused
+    ]
+
+    def test_commands_leave_numpy_out(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, json, sys\n"
+            "from finiteweyl.cli import main\n"
+            "codes = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes.append(main(argv))\n"
+            "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        )
+        argvs = json.dumps([argv for argv, _ in self.COMMANDS])
+        proc = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+        codes, numpy_loaded = json.loads(proc.stdout)
+        assert codes == [expected for _, expected in self.COMMANDS]
+        assert not numpy_loaded
 
 
 class ReadRecorder(argparse.Namespace):

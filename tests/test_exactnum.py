@@ -360,10 +360,10 @@ class TestEvalPrecision:
 
     def test_import_leaves_mpmath_out(self):
         src = str(Path(finiteweyl.__file__).resolve().parents[1])
-        code = "import sys, finiteweyl; print('mpmath' in sys.modules)"
+        code = "import sys, finiteweyl; print('mpmath' in sys.modules, 'numpy' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "False False"
 
 
 # ---------------------------------------------------------------------------

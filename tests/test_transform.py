@@ -287,6 +287,23 @@ class TestCompose:
         with pytest.raises(NoCommonSubalgebra):
             compose(D, C1)
 
+    @pytest.mark.parametrize("materialized", [True, False])
+    def test_mismatched_modules_refused(self, materialized, monkeypatch):
+        # Fourier moves the point (1/3, 2/5) of A(1/2, 1/6), so a second
+        # Fourier on the same module does not start where the first ends
+        M = build_module(WeylDesc(F(1, 2), F(1, 6)), SpecPoint(F(1, 3), F(2, 5)))
+        L = fourier(M)
+        assert not L.ambient_dom.compatible(L.ambient_ran)
+        if not materialized:
+            L = replace(L, domain=None, images=None)
+
+        def fail(*args):
+            raise AssertionError("composite built from mismatched factors")
+
+        monkeypatch.setattr(RegUnitary, "apply", fail)
+        with pytest.raises(ModuleMismatch):
+            compose(L, L)
+
     def test_sl2q_generators_realized(self):
         # Fourier, Gaussian and diagonal realize the standard generators
         M = principal_module(24)
