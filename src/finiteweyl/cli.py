@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -63,6 +64,23 @@ def _emit(payload: dict, args, rows=None) -> None:
     finally:
         if out is not sys.stdout:
             out.close()
+
+
+def _check_out(path) -> None:
+    """Refuse an --out path whose directory is missing or not writable, or
+    that is a directory, before any work and without creating the file."""
+    if path is None:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(parent):
+        reason = f"no directory {parent!r}"
+    elif not os.access(parent, os.W_OK):
+        reason = f"directory {parent!r} is not writable"
+    else:
+        return
+    raise ValueError(f"cannot open --out {path!r}: {reason}")
 
 
 def _checks_exit(checks: list[dict]) -> int:
@@ -446,6 +464,7 @@ def main(argv=None) -> int:
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = make_parser().parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except FiniteWeylError as exc:
         print(f"precondition violated ({type(exc).__name__}): {exc}", file=sys.stderr)

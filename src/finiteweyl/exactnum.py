@@ -257,7 +257,9 @@ class Cyc:
             (k1, c1), = self.coeffs.items()
             (k2, c2), = other.coeffs.items()
             k = k1 * (L // self.order) + k2 * (L // other.order)
-            return Cyc(L, {k % L: c1 * c2}, _trusted=True)
+            # a phase times a monomial: reuse the other coefficient, no Fraction product
+            c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
+            return Cyc(L, {k % L: c}, _trusted=True)
         a, b = self.lift(L), other.lift(L)
         out: dict[int, Fraction] = {}
         for k1, c1 in a.coeffs.items():

@@ -1,13 +1,14 @@
 """Exact sums of products: linear_combinations, the one entry point.
 
-Large sums of one-term entries zeta_M^k c sqrt(r) go to a kernel in which
-each output coordinate is one numpy exponent histogram, and the histograms
-are reduced mod Phi_L together.  Integer counts are held in float64 only
-while they stay below 2^53, and the one-term forms guessed from float
-values are verified exactly.  Every other sum is gathered per coordinate
-and summed by `dot`.  `repmod` and `transform` import this module, and so
-numpy, on first use: a process that never sums a product (the float
-kernels, every CLI command but `transform`) does not load it.  A
+It has two strategies.  Large sums of one-term entries zeta_M^k c sqrt(r)
+go to a kernel in which each output coordinate is one numpy exponent
+histogram, and the histograms are reduced mod Phi_L together.  Integer
+counts are held in float64 only while they stay below 2^53, and the
+one-term forms guessed from float values are verified exactly.  Every
+other sum is gathered per coordinate and summed by `dot`, a coordinate of
+a single product included.  `repmod` and `transform` import this module,
+and so numpy, on first use: a process that never sums a product (the
+float kernels, every CLI command but `transform`) does not load it.  A
 `transform` run does, and from N = 8 on its kernel runs too: the unitary
 check's Gram matrix of N dense images has N^3 >= PRODUCTS_MIN products.
 """
@@ -313,7 +314,7 @@ def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[S
     PRODUCTS_MIN nonzero products go to the histogram kernel.  Otherwise,
     or when that kernel declines, one scan of the columns' nonzero entries
     gathers the terms of each coordinate and `dot` sums each coordinate of
-    each row.
+    each row, one term or many.
     """
     n = min((len(r) for r in rows), default=0)
     live = [i for i in range(min(n, len(cols))) if any(r[i].cyc.coeffs for r in rows)]
@@ -328,22 +329,6 @@ def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[S
             if a.cyc.coeffs:
                 idx[j].append(i)
                 amps[j].append(a)
-    # a one-term coordinate is one product, built once per two objects: verify_conjugation's
-    # applies repeat them (QHO N = 450, sample 3: 702 hits; build + verify 14-15 ms, 20-22 without)
-    products: dict[tuple[int, int], Scalar] = {}
     zero = Scalar.zero()
-    out = []
-    for r in rows:
-        coords = []
-        for ix, am in zip(idx, amps):
-            if not ix:
-                coords.append(zero)
-            elif len(ix) == 1:
-                key = (id(r[ix[0]]), id(am[0]))
-                if key not in products:
-                    products[key] = dot([r[ix[0]]], am, conj=conj)
-                coords.append(products[key])
-            else:
-                coords.append(dot([r[i] for i in ix], am, conj=conj))
-        out.append(coords)
-    return out
+    return [[dot([r[i] for i in ix], am, conj=conj) if ix else zero
+             for ix, am in zip(idx, amps)] for r in rows]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
@@ -156,44 +157,34 @@ def _kernel_turns(w: GenWord, M: ModuleRep) -> Fraction:
     return _mod1(w.phase + m * M.u_phase + n * M.v_phase)
 
 
+def _word_factor(w: GenWord, M: ModuleRep):
+    """t -> kernel * q^t, the factor w puts on entry j of M at t = j m mod N
+    (q^N = 1), each value built on first use and then shared.  With no kernel
+    phase that is M.q_power itself: 1 * q^t is q^t, term for term."""
+    turns = _kernel_turns(w, M)
+    if not turns:
+        return M.q_power
+    kernel = Scalar.phase(turns)
+    return cache(lambda t: kernel * M.q_power(t))
+
+
 def apply_word(w: GenWord, x: StateVec) -> StateVec:
     """Linear action of a pseudo-unitary word, with commutation phases.
 
-    out[j] = kernel * q^{jm} * x[j + n].  A one-term entry is moved by
-    exponent arithmetic alone, reusing its coefficient, at the order the
-    Scalar product would give: the lcm of the kernel's, q^{jm}'s and its own.
+    out[j] = kernel * q^{jm} * x[j + n]: each nonzero entry is one Scalar
+    product, the factor kernel * q^{jm} (built once per jm mod N) times
+    x[j + n].
     """
     M = x.module
     m, n = M.alg.word_coords(w)  # raises NotInAlgebra
     N = M.dim
-    phase_kernel = _kernel_turns(w, M)
-    kernel = Scalar.phase(phase_kernel) if phase_kernel else None
-    d0, k0 = phase_kernel.denominator, phase_kernel.numerator
-    phases: dict[int, tuple[int, int]] = {}  # j m mod N -> (order, exponent)
+    factor = _word_factor(w, M)
     out = [Scalar.zero()] * N
     amps = x.amps
     for j in range(N):
         src = amps[(j + n) % N]
-        coeffs = src.cyc.coeffs
-        if not coeffs:
-            continue
-        t = j * m % N  # q^N = 1
-        if len(coeffs) > 1:
-            if not src.is_zero():
-                qjm = M.q_power(t)
-                out[j] = (qjm if kernel is None else kernel * qjm) * src
-            continue
-        ph = phases.get(t)
-        if ph is None:
-            q = M.q_power(t).cyc
-            (k1, _), = q.coeffs.items()
-            P = lcm(d0, q.order)
-            ph = phases[t] = (P, (k0 * (P // d0) + k1 * (P // q.order)) % P)
-        P, e = ph
-        (k, c), = coeffs.items()
-        o = src.cyc.order
-        L = lcm(P, o)
-        out[j] = Scalar(src.rad, Cyc(L, {(e * (L // P) + k * (L // o)) % L: c}, _trusted=True))
+        if src.cyc.coeffs and not src.is_zero():
+            out[j] = factor(j * m % N) * src
     return StateVec(M, out)
 
 
@@ -277,8 +268,7 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     t_inv = Scalar.phase(_mod1(-_kernel_turns(T ** N, M) / N))
 
     m, n = alg.word_coords(S)
-    phase_kernel = _kernel_turns(S, M)
-    kernel = Scalar.phase(phase_kernel) if phase_kernel else None
+    factor = _word_factor(S, M)
     seed = None
     for start in range(N):
         acc = M.basis_vector(start)
@@ -286,8 +276,7 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
         for _ in range(N - 1):
             # the entry apply_word(S, .) then scale(s0_inv) would give
             i = (i - n) % N
-            qim = M.q_power(i * m % N)
-            c = s0_inv * ((qim if kernel is None else kernel * qim) * c)
+            c = s0_inv * (factor(i * m % N) * c)
             acc.amps[i] = acc.amps[i] + c
         if not acc.is_zero():
             seed = acc

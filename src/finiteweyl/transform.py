@@ -175,18 +175,18 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
     inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
     # the weight of u_l in the image of u_m depends only on |l - m|
     weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
-    # the h_l have disjoint supports: entry idx of image m is weight[|l - m|] * a
-    # for the pair (idx, a) of h_l; each amplitude object gets one row of products
-    amp = {id(a): a for g in h for _, a in g}
-    row = {i: [w * a for w in weight] for i, a in amp.items()}
-    pairs = [[(idx, row[id(a)]) for idx, a in g] for g in h]
+    # the h_l have disjoint supports, and on the branch ell_u = 0 every amplitude
+    # is the one object a = 1/sqrt(d): entry idx of image m is weight[|l - m|] * a
+    # for each index idx of h_l
+    a = h[0][0][1]
+    row = [w * a for w in weight]
     images = []
     for m in range(Nb):
         amps = [Scalar.zero()] * N
-        for l, g in enumerate(pairs):
-            t = abs(l - m)
-            for idx, p in g:
-                amps[idx] = p[t]
+        for l, g in enumerate(h):
+            p = row[abs(l - m)]
+            for idx, _ in g:
+                amps[idx] = p
         images.append(StateVec(M, amps))
     return RegUnitary(
         name=f"gaussian[b={b},d={d}]",

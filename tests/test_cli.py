@@ -239,6 +239,20 @@ class TestOutputFile:
         assert captured.out == ""
         assert str(path) in captured.err
 
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_refused_before_the_work(self, where, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("converge_study ran before --out was refused")
+
+        monkeypatch.setattr(dirac, "converge_study", fail)
+        path = tmp_path / "missing" / "x.json" if where == "missing-directory" else tmp_path
+        code = main(["converge", "ccr", "--mu", "30,60,120,240", "--out", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"cannot open --out {str(path)!r}" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestNumpyFree:
     # the exact commands, `propagator qho` (scalar cmath) and float commands

@@ -335,6 +335,41 @@ class TestScalarAlgebra:
             assert s == t
             assert approx_eq(complex(*eval_complex(s)), complex(*eval_complex(t)), 1e-10)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_monomial_product_representation(self, rng):
+        # a coefficient of 1 on either side is reused, not multiplied: the
+        # product keeps the order and terms of the plain Fraction product
+        def monomial():
+            order = rng.choice([1, 2, 3, 4, 5, 8, 12, 24])
+            coeff = rng.choice([Fraction(1), Fraction(1), Fraction(-1), Fraction(3), Fraction(2, 5),
+                                Fraction(-7, 3)])
+            return rng.choice([1, 2, 3, 6]), Cyc(order, {rng.randrange(order): coeff})
+
+        (r1, x), (r2, y) = monomial(), monomial()
+        L = math.lcm(x.order, y.order)
+        (k1, c1), = x.coeffs.items()
+        (k2, c2), = y.coeffs.items()
+        expect = (L, {(k1 * (L // x.order) + k2 * (L // y.order)) % L: c1 * c2})
+        got = x * y
+        assert (got.order, got.coeffs) == expect
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        s, r = split_square(r1 * r2)
+        prod = Scalar(r1, x) * Scalar(r2, y)
+        assert (prod.rad, prod.cyc.order, prod.cyc.coeffs) == (r, L, {k: c * s for k, c in expect[1].items()})
+
+    def test_monomial_product_cases(self):
+        one, half = Fraction(1), Fraction(1, 2)
+        for x, y, expect in [
+            (Cyc(4, {1: one}), Cyc(6, {1: Fraction(-2, 3)}), (12, {5: Fraction(-2, 3)})),  # 1 on the left
+            (Cyc(6, {5: Fraction(5, 7)}), Cyc(4, {3: one}), (12, {7: Fraction(5, 7)})),  # 1 on the right
+            (Cyc(8, {3: one}), Cyc(8, {6: one}), (8, {1: one})),  # 1 on both sides
+            (Cyc(3, {2: -one}), Cyc(1, {0: half}), (3, {2: -half})),
+            (Cyc(5, {1: Fraction(-3, 4)}), Cyc(2, {1: Fraction(-2, 9)}), (10, {7: Fraction(1, 6)})),
+        ]:
+            got = x * y
+            assert (got.order, got.coeffs) == expect
+
     def test_unequal_scalars_detected(self):
         assert root_of_unity(7, 1) != root_of_unity(7, 2)
         assert Scalar.exact(Cyc.rational(1), 2, 1) != Scalar.rational(1)

@@ -257,8 +257,8 @@ class TestEntryPointAgainstNaive:
             check_entry_point(rows, cols, 7, conj)
 
     def test_block_sparse_one_term_coordinates(self, conj, threshold):
-        # a summand basis: column i is nonzero on block i only, and the rows
-        # share their Scalars, so the one-term products are memoised by identity
+        # a summand basis: column i is nonzero on block i only, so every
+        # coordinate is one product, which goes to `dot` like any other
         rng = random.Random(12)
         block, n = 3, 4
         cols = [[monomial(rng, 24, 1, density=1.0) if j // block == i else Scalar.zero()
@@ -267,8 +267,7 @@ class TestEntryPointAgainstNaive:
         rows = [[shared[(i + k) % 2] for i in range(n)] for k in range(3)]
         with products_min(threshold):
             assert monomial_products(rows, cols, conj) is None
-            got = check_entry_point(rows, cols, block * n, conj)
-        assert got[0][0] is got[2][0]
+            check_entry_point(rows, cols, block * n, conj)
 
     def test_multi_term_entries_and_mixed_radicands(self, conj, threshold):
         rng = random.Random(13)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,7 @@ from finiteweyl.repmod import (
     s_basis,
     u_basis,
     v_basis,
+    _kernel_turns,
 )
 
 
@@ -532,6 +534,43 @@ def apply_word_oracle(w, x):
     return out
 
 
+def apply_word_hand_built(w, x):
+    """Oracle: apply_word with one-term entries moved by exponent arithmetic alone:
+    kernel and q^{jm} exponents lifted to their lcm P, then to the lcm with the
+    entry's order, and the entry's coefficient reused."""
+    M = x.module
+    m, n = M.alg.word_coords(w)
+    N = M.dim
+    phase_kernel = _kernel_turns(w, M)
+    kernel = Scalar.phase(phase_kernel) if phase_kernel else None
+    d0, k0 = phase_kernel.denominator, phase_kernel.numerator
+    phases = {}  # j m mod N -> (order, exponent)
+    out = [Scalar.zero()] * N
+    for j in range(N):
+        src = x.amps[(j + n) % N]
+        coeffs = src.cyc.coeffs
+        if not coeffs:
+            continue
+        t = j * m % N
+        if len(coeffs) > 1:
+            if not src.is_zero():
+                qjm = M.q_power(t)
+                out[j] = (qjm if kernel is None else kernel * qjm) * src
+            continue
+        ph = phases.get(t)
+        if ph is None:
+            q = M.q_power(t).cyc
+            (k1, _), = q.coeffs.items()
+            P = lcm(d0, q.order)
+            ph = phases[t] = (P, (k0 * (P // d0) + k1 * (P // q.order)) % P)
+        P, e = ph
+        (k, c), = coeffs.items()
+        o = src.cyc.order
+        L = lcm(P, o)
+        out[j] = Scalar(src.rad, Cyc(L, {(e * (L // P) + k * (L // o)) % L: c}, _trusted=True))
+    return StateVec(M, out)
+
+
 class TestApplyWordAgainstOracle:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(st.randoms(use_true_random=False))
@@ -548,6 +587,27 @@ class TestApplyWordAgainstOracle:
                     F(rng.randrange(-7, 8), rng.choice([1, 2, 8, 2 * N])))
         got = apply_word(w, x)
         assert all((a - b).is_zero() for a, b in zip(got.amps, apply_word_oracle(w, x)))
+        assert representation(got) == representation(apply_word_hand_built(w, x))
+
+    @pytest.mark.parametrize("point", [(0, 0), (F(1, 3), F(2, 5))], ids=["principal", "non-principal"])
+    def test_entries_as_hand_built_exponents(self, point):
+        # every entry keeps the representation the hand-built one-term path gave
+        A = WeylDesc(F(1, 1), F(1, 12))
+        M = build_module(A, SpecPoint(*point))
+        rng = random.Random(21)
+        one_terms = [Scalar(r, Cyc(o, {rng.randrange(o): c}))
+                     for r, o, c in [(1, 1, F(1)), (1, 24, F(1)), (2, 8, F(-1)), (3, 12, F(5, 7)),
+                                     (6, 48, F(-3, 2)), (1, 5, F(2))]]
+        multi = [Scalar(2, Cyc(24, {1: F(1, 2), 7: F(-3)})), Scalar(1, Cyc(12, {0: F(1), 4: F(1), 8: F(1)})),
+                 Scalar(3, Cyc(2, {0: F(1), 1: F(1)}))]  # the last two equal zero
+        amps = (one_terms + multi + [Scalar.zero()] * 3)[:M.dim]
+        x = StateVec(M, amps)
+        words = [GenWord(0, 0), GenWord(A.a, 0), GenWord(0, 5 * A.b), GenWord(3 * A.a, 7 * A.b, F(1, 16)),
+                 GenWord(-2 * A.a, A.b, F(1, 3))]
+        assert [a.is_zero() for a in multi] == [False, True, True]
+        assert {_kernel_turns(w, M) == 0 for w in words} == {True, False}
+        for w in words:
+            assert representation(apply_word(w, x)) == representation(apply_word_hand_built(w, x))
 
 
 # ---------------------------------------------------------------------------

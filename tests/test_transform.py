@@ -647,6 +647,10 @@ class TestSigmaAgainstOracle:
         assert L.sigma == hand
 
 
+SWAPPED_REFUSED = [(("fourier",), ("diagonal", 2)), (("diagonal", 2), ("gaussian", 1, 2)),
+                   (("gaussian", 1, 1), ("diagonal", 3)), (("free", 1, 2), ("fourier",))]
+
+
 class TestWrongMatrix:
     """A wrong associated matrix is seen: sigma follows from gL alone."""
 
@@ -663,16 +667,21 @@ class TestWrongMatrix:
         bad = replace(K, gL=((F(f, c), F(e, c)), (F(-e, c), F(f, c))))
         assert {r.name: r.holds for r in verify_conjugation(bad)} == {"unitary": True, "KU": False, "mKU": False}
 
-    @pytest.mark.parametrize("second,first", [(("fourier",), ("diagonal", 2)),
-                                              (("diagonal", 2), ("gaussian", 1, 2)),
-                                              (("gaussian", 1, 1), ("diagonal", 3)),
-                                              (("free", 1, 2), ("fourier",))])
+    @pytest.mark.parametrize("second,first", SWAPPED_REFUSED)
     def test_composite_with_swapped_product_refused(self, second, first):
         M = principal_module(24)
         L2, L1 = (BUILD[kind](M, *params) for kind, *params in (second, first))
         C = compose(L2, L1)
         with pytest.raises(ValueError, match="outside the target algebra"):
             replace(C, gL=mat_mul(L2.gL, L1.gL))
+
+    @pytest.mark.parametrize("second,first", [(("diagonal", 3), ("gaussian", 3, 2))] + SWAPPED_REFUSED)
+    def test_composite_matrix_is_first_times_second(self, second, first):
+        # for D_3 o G[3,2] the swapped matrix passes verify_conjugation (it differs
+        # by a word acting trivially on the images), so the order is pinned on gL
+        M = principal_module(24)
+        L2, L1 = (BUILD[kind](M, *params) for kind, *params in (second, first))
+        assert compose(L2, L1).gL == mat_mul(L1.gL, L2.gL) != mat_mul(L2.gL, L1.gL)
 
     def test_composite_with_swapped_product_fails_sigma(self):
         # here the swapped matrix keeps the domain words in the algebra
