@@ -16,7 +16,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .errors import FiniteWeylError
+from .errors import FiniteWeylError, OutOfRange
 from .exactnum import eval_complex
 from .lattice import (
     WeylDesc,
@@ -85,6 +85,12 @@ def _check_out(path) -> None:
 
 def _checks_exit(checks: list[dict]) -> int:
     return 0 if all(c["passed"] for c in checks) else 1
+
+
+def _check_n(n: int) -> None:
+    """Refuse a module dimension --n below 1 (OutOfRange) before anything is built."""
+    if n < 1:
+        raise OutOfRange(f"--n must be at least 1, got {n}")
 
 
 def _resolve_mu(args, divisors: list[int], default_min: int) -> int:
@@ -157,6 +163,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_pairing(args) -> int:
+    _check_n(args.n)
     N = args.n
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())
 
@@ -181,6 +188,7 @@ def cmd_pairing(args) -> int:
 
 
 def cmd_transform(args) -> int:
+    _check_n(args.n)
     check_sample(args.sample)
     N = args.n
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())

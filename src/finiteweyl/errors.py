@@ -37,16 +37,16 @@ class NoCommonSubalgebra(FiniteWeylError):
     """Composition of transformations admits no usable common subalgebra."""
 
 
-class OddOrder(FiniteWeylError):
+class DivisibilityViolation(FiniteWeylError):
+    """Scale parameters violate a divisibility precondition."""
+
+
+class OddOrder(DivisibilityViolation):
     """Operation requires an even module dimension."""
 
 
-class NotDividing(FiniteWeylError):
+class NotDividing(DivisibilityViolation):
     """Required divisibility between integer parameters fails."""
-
-
-class DivisibilityViolation(FiniteWeylError):
-    """Scale parameters violate a divisibility precondition."""
 
 
 class NotPythagorean(FiniteWeylError):

@@ -57,7 +57,6 @@ class RegUnitary:
     dom_words: tuple[GenWord, GenWord]
     sigma_names: tuple[str, str]
     gL: Mat2
-    dim: int
     domain: list[list[tuple[int, Scalar]]] | None = None
     images: list[StateVec] | None = None
 
@@ -77,6 +76,11 @@ class RegUnitary:
         """(identity name, W, W^sigma) for each domain word W, W^sigma = W(x gL)."""
         A = self.ambient_dom.alg
         return tuple((nm, w, word_image(w, self.gL, A)) for nm, w in zip(self.sigma_names, self.dom_words))
+
+    @property
+    def dim(self) -> int | None:
+        """Number of domain basis vectors; None for a bookkeeping-only composite."""
+        return None if self.domain is None else len(self.domain)
 
     # -- basis access ---------------------------------------------------------
     def dom(self, m: int) -> StateVec:
@@ -140,10 +144,24 @@ def fourier(M: ModuleRep) -> RegUnitary:
         dom_words=(U, V),
         sigma_names=("sigma-U", "sigma-V"),
         gL=_frac_mat([[0, 1], [-1, 0]]),
-        dim=N,
         domain=[[(m, Scalar.one())] for m in range(N)],
         images=images,
     )
+
+
+def gaussian_dim(N: int, b: int, d: int) -> int:
+    """Nb = N/|bd| for the Gaussian's <U^d, V^b>-submodule; refuses b or d = 0,
+    bd not dividing N (NotDividing) and odd Nb (OddOrder: sqrt(Nb)/G(Nb) needs
+    even order).  `gaussian` and `dirac.free_propagator` both check here."""
+    if b == 0 or d == 0:
+        raise DivisibilityViolation("b and d must be nonzero")
+    bd = abs(b * d)
+    if N % bd != 0:
+        raise NotDividing(f"bd = {bd} must divide N = {N}")
+    Nb = N // bd
+    if Nb % 2 != 0:
+        raise OddOrder(f"submodule dimension {Nb} is odd; the constant needs even order")
+    return Nb
 
 
 def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
@@ -157,14 +175,7 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
     """
     A = M.alg
     N = M.dim
-    if b == 0 or d == 0:
-        raise DivisibilityViolation("b and d must be nonzero")
-    bd = abs(b * d)
-    if N % bd != 0:
-        raise NotDividing(f"bd = {bd} must divide N = {N}")
-    Nb = N // bd
-    if Nb % 2 != 0:
-        raise OddOrder(f"submodule dimension {Nb} is odd; the constant needs even order")
+    Nb = gaussian_dim(N, b, d)
     B = WeylDesc(d * A.a, abs(b) * A.b)
     _, h = summand(M, B)
     half_qb = Fraction(b * d) * M.q_phase / 2
@@ -195,7 +206,6 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
         dom_words=(GenWord(d * A.a, 0), GenWord(0, b * A.b)),
         sigma_names=("Sv2", "w2"),
         gL=_frac_mat([[1, Fraction(-b, d)], [0, 1]]),
-        dim=Nb,
         domain=h,
         images=images,
     )
@@ -218,7 +228,6 @@ def diagonal(M: ModuleRep, m: int) -> RegUnitary:
         dom_words=(GenWord(A.a, 0), GenWord(0, m * A.b)),
         sigma_names=("sigma-U", "sigma-V"),
         gL=_frac_mat([[m, 0], [0, Fraction(1, m)]]),
-        dim=N // m,
         domain=dom,
         images=[StateVec.from_pairs(M, g) for g in ran],
     )
@@ -229,8 +238,6 @@ def free_evolution(M: ModuleRep, b: int, d: int) -> RegUnitary:
 
     Satisfies K U^d K^{-1} = qb^{-1/2} U^d V^{-b} and K V^b K^{-1} = V^b.
     """
-    if b == 0 or d == 0:
-        raise DivisibilityViolation("t = b/d needs nonzero b, d")
     return replace(gaussian(M, b=b, d=d), name=f"free[t={b}/{d}]")
 
 
@@ -239,6 +246,16 @@ def check_triple(e: int, f: int, c: int) -> None:
     integers, sin t = e/c and cos t = f/c (NotPythagorean)."""
     if e <= 0 or f <= 0 or c <= 0 or e * e + f * f != c * c:
         raise NotPythagorean(f"({e},{f},{c}) is not a Pythagorean triple of positive integers")
+
+
+def qho_dim(N: int, e: int, f: int, c: int) -> int:
+    """N/(c^2 e) for the QHO's <U^c, V^{ce}>-submodule; refuses a triple that
+    `check_triple` refuses and c^2 e not dividing N.  `qho_evolution` and
+    `dirac.qho_propagator` both check here."""
+    check_triple(e, f, c)
+    if N % (c * c * e):
+        raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
+    return N // (c * c * e)
 
 
 def qho_exponent(e: int, f: int, m: int, l: int, N: int) -> int:
@@ -258,14 +275,11 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
     with C0 = e^{-i pi/4}.  Satisfies K U^c K^{-1} = q^{-ef/2} U^f V^{-e}
     and K V^{ce} K^{-1} = q^{e^3 f/2} U^{e^2} V^{ef}.
     """
-    check_triple(e, f, c)
     A = M.alg
     N = M.dim
-    if N % (c * c * e):
-        raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
+    dim = qho_dim(N, e, f, c)
     B = WeylDesc(c * A.a, c * e * A.b)
     _, dom = summand(M, B)
-    dim = N // (c * c * e)
     C0 = Scalar.phase(Fraction(-1, 8))
     pref = C0 * Scalar.exact(Cyc.rational(1), e, N)
     # pref q^{t/2} for t = qho_exponent (q^N = 1), each built on first use
@@ -287,7 +301,6 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
         dom_words=(GenWord(c * A.a, 0), GenWord(0, c * e * A.b)),
         sigma_names=("KU", "mKU"),
         gL=_frac_mat([[Fraction(f, c), Fraction(-e, c)], [Fraction(e, c), Fraction(f, c)]]),
-        dim=dim,
         domain=dom,
         images=images,
     )
@@ -337,7 +350,6 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
             domain = L1.domain
         except NotIncluded:
             domain = images = None
-    dim = L1.dim if domain is not None else int(dim_c) if dim_c.denominator == 1 else 1
     return RegUnitary(
         name=f"({L2.name} o {L1.name})",
         ambient_dom=L1.ambient_dom,
@@ -345,7 +357,6 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
         dom_words=(W1, W2),
         sigma_names=("sigma-C1", "sigma-C2"),
         gL=mat_mul(L1.gL, L2.gL),
-        dim=dim,
         domain=domain,
         images=images,
     )

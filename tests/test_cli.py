@@ -1,6 +1,9 @@
 import argparse
+import csv
+import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,11 @@ from finiteweyl import cli, dirac
 from finiteweyl.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+# the sh block under "## CLI", one command per line, comments dropped
+README_COMMANDS = [shlex.split(line, comments=True)
+                   for line in README.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+                   .splitlines() if line.strip()]
 
 
 def run(capsys, *argv):
@@ -73,6 +81,22 @@ class TestPairing:
         payload = json.loads(out)
         assert payload["results"]["compatible"] is True
         assert abs(payload["results"]["value"] - 1 / 8) < 1e-12
+
+
+class TestModuleDimension:
+    @pytest.mark.parametrize("n", ["-4", "0"])
+    @pytest.mark.parametrize("argv", [["transform", "--name", "fourier"],
+                                      ["pairing", "--left", "u:1", "--right", "v:1"]])
+    def test_below_one_exit_2(self, capsys, monkeypatch, argv, n):
+        def fail(*args):
+            raise AssertionError("module built for a refused --n")
+
+        monkeypatch.setattr(cli, "build_module", fail)
+        code = main(argv + ["--n", n])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--n must be at least 1" in captured.err
 
 
 class TestTransform:
@@ -205,6 +229,29 @@ class TestConverge:
         assert payload["meta"]["mu_list"] == [60, 120]
         assert payload["results"] == {"residuals": rep.residuals, "fitted_order": rep.fitted_order}
         assert [c["name"] for c in payload["checks"]] == ["fitted_order_is_minus_one"]
+
+
+class TestReadmeCommands:
+    def test_block_found(self):
+        assert README_COMMANDS
+        assert all(argv[0] == "finiteweyl" for argv in README_COMMANDS)
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_command_runs(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        code, out = run(capsys, *argv[1:])
+        assert code == 0
+        if "--out" in argv:
+            assert out == ""
+            out = (tmp_path / argv[argv.index("--out") + 1]).read_text()
+        if "csv" in argv:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert rows[0] == cli.CSV_HEADER and len(rows) > 1
+            assert all(len(row) == len(cli.CSV_HEADER) for row in rows)
+        else:
+            payload = json.loads(out)
+            assert set(payload) == {"meta", "results", "checks"}
+            assert all(c["passed"] for c in payload["checks"])
 
 
 class TestOptions:

@@ -29,7 +29,8 @@ from finiteweyl.errors import (
     OutOfRange,
 )
 from finiteweyl.lattice import WeylDesc
-from finiteweyl.repmod import SpecPoint, build_module, v_basis
+from finiteweyl.repmod import SpecPoint, build_module, inner, v_basis
+from finiteweyl.transform import free_evolution, qho_evolution
 
 
 class TestScaleParams:
@@ -236,6 +237,45 @@ class TestQHOPropagator:
             qho_propagator(0, 0, (3, 4, 5), ScaleParams(F(1), 16))
 
 
+class TestExactKernels:
+    """The float kernels are the exact transforms' matrix elements, Dirac-rescaled."""
+
+    @pytest.mark.parametrize("t", [F(1, 2), F(1), F(3, 2), F(-1, 2)])
+    def test_free_propagator_is_free_evolution(self, t):
+        p = ScaleParams(F(1), 12)
+        G = free_evolution(build_module(p.algebra, SpecPoint.principal_point()),
+                           t.numerator, t.denominator)
+        Nb = G.dim
+        dx = abs(t.numerator) * p.hbar / p.mu
+        for l in range(-(Nb // 2), Nb // 2 + 1):
+            for m in range(-(Nb // 2), Nb // 2 + 1):
+                exact = inner(G.dom(l % Nb), G.image(m % Nb)).to_complex() / dx
+                assert abs(free_propagator(l * dx, m * dx, t, p).value - exact) < 1e-12
+
+    @pytest.mark.parametrize("mu", [30, 60])
+    def test_qho_propagator_is_qho_evolution(self, mu):
+        p = ScaleParams(F(1), mu)
+        K = qho_evolution(build_module(p.algebra, SpecPoint.principal_point()), 3, 4, 5)
+        dim = K.dim
+        step, dx = 15 * p.hbar / mu, 3 * p.hbar / mu
+        for n in range(-(dim // 2), dim // 2 + 1):
+            for m in range(-(dim // 2), dim // 2 + 1):
+                exact = inner(K.dom(n % dim), K.image(m % dim)).to_complex()
+                assert abs(qho_propagator(n * step, m * step, (3, 4, 5), p).value * dx - exact) < 1e-12
+
+    # N = 36: Nb = 9 is odd; N = 100: 7 does not divide it; t = 0
+    @pytest.mark.parametrize("mu,t", [(6, F(1, 4)), (10, F(1, 7)), (6, F(0))])
+    def test_refusals_agree(self, mu, t):
+        p = ScaleParams(F(1), mu)
+        with pytest.raises(DivisibilityViolation) as exact:
+            free_evolution(build_module(p.algebra, SpecPoint.principal_point()),
+                           t.numerator, t.denominator)
+        with pytest.raises(DivisibilityViolation) as flt:
+            free_propagator(0.0, 0.0, t, p)
+        assert type(exact.value) is type(flt.value)
+        assert str(exact.value) == str(flt.value)
+
+
 class TestQHOTrace:
     @pytest.mark.parametrize(
         "triple,mu",
@@ -347,8 +387,11 @@ class TestCCR:
 
     def test_kinds(self):
         p = ScaleParams(F(1), 120)
-        for kind in ("position", "momentum", "sstate"):
+        for kind in ("position", "sstate"):
             assert 0 < ccr_residual(kind, p) < 1
+        # in the momentum picture QP - PQ is the position operator: no kind of its own
+        with pytest.raises(ValueError):
+            ccr_residual("momentum", p)
 
     def test_q_eigenvalue_exact_form(self):
         # lattice eigenstates are exact Q-eigenvectors with eigenvalue

@@ -146,7 +146,6 @@ class TestGaussian:
             dom_words=G.dom_words,
             sigma_names=G.sigma_names,
             gL=G.gL,
-            dim=G.dim,
             domain=G.domain,
             images=bad_images,
         )
@@ -286,6 +285,13 @@ class TestCompose:
         C1 = compose(D, D)
         with pytest.raises(NoCommonSubalgebra):
             compose(D, C1)
+
+    def test_bookkeeping_composite_has_no_dim(self):
+        # N/covol(C) = 4/3: no basis map, so no dimension to report
+        D = diagonal(principal_module(12), 3)
+        C = compose(D, D)
+        assert not C.materialized and C.dim is None
+        assert C.gL == mat_mul(D.gL, D.gL)
 
     @pytest.mark.parametrize("materialized", [True, False])
     def test_mismatched_modules_refused(self, materialized, monkeypatch):
