@@ -19,7 +19,7 @@ from .errors import DivisibilityViolation, NotPythagorean, OutOfRange
 from .exactnum import gauss_sum_float, symmetric_phase_sum
 from .lattice import GenWord, WeylDesc
 from .repmod import StateVec, inner
-from .transform import check_triple, gaussian_dim, qho_dim, qho_exponent
+from .transform import check_triple, gaussian_dim, qho_dim
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +201,14 @@ def free_propagator(x1: float, x2: float, t: Fraction, params: ScaleParams) -> K
     return KernelSample(xs1, xs2, value, closed)
 
 
+def _qho_exponent(e: int, f: int, m: int, l: int, N: int) -> int:
+    """t = e f (l^2 - e^2 m^2) - 2 e^3 m l mod 2N: `transform.qho_evolution`
+    carries q^{t/2} from its m-th domain vector to u(q^{e(l+mf)}), the kernel
+    q^{(2xy - alpha x^2 - delta y^2)/(2 beta)} of its matrix at x = e(l + mf),
+    y = c e m, in integers."""
+    return e * (f * (l * l - e * e * m * m) - 2 * e * e * m * l) % (2 * N)
+
+
 def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
                    params: ScaleParams) -> KernelSample:
     """Finite-N harmonic-oscillator kernel vs the continuum closed form.
@@ -229,7 +237,7 @@ def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
     total = 0.0 + 0.0j
     for k in range(c):
         lk = c * n - m * f + k * N // (c * e)
-        total += cmath.exp(1j * math.pi * qho_exponent(e, f, m, lk, N) / N)
+        total += cmath.exp(1j * math.pi * _qho_exponent(e, f, m, lk, N) / N)
     C0 = cmath.exp(-1j * math.pi / 4)
     value = C0 * math.sqrt(e / N) / math.sqrt(c) * total / dx
 
@@ -248,7 +256,11 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
     M (n^2 mod N) = M (n^2 mod L) mod N, they repeat with period L, and n,
     L - n give the same n^2 mod L: the actual Gauss sum is evaluated from
     L/2 + 1 terms in fixed-size chunks (exactnum.symmetric_phase_sum), never
-    replaced by its closed form.  Raises OutOfRange when (L/2)^2 would
+    replaced by its closed form.  The value is c/(c-f) times the exact
+    S = sum_m <dom m|K dom m> of `transform.qho_evolution`, a quadratic Gauss
+    sum: -i sqrt(2(c-f)/c) when 4 | L, (+-1 - i) sqrt(2(c-f)/c)/2 for odd L,
+    and 0 when L = 2 mod 4.  That is why L = 2 mod 4 is refused: the finite
+    trace there is 0, not the continuum value.  Raises OutOfRange when (L/2)^2 would
     overflow int64, before anything is summed.  Time is linear in L: about
     44 ns per summed term (2-vCPU x86-64, Python 3.11, numpy 2.4: 0.87 s at
     L = 4.0e7), so a trace at the int64 cap, L ~ 6.07e9, takes 2-3 minutes.

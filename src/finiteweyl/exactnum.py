@@ -504,6 +504,10 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.cyc.is_zero()
 
+    def canonical(self) -> "Scalar":
+        """The same value with its cyclotomic part in canonical form."""
+        return Scalar(self.rad, self.cyc.canonical())
+
     def is_rational(self) -> bool:
         return self.rad == 1 and self.cyc.is_rational()
 

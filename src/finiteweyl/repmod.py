@@ -320,59 +320,3 @@ def gamma_generator(M: ModuleRep, which: str) -> GenWord:
     if which == "nu":
         return GenWord(-M.alg.a, 0, M.u_phase)
     raise ValueError("kind must be 'mu' or 'nu'")
-
-
-def relate_canonical_bases(b1: list[StateVec], b2: list[StateVec]) -> Scalar:
-    """The single scalar c with b2[k] = c b1[k] for all k; raises if not constant."""
-    c = None
-    for x, y in zip(b1, b2):
-        for ax, ay in zip(x.amps, y.amps):
-            if ax.is_zero() != ay.is_zero():
-                raise ValueError("bases have different supports")
-            if not ax.is_zero():
-                r = ay / ax
-                if c is None:
-                    c = r
-                elif not (r - c).is_zero():
-                    raise ValueError("bases do not differ by a single scalar")
-    if c is None:
-        raise ValueError("zero bases")
-    return c
-
-
-def quadratic_phase_exponent(hat: list[StateVec], base: list[StateVec],
-                             M: ModuleRep) -> tuple[Scalar, Fraction, Fraction]:
-    """Fit hat[k] = c q^{j k - n k(k+1)/2} base[k]; returns (c, n, j).
-
-    Checks the paper's statement that canonical bases for different S
-    differ by a quadratic phase.  The quadratic coefficient n is the
-    invariant of interest; the linear term j absorbs the principal-root
-    choice of the T-multiplier, and the sign/normalisation of n is not
-    fixed by the theory, so the computed instance values are returned.
-    """
-    N = M.dim
-    ratios = [relate_canonical_bases([base[k]], [hat[k]]) for k in range(N)]
-    c = ratios[0]
-    if N == 1:
-        return c, Fraction(0), Fraction(0)
-
-    def find_q_power(s: Scalar) -> Fraction:
-        # exponents may be half-integers (2N-th roots of unity)
-        for twice in range(2 * N):
-            cand = Fraction(twice, 2)
-            if (s - M.q_power(cand)).is_zero():
-                return cand
-        raise ValueError("relation is not of quadratic-phase form")
-
-    d1 = [ratios[k] / ratios[k - 1] for k in range(1, N)]
-    if len(d1) >= 2:
-        n = -find_q_power(d1[1] / d1[0])
-        n = n if n != 0 else Fraction(0)
-    else:
-        n = Fraction(0)
-    j = find_q_power(d1[0]) + n
-    for k in range(N):
-        expect = c * M.q_power(j * k - n * Fraction(k * (k + 1), 2))
-        if not (ratios[k] - expect).is_zero():
-            raise ValueError("relation is not of quadratic-phase form")
-    return c, n, j

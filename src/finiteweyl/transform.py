@@ -6,12 +6,26 @@ and carrying an associated SL(2,Q) matrix.  Matrices act on generator
 exponent rows, so composing maps multiplies the matrices in map order:
 g(L2 o L1) = g(L1) g(L2).  sigma is derived from the matrix alone, by
 `lattice.word_image`.
+
+By Schur's lemma g = [[alpha, beta], [gamma, delta]] fixes the images up to
+one constant, and `_kernel_images` writes them from g.  For beta != 0 the
+domain vector at position y (U e_y = q^y e_y) goes to the range vectors at
+x with the kernel q^{(2xy - alpha x^2 - delta y^2)/(2 beta)}, if that is
+periodic in x on the range summand; for beta = gamma = 0 it goes to the one
+range vector at x = y/alpha.  The builders fix the constant as 1/sqrt(dim)
+times 1 (Fourier) or the Gauss constant e^{-i pi/4} (Gaussian, conjugate
+for t < 0, and QHO), and as 1 for the diagonal.  `compose` fixes it with one
+dense L2.apply(L1.image(0)); it applies L2 to every image on non-principal
+modules, for a kernel that is not periodic (G o G) or has beta = 0 but not
+gamma = 0, and when the common subalgebra misses V^k of the domain <U^n, V^k>.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
+from operator import add
 
 from .errors import (
     DivisibilityViolation,
@@ -24,10 +38,10 @@ from .errors import (
     OutOfRange,
 )
 from .exactnum import Cyc, Scalar, dot
-from .lattice import (GenWord, Mat2, WeylDesc, _mod1, lattice_intersect, mat_det, mat_inv, mat_mul,
+from .lattice import (GenWord, Mat2, WeylDesc, lattice_intersect, mat_det, mat_inv, mat_mul, rat_gcd,
                       word_image)
 from .morphism import summand
-from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, linear_combination, v_basis
+from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, linear_combination
 
 
 def _frac_mat(rows) -> Mat2:
@@ -118,6 +132,84 @@ class RegUnitary:
 
 
 # ---------------------------------------------------------------------------
+# the kernel of an SL(2,Q) matrix
+# ---------------------------------------------------------------------------
+
+class _Phases(dict):
+    """Integer t -> scale * q^{t/den}, each value built on first use."""
+
+    def __init__(self, M: ModuleRep, den: int, scale: Scalar):
+        super().__init__()
+        self.num, self.den, self.scale = M.q_phase.numerator, M.q_phase.denominator * den, scale
+
+    def __missing__(self, t: int) -> Scalar:
+        v = self[t] = self.scale * Scalar.phase(Fraction(self.num * t, self.den))
+        return v
+
+
+def _kernel_images(M: ModuleRep, n: int, k: int, dim: int, g: Mat2, const: Scalar) -> list[StateVec] | None:
+    """Images in M of the first `dim` principal <U^n, V^k>-summand vectors under
+    the transform of g (the module docstring's kernel times const/sqrt(dim'),
+    const for beta = 0), or None where that does not hold.  Vector m sits at
+    y = k m, range vector h_j of the principal <U^n', V^k'>-summand, the smallest
+    holding the images of U^n and V^k, at x = k' j.  Each distinct phase is built
+    once, keyed by its integer exponent mod 2|beta|N; each image is one slice store.
+    """
+    N = M.dim
+    (a, b), (c, e) = g
+    nr, kr = rat_gcd(n * a, k * c), rat_gcd(n * b, k * e)
+    if nr.denominator != 1 or kr.denominator != 1 or N % (nr * kr):
+        return None
+    nr, kr = int(nr), int(kr)
+    period, dim_r = N // nr, N // (nr * kr)
+    D = lcm(a.denominator, b.denominator, c.denominator, e.denominator)
+    A, B, C, E = (int(x * D) for x in (a, b, c, e))
+    amp = Scalar.exact(Cyc.rational(1), 1, nr)  # every amplitude of a principal summand vector
+    zero = Scalar.zero()
+    rows = []
+    if B == 0:
+        # gamma = 0 too: g_m goes to h_m, or to h_{-m} when alpha < 0
+        if C:
+            return None
+        for m in range(dim):
+            rows.append([zero] * dim_r)
+            rows[m][m if A > 0 else -m] = const * amp
+    else:
+        P = 2 * abs(B) * N
+        if (2 * D * period * k) % P or (2 * A * period * kr) % P or (A * period * period) % P:
+            return None
+        phases = _Phases(M, 2 * B, const * Scalar.exact(Cyc.rational(1), 1, dim_r) * amp)
+        # the exponent at (m, j) is lin m j + quad[j] - E k^2 m^2
+        lin = 2 * D * k * kr
+        quad = [-A * (kr * j) ** 2 % P for j in range(dim_r)]
+        if A == E == D and (n, k) == (nr, kr):
+            # alpha = delta = 1 on one layout: the kernel depends on j - m mod dim' only
+            row = [phases[t] for t in quad]
+            rows = [row[-m:] + row[:-m] for m in range(dim)]
+        else:
+            for m in range(dim):
+                c0 = -E * k * k * m * m
+                steps = range(c0, c0 + lin * m * dim_r, lin * m) if m else [c0] * dim_r
+                rows.append([phases[u % P] for u in (map(add, steps, quad) if A else steps)])
+    images = []
+    for row in rows:
+        amps = [zero] * N
+        amps[::kr] = row * nr
+        images.append(StateVec(M, amps))
+    return images
+
+
+def _build(name: str, M: ModuleRep, target: ModuleRep, n: int, k: int, gL: Mat2,
+           sigma_names: tuple[str, str], const: Scalar) -> RegUnitary:
+    """RegUnitary's fields in order: the transform of gL from the principal
+    <U^n, V^|k|>-summand of M, domain words U^n and V^k, into target."""
+    A = M.alg
+    _, domain = summand(M, WeylDesc(n * A.a, abs(k) * A.b))
+    return RegUnitary(name, M, target, (GenWord(n * A.a, 0), GenWord(0, k * A.b)), sigma_names, gL,
+                      domain, _kernel_images(target, n, abs(k), len(domain), gL, const))
+
+
+# ---------------------------------------------------------------------------
 # generator transformations
 # ---------------------------------------------------------------------------
 
@@ -127,26 +219,8 @@ def fourier(M: ModuleRep) -> RegUnitary:
     The target module carries roots u' = v^{-1}, v' = u, so that the
     matrix's sigma: U -> V, V -> U^{-1} intertwines exactly.
     """
-    A = M.alg
-    N = M.dim
-    target = ModuleRep(
-        A,
-        SpecPoint(_mod1(-N * M.v_phase), _mod1(N * M.u_phase)),
-        _mod1(-M.v_phase),
-        M.u_phase,
-    )
-    images = [StateVec(target, v.amps) for v in v_basis(M)]
-    U, V = GenWord(A.a, 0), GenWord(0, A.b)
-    return RegUnitary(
-        name="fourier",
-        ambient_dom=M,
-        ambient_ran=target,
-        dom_words=(U, V),
-        sigma_names=("sigma-U", "sigma-V"),
-        gL=_frac_mat([[0, 1], [-1, 0]]),
-        domain=[[(m, Scalar.one())] for m in range(N)],
-        images=images,
-    )
+    target = ModuleRep(M.alg, SpecPoint(-M.dim * M.v_phase, M.dim * M.u_phase), -M.v_phase, M.u_phase)
+    return _build("fourier", M, target, 1, 1, _frac_mat([[0, 1], [-1, 0]]), ("sigma-U", "sigma-V"), Scalar.one())
 
 
 def gaussian_dim(N: int, b: int, d: int) -> int:
@@ -165,72 +239,23 @@ def gaussian_dim(N: int, b: int, d: int) -> int:
 
 
 def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
-    """Gaussian transformation on the <U^d, V^b>-submodule.
-
-    G: u_m -> (c/sqrt(Nb)) sum_l qb^{(l-m)^2/2} u_l on the canonical basis of
-    the principal branch, with qb = q^{bd}, Nb = N/(bd) and
-    c = sqrt(Nb)/G(Nb) = e^{-i pi/4} for even Nb.  Associated matrix
-    [[1, -b/d], [0, 1]]; the image is the canonical S-basis for
+    """Gaussian transformation on the <U^d, V^b>-submodule, associated with
+    [[1, -b/d], [0, 1]]: u_m -> (c/sqrt(Nb)) sum_l qb^{(l-m)^2/2} u_l on the
+    principal branch, qb = q^{bd}, Nb = N/(bd), c = sqrt(Nb)/G(Nb) =
+    e^{-i pi/4} for even Nb.  The image is the canonical S-basis for
     S = qb^{-1/2} U^d V^{-b}.
     """
-    A = M.alg
-    N = M.dim
-    Nb = gaussian_dim(N, b, d)
-    B = WeylDesc(d * A.a, abs(b) * A.b)
-    _, h = summand(M, B)
-    half_qb = Fraction(b * d) * M.q_phase / 2
-    # sqrt(Nb)/G(Nb) for the clock qb = q^{bd}: e^{-i pi/4} when bd > 0,
-    # conjugate for reversed time
-    sign = 1 if b * d > 0 else -1
-    cc = Scalar.phase(Fraction(-sign, 8))
-    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
-    # the weight of u_l in the image of u_m depends only on |l - m|
-    weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
-    # the h_l have disjoint supports, and on the branch ell_u = 0 every amplitude
-    # is the one object a = 1/sqrt(d): entry idx of image m is weight[|l - m|] * a
-    # for each index idx of h_l
-    a = h[0][0][1]
-    row = [w * a for w in weight]
-    images = []
-    for m in range(Nb):
-        amps = [Scalar.zero()] * N
-        for l, g in enumerate(h):
-            p = row[abs(l - m)]
-            for idx, _ in g:
-                amps[idx] = p
-        images.append(StateVec(M, amps))
-    return RegUnitary(
-        name=f"gaussian[b={b},d={d}]",
-        ambient_dom=M,
-        ambient_ran=M,
-        dom_words=(GenWord(d * A.a, 0), GenWord(0, b * A.b)),
-        sigma_names=("Sv2", "w2"),
-        gL=_frac_mat([[1, Fraction(-b, d)], [0, 1]]),
-        domain=h,
-        images=images,
-    )
+    gaussian_dim(M.dim, b, d)
+    return _build(f"gaussian[b={b},d={d}]", M, M, d, b, _frac_mat([[1, Fraction(-b, d)], [0, 1]]),
+                  ("Sv2", "w2"), Scalar.phase(Fraction(-1 if b * d > 0 else 1, 8)))
 
 
 def diagonal(M: ModuleRep, m: int) -> RegUnitary:
     """Diagonal transformation D_m: <U, V^m>-basis -> <U^m, V>-basis."""
-    A = M.alg
-    N = M.dim
-    if m <= 0 or N % m != 0:
-        raise NotDividing(f"m = {m} must divide N = {N}")
-    Bdom = WeylDesc(A.a, m * A.b)
-    Bran = WeylDesc(m * A.a, A.b)
-    _, dom = summand(M, Bdom)
-    _, ran = summand(M, Bran)
-    return RegUnitary(
-        name=f"diagonal[{m}]",
-        ambient_dom=M,
-        ambient_ran=M,
-        dom_words=(GenWord(A.a, 0), GenWord(0, m * A.b)),
-        sigma_names=("sigma-U", "sigma-V"),
-        gL=_frac_mat([[m, 0], [0, Fraction(1, m)]]),
-        domain=dom,
-        images=[StateVec.from_pairs(M, g) for g in ran],
-    )
+    if m <= 0 or M.dim % m != 0:
+        raise NotDividing(f"m = {m} must divide N = {M.dim}")
+    return _build(f"diagonal[{m}]", M, M, 1, m, _frac_mat([[m, 0], [0, Fraction(1, m)]]),
+                  ("sigma-U", "sigma-V"), Scalar.one())
 
 
 def free_evolution(M: ModuleRep, b: int, d: int) -> RegUnitary:
@@ -250,72 +275,50 @@ def check_triple(e: int, f: int, c: int) -> None:
 
 def qho_dim(N: int, e: int, f: int, c: int) -> int:
     """N/(c^2 e) for the QHO's <U^c, V^{ce}>-submodule; refuses a triple that
-    `check_triple` refuses and c^2 e not dividing N.  `qho_evolution` and
-    `dirac.qho_propagator` both check here."""
+    `check_triple` refuses, c^2 e not dividing N and odd f N/e, where the
+    kernel is not periodic on the module, so no transform has this matrix.
+    `qho_evolution` and `dirac.qho_propagator` both check here."""
     check_triple(e, f, c)
     if N % (c * c * e):
         raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
+    if f * N // e % 2:
+        raise DivisibilityViolation(f"need f N/e = {f * N // e} even")
     return N // (c * c * e)
 
 
-def qho_exponent(e: int, f: int, m: int, l: int, N: int) -> int:
-    """t = e f (l^2 - e^2 m^2) - 2 e^3 m l mod 2N: the QHO kernel carries
-    q^{t/2} from the m-th domain vector to u(q^{e(l+mf)})."""
-    return e * (f * (l * l - e * e * m * m) - 2 * e * e * m * l) % (2 * N)
-
-
 def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
-    """Harmonic-oscillator evolution at Pythagorean time sin t = e/c.
-
-    Maps the <U^c, V^{ce}>-submodule basis into the ambient module by
-
-        u^{c,ce}(q^{c^2 e m}) -> C0 sqrt(e/N) sum_l q^{ef(l^2-e^2m^2)/2 - e^3 m l}
-                                 u(q^{e(l+mf)}),
-
-    with C0 = e^{-i pi/4}.  Satisfies K U^c K^{-1} = q^{-ef/2} U^f V^{-e}
-    and K V^{ce} K^{-1} = q^{e^3 f/2} U^{e^2} V^{ef}.
+    """Harmonic-oscillator evolution at Pythagorean time sin t = e/c, the
+    rotation [[f, -e], [e, f]]/c from the <U^c, V^{ce}>-submodule into the
+    ambient module, constant C0 sqrt(e/N), C0 = e^{-i pi/4}.  Satisfies
+    K U^c K^{-1} = q^{-ef/2} U^f V^{-e} and K V^{ce} K^{-1} = q^{e^3 f/2} U^{e^2} V^{ef}.
     """
-    A = M.alg
-    N = M.dim
-    dim = qho_dim(N, e, f, c)
-    B = WeylDesc(c * A.a, c * e * A.b)
-    _, dom = summand(M, B)
-    C0 = Scalar.phase(Fraction(-1, 8))
-    pref = C0 * Scalar.exact(Cyc.rational(1), e, N)
-    # pref q^{t/2} for t = qho_exponent (q^N = 1), each built on first use
-    table: dict[int, Scalar] = {}
-    images = []
-    for m in range(dim):
-        amps = [Scalar.zero()] * N
-        # l -> e(l + mf) mod N is injective on 0 <= l < N/e: one term per index
-        for l in range(N // e):
-            t = qho_exponent(e, f, m, l, N)
-            if t not in table:
-                table[t] = pref * M.q_power(Fraction(t, 2))
-            amps[(e * (l + m * f)) % N] = table[t]
-        images.append(StateVec(M, amps))
-    return RegUnitary(
-        name=f"qho[{e},{f},{c}]",
-        ambient_dom=M,
-        ambient_ran=M,
-        dom_words=(GenWord(c * A.a, 0), GenWord(0, c * e * A.b)),
-        sigma_names=("KU", "mKU"),
-        gL=_frac_mat([[Fraction(f, c), Fraction(-e, c)], [Fraction(e, c), Fraction(f, c)]]),
-        domain=dom,
-        images=images,
-    )
+    qho_dim(M.dim, e, f, c)
+    gL = _frac_mat([[Fraction(f, c), Fraction(-e, c)], [Fraction(e, c), Fraction(f, c)]])
+    return _build(f"qho[{e},{f},{c}]", M, M, c, c * e, gL, ("KU", "mKU"), Scalar.phase(Fraction(-1, 8)))
 
 
 # ---------------------------------------------------------------------------
 # composition and verification
 # ---------------------------------------------------------------------------
 
-def _dom_lattice_rows(L: RegUnitary):
-    A = L.ambient_dom.alg
-    rows = []
-    for w in L.dom_words:
-        rows.append((w.u_exp / A.a, w.v_exp / A.b))
-    return rows
+def _composite_images(L2: RegUnitary, L1: RegUnitary, g: Mat2, C_rows, first: StateVec) -> list[StateVec] | None:
+    """L2 o L1's images from its matrix g, the constant fixed by the dense
+    first = L2.apply(L1.image(0)), or None where the module docstring says.
+    V^k in C makes image m follow from image 0 by the image of V^k."""
+    M, Mr = L1.ambient_dom, L2.ambient_ran
+    n = len(L1.domain[0])
+    k, rem = divmod(M.dim, n * L1.dim)
+    if (rem or M.u_phase or M.v_phase or Mr.u_phase or Mr.v_phase
+            or any((k * x).denominator != 1 for x in mat_inv(C_rows)[1])  # (0, k) C^{-1} integral
+            or summand(M, WeylDesc(n * M.alg.a, k * M.alg.b))[1] != L1.domain):
+        return None
+    images = _kernel_images(Mr, n, k, L1.dim, g, Scalar.one())
+    if images is None:
+        return None
+    i, t = next((i, a) for i, a in enumerate(images[0].amps) if a.cyc.coeffs)
+    c = first.amps[i] / t
+    images = [img.scale(c.canonical()) for img in images]
+    return images if all((a - b).is_zero() for a, b in zip(images[0].amps, first.amps)) else None
 
 
 def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
@@ -324,29 +327,25 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
     C = dom(L1) n sigma1^{-1}(dom(L2)) via the exponent lattices;
     g(L2 o L1) = g(L1) g(L2) (matrices act on exponent rows, so the product
     order is reversed relative to map order).  The basis map is materialized
-    when the factors' bases align; otherwise the composite carries
-    bookkeeping only.  Raises ModuleMismatch when L2 does not start on the
-    module where L1 ends.
+    when the factors' bases align, from g where `_composite_images` covers
+    the composite; otherwise the composite carries bookkeeping only.  Raises
+    ModuleMismatch when L2 does not start on the module where L1 ends.
     """
     if not L2.ambient_dom.compatible(L1.ambient_ran):
         raise ModuleMismatch("L2's domain module is not L1's range module")
     A = L1.ambient_dom.alg
-    rows1 = _dom_lattice_rows(L1)
-    rows2 = _dom_lattice_rows(L2)
+    rows1, rows2 = ([(w.u_exp / A.a, w.v_exp / A.b) for w in L.dom_words] for L in (L1, L2))
     C_rows = lattice_intersect(rows1, mat_mul(rows2, mat_inv(L1.gL)))
-    N = L1.ambient_dom.dim
-    covol = abs(mat_det(C_rows))
-    dim_c = Fraction(N, 1) / covol
-    if dim_c < 1:
+    if abs(mat_det(C_rows)) > L1.ambient_dom.dim:
         raise NoCommonSubalgebra("common subalgebra has no room in the module")
-
-    W1 = GenWord(C_rows[0][0] * A.a, C_rows[0][1] * A.b)
-    W2 = GenWord(C_rows[1][0] * A.a, C_rows[1][1] * A.b)
+    gL = mat_mul(L1.gL, L2.gL)
 
     domain = images = None
     if L1.materialized and L2.materialized:
         try:
-            images = [L2.apply(L1.image(m)) for m in range(L1.dim)]
+            first = L2.apply(L1.image(0))
+            images = (_composite_images(L2, L1, gL, C_rows, first)
+                      or [first] + [L2.apply(L1.image(m)) for m in range(1, L1.dim)])
             domain = L1.domain
         except NotIncluded:
             domain = images = None
@@ -354,9 +353,9 @@ def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
         name=f"({L2.name} o {L1.name})",
         ambient_dom=L1.ambient_dom,
         ambient_ran=L2.ambient_ran,
-        dom_words=(W1, W2),
+        dom_words=tuple(GenWord(x * A.a, y * A.b) for x, y in C_rows),
         sigma_names=("sigma-C1", "sigma-C2"),
-        gL=mat_mul(L1.gL, L2.gL),
+        gL=gL,
         domain=domain,
         images=images,
     )

@@ -1,10 +1,11 @@
 import random
 from dataclasses import replace
+from functools import cache
 from fractions import Fraction as F
 
 import pytest
 
-from finiteweyl import products
+from finiteweyl import products, transform
 from finiteweyl.dirac import ScaleParams, qho_propagator, qho_trace
 from finiteweyl.errors import (
     DivisibilityViolation,
@@ -16,9 +17,9 @@ from finiteweyl.errors import (
     OddOrder,
     OutOfRange,
 )
-from finiteweyl.exactnum import Cyc, Scalar
+from finiteweyl.exactnum import Cyc, Scalar, dot
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1, mat_inv
-from finiteweyl.morphism import decompose
+from finiteweyl.morphism import decompose, summand
 from finiteweyl.repmod import (
     SpecPoint,
     StateVec,
@@ -346,6 +347,17 @@ class TestQHO:
         with pytest.raises(DivisibilityViolation):
             qho_evolution(principal_module(16), 3, 4, 5)
 
+    @pytest.mark.parametrize("mu,h", [(10, 1), (30, 3)])
+    def test_kernel_not_periodic_refused(self, mu, h):
+        # N = 100 and 300 make f N/e odd for (4,3,5): the kernel has no period N,
+        # so no transform on these summands has this matrix
+        params = ScaleParams(F(h), mu)
+        msg = f"need f N/e = {3 * params.N // 4} even"
+        with pytest.raises(DivisibilityViolation, match=msg):
+            qho_evolution(principal_module(params.N), 4, 3, 5)
+        with pytest.raises(DivisibilityViolation, match=msg):
+            qho_propagator(0.0, 0.0, (4, 3, 5), params)
+
     def test_st_eigen_relation(self):
         M = principal_module(225)
         K = qho_evolution(M, 3, 4, 5)
@@ -434,6 +446,43 @@ class TestQHOAgainstOracle:
         assert all(a.rad == 3 and len(a.cyc.coeffs) == 1 for a in nonzero)
 
 
+def qho_diagonal_sum(K):
+    """S = sum_m <dom m|K dom m>, one dot over each domain vector's support pairs."""
+    S = Scalar.zero()
+    for m, g in enumerate(K.domain):
+        img = K.image(m).amps
+        S = S + dot([a for _, a in g], [img[j] for j, _ in g], conj=True)
+    return S
+
+
+class TestQHOTrace:
+    """The QHO's diagonal sum S at N = e c^2 (c-f) L is a quadratic Gauss sum
+    in closed form, and `qho_trace` is c/(c-f) S."""
+
+    @pytest.mark.parametrize("triple", [(3, 4, 5), (4, 3, 5)])
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_diagonal_sum_closed_form(self, triple, L):
+        e, f, c = triple
+        K = qho_evolution(principal_module(e * c * c * (c - f) * L), e, f, c)
+        root = Scalar.exact(Cyc.rational(1), 2 * (c - f), c)  # sqrt(2(c-f)/c)
+        minus_i = Scalar.phase(F(3, 4))
+        if L % 4 == 0:
+            expect = minus_i * root
+        elif L % 4 == 2:
+            expect = Scalar.zero()
+        else:  # (1 - i)/2 root for L = 1 mod 4, (-1 - i)/2 root for L = 3 mod 4
+            expect = (Scalar.rational(2 - L % 4) + minus_i) * root * Scalar.rational(F(1, 2))
+        assert (qho_diagonal_sum(K) - expect).is_zero()
+
+    @pytest.mark.parametrize("triple,mu", [((3, 4, 5), 30), ((3, 4, 5), 60), ((4, 3, 5), 40)])
+    def test_float_trace_is_the_scaled_diagonal_sum(self, triple, mu):
+        # N = 900, 3600 and 1600: L = 12, 48 and 8
+        e, f, c = triple
+        params = ScaleParams(F(1), mu)
+        S = qho_diagonal_sum(qho_evolution(principal_module(params.N), e, f, c))
+        assert abs(qho_trace(triple, params).value - c / (c - f) * S.to_complex()) < 1e-12
+
+
 def gaussian_images_oracle(M, b, d):
     """Oracle: the images as one gather of the weight rows over the dense
     principal summand basis, the build before the pairs were read."""
@@ -453,6 +502,63 @@ def terms(amps):
     return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in amps]
 
 
+def builder_images_oracle(kind, M, *params):
+    """Oracle: the images as each builder wrote them before they came from its
+    matrix (dense amplitude lists)."""
+    A, N = M.alg, M.dim
+    if kind == "fourier":
+        return [v.amps for v in v_basis(M)]
+    if kind in ("gaussian", "free"):
+        b, d = params
+        Nb = N // abs(b * d)
+        _, h = summand(M, WeylDesc(d * A.a, abs(b) * A.b))
+        half_qb = F(b * d) * M.q_phase / 2
+        cc = Scalar.phase(F(-1 if b * d > 0 else 1, 8))
+        inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
+        row = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) * h[0][0][1] for t in range(Nb)]
+        images = []
+        for m in range(Nb):
+            amps = [Scalar.zero()] * N
+            for l, g in enumerate(h):
+                for idx, _ in g:
+                    amps[idx] = row[abs(l - m)]
+            images.append(amps)
+        return images
+    if kind == "diagonal":
+        m, = params
+        _, ran = summand(M, WeylDesc(m * A.a, A.b))
+        return [StateVec.from_pairs(M, g).amps for g in ran]
+    e, f, c = params
+    pref = Scalar.phase(F(-1, 8)) * Scalar.exact(Cyc.rational(1), e, N)
+    table, images = {}, []
+    for m in range(N // (c * c * e)):
+        amps = [Scalar.zero()] * N
+        for l in range(N // e):
+            t = e * (f * (l * l - e * e * m * m) - 2 * e * e * m * l) % (2 * N)
+            if t not in table:
+                table[t] = pref * M.q_power(F(t, 2))
+            amps[(e * (l + m * f)) % N] = table[t]
+        images.append(amps)
+    return images
+
+
+def compose_images_oracle(L2, L1):
+    """Oracle: L2 o L1's images by one dense apply per image, None when one
+    leaves L2's domain or a factor has none (the composite then carries
+    bookkeeping only)."""
+    if not (L1.materialized and L2.materialized):
+        return None
+    try:
+        return [L2.apply(L1.image(m)).amps for m in range(L1.dim)]
+    except NotIncluded:
+        return None
+
+
+def same_images(images, oracle):
+    return len(images) == len(oracle) and all(
+        (a - b).is_zero() for img, amps in zip(images, oracle) for a, b in zip(img.amps, amps))
+
+
 class TestGaussianAgainstOracle:
     @pytest.mark.parametrize("N,b,d", [(8, 1, 1), (24, 1, 2), (24, 3, 2), (24, -1, 2),
                                        (12, 1, 3), (104, 1, 1)])
@@ -465,6 +571,24 @@ class TestGaussianAgainstOracle:
             assert terms(img.amps) == terms(amps)
 
     def test_builders_sum_no_products(self, monkeypatch):
+        # a composite the matrix formula covers takes one dense apply, not one
+        # per image, Phi o Phi at N = 12 included
+        calls = []
+        apply = RegUnitary.apply
+        monkeypatch.setattr(RegUnitary, "apply", lambda L, x: calls.append(L.name) or apply(L, x))
+        M12, M16, M24 = principal_module(12), principal_module(16), principal_module(24)
+        Phi = fourier(M12)
+        covered = [(fourier(Phi.ambient_ran), Phi),
+                   (free_evolution(M16, -1, 2), free_evolution(M16, 1, 2)),
+                   (diagonal(M24, 3), gaussian(M24, 3, 2)),
+                   (diagonal(M24, 2), gaussian(M24, 2, 1)),
+                   (fourier(M24), diagonal(M24, 2)),
+                   (fourier(Phi.ambient_ran), compose(fourier(M12), diagonal(M12, 2)))]
+        for L2, L1 in covered:
+            calls.clear()
+            assert compose(L2, L1).materialized and len(calls) <= 1
+        monkeypatch.setattr(RegUnitary, "apply", apply)
+
         # every image entry of gaussian, diagonal and qho is one product or
         # one amplitude; gaussian and qho read the summand's pairs without a
         # dense domain vector
@@ -601,14 +725,45 @@ def sweep_modules():
 
 
 def instances(M):
-    """(L, hand-written sigma) for every entry of SPECS that M admits."""
+    """(spec, L, hand-written sigma) for every entry of SPECS that M admits."""
     out = []
     for kind, *params in SPECS:
         try:
-            out.append(built(kind, M, *params))
+            out.append(((kind, *params), *built(kind, M, *params)))
         except (NotDividing, OddOrder, DivisibilityViolation):
             pass
     return out
+
+
+MODULES = list(sweep_modules())
+
+
+@cache
+def instance_set(M):
+    """M's builders as (spec, L, hand), and as (L2, L1, L2 o L1, hand) the
+    two-factor composites over every pair whose modules line up and a sample
+    of three-factor ones."""
+    first = instances(M)
+
+    def on(module):
+        return first if module.compatible(M) else instances(module)
+
+    pairs = []
+    for _, *f1 in first:
+        for _, *f2 in on(f1[0].ambient_ran):
+            try:
+                pairs.append((f2[0], f1[0], *composed(f2, f1)))
+            except NoCommonSubalgebra:
+                pass
+    rng = random.Random(repr(M))
+    triples = []
+    for _, _, *f12 in rng.sample(pairs, 12):
+        _, *f3 = rng.choice(on(f12[0].ambient_ran))
+        try:
+            triples.append((f3[0], f12[0], *composed(f3, f12)))
+        except NoCommonSubalgebra:
+            pass
+    return first, pairs, triples
 
 
 class TestSigmaAgainstOracle:
@@ -616,41 +771,57 @@ class TestSigmaAgainstOracle:
     def test_builders(self, L, hand):
         assert L.sigma == hand
 
-    @pytest.mark.parametrize("M", list(sweep_modules()), ids=repr)
+    @pytest.mark.parametrize("M", MODULES, ids=repr)
     def test_every_builder_and_composite(self, M):
-        # two-factor composites over every pair whose modules line up, and
-        # a sample of three-factor ones
-        first = instances(M)
+        first, pairs, triples = instance_set(M)
         assert len(first) >= 6
-        assert all(L.sigma == hand for L, hand in first)
-
-        def on(module):
-            return first if module.compatible(M) else instances(module)
-
-        pairs = []
-        for f1 in first:
-            for f2 in on(f1[0].ambient_ran):
-                try:
-                    pairs.append(composed(f2, f1))
-                except NoCommonSubalgebra:
-                    pass
+        assert all(L.sigma == hand for _, L, hand in first)
         assert len(pairs) >= 20
-        assert all(C.sigma == hand for C, hand in pairs)
-        rng = random.Random(repr(M))
-        triples = 0
-        for f12 in rng.sample(pairs, 12):
-            f3 = rng.choice(on(f12[0].ambient_ran))
-            try:
-                C, hand = composed(f3, f12)
-            except NoCommonSubalgebra:
-                continue
-            triples += 1
-            assert C.sigma == hand
-        assert triples >= 3
+        assert all(C.sigma == hand for _, _, C, hand in pairs)
+        assert len(triples) >= 3
+        assert all(C.sigma == hand for _, _, C, hand in triples)
 
     def test_qho_triple_5_12_13(self):
         L, hand = built("qho", principal_module(845), 5, 12, 13)
         assert L.sigma == hand
+
+
+class TestImagesAgainstOracle:
+    """The images built from gL equal the builders' and the dense compose's."""
+
+    @pytest.mark.parametrize("M", MODULES, ids=repr)
+    def test_builders_and_composites(self, M):
+        first, pairs, triples = instance_set(M)
+        for (kind, *params), L, _ in first:
+            assert same_images(L.images, builder_images_oracle(kind, M, *params))
+        for L2, L1, C, _ in pairs + triples:
+            oracle = compose_images_oracle(L2, L1)
+            assert C.materialized == (oracle is not None)
+            if oracle is not None:
+                assert C.domain is L1.domain and same_images(C.images, oracle)
+
+    @pytest.mark.parametrize("N,triple", [(225, (3, 4, 5)), (450, (3, 4, 5)), (200, (4, 3, 5)),
+                                          (845, (5, 12, 13))])
+    def test_qho(self, N, triple):
+        M = principal_module(N)
+        assert same_images(qho_evolution(M, *triple).images, builder_images_oracle("qho", M, *triple))
+
+    def test_named_composites(self):
+        # Phi o Phi (the parity), K^{-1/2} o K^{1/2} and K^{1/2} o K^{1/2}
+        M16 = principal_module(16)
+        Phi, Kh = fourier(principal_module(12)), free_evolution(M16, 1, 2)
+        for L2, L1 in [(fourier(Phi.ambient_ran), Phi), (free_evolution(M16, -1, 2), Kh), (Kh, Kh)]:
+            assert same_images(compose(L2, L1).images, compose_images_oracle(L2, L1))
+
+    @pytest.mark.parametrize("kind,N,params", [("fourier", 12, ()), ("gaussian", 12, (1, 1)), ("diagonal", 12, (2,)),
+                                               ("free", 12, (1, 2)), ("qho", 225, (3, 4, 5))])
+    def test_terms_at_cli_sizes(self, kind, N, params):
+        M = principal_module(N)
+        L = BUILD[kind](M, *params)
+        oracle = builder_images_oracle(kind, M, *params)
+        assert len(L.images) == len(oracle)
+        for img, amps in zip(L.images, oracle):
+            assert terms(img.amps) == terms(amps)
 
 
 SWAPPED_REFUSED = [(("fourier",), ("diagonal", 2)), (("diagonal", 2), ("gaussian", 1, 2)),
@@ -684,10 +855,25 @@ class TestWrongMatrix:
     @pytest.mark.parametrize("second,first", [(("diagonal", 3), ("gaussian", 3, 2))] + SWAPPED_REFUSED)
     def test_composite_matrix_is_first_times_second(self, second, first):
         # for D_3 o G[3,2] the swapped matrix passes verify_conjugation (it differs
-        # by a word acting trivially on the images), so the order is pinned on gL
+        # by a word acting trivially on the images), but it has no kernel, so
+        # compose cannot build images from it (test_swapped_product_gives_other_images);
+        # the order is pinned on gL here too
         M = principal_module(24)
         L2, L1 = (BUILD[kind](M, *params) for kind, *params in (second, first))
         assert compose(L2, L1).gL == mat_mul(L1.gL, L2.gL) != mat_mul(L2.gL, L1.gL)
+
+    def test_swapped_product_gives_other_images(self):
+        # the images built from g(L1) g(L2), with the constant fitted to the first
+        # dense image, are the dense compose's; g(L2) g(L1) has no kernel on G[3,2]'s
+        # domain <U^2, V^3> (it is not periodic there), so it gives no images
+        M = principal_module(24)
+        L2, L1 = diagonal(M, 3), gaussian(M, 3, 2)
+        dense = compose_images_oracle(L2, L1)
+        images = transform._kernel_images(M, 2, 3, L1.dim, mat_mul(L1.gL, L2.gL), Scalar.one())
+        i = next(i for i, a in enumerate(images[0].amps) if a.cyc.coeffs)
+        c = dense[0][i] / images[0].amps[i]
+        assert same_images([img.scale(c) for img in images], dense)
+        assert transform._kernel_images(M, 2, 3, L1.dim, mat_mul(L2.gL, L1.gL), Scalar.one()) is None
 
     def test_composite_with_swapped_product_fails_sigma(self):
         # here the swapped matrix keeps the domain words in the algebra
