@@ -21,22 +21,20 @@ import importlib
 
 # Each public name and the submodule that defines it.
 _EXPORTS = {
-    "ConvergenceReport": "dirac", "KernelSample": "dirac", "RescaleCtx": "dirac",
-    "ScaleParams": "dirac", "TraceResult": "dirac", "auto_mu": "dirac",
-    "ccr_residual": "dirac", "converge_study": "dirac", "delta_k": "dirac",
-    "dirac_inner": "dirac", "free_propagator": "dirac", "qho_propagator": "dirac",
-    "qho_trace": "dirac", "st_mu": "dirac", "xp_kernel": "dirac",
-    "Cyc": "exactnum", "Scalar": "exactnum", "conjugate": "exactnum",
-    "eval_complex": "exactnum", "gauss_sum": "exactnum", "root_of_unity": "exactnum",
-    "AutDesc": "lattice", "GenWord": "lattice", "WeylDesc": "lattice",
-    "apply_automorphism": "lattice", "center": "lattice", "includes": "lattice",
+    "ConvergenceReport": "dirac", "KernelSample": "dirac", "ScaleParams": "dirac",
+    "TraceResult": "dirac", "auto_mu": "dirac", "ccr_residual": "dirac",
+    "converge_study": "dirac", "free_propagator": "dirac", "qho_propagator": "dirac",
+    "qho_trace": "dirac", "st_mu": "dirac",
+    "Cyc": "exactnum", "Scalar": "exactnum", "eval_complex": "exactnum",
+    "gauss_sum": "exactnum", "root_of_unity": "exactnum",
+    "GenWord": "lattice", "WeylDesc": "lattice", "center": "lattice", "includes": "lattice",
     "join": "lattice", "maximal_commutative": "lattice", "q_order": "lattice",
     "spectrum_project": "lattice", "up_functor": "lattice",
     "Embedding": "morphism", "PairingResult": "morphism", "decompose": "morphism",
     "embed_pbeta": "morphism", "pairing": "morphism", "pairing_row_sum": "morphism",
     "ModuleRep": "repmod", "SpecPoint": "repmod", "StateVec": "repmod",
-    "apply_word": "repmod", "build_module": "repmod", "gamma_generator": "repmod",
-    "inner": "repmod", "s_basis": "repmod", "u_basis": "repmod", "v_basis": "repmod",
+    "apply_word": "repmod", "build_module": "repmod", "inner": "repmod",
+    "s_basis": "repmod", "u_basis": "repmod", "v_basis": "repmod",
     "ConjugationReport": "transform", "RegUnitary": "transform", "compose": "transform",
     "diagonal": "transform", "fourier": "transform", "free_evolution": "transform",
     "gaussian": "transform", "qho_evolution": "transform",

@@ -28,7 +28,7 @@ from .lattice import (
     up_functor,
 )
 from .morphism import pairing
-from .repmod import SpecPoint, build_module, s_basis, u_basis, v_basis
+from .repmod import SpecPoint, build_module, s_basis, u_basis, v_basis, v_vector
 from .transform import (check_sample, diagonal, fourier, free_evolution, gaussian, qho_evolution,
                         verify_conjugation)
 
@@ -39,9 +39,27 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
-def parse_desc(s: str) -> WeylDesc:
-    a, b = s.split(",")
+def split_option(value: str, sep: str, count: int, option: str, form: str) -> list[str]:
+    """value cut at sep into count parts, or a ValueError naming the option and its form."""
+    parts = value.split(sep)
+    if len(parts) != count:
+        raise ValueError(f"{option} must be {form}, got {value!r}")
+    return parts
+
+
+def parse_desc(s: str, option: str, form: str = '"a,b"') -> WeylDesc:
+    a, b = split_option(s, ",", 2, option, form)
     return WeylDesc(Fraction(a), Fraction(b))
+
+
+def parse_desc_pair(s: str, option: str) -> tuple[WeylDesc, WeylDesc]:
+    form = '"a,b;c,d"'
+    x, y = split_option(s, ";", 2, option, form)
+    return parse_desc(x, option, form), parse_desc(y, option, form)
+
+
+def parse_triple(s: str) -> tuple[int, int, int]:
+    return tuple(int(x) for x in split_option(s, ",", 3, "--triple", '"e,f,c"'))
 
 
 def fmt_rat(x: Fraction) -> str:
@@ -108,23 +126,21 @@ def _resolve_mu(args, divisors: list[int], default_min: int) -> int:
 def cmd_lattice(args) -> int:
     results = {}
     if args.center:
-        A = parse_desc(args.center)
+        A = parse_desc(args.center, "--center")
         Z = center(A)
         results["center"] = f"{fmt_rat(Z.a)},{fmt_rat(Z.b)}"
         results["q_order"] = q_order(A)
     if args.up:
-        C = parse_desc(args.up)
+        C = parse_desc(args.up, "--up")
         U = up_functor(C)
         results["up"] = f"{fmt_rat(U.a)},{fmt_rat(U.b)}"
     if args.includes:
-        b_str, a_str = args.includes.split(";")
-        results["includes"] = includes(parse_desc(b_str), parse_desc(a_str))
+        results["includes"] = includes(*parse_desc_pair(args.includes, "--includes"))
     if args.join:
-        a_str, b_str = args.join.split(";")
-        J = join(parse_desc(a_str), parse_desc(b_str))
+        J = join(*parse_desc_pair(args.join, "--join"))
         results["join"] = f"{fmt_rat(J.a)},{fmt_rat(J.b)}"
     if args.ocount:
-        A = parse_desc(args.ocount)
+        A = parse_desc(args.ocount, "--ocount")
         gens = maximal_commutative(A)
         results["ocount"] = len(gens)
         results["ogenerators"] = [f"U^{fmt_rat(g.u_exp)} V^{fmt_rat(g.v_exp)}" for g in gens]
@@ -134,7 +150,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_basis(args) -> int:
-    A = parse_desc(args.alg)
+    A = parse_desc(args.alg, "--alg")
     M = build_module(A, SpecPoint.principal_point())
     if args.which == "u":
         basis = u_basis(M)
@@ -145,8 +161,8 @@ def cmd_basis(args) -> int:
 
         if not args.s_word or not args.t_word:
             raise ValueError("--which s requires --s-word and --t-word")
-        su, sv = args.s_word.split(",")
-        tu, tv = args.t_word.split(",")
+        su, sv = split_option(args.s_word, ",", 2, "--s-word", '"u_exp,v_exp"')
+        tu, tv = split_option(args.t_word, ",", 2, "--t-word", '"u_exp,v_exp"')
         basis = s_basis(M, GenWord(Fraction(su), Fraction(sv)), GenWord(Fraction(tu), Fraction(tv)))
     if args.mode == "float":
         dump = [[list(eval_complex(a)) for a in vec.amps] for vec in basis]
@@ -167,16 +183,16 @@ def cmd_pairing(args) -> int:
     N = args.n
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())
 
-    def vec_of(spec: str):
-        kind, idx = spec.split(":")
+    def vec_of(spec: str, option: str):
+        kind, idx = split_option(spec, ":", 2, option, '"u:k" or "v:m"')
         idx = int(idx)
         if kind == "u":
             return M.basis_vector(idx)
         if kind == "v":
-            return v_basis(M)[idx % N]
+            return v_vector(M, idx)
         raise ValueError(f"unknown basis kind {kind!r}")
 
-    res = pairing(vec_of(args.left), vec_of(args.right))
+    res = pairing(vec_of(args.left, "--left"), vec_of(args.right, "--right"))
     value = res.value.to_complex().real
     payload = {
         "meta": {"command": "pairing", "n": N, "left": args.left, "right": args.right},
@@ -202,8 +218,7 @@ def cmd_transform(args) -> int:
         t = parse_rat(args.t)
         L = free_evolution(M, t.numerator, t.denominator)
     elif args.name == "qho":
-        e, f, c = (int(x) for x in args.triple.split(","))
-        L = qho_evolution(M, e, f, c)
+        L = qho_evolution(M, *parse_triple(args.triple))
     else:
         raise ValueError(f"unknown transform {args.name!r}")
     reports = verify_conjugation(L, sample=args.sample)
@@ -238,7 +253,7 @@ def cmd_transform(args) -> int:
 
 
 def _grid(spec: str) -> list[float]:
-    lo, hi, count = spec.split(":")
+    lo, hi, count = split_option(spec, ":", 3, "--grid", '"lo:hi:count"')
     lo, hi, count = float(lo), float(hi), int(count)
     if count < 1:
         raise ValueError(f"grid point count must be at least 1, got {count}")
@@ -263,7 +278,7 @@ def cmd_propagator(args) -> int:
         def sample(x1, x2):
             return dirac.free_propagator(x1, x2, t, params)
     else:
-        e, f, c = (int(x) for x in args.triple.split(","))
+        e, f, c = parse_triple(args.triple)
         mu = _resolve_mu(args, [2 * c * e * (c - f), c * c * e], 4000)
         params = dirac.ScaleParams(h, mu)
         quantity = f"qho[{e},{f},{c}]"
@@ -313,7 +328,7 @@ def cmd_trace(args) -> int:
     from . import dirac
 
     h = parse_rat(args.h)
-    e, f, c = (int(x) for x in args.triple.split(","))
+    e, f, c = parse_triple(args.triple)
     mu = _resolve_mu(args, [2 * c * e * (c - f)], 200)
     params = dirac.ScaleParams(h, mu)
     r = dirac.qho_trace((e, f, c), params)

@@ -1,9 +1,12 @@
 """Dirac rescaling and finite-N physics: propagators, traces, CCR, sweeps.
 
 The finite stand-in for the limit model is the principal module of
-A(1/mu, h/mu) with N = mu^2/h.  Inner products are rescaled by
-Delta k = b*cc/(aR*aS*sqrt(N)) so kernels acquire finite continuum limits;
-closed continuum formulas are evaluated alongside for comparison.
+A(1/mu, h/mu) with N = mu^2/h.  A propagator is a Dirac-rescaled matrix
+element: the finite inner product divided by Delta k, so that it acquires
+a finite continuum limit.  Each propagator's step is its Delta k: |b| hbar/mu
+for the free evolution at t = b/d, e hbar/mu for the harmonic oscillator
+with triple (e, f, c).  Closed continuum formulas are evaluated alongside
+for comparison.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from math import gcd
 
 from .errors import DivisibilityViolation, NotPythagorean, OutOfRange
 from .exactnum import gauss_sum_float, symmetric_phase_sum
-from .lattice import GenWord, WeylDesc
-from .repmod import StateVec, inner
 from .transform import check_triple, gaussian_dim, qho_dim
 
 
@@ -55,19 +56,6 @@ class ScaleParams:
     def hbar(self) -> float:
         return 2 * math.pi * float(self.h)
 
-    @property
-    def cc(self) -> float:
-        """Dirac normalisation constant sqrt(2 pi hbar)."""
-        return math.sqrt(2 * math.pi * self.hbar)
-
-    @property
-    def algebra(self) -> WeylDesc:
-        return WeylDesc(Fraction(1, self.mu), self.h / self.mu)
-
-    def word(self, rho: int, tau: int) -> GenWord:
-        """U^{rho/mu} V^{h tau/mu}."""
-        return GenWord(Fraction(rho, self.mu), self.h * tau / self.mu)
-
 
 def auto_mu(h: Fraction, divisors: list[int], min_mu: int = 2) -> int:
     """Smallest even mu divisible by h's parts and all required indices."""
@@ -78,16 +66,8 @@ def auto_mu(h: Fraction, divisors: list[int], min_mu: int = 2) -> int:
 
 
 # ---------------------------------------------------------------------------
-# rescaling
+# results
 # ---------------------------------------------------------------------------
-
-@dataclass
-class RescaleCtx:
-    b: int
-    aR: int
-    aS: int
-    delta: float
-
 
 @dataclass
 class KernelSample:
@@ -117,50 +97,6 @@ class ConvergenceReport:
     mus: list[int]
     residuals: list[float]
     fitted_order: float
-
-
-def delta_k(r_word: GenWord, s_word: GenWord, params: ScaleParams) -> RescaleCtx:
-    """Dirac rescaling step: Delta k = b cc/(aR aS sqrt N), or cc/sqrt(N) when b = 0.
-
-    b is the minimal positive commutation exponent of the two words; aR, aS
-    are the maximal root divisibilities R^{1/aR}, S^{1/aS} in the ambient
-    algebra (words outside it raise NotInAlgebra).
-    """
-    A = params.algebra
-    rR, tR = A.word_coords(r_word)
-    rS, tS = A.word_coords(s_word)
-    b = abs(rR * tS - rS * tR)
-    N = params.N
-    if b == 0:
-        delta = params.cc * math.sqrt(1 / N)
-        return RescaleCtx(0, 1, 1, delta)
-    aR = gcd(abs(rR), abs(tR))
-    aS = gcd(abs(rS), abs(tS))
-    delta = b * params.cc / (aR * aS * math.sqrt(N))
-    return RescaleCtx(b, aR, aS, delta)
-
-
-def dirac_inner(e: StateVec, f: StateVec, ctx: RescaleCtx) -> complex:
-    """<e|f>/Delta k in floats."""
-    return inner(e, f).to_complex() / ctx.delta
-
-
-def xp_kernel(x: float, p: float, params: ScaleParams) -> KernelSample:
-    """<x|p>_Dir on the nearest lattice points: modulus 1/sqrt(2 pi hbar).
-
-    The lattice phase is e^{i x p / hbar} (the exact value of q^{km}); the
-    closed form is recorded with the same convention.
-    """
-    hbar, mu, N = params.hbar, params.mu, params.N
-    k = round(x * mu / hbar)
-    m = round(p * mu / hbar)
-    if abs(k) > N // 2 or abs(m) > N // 2:
-        raise OutOfRange("point outside the finite lattice window")
-    xs, ps = k * hbar / mu, m * hbar / mu
-    phase = 2 * math.pi * ((k * m) % N) / N
-    value = cmath.exp(1j * phase) / params.cc
-    closed = cmath.exp(1j * xs * ps / hbar) / math.sqrt(2 * math.pi * hbar)
-    return KernelSample(xs, ps, value, closed)
 
 
 # ---------------------------------------------------------------------------

@@ -551,11 +551,6 @@ def root_of_unity(M: int, k: int) -> Scalar:
     return Scalar(1, Cyc.zeta(M, k % M))
 
 
-def conjugate(s: Scalar) -> Scalar:
-    """Formal complex conjugation: roots of unity inverted, radicals fixed."""
-    return s.conj()
-
-
 def gauss_sum(N: int) -> Scalar:
     """Exact quadratic Gauss sum G(N) = sum_m e^{i pi m^2 / N}."""
     if N < 1:

@@ -1,9 +1,11 @@
 """Divisibility lattice of rational Weyl algebras A(a,b) = <U^a, V^b>.
 
 Everything here is exact rational/integer arithmetic on generator
-exponents: inclusion, centers, the up functor inverse to the center,
-joins, maximal commutative subalgebras, Heisenberg automorphisms and
-spectra projections.
+exponents: words and their group law, inclusion, centers, the up functor
+inverse to the center, joins, maximal commutative subalgebras and spectra
+projections.  A matrix g of SL(2,Q) acts on words by `word_image`, the one
+statement of that action (every transform's sigma is derived from it), and
+`lattice_intersect` finds the common subalgebra when transforms compose.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import BadMatrix, NotCommutative, NotIncluded, NotInAlgebra
+from .errors import NotCommutative, NotIncluded, NotInAlgebra
 
 
 def _mod1(x) -> Fraction:
@@ -122,18 +124,6 @@ class GenWord:
         return f"GenWord(U^{self.u_exp} V^{self.v_exp}, e2pi({self.phase}))"
 
 
-@dataclass(frozen=True)
-class AutDesc:
-    """Heisenberg automorphism data: 2x2 integer matrix plus two q-powers."""
-
-    g: tuple[tuple[int, int], tuple[int, int]]
-    n: int = 0
-    m: int = 0
-
-    def det(self) -> int:
-        return self.g[0][0] * self.g[1][1] - self.g[0][1] * self.g[1][0]
-
-
 # ---------------------------------------------------------------------------
 # lattice operations
 # ---------------------------------------------------------------------------
@@ -222,18 +212,6 @@ def spectrum_project(B: WeylDesc, A: WeylDesc, beta):
     if ru.denominator != 1 or rv.denominator != 1:
         raise NotIncluded("central generators do not align (unexpected)")
     return SpecPoint(beta.u_phase * int(ru), beta.v_phase * int(rv))
-
-
-def apply_automorphism(xi: AutDesc, w: GenWord, A: WeylDesc) -> GenWord:
-    """Image of w under xi_{g,n,m}: U^a -> q^n U^{g11 a} V^{g12 b}, etc."""
-    N = q_order(A)
-    if xi.det() % N != 1 % N:
-        raise BadMatrix(f"det {xi.det()} != 1 mod {N}")
-    j, k = A.word_coords(w)
-    q = A.q_phase
-    img_u = GenWord(xi.g[0][0] * A.a, xi.g[0][1] * A.b, xi.n * q)
-    img_v = GenWord(xi.g[1][0] * A.a, xi.g[1][1] * A.b, xi.m * q)
-    return GenWord(Fraction(0), Fraction(0), w.phase) * (img_u ** j) * (img_v ** k)
 
 
 # ---------------------------------------------------------------------------

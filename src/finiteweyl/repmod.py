@@ -36,10 +36,6 @@ class SpecPoint:
         object.__setattr__(self, "u_phase", _mod1(self.u_phase))
         object.__setattr__(self, "v_phase", _mod1(self.v_phase))
 
-    @property
-    def principal(self) -> bool:
-        return self.u_phase == 0 and self.v_phase == 0
-
     @staticmethod
     def principal_point() -> "SpecPoint":
         return SpecPoint(Fraction(0), Fraction(0))
@@ -192,6 +188,19 @@ def u_basis(M: ModuleRep) -> list[StateVec]:
     return [M.basis_vector(k) for k in range(M.dim)]
 
 
+def _v_amplitudes(M: ModuleRep) -> list[Scalar]:
+    """q^r/sqrt(N) for r mod N: since q^N = 1, every amplitude of the V-basis."""
+    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, M.dim)
+    return [inv_sqrt * M.q_power(r) for r in range(M.dim)]
+
+
+def v_vector(M: ModuleRep, m: int) -> StateVec:
+    """The V-basis vector v_m = (1/sqrt N) sum_k q^{mk} u_k alone, in O(N)."""
+    N = M.dim
+    amp = _v_amplitudes(M)
+    return StateVec(M, [amp[(m * k) % N] for k in range(N)])
+
+
 def v_basis(M: ModuleRep) -> list[StateVec]:
     """Canonical V-basis: v_m = (1/sqrt N) sum_k q^{mk} u_k.
 
@@ -199,9 +208,7 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
     U-basis is <u_k | v_m> = q^{km}/sqrt(N).
     """
     N = M.dim
-    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, N)
-    # q^N = 1, so the N^2 amplitudes take only the N values q^r/sqrt(N)
-    amp = [inv_sqrt * M.q_power(r) for r in range(N)]
+    amp = _v_amplitudes(M)
     return [StateVec(M, [amp[(m * k) % N] for k in range(N)]) for m in range(N)]
 
 
@@ -309,14 +316,3 @@ def _unit_phase_inverse(a: Scalar) -> Scalar:
     unit = a * mag.inv()
     t = root_of_unity_turns(unit)
     return Scalar.phase(_mod1(-t))
-
-
-def gamma_generator(M: ModuleRep, which: str) -> GenWord:
-    """Generator of Gamma_A(alpha) as a word for apply_word; its inverse is
-    .inv().  mu = v^{-1} V, the u-basis index decrement; nu = u U^{-1},
-    which sends u_m to q^{-m} u_m."""
-    if which == "mu":
-        return GenWord(0, M.alg.b, -M.v_phase)
-    if which == "nu":
-        return GenWord(-M.alg.a, 0, M.u_phase)
-    raise ValueError("kind must be 'mu' or 'nu'")

@@ -28,6 +28,7 @@ from math import lcm
 from operator import add
 
 from .errors import (
+    BadMatrix,
     DivisibilityViolation,
     ModuleMismatch,
     NoCommonSubalgebra,
@@ -76,7 +77,7 @@ class RegUnitary:
 
     def __post_init__(self):
         if mat_det(self.gL) != 1:
-            raise ValueError("associated matrix must have determinant 1")
+            raise BadMatrix("associated matrix must have determinant 1")
         if not all(self.ambient_ran.alg.contains_word(w) for _, _, w in self.sigma):
             raise ValueError("associated matrix maps a domain word outside the target algebra")
         if self.domain is not None:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from finiteweyl import cli, dirac
+from finiteweyl import cli, dirac, repmod
 from finiteweyl.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -81,6 +81,36 @@ class TestPairing:
         payload = json.loads(out)
         assert payload["results"]["compatible"] is True
         assert abs(payload["results"]["value"] - 1 / 8) < 1e-12
+
+    def test_v_operand_builds_one_vector(self, capsys, monkeypatch):
+        # v:m is one O(N) vector, not the O(N^2) V-basis indexed at m
+        def fail(*args):
+            raise AssertionError("pairing built the whole V-basis")
+
+        monkeypatch.setattr(cli, "v_basis", fail)
+        monkeypatch.setattr(repmod, "v_basis", fail)
+        case, = (c for c in GOLDEN if c["argv"][0] == "pairing")
+        assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"])
+        code, out = run(capsys, "pairing", "--n", "20000", "--left", "u:7", "--right", "v:11")
+        assert code == 0
+        assert json.loads(out)["results"]["value"] == pytest.approx(1 / 20000, rel=1e-12)
+
+
+class TestMalformedOptions:
+    @pytest.mark.parametrize("argv,option", [
+        (["basis", "--alg", "1"], "--alg"),
+        (["lattice", "--join", "1,1"], "--join"),
+        (["transform", "--name", "qho", "--n", "75", "--triple", "3,4"], "--triple"),
+        (["trace", "qho", "--triple", "3,4,5,6"], "--triple"),
+        (["propagator", "free", "--grid=1:2"], "--grid"),
+        (["pairing", "--n", "8", "--left", "u3", "--right", "v:5"], "--left"),
+    ])
+    def test_exit_2_names_the_option(self, capsys, argv, option):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"invalid input: {option} must be " in captured.err
 
 
 class TestModuleDimension:

@@ -1,26 +1,26 @@
 import cmath
 import math
 import tracemalloc
+from dataclasses import dataclass
 from fractions import Fraction as F
+from math import gcd
 
 import numpy as np
 import pytest
 
 from finiteweyl.dirac import (
+    KernelSample,
     ScaleParams,
     _gauss_constant,
     auto_mu,
     ccr_residual,
     converge_study,
-    delta_k,
-    dirac_inner,
     free_propagator,
     q_operator_eigenvalue,
     qho_propagator,
     qho_trace,
     st_mu,
     weakring_max_phase_error,
-    xp_kernel,
 )
 from finiteweyl.errors import (
     DivisibilityViolation,
@@ -28,9 +28,78 @@ from finiteweyl.errors import (
     NotPythagorean,
     OutOfRange,
 )
-from finiteweyl.lattice import WeylDesc
+from finiteweyl.lattice import GenWord, WeylDesc
 from finiteweyl.repmod import SpecPoint, build_module, inner, v_basis
 from finiteweyl.transform import free_evolution, qho_evolution
+
+
+# The general Dirac rescaling of a word pair, its rescaled inner product and
+# the <x|p> kernel: the propagators in finiteweyl.dirac each use one fixed
+# step, so these live here, where they are checked against it.
+
+def algebra(p: ScaleParams) -> WeylDesc:
+    """A(1/mu, h/mu), whose principal module the finite model uses."""
+    return WeylDesc(F(1, p.mu), p.h / p.mu)
+
+
+def word(p: ScaleParams, rho: int, tau: int) -> GenWord:
+    """U^{rho/mu} V^{h tau/mu}."""
+    return GenWord(F(rho, p.mu), p.h * tau / p.mu)
+
+
+def cc(p: ScaleParams) -> float:
+    """Dirac normalisation constant sqrt(2 pi hbar)."""
+    return math.sqrt(2 * math.pi * p.hbar)
+
+
+@dataclass
+class RescaleCtx:
+    b: int
+    aR: int
+    aS: int
+    delta: float
+
+
+def delta_k(r_word: GenWord, s_word: GenWord, params: ScaleParams) -> RescaleCtx:
+    """Dirac rescaling step: Delta k = b cc/(aR aS sqrt N), or cc/sqrt(N) when b = 0.
+
+    b is the minimal positive commutation exponent of the two words; aR, aS
+    are the maximal root divisibilities R^{1/aR}, S^{1/aS} in the ambient
+    algebra (words outside it raise NotInAlgebra).
+    """
+    A = algebra(params)
+    rR, tR = A.word_coords(r_word)
+    rS, tS = A.word_coords(s_word)
+    b = abs(rR * tS - rS * tR)
+    N = params.N
+    if b == 0:
+        return RescaleCtx(0, 1, 1, cc(params) * math.sqrt(1 / N))
+    aR = gcd(abs(rR), abs(tR))
+    aS = gcd(abs(rS), abs(tS))
+    return RescaleCtx(b, aR, aS, b * cc(params) / (aR * aS * math.sqrt(N)))
+
+
+def dirac_inner(e, f, ctx: RescaleCtx) -> complex:
+    """<e|f>/Delta k in floats."""
+    return inner(e, f).to_complex() / ctx.delta
+
+
+def xp_kernel(x: float, p: float, params: ScaleParams) -> KernelSample:
+    """<x|p>_Dir on the nearest lattice points: modulus 1/sqrt(2 pi hbar).
+
+    The lattice phase is e^{i x p / hbar} (the exact value of q^{km}); the
+    closed form is recorded with the same convention.
+    """
+    hbar, mu, N = params.hbar, params.mu, params.N
+    k = round(x * mu / hbar)
+    m = round(p * mu / hbar)
+    if abs(k) > N // 2 or abs(m) > N // 2:
+        raise OutOfRange("point outside the finite lattice window")
+    xs, ps = k * hbar / mu, m * hbar / mu
+    phase = 2 * math.pi * ((k * m) % N) / N
+    value = cmath.exp(1j * phase) / cc(params)
+    closed = cmath.exp(1j * xs * ps / hbar) / math.sqrt(2 * math.pi * hbar)
+    return KernelSample(xs, ps, value, closed)
 
 
 class TestScaleParams:
@@ -38,7 +107,6 @@ class TestScaleParams:
         p = ScaleParams(F(1), 60)
         assert p.N == 3600
         assert abs(p.hbar - 2 * math.pi) < 1e-15
-        assert abs(p.cc - math.sqrt(2 * math.pi * p.hbar)) < 1e-15
 
     def test_fractional_h(self):
         p = ScaleParams(F(1, 2), 60)
@@ -64,52 +132,52 @@ class TestScaleParams:
 class TestDeltaK:
     def test_fourier_setting(self):
         p = ScaleParams(F(1), 60)
-        ctx = delta_k(p.word(1, 0), p.word(0, 1), p)
+        ctx = delta_k(word(p, 1, 0), word(p, 0, 1), p)
         assert ctx.b == 1 and ctx.aR == 1 and ctx.aS == 1
-        assert abs(ctx.delta - p.cc / math.sqrt(p.N)) < 1e-15
+        assert abs(ctx.delta - cc(p) / math.sqrt(p.N)) < 1e-15
 
     def test_free_particle_setting(self):
         # R = U^d, S = q^{-1/2} U^d V^{-b}: Delta x = b hbar / mu
         p = ScaleParams(F(1), 60)
         b, d = 1, 2
-        ctx = delta_k(p.word(d, 0), p.word(d, -b), p)
+        ctx = delta_k(word(p, d, 0), word(p, d, -b), p)
         assert abs(ctx.delta - b * p.hbar / p.mu) < 1e-14
 
     def test_qho_setting(self):
         # R = U^c, S = S_t: Delta x = e hbar / mu
         p = ScaleParams(F(1), 60)
         e, f, c = 3, 4, 5
-        ctx = delta_k(p.word(c, 0), p.word(f, -e), p)
+        ctx = delta_k(word(p, c, 0), word(p, f, -e), p)
         assert abs(ctx.delta - e * p.hbar / p.mu) < 1e-14
 
     def test_refinement_invariance_of_delta(self):
         # b' = e^2 b, aR' = e aR, aS' = e aS leave Delta unchanged
         p = ScaleParams(F(1), 120)
-        base = delta_k(p.word(1, 0), p.word(0, 1), p)
+        base = delta_k(word(p, 1, 0), word(p, 0, 1), p)
         for e in (2, 3):
-            ref = delta_k(p.word(e, 0), p.word(0, e), p)
+            ref = delta_k(word(p, e, 0), word(p, 0, e), p)
             assert abs(ref.delta - base.delta) < 1e-15
 
 
 class TestDiracInner:
     def test_u_v_modulus(self):
         p = ScaleParams(F(1), 12)
-        M = build_module(p.algebra, SpecPoint.principal_point())
-        ctx = delta_k(p.word(1, 0), p.word(0, 1), p)
+        M = build_module(algebra(p), SpecPoint.principal_point())
+        ctx = delta_k(word(p, 1, 0), word(p, 0, 1), p)
         val = dirac_inner(M.basis_vector(2), v_basis(M)[5], ctx)
         assert abs(abs(val) - 1 / math.sqrt(2 * math.pi * p.hbar)) < 1e-12
 
     def test_orthogonal_vectors(self):
         p = ScaleParams(F(1), 12)
-        M = build_module(p.algebra, SpecPoint.principal_point())
-        ctx = delta_k(p.word(1, 0), p.word(0, 1), p)
+        M = build_module(algebra(p), SpecPoint.principal_point())
+        ctx = delta_k(word(p, 1, 0), word(p, 0, 1), p)
         assert dirac_inner(M.basis_vector(0), M.basis_vector(3), ctx) == 0
 
     def test_module_mismatch(self):
         p = ScaleParams(F(1), 12)
-        M1 = build_module(p.algebra, SpecPoint.principal_point())
+        M1 = build_module(algebra(p), SpecPoint.principal_point())
         M2 = build_module(WeylDesc(1, F(1, 4)), SpecPoint.principal_point())
-        ctx = delta_k(p.word(1, 0), p.word(0, 1), p)
+        ctx = delta_k(word(p, 1, 0), word(p, 0, 1), p)
         with pytest.raises(ModuleMismatch):
             dirac_inner(M1.basis_vector(0), M2.basis_vector(0), ctx)
 
@@ -118,12 +186,12 @@ class TestDiracInner:
         # (the refined bases are subsets of the original ones), and the
         # rescaling Delta is invariant for every (e,f) pair
         p = ScaleParams(F(1), 12)
-        M = build_module(p.algebra, SpecPoint.principal_point())
+        M = build_module(algebra(p), SpecPoint.principal_point())
         N = M.dim
         vb = v_basis(M)
-        ctx = delta_k(p.word(1, 0), p.word(0, 1), p)
+        ctx = delta_k(word(p, 1, 0), word(p, 0, 1), p)
         for f in (1, 2, 3):
-            ctx_f = delta_k(p.word(1, 0), p.word(0, f), p)
+            ctx_f = delta_k(word(p, 1, 0), word(p, 0, f), p)
             assert abs(ctx_f.delta - ctx.delta) < 1e-15
             for j in range(N // f):
                 for m in range(0, N, f):
@@ -132,7 +200,7 @@ class TestDiracInner:
                     assert abs(lhs - rhs) < 1e-12
         for e in (1, 2, 3):
             for f in (1, 2, 3):
-                sub = delta_k(p.word(e, 0), p.word(0, f), p)
+                sub = delta_k(word(p, e, 0), word(p, 0, f), p)
                 # b' = ef, aR' = e, aS' = f: Delta is unchanged
                 assert abs(sub.delta - ctx.delta) < 1e-15
 
@@ -243,7 +311,7 @@ class TestExactKernels:
     @pytest.mark.parametrize("t", [F(1, 2), F(1), F(3, 2), F(-1, 2)])
     def test_free_propagator_is_free_evolution(self, t):
         p = ScaleParams(F(1), 12)
-        G = free_evolution(build_module(p.algebra, SpecPoint.principal_point()),
+        G = free_evolution(build_module(algebra(p), SpecPoint.principal_point()),
                            t.numerator, t.denominator)
         Nb = G.dim
         dx = abs(t.numerator) * p.hbar / p.mu
@@ -255,7 +323,7 @@ class TestExactKernels:
     @pytest.mark.parametrize("mu", [30, 60])
     def test_qho_propagator_is_qho_evolution(self, mu):
         p = ScaleParams(F(1), mu)
-        K = qho_evolution(build_module(p.algebra, SpecPoint.principal_point()), 3, 4, 5)
+        K = qho_evolution(build_module(algebra(p), SpecPoint.principal_point()), 3, 4, 5)
         dim = K.dim
         step, dx = 15 * p.hbar / mu, 3 * p.hbar / mu
         for n in range(-(dim // 2), dim // 2 + 1):
@@ -268,7 +336,7 @@ class TestExactKernels:
     def test_refusals_agree(self, mu, t):
         p = ScaleParams(F(1), mu)
         with pytest.raises(DivisibilityViolation) as exact:
-            free_evolution(build_module(p.algebra, SpecPoint.principal_point()),
+            free_evolution(build_module(algebra(p), SpecPoint.principal_point()),
                            t.numerator, t.denominator)
         with pytest.raises(DivisibilityViolation) as flt:
             free_propagator(0.0, 0.0, t, p)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 from math import gcd
 
@@ -8,22 +9,23 @@ from hypothesis import strategies as st
 
 from finiteweyl.errors import BadMatrix, NotCommutative, NotIncluded
 from finiteweyl.lattice import (
-    AutDesc,
     GenWord,
     WeylDesc,
-    apply_automorphism,
     center,
     includes,
     join,
     lattice_intersect,
+    mat_mul,
     maximal_commutative,
     q_order,
     rat_gcd,
     relative_indices,
     spectrum_project,
     up_functor,
+    word_image,
 )
-from finiteweyl.repmod import SpecPoint
+from finiteweyl.repmod import SpecPoint, build_module
+from finiteweyl.transform import fourier
 
 
 def intersect_centers(A: WeylDesc, B: WeylDesc) -> WeylDesc:
@@ -216,7 +218,7 @@ class TestSpectrumProject:
         A = WeylDesc(F(1, 6), F(1, 6))
         B = WeylDesc(F(1, 2), F(1, 3))
         assert includes(B, A)
-        assert spectrum_project(B, A, SpecPoint.principal_point()).principal
+        assert spectrum_project(B, A, SpecPoint.principal_point()) == SpecPoint.principal_point()
 
     def test_requires_inclusion(self):
         with pytest.raises(NotIncluded):
@@ -283,41 +285,73 @@ class TestGenWord:
         assert w ** n == acc
 
 
+def random_sl2z(rng):
+    """A random SL(2,Z) matrix, as a product of elementary row operations."""
+    g = ((1, 0), (0, 1))
+    for _ in range(4):
+        k = rng.randrange(-3, 4)
+        g = mat_mul(((1, k), (0, 1)) if rng.random() < 0.5 else ((1, 0), (k, 1)), g)
+    return g
+
+
+def random_word(rng, A):
+    """e^{2 pi i phase} U^{ja} V^{kb} with random j, k and phase."""
+    return GenWord(rng.randrange(-5, 6) * A.a, rng.randrange(-5, 6) * A.b, F(rng.randrange(24), 24))
+
+
+# A(3, 5/12) has ab = 5/4, so its reduced q phase 1/4 differs from ab
+WORD_IMAGE_ALGEBRAS = [WeylDesc(F(1, 3), F(1, 4)), WeylDesc(3, F(5, 12)), WeylDesc(1, F(1, 12))]
+
+
 class TestAutomorphisms:
     def test_identity_fixes(self):
         A = WeylDesc(F(1, 2), F(1, 2))
-        xi = AutDesc(((1, 0), (0, 1)))
         w = GenWord(F(3, 2), F(1, 2), F(1, 8))
-        assert apply_automorphism(xi, w, A) == w
+        assert word_image(w, ((1, 0), (0, 1)), A) == w
 
     def test_fourier_matrix_on_u(self):
         A = WeylDesc(F(1, 2), F(1, 2))
-        xi = AutDesc(((0, 1), (-1, 0)))
-        img = apply_automorphism(xi, GenWord(A.a, 0), A)
+        img = word_image(GenWord(A.a, 0), ((0, 1), (-1, 0)), A)
         assert img.u_exp == 0 and img.v_exp == A.b
 
     def test_bad_matrix(self):
-        A = WeylDesc(F(1, 2), F(1, 2))
+        # the package's SL(2) check: a transform's matrix must have det 1
+        L = fourier(build_module(WeylDesc(1, F(1, 4)), SpecPoint.principal_point()))
         with pytest.raises(BadMatrix):
-            apply_automorphism(AutDesc(((2, 0), (0, 1))), GenWord(A.a, 0), A)
+            replace(L, gL=((F(2), F(0)), (F(0), F(1))))
 
     def test_commutator_preserved(self):
         A = WeylDesc(F(1, 3), F(1, 4))
         N = q_order(A)
         rng = random.Random(13)
         for _ in range(20):
-            # random SL(2,Z) matrix via row operations
-            g = [[1, 0], [0, 1]]
-            for _ in range(4):
-                k = rng.randrange(-3, 4)
-                if rng.random() < 0.5:
-                    g = [[g[0][0] + k * g[1][0], g[0][1] + k * g[1][1]], g[1]]
-                else:
-                    g = [g[0], [g[1][0] + k * g[0][0], g[1][1] + k * g[0][1]]]
-            xi = AutDesc((tuple(g[0]), tuple(g[1])), rng.randrange(N), rng.randrange(N))
-            U, V = GenWord(A.a, 0), GenWord(0, A.b)
-            iu, iv = apply_automorphism(xi, U, A), apply_automorphism(xi, V, A)
+            g = random_sl2z(rng)
+            U, V = GenWord(A.a, 0, F(rng.randrange(N), N)), GenWord(0, A.b, F(rng.randrange(N), N))
+            iu, iv = word_image(U, g, A), word_image(V, g, A)
             assert iu.commutator_phase(iv) == U.commutator_phase(V)
+
+    @pytest.mark.parametrize("A", WORD_IMAGE_ALGEBRAS, ids=str)
+    def test_word_image_composition_law(self, A):
+        rng = random.Random(31)
+        for _ in range(50):
+            g1, g2, w = random_sl2z(rng), random_sl2z(rng), random_word(rng, A)
+            assert word_image(word_image(w, g1, A), g2, A) == word_image(w, mat_mul(g1, g2), A)
+
+    @pytest.mark.parametrize("A", WORD_IMAGE_ALGEBRAS, ids=str)
+    def test_word_image_preserves_commutators(self, A):
+        rng = random.Random(37)
+        for _ in range(50):
+            g, w1, w2 = random_sl2z(rng), random_word(rng, A), random_word(rng, A)
+            assert (word_image(w1, g, A).commutator_phase(word_image(w2, g, A))
+                    == w1.commutator_phase(w2))
+
+    @pytest.mark.parametrize("A", WORD_IMAGE_ALGEBRAS, ids=str)
+    def test_word_image_is_a_homomorphism(self, A):
+        # fixes the half in the phase (jk)' q/2, which the two laws above do not see
+        rng = random.Random(41)
+        for _ in range(50):
+            g, w1, w2 = random_sl2z(rng), random_word(rng, A), random_word(rng, A)
+            assert word_image(w1 * w2, g, A) == word_image(w1, g, A) * word_image(w2, g, A)
 
 
 class TestLatticeIntersect:

@@ -15,7 +15,6 @@ from finiteweyl.repmod import (
     SpecPoint,
     apply_word,
     build_module,
-    gamma_generator,
     inner,
     linear_combination,
     root_of_unity_turns,
@@ -358,6 +357,17 @@ class TestSBasis:
         M = principal_module(4)
         with pytest.raises(NotGenerating):
             s_basis(M, word_U(M), word_U(M))
+
+
+def gamma_generator(M, which: str) -> GenWord:
+    """Generator of Gamma_A(alpha) as a word for apply_word; its inverse is
+    .inv().  mu = v^{-1} V, the u-basis index decrement; nu = u U^{-1},
+    which sends u_m to q^{-m} u_m."""
+    if which == "mu":
+        return GenWord(0, M.alg.b, -M.v_phase)
+    if which == "nu":
+        return GenWord(-M.alg.a, 0, M.u_phase)
+    raise ValueError("kind must be 'mu' or 'nu'")
 
 
 class TestGamma:
