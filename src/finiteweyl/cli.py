@@ -39,27 +39,34 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(s)
 
 
-def split_option(value: str, sep: str, count: int, option: str, form: str) -> list[str]:
-    """value cut at sep into count parts, or a ValueError naming the option and its form."""
+def split_option(value: str, sep: str, parse: tuple, option: str, form: str) -> list:
+    """value cut at sep, part i converted by parse[i]; a ValueError naming the
+    option and its form when the number of parts or a conversion is wrong."""
     parts = value.split(sep)
-    if len(parts) != count:
-        raise ValueError(f"{option} must be {form}, got {value!r}")
-    return parts
+    try:
+        if len(parts) != len(parse):
+            raise ValueError
+        return [conv(x) for conv, x in zip(parse, parts)]
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} must be {form}, got {value!r}") from None
 
 
-def parse_desc(s: str, option: str, form: str = '"a,b"') -> WeylDesc:
-    a, b = split_option(s, ",", 2, option, form)
-    return WeylDesc(Fraction(a), Fraction(b))
+def parse_desc(s: str, option: str) -> WeylDesc:
+    return WeylDesc(*split_option(s, ",", (Fraction, Fraction), option, '"a,b"'))
+
+
+def _rat_pair(s: str) -> tuple[Fraction, Fraction]:
+    a, b = s.split(",")  # a ValueError unless there are two parts
+    return Fraction(a), Fraction(b)
 
 
 def parse_desc_pair(s: str, option: str) -> tuple[WeylDesc, WeylDesc]:
-    form = '"a,b;c,d"'
-    x, y = split_option(s, ";", 2, option, form)
-    return parse_desc(x, option, form), parse_desc(y, option, form)
+    x, y = split_option(s, ";", (_rat_pair, _rat_pair), option, '"a,b;c,d"')
+    return WeylDesc(*x), WeylDesc(*y)
 
 
 def parse_triple(s: str) -> tuple[int, int, int]:
-    return tuple(int(x) for x in split_option(s, ",", 3, "--triple", '"e,f,c"'))
+    return tuple(split_option(s, ",", (int, int, int), "--triple", '"e,f,c"'))
 
 
 def fmt_rat(x: Fraction) -> str:
@@ -161,9 +168,10 @@ def cmd_basis(args) -> int:
 
         if not args.s_word or not args.t_word:
             raise ValueError("--which s requires --s-word and --t-word")
-        su, sv = split_option(args.s_word, ",", 2, "--s-word", '"u_exp,v_exp"')
-        tu, tv = split_option(args.t_word, ",", 2, "--t-word", '"u_exp,v_exp"')
-        basis = s_basis(M, GenWord(Fraction(su), Fraction(sv)), GenWord(Fraction(tu), Fraction(tv)))
+        form = '"u_exp,v_exp"'
+        S = GenWord(*split_option(args.s_word, ",", (Fraction, Fraction), "--s-word", form))
+        T = GenWord(*split_option(args.t_word, ",", (Fraction, Fraction), "--t-word", form))
+        basis = s_basis(M, S, T)
     if args.mode == "float":
         dump = [[list(eval_complex(a)) for a in vec.amps] for vec in basis]
     else:
@@ -184,8 +192,7 @@ def cmd_pairing(args) -> int:
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())
 
     def vec_of(spec: str, option: str):
-        kind, idx = split_option(spec, ":", 2, option, '"u:k" or "v:m"')
-        idx = int(idx)
+        kind, idx = split_option(spec, ":", (str, int), option, '"u:k" or "v:m"')
         if kind == "u":
             return M.basis_vector(idx)
         if kind == "v":
@@ -253,8 +260,7 @@ def cmd_transform(args) -> int:
 
 
 def _grid(spec: str) -> list[float]:
-    lo, hi, count = split_option(spec, ":", 3, "--grid", '"lo:hi:count"')
-    lo, hi, count = float(lo), float(hi), int(count)
+    lo, hi, count = split_option(spec, ":", (float, float, int), "--grid", '"lo:hi:count"')
     if count < 1:
         raise ValueError(f"grid point count must be at least 1, got {count}")
     if count == 1:

@@ -225,16 +225,11 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
 WEAKRING_WINDOW = 8.0
 
 
-def st_mu(m: int, params: ScaleParams, window: float = math.inf) -> float:
+def st_mu(m: int, params: ScaleParams) -> float:
     """Standard-part coordinate m/mu on the window [-N/2, N/2)."""
     N = params.N
     m = (m + N // 2) % N - N // 2
-    x = m / params.mu
-    if x > window:
-        return math.inf
-    if x < -window:
-        return -math.inf
-    return x
+    return m / params.mu
 
 
 def weakring_samples(params: ScaleParams, count: int, seed: int = 0):

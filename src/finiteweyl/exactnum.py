@@ -625,24 +625,15 @@ def eval_complex(s: Scalar) -> tuple[float, float]:
     return (z.real, z.imag)
 
 
-def dot(xs, ys, conj: bool = False) -> Scalar:
-    """Exact sum_i xs[i] * ys[i], or sum_i conj(xs[i]) * ys[i] when conj is set.
+def _accumulate(acc: dict, pairs, L: int, sign: int) -> None:
+    """Add every product of the pairs of Scalars into acc.
 
-    Beyond a lone pair, no product is built as a Scalar.  Every exponent is
-    lifted once to L, the lcm of the orders involved, and the products'
-    integer numerators are summed keyed by radicand (split_square of the
-    two radicands), denominator and exponent; each term of the result
-    becomes one Fraction at the end.
+    The product of c zeta_oa^ka sqrt(ra) and c' zeta_ob^kb sqrt(rb) adds the
+    integer s num(c) num(c') at the key (r, den(c) den(c'), sign ka L/oa +
+    kb L/ob mod L), where (s, r) = split_square(ra rb) and L is a multiple
+    of every order; sign = -1 conjugates the first Scalar.  Coefficients
+    may be Fractions or ints.
     """
-    pairs = [(a, b) for a, b in zip(xs, ys) if a.cyc.coeffs and b.cyc.coeffs]
-    if not pairs:
-        return Scalar.zero()
-    if len(pairs) == 1:  # a single product: no accumulation to share
-        a, b = pairs[0]
-        return (a.conj() if conj else a) * b
-    L = lcm(*{s.cyc.order for pair in pairs for s in pair})
-    sign = -1 if conj else 1
-    acc: dict[tuple[int, int, int], int] = {}
     get = acc.get
     for a, b in pairs:
         s, r = split_square(a.rad * b.rad)
@@ -652,7 +643,15 @@ def dot(xs, ys, conj: bool = False) -> Scalar:
             for kb, fb in b.cyc.coeffs.items():
                 key = (r, da * fb.denominator, (ka + kb * sb) % L)
                 acc[key] = get(key, 0) + na * fb.numerator
-    # per radicand: a common denominator, then one Fraction per exponent
+
+
+def _scalar_of(acc: dict, L: int, scale: int) -> Scalar:
+    """The sum over acc's entries (r, d, k) -> n of n/(d scale) sqrt(r) zeta_L^k.
+
+    Per radicand the numerators go over one common denominator and each
+    term becomes one Fraction; the radicands' Scalars are added in order
+    of first use.
+    """
     dens: dict[int, int] = {}
     for r, d, _ in acc:
         dens[r] = lcm(dens.get(r, 1), d)
@@ -662,8 +661,59 @@ def dot(xs, ys, conj: bool = False) -> Scalar:
         part[k] = part.get(k, 0) + n * (dens[r] // d)
     total = None
     for r, part in nums.items():
-        coeffs = {k: Fraction(n, dens[r]) for k, n in part.items() if n}
+        den = dens[r] * scale
+        coeffs = {k: Fraction(n, den) for k, n in part.items() if n}
         if coeffs:
             term = Scalar(r, Cyc(L, coeffs, _trusted=True))
             total = term if total is None else total + term
     return Scalar.zero() if total is None else total
+
+
+def dot(xs, ys, conj: bool = False) -> Scalar:
+    """Exact sum_i xs[i] * ys[i], or sum_i conj(xs[i]) * ys[i] when conj is set.
+
+    Beyond a lone pair, no product is built as a Scalar: `_accumulate` sums
+    the products' integer numerators keyed by radicand, denominator and
+    exponent at L, the lcm of the orders, and each term of the result
+    becomes one Fraction at the end.
+    """
+    pairs = [(a, b) for a, b in zip(xs, ys) if a.cyc.coeffs and b.cyc.coeffs]
+    if not pairs:
+        return Scalar.zero()
+    if len(pairs) == 1:  # a single product: no accumulation to share
+        a, b = pairs[0]
+        return (a.conj() if conj else a) * b
+    L = lcm(*{s.cyc.order for pair in pairs for s in pair})
+    acc: dict[tuple[int, int, int], int] = {}
+    _accumulate(acc, pairs, L, -1 if conj else 1)
+    return _scalar_of(acc, L, 1)
+
+
+def sum_abs2(forms) -> Scalar:
+    """Exact sum over forms (xs, ys) of |s|^2, s = sum_i conj(xs[i]) * ys[i].
+
+    No s is built as a Scalar.  `_accumulate` sums each s, which is then
+    held as integer numerators over D^2 (D the lcm of every coefficient
+    denominator), keyed by radicand and by exponent at one order L common
+    to all forms.  |s|^2 = conj(s) s goes into one accumulator by the same
+    rule, and each term of the result becomes one Fraction at the end.
+    """
+    forms = [[(a, b) for a, b in zip(xs, ys) if a.cyc.coeffs and b.cyc.coeffs]
+             for xs, ys in forms]
+    cycs = {id(s): s.cyc for form in forms for pair in form for s in pair}.values()
+    if not cycs:
+        return Scalar.zero()
+    L = lcm(*{c.order for c in cycs})
+    D2 = lcm(*{f.denominator for c in cycs for f in c.coeffs.values()}) ** 2
+    acc: dict[tuple[int, int, int], int] = {}
+    for form in forms:
+        terms: dict[tuple[int, int, int], int] = {}
+        _accumulate(terms, form, L, -1)
+        parts: dict[int, dict[int, int]] = {}  # s over D^2: radicand -> exponent -> numerator
+        for (r, d, k), n in terms.items():
+            part = parts.setdefault(r, {})
+            part[k] = part.get(k, 0) + n * (D2 // d)
+        ops = [Scalar(r, Cyc(L, {k: n for k, n in part.items() if n}, _trusted=True))
+               for r, part in parts.items()]
+        _accumulate(acc, [(x, y) for x in ops for y in ops], L, -1)
+    return _scalar_of(acc, L, D2 * D2)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
-from .exactnum import Cyc, Scalar, dot
+from .exactnum import Cyc, Scalar, sum_abs2
 from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
 from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner
 
@@ -177,8 +177,9 @@ def pairing_row_sum(B: WeylDesc, f: StateVec) -> Scalar:
 
     The basis runs over all summands of the ambient decomposition lying over
     f's fiber, so the sum is exactly <p(f)|p(f)> = 1 for unit f.  Each
-    s_g = <g|p(f)> is one `dot` over g's n support pairs, and the sum of
-    |s_g|^2 is one more `dot`; no dense basis vector is built.
+    s_g = <g|p(f)> is one form over g's n support pairs (g's amplitudes
+    against p(f)'s entries at g's indices), and `sum_abs2` sums the |s_g|^2
+    in integer accumulators; no dense basis vector and no s_g Scalar is built.
     """
     D = f.module.alg
     A = join(B, D)
@@ -187,6 +188,5 @@ def pairing_row_sum(B: WeylDesc, f: StateVec) -> Scalar:
     pf = embed_pbeta(f.module, Mamb).apply(f).amps
     n, k = _indices(Mamb, B)
     amp = _amplitudes(Mamb, n)
-    S = [dot([a for _, a in g], [pf[idx] for idx, _ in g], conj=True)
-         for ell in range(n * k) for g in _supports(Mamb, n, k, *divmod(ell, k), amp)]
-    return dot(S, S, conj=True)
+    return sum_abs2(([a for _, a in g], [pf[idx] for idx, _ in g])
+                    for ell in range(n * k) for g in _supports(Mamb, n, k, *divmod(ell, k), amp))

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from .exactnum import Cyc, Scalar, dot, sqrt_as_cyc
+from .exactnum import Cyc, Scalar, _phase_cached, dot, sqrt_as_cyc
 from .lattice import GenWord, WeylDesc, _mod1
 
 
@@ -62,7 +62,11 @@ class ModuleRep:
     def q_power(self, k) -> Scalar:
         out = self._qpow.get(k)
         if out is None:
-            out = Scalar.phase(_mod1(Fraction(k) * self.q_phase))
+            q = self.q_phase  # t/D = k q mod 1, put in lowest terms without a Fraction
+            D = k.denominator * q.denominator
+            t = k.numerator * q.numerator % D
+            g = gcd(t, D)
+            out = _phase_cached(t // g, D // g)
             self._qpow[k] = out
         return out
 

@@ -112,6 +112,24 @@ class TestMalformedOptions:
         assert captured.out == ""
         assert f"invalid input: {option} must be " in captured.err
 
+    @pytest.mark.parametrize("argv,option,form,value", [
+        (["pairing", "--n", "8", "--left", "u:x", "--right", "v:5"], "--left", '"u:k" or "v:m"', "u:x"),
+        (["pairing", "--n", "8", "--left", "u:3", "--right", "v:1/2"], "--right", '"u:k" or "v:m"', "v:1/2"),
+        (["transform", "--name", "qho", "--n", "75", "--triple", "3,4,x"], "--triple", '"e,f,c"', "3,4,x"),
+        (["propagator", "free", "--grid=a:1:3"], "--grid", '"lo:hi:count"', "a:1:3"),
+        (["lattice", "--center", "1/0,1"], "--center", '"a,b"', "1/0,1"),
+        (["lattice", "--join", "1,1;1,y"], "--join", '"a,b;c,d"', "1,1;1,y"),
+        (["basis", "--alg", "1,x"], "--alg", '"a,b"', "1,x"),
+        (["basis", "--alg", "1,1/6", "--which", "s", "--s-word", "0,z", "--t-word", "-1,0"],
+         "--s-word", '"u_exp,v_exp"', "0,z"),
+    ])
+    def test_non_numeric_part_names_the_option(self, capsys, argv, option, form, value):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"invalid input: {option} must be {form}, got {value!r}\n"
+
 
 class TestModuleDimension:
     @pytest.mark.parametrize("n", ["-4", "0"])

@@ -417,11 +417,6 @@ class TestStMu:
         p = ScaleParams(F(1), 10)  # N = 100
         assert st_mu(60, p) == st_mu(-40, p)
 
-    def test_infinity_outside_window(self):
-        p = ScaleParams(F(1), 100)
-        assert st_mu(3000, p, window=20.0) == math.inf
-        assert st_mu(-3000, p, window=20.0) == -math.inf
-
     def test_order_preserved_on_window(self):
         p = ScaleParams(F(1), 100)
         xs = [st_mu(m, p) for m in range(-300, 300, 7)]

@@ -30,6 +30,7 @@ from finiteweyl.exactnum import (
     root_of_unity,
     split_square,
     sqrt_as_cyc,
+    sum_abs2,
     symmetric_phase_sum,
 )
 
@@ -454,6 +455,56 @@ class TestDot:
     def test_empty_and_zero(self):
         assert dot([], []).is_zero()
         assert dot([Scalar.zero(), root_of_unity(8, 3)], [Scalar.one(), Scalar.zero()]).is_zero()
+
+
+def sum_abs2_oracle(forms):
+    """Oracle: one `dot` per form, |s|^2 = conj(s) s summed one Scalar at a time."""
+    total = Scalar.zero()
+    for xs, ys in forms:
+        s = dot(xs, ys, conj=True)
+        total = total + s.conj() * s
+    return total
+
+
+class TestSumAbs2:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_matches_one_dot_per_form(self, rng):
+        # multi-term and zero entries, radicands 1/2/3/6 mixed within and
+        # across forms, orders 1 to 2N, empty forms and no forms at all
+        N = rng.randint(1, 30)
+        forms = []
+        for _ in range(rng.randrange(6)):
+            n = rng.randrange(6)
+            forms.append(([random_amplitude(rng, N) for _ in range(n)],
+                          [random_amplitude(rng, N) for _ in range(n)]))
+        got = sum_abs2(forms)
+        assert (got - sum_abs2_oracle(forms)).is_zero()
+        assert all(type(c) is Fraction for c in got.cyc.coeffs.values())
+
+    def test_order_one(self):
+        # rationals and radicals only: (1/2 + 3 sqrt2)^2 + (sqrt3 - sqrt6/3)^2
+        r2, r3, r6 = (Scalar.exact(Cyc.rational(1), r) for r in (2, 3, 6))
+        half, one, third = Scalar.rational(Fraction(1, 2)), Scalar.one(), Scalar.rational(Fraction(1, 3))
+        forms = [([half, r2], [one, Scalar.rational(3)]), ([r3, r6], [one, -third])]
+        got = sum_abs2(forms)
+        assert got == sum_abs2_oracle(forms)
+        assert got == Scalar.rational(Fraction(1, 4) + 18 + 3 + Fraction(2, 3)) + r2 * 3 - r2 * 2
+
+    def test_conjugation_counts(self):
+        # s = conj(1) 1 + conj(i) i = 2; without the conjugation 1 + i^2 = 0
+        i = root_of_unity(4, 1)
+        forms = [([Scalar.one(), i], [Scalar.one(), i])]
+        assert sum_abs2(forms) == Scalar.rational(4)
+        assert sum_abs2(forms) == sum_abs2_oracle(forms)
+        assert dot(*forms[0]).is_zero()
+
+    def test_empty_and_zero(self):
+        assert sum_abs2([]).is_zero()
+        assert sum_abs2([([], []), ([Scalar.zero()], [root_of_unity(8, 3)])]).is_zero()
+        # the terms of s cancel: zeta_4 against -zeta_8^2
+        i, z82 = root_of_unity(4, 1), root_of_unity(8, 2)
+        assert sum_abs2([([Scalar.one(), Scalar.one()], [i, -z82])]).is_zero()
 
 
 

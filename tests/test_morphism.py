@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finiteweyl import morphism, products, repmod
 from finiteweyl.errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
-from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity
+from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity, sum_abs2
 from finiteweyl.lattice import (
     GenWord,
     WeylDesc,
@@ -538,8 +538,8 @@ class TestRowSumAgainstOracle:
     @pytest.mark.parametrize("case", ROW_SUM_CASES)
     def test_each_summed_product_is_the_inner_product(self, case, monkeypatch):
         # the row sum cannot see a dropped conjugation, since the |s|^2 of
-        # s = <conj g|p(f)> also sum to <p(f)|p(f)>: each s_g it sums is
-        # compared with <g|p(f)> for the dense g of `decompose`
+        # s = <conj g|p(f)> also sum to <p(f)|p(f)>: each form it sums is
+        # compared, as <g|p(f)>, with the dense g of `decompose`
         N, (nB, kB), (nD, kD), point = case
         rng = random.Random(N)
         A0 = WeylDesc(F(1), F(1, N))
@@ -547,19 +547,19 @@ class TestRowSumAgainstOracle:
         Mamb = build_module(join(B, D), SpecPoint(*point))
         MD = build_module(D, rng.choice(decompose(Mamb, D))[0])
         f = StateVec(MD, [random_amplitude(rng) for _ in range(MD.dim)])
-        summed = []
+        forms = []
 
-        def recording(xs, ys, conj=False):
-            summed.append(dot(xs, ys, conj=conj))
-            return summed[-1]
+        def recording(pairs):
+            forms.extend((list(xs), list(ys)) for xs, ys in pairs)
+            return sum_abs2(forms)
 
-        monkeypatch.setattr(morphism, "dot", recording)
+        monkeypatch.setattr(morphism, "sum_abs2", recording)
         pairing_row_sum(B, f)
         pf = embed_pbeta(MD, Mamb).apply(f)
         want = [inner(g, pf) for _, basis in decompose(Mamb, B) for g in basis]
-        # the last dot is the sum of |s_g|^2
-        assert len(summed) == len(want) + 1
-        assert all((s - w).is_zero() for s, w in zip(summed, want))
+        # one form per summand basis vector, each summing to <g|p(f)>
+        assert len(forms) == len(want)
+        assert all((dot(xs, ys, conj=True) - w).is_zero() for (xs, ys), w in zip(forms, want))
 
     def test_largest_benchmark_shape_is_exactly_one(self):
         # (n, k, NB) = (5, 2, 12): N_A = 120, ten summands of dimension 12

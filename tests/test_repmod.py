@@ -134,6 +134,18 @@ class TestBuildModule:
             quv = uv.scale(M.q_power(1))
             assert all((a - b).is_zero() for a, b in zip(vu.amps, quv.amps))
 
+    @pytest.mark.parametrize("N", [1, 12, 120, 1024])
+    @pytest.mark.parametrize("a, b_num", [(1, 1), (2, 3), (F(1, 2), 1)])
+    def test_q_power_matches_fraction_rule(self, N, a, b_num):
+        # q_power's integer rule against the old Fraction rule, kept as the
+        # oracle, on A(a, b_num/N), whose q_phase is 1/N, 6/N or 1/(2N), for
+        # integer k and for the half-integer k the Gaussian images use
+        M = build_module(WeylDesc(a, F(b_num, N)), SpecPoint.principal_point())
+        for k in [*range(-2 * N, 2 * N + 1), *(F(j, 2) for j in range(-4 * N - 1, 4 * N + 2, 2))]:
+            got = M.q_power(k)
+            want = Scalar.phase(_mod1(F(k) * M.q_phase))
+            assert (got.rad, got.cyc.order, got.cyc.coeffs) == (want.rad, want.cyc.order, want.cyc.coeffs)
+
     def test_nonprincipal_roots(self):
         A = WeylDesc(F(1, 1), F(1, 3))
         pt = SpecPoint(F(1, 2), F(1, 4))
