@@ -35,20 +35,29 @@ from .transform import (check_sample, diagonal, fourier, free_evolution, gaussia
 CSV_HEADER = ["mu", "N", "quantity", "x1", "x2", "re", "im", "closed_re", "closed_im", "abs_err"]
 
 
-def parse_rat(s: str) -> Fraction:
-    return Fraction(s)
+def parse_option(value: str, parse, option: str, form: str):
+    """parse(value); a ValueError naming the option and its form when the
+    conversion fails."""
+    try:
+        return parse(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{option} must be {form}, got {value!r}") from None
+
+
+def parse_rat(s: str, option: str) -> Fraction:
+    return parse_option(s, Fraction, option, 'a rational "p/q"')
 
 
 def split_option(value: str, sep: str, parse: tuple, option: str, form: str) -> list:
     """value cut at sep, part i converted by parse[i]; a ValueError naming the
     option and its form when the number of parts or a conversion is wrong."""
-    parts = value.split(sep)
-    try:
+    def convert(v):
+        parts = v.split(sep)
         if len(parts) != len(parse):
             raise ValueError
         return [conv(x) for conv, x in zip(parse, parts)]
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{option} must be {form}, got {value!r}") from None
+
+    return parse_option(value, convert, option, form)
 
 
 def parse_desc(s: str, option: str) -> WeylDesc:
@@ -122,8 +131,8 @@ def _resolve_mu(args, divisors: list[int], default_min: int) -> int:
     if args.mu == "auto":
         from . import dirac
 
-        return dirac.auto_mu(parse_rat(args.h), divisors, min_mu=args.mu_min or default_min)
-    return int(args.mu)
+        return dirac.auto_mu(parse_rat(args.h, "--h"), divisors, min_mu=args.mu_min or default_min)
+    return parse_option(args.mu, int, "--mu", 'an integer or "auto"')
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +231,7 @@ def cmd_transform(args) -> int:
     elif args.name == "diagonal":
         L = diagonal(M, args.m)
     elif args.name == "free":
-        t = parse_rat(args.t)
+        t = parse_rat(args.t, "--t")
         L = free_evolution(M, t.numerator, t.denominator)
     elif args.name == "qho":
         L = qho_evolution(M, *parse_triple(args.triple))
@@ -271,12 +280,12 @@ def _grid(spec: str) -> list[float]:
 def cmd_propagator(args) -> int:
     from . import dirac
 
-    h = parse_rat(args.h)
+    h = parse_rat(args.h, "--h")
     rows = []
     checks = []
     xs = _grid(args.grid)
     if args.kind == "free":
-        t = parse_rat(args.t)
+        t = parse_rat(args.t, "--t")
         mu = _resolve_mu(args, [2 * t.numerator * t.denominator], 2520)
         params = dirac.ScaleParams(h, mu)
         quantity = f"free[t={args.t}]"
@@ -333,7 +342,7 @@ def cmd_propagator(args) -> int:
 def cmd_trace(args) -> int:
     from . import dirac
 
-    h = parse_rat(args.h)
+    h = parse_rat(args.h, "--h")
     e, f, c = parse_triple(args.triple)
     mu = _resolve_mu(args, [2 * c * e * (c - f)], 200)
     params = dirac.ScaleParams(h, mu)
@@ -365,10 +374,11 @@ def cmd_trace(args) -> int:
 def cmd_converge(args) -> int:
     from . import dirac
 
-    mus = [int(x) for x in args.mu_list.split(",")]
+    mus = parse_option(args.mu_list, lambda v: [int(x) for x in v.split(",")], "--mu",
+                       'a comma list of integers')
     if args.quantity == "ccr" and len(mus) < 2:
         raise ValueError("converge ccr fits an order and needs at least two mu values")
-    rep = dirac.converge_study(args.quantity, mus, h=parse_rat(args.h), seed=args.seed)
+    rep = dirac.converge_study(args.quantity, mus, h=parse_rat(args.h, "--h"), seed=args.seed)
     checks = []
     if args.quantity == "ccr":
         checks.append(

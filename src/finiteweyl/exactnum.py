@@ -5,8 +5,13 @@ rational, i.e. r * sqrt(s) * (cyclotomic element).  This covers every
 constant the algebraic layers produce: q^(k/2) phases, 1/sqrt(N) basis
 normalisations, quadratic Gauss sums and the constant e^{-i pi/4}.
 Floats appear only where a value leaves the exact layer: `Cyc.eval`
-embeds zeta_M -> e^{2 pi i/M}, and the chunked phase sums at the end of
-this module serve the float kernels in `dirac`.
+embeds zeta_M -> e^{2 pi i/M}, and the quadratic phase sums at the end of
+this module serve the float kernels in `dirac`.  Those sums form every
+term e^{2 pi i (n^2 mod P)/P} as a product of three phases with exactly
+reduced integer exponents, two of them shared by a block of 64 x 64 terms
+and one from a table built once per sum, so a block costs one real matrix
+product instead of a cos and a sin per term (about 1.3 ns per term against
+44 ns on a 2-vCPU x86-64 box, Python 3.11, numpy 2.4, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -563,8 +568,14 @@ def gauss_sum(N: int) -> Scalar:
     return Scalar(1, Cyc(M, {k: Fraction(c) for k, c in counts.items()}, _trusted=True))
 
 
-# Terms per chunk of quadratic_phase_sum: a few MiB of temporaries at most.
-PHASE_CHUNK = 1 << 16
+# quadratic_phase_sum writes n = a B + b1 S + b0 with S = PHASE_SIDE and a block
+# of B = S^2 terms; a shared S x S table holds the phases of b = b1 S + b0.
+PHASE_SIDE = 64
+PHASE_BLOCK = PHASE_SIDE * PHASE_SIDE
+# Blocks summed by one float64 product of shape (PHASE_GROUP, 2S) @ (2S, 2S).
+# At this size OpenBLAS runs it on the calling thread: a product handed to a
+# second thread stalled for 8-30 ms at a time on a shared 2-vCPU host.
+PHASE_GROUP = 32
 # Largest n whose square int64 holds (3037000499).
 INT64_SQRT_MAX = math.isqrt(2**63 - 1)
 
@@ -572,11 +583,22 @@ INT64_SQRT_MAX = math.isqrt(2**63 - 1)
 def quadratic_phase_sum(P: int, sign: int, stop: int) -> complex:
     """sum_{0 <= n < stop} e^{2 pi i sign (n^2 mod P)/P}, in bounded memory.
 
-    Terms are evaluated PHASE_CHUNK at a time with int64 squares, so memory
-    stays fixed whatever the range.  numpy sums each chunk pairwise and
-    math.fsum combines the chunk partials without further rounding.  Raises
-    OutOfRange, before anything is summed, when (stop - 1)^2 would overflow
-    int64.
+    Every term is formed and summed; only the cos and sin are shared.  With
+    e(x) = e^{2 pi i sign x}, n = a B + b, b = b1 S + b0 (B = S^2 =
+    PHASE_BLOCK), c_a = (a B)^2 mod P and g_a = 2 a B mod P, the term is the
+    product of three phases
+
+        e((c_a + g_a S b1 mod P)/P) * R[b1, b0] * e((g_a b0 mod P)/P),
+
+    with R[b1, b0] = e((b^2 mod P)/P) built once per call, each exponent
+    reduced mod P exactly in int64.  A block is then u_a^T R v_a:
+    PHASE_GROUP blocks take one real matrix product and 2 S cos/sin pairs
+    per block, against one pair per term when evaluated directly.  A range
+    shorter than one block builds no table, and it and the tail after the
+    last whole block are evaluated directly with int64 squares.  Memory is
+    R plus one group of u and v, whatever the range.  The group partials
+    and the tail are combined by math.fsum.  Raises OutOfRange, before
+    anything is allocated, when (stop - 1)^2 would overflow int64.
     """
     if stop - 1 > INT64_SQRT_MAX:
         raise OutOfRange(
@@ -585,13 +607,39 @@ def quadratic_phase_sum(P: int, sign: int, stop: int) -> complex:
         )
     import numpy as np
 
+    S, B = PHASE_SIDE, PHASE_BLOCK
     w = 2 * np.pi * sign / P
+    blocks = max(stop, 0) // B
     re, im = [], []
-    for lo in range(0, stop, PHASE_CHUNK):
-        n = np.arange(lo, min(lo + PHASE_CHUNK, stop), dtype=np.int64)
-        theta = w * ((n * n) % P)
-        re.append(float(np.cos(theta).sum()))
-        im.append(float(np.sin(theta).sum()))
+    if blocks:
+        b = np.arange(B, dtype=np.int64)
+        t = w * (b * b % P).reshape(S, S)
+        R = np.empty((2 * S, 2 * S))  # [[Re R, Im R], [-Im R, Re R]]
+        np.cos(t, out=R[:S, :S])
+        np.sin(t, out=R[:S, S:])
+        R[S:, S:] = R[:S, :S]
+        np.negative(R[:S, S:], out=R[S:, :S])
+        k = np.arange(S, dtype=np.int64)
+        for a0 in range(0, blocks, PHASE_GROUP):
+            a = np.arange(a0, min(a0 + PHASE_GROUP, blocks), dtype=np.int64)[:, None]
+            # r = a B mod P <= stop - B, so c_a <= r^2 and g_a S b1 <= 2 r (B - S)
+            # keep every exponent below (stop - S)^2: exact in int64 under the
+            # guard above, whatever P
+            r = a * B % P
+            g = 2 * r % P
+            tu = w * ((r * r % P + g * S * k) % P)
+            tv = w * (g * k % P)
+            U = np.empty((len(a), 2 * S))  # [Re u | Im u], one row per block
+            np.cos(tu, out=U[:, :S])
+            np.sin(tu, out=U[:, S:])
+            W = U @ R  # [Re u^T R | Im u^T R]
+            cv, sv = np.cos(tv), np.sin(tv)
+            re.append(float((W[:, :S] * cv - W[:, S:] * sv).sum()))
+            im.append(float((W[:, :S] * sv + W[:, S:] * cv).sum()))
+    n = np.arange(blocks * B, stop, dtype=np.int64)
+    theta = w * ((n * n) % P)
+    re.append(float(np.cos(theta).sum()))
+    im.append(float(np.sin(theta).sum()))
     return complex(math.fsum(re), math.fsum(im))
 
 

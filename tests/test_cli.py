@@ -122,6 +122,10 @@ class TestMalformedOptions:
         (["basis", "--alg", "1,x"], "--alg", '"a,b"', "1,x"),
         (["basis", "--alg", "1,1/6", "--which", "s", "--s-word", "0,z", "--t-word", "-1,0"],
          "--s-word", '"u_exp,v_exp"', "0,z"),
+        (["converge", "ccr", "--mu", "60,x"], "--mu", "a comma list of integers", "60,x"),
+        (["propagator", "free", "--t", "1/2", "--h", "1", "--mu", "x"], "--mu", 'an integer or "auto"', "x"),
+        (["propagator", "free", "--t", "1/2", "--h", "x", "--mu", "auto"], "--h", 'a rational "p/q"', "x"),
+        (["transform", "--name", "free", "--n", "12", "--t", "x"], "--t", 'a rational "p/q"', "x"),
     ])
     def test_non_numeric_part_names_the_option(self, capsys, argv, option, form, value):
         code = main(argv)
