@@ -25,7 +25,7 @@ _EXPORTS = {
     "TraceResult": "dirac", "auto_mu": "dirac", "ccr_residual": "dirac",
     "converge_study": "dirac", "free_propagator": "dirac", "qho_propagator": "dirac",
     "qho_trace": "dirac", "st_mu": "dirac",
-    "Cyc": "exactnum", "Scalar": "exactnum", "eval_complex": "exactnum",
+    "Cyc": "exactnum", "Scalar": "exactnum",
     "gauss_sum": "exactnum", "root_of_unity": "exactnum",
     "GenWord": "lattice", "WeylDesc": "lattice", "center": "lattice", "includes": "lattice",
     "join": "lattice", "maximal_commutative": "lattice", "q_order": "lattice",

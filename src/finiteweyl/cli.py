@@ -17,7 +17,6 @@ import sys
 from fractions import Fraction
 
 from .errors import FiniteWeylError, OutOfRange
-from .exactnum import eval_complex
 from .lattice import (
     WeylDesc,
     center,
@@ -182,7 +181,7 @@ def cmd_basis(args) -> int:
         T = GenWord(*split_option(args.t_word, ",", (Fraction, Fraction), "--t-word", form))
         basis = s_basis(M, S, T)
     if args.mode == "float":
-        dump = [[list(eval_complex(a)) for a in vec.amps] for vec in basis]
+        dump = [[[z.real, z.imag] for z in (a.to_complex() for a in vec.amps)] for vec in basis]
     else:
         dump = [[str(a) for a in vec.amps] for vec in basis]
     payload = {
@@ -248,8 +247,8 @@ def cmd_transform(args) -> int:
         entries = {}
         for j, a in enumerate(col.amps):
             if not a.is_zero():
-                re, im = eval_complex(a)
-                entries[j] = [re, im]
+                z = a.to_complex()
+                entries[j] = [z.real, z.imag]
             if len(entries) >= 8:
                 break
         sampled[m] = entries

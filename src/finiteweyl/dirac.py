@@ -96,7 +96,7 @@ class TraceResult:
 class ConvergenceReport:
     mus: list[int]
     residuals: list[float]
-    fitted_order: float
+    fitted_order: float | None  # the log-log slope, fitted for "ccr" only
 
 
 # ---------------------------------------------------------------------------
@@ -296,25 +296,17 @@ def _position_window(params: ScaleParams):
     return k, psi
 
 
-def ccr_residual(kind: str, params: ScaleParams) -> float:
+def ccr_residual(params: ScaleParams) -> float:
     """||(QP - PQ) e - i hbar e|| / hbar for the regularized eigenstate e.
 
     Q = mu (U - U^{-1})/2i acts diagonally with eigenvalues mu sin(hbar k/mu^2);
-    P = mu (V - V^{-1})/2i is the symmetric difference. 'position' uses the
-    x=0 regularization in the U-basis, 'sstate' a chirped packet along the
-    U V diagonal.
+    P = mu (V - V^{-1})/2i is the symmetric difference; e is the x=0
+    regularization in the U-basis.
     """
     import numpy as np
 
     hbar, mu = params.hbar, params.mu
     k, psi = _position_window(params)
-    if kind == "sstate":
-        half_q = math.pi * float(params.h) / mu ** 2
-        psi = psi * np.exp(1j * half_q * k.astype(float) ** 2)
-        psi /= np.linalg.norm(psi)
-    elif kind != "position":
-        raise ValueError("kind must be position or sstate")
-
     diag = q_operator_eigenvalue(k, params)
 
     def apply_shift(v):
@@ -354,7 +346,7 @@ def converge_study(quantity: str, mus: list[int], h: Fraction = Fraction(1),
     for mu in mus:
         params = ScaleParams(Fraction(h), mu)
         if quantity == "ccr":
-            residuals.append(ccr_residual("position", params))
+            residuals.append(ccr_residual(params))
         elif quantity == "free":
             worst = 0.0
             for t in (Fraction(1, 2), Fraction(1, 1)):
@@ -374,8 +366,10 @@ def converge_study(quantity: str, mus: list[int], h: Fraction = Fraction(1),
             residuals.append(weakring_max_phase_error(params, count=500, seed=seed))
         else:
             raise ValueError(f"unknown quantity {quantity!r}")
-    import numpy as np
+    order = None
+    if quantity == "ccr":
+        import numpy as np
 
-    logs = np.log(np.maximum(residuals, 1e-16))
-    order = float(np.polyfit(np.log(mus), logs, 1)[0]) if len(mus) > 1 else 0.0
+        logs = np.log(np.maximum(residuals, 1e-16))
+        order = float(np.polyfit(np.log(mus), logs, 1)[0]) if len(mus) > 1 else 0.0
     return ConvergenceReport(list(mus), residuals, order)

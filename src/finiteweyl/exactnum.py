@@ -138,42 +138,6 @@ def _reduce_mod_cyclotomic(coeffs: dict[int, Fraction], M: int) -> dict[int, Fra
     return {j: Fraction(n, den) for j, n in enumerate(acc) if n}
 
 
-def _poly_xgcd(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Return (g, s) with s*a = g mod b and g a constant gcd (a invertible mod b)."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def divmod_(num, den):
-        num = list(num)
-        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-        inv = 1 / den[-1]
-        for i in range(len(num) - len(den), -1, -1):
-            c = num[i + len(den) - 1] * inv
-            q[i] = c
-            if c:
-                for j, dj in enumerate(den):
-                    num[i + j] -= c * dj
-        return q, trim(num)
-
-    r0, r1 = list(a), list(b)
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    trim(r0), trim(r1)
-    while r1:
-        q, r = divmod_(r0, r1)
-        r0, r1 = r1, r
-        qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, sj in enumerate(s1):
-                    qs[i + j] += qi * sj
-        s0, s1 = s1, [x - y for x, y in zip(s0 + [Fraction(0)] * len(qs), qs + [Fraction(0)] * len(s0))]
-        trim(s1)
-    return r0, s0
-
-
 # ---------------------------------------------------------------------------
 # Cyc: elements of Q(zeta_M)
 # ---------------------------------------------------------------------------
@@ -291,20 +255,23 @@ class Cyc:
         )
 
     def inverse(self) -> "Cyc":
+        """1/x.  One term c zeta^k inverts to c^-1 zeta^-k at the same order.
+        Otherwise x^-1 = prod_{j != 1} sigma_j(x) / N(x), where sigma_j sends
+        zeta_M to zeta_M^j for each j coprime to the minimal order M and the
+        norm N(x) = x prod_{j != 1} sigma_j(x) is rational (Washington,
+        Introduction to Cyclotomic Fields).  Zero raises ZeroDivisionError."""
+        if len(self.coeffs) == 1:
+            (k, c), = self.coeffs.items()
+            return Cyc(self.order, {-k % self.order: 1 / Fraction(c)}, _trusted=True)
         a = self.canonical()
         if not a.coeffs:
             raise ZeroDivisionError("inverse of zero cyclotomic element")
         M = a.order
-        deg = len(cyclotomic_poly(M)) - 1
-        dense = [Fraction(0)] * deg
-        for k, c in a.coeffs.items():
-            dense[k] = c
-        phi = [Fraction(c) for c in cyclotomic_poly(M)]
-        g, s = _poly_xgcd(dense, phi)
-        if len(g) != 1:
-            raise ZeroDivisionError("element not invertible (unexpected)")
-        inv = [c / g[0] for c in s]
-        return Cyc(M, {k: c for k, c in enumerate(inv) if c})
+        rest = Cyc.rational(1)
+        for j in range(2, M):
+            if gcd(j, M) == 1:
+                rest = rest * Cyc(M, {k * j % M: c for k, c in a.coeffs.items()}, _trusted=True)
+        return rest.scale(1 / (a * rest).rational_value())
 
     # -- canonical form ------------------------------------------------------
     def canonical(self) -> "Cyc":
@@ -665,12 +632,6 @@ def gauss_sum_float(N: int, sign: int = 1) -> complex:
     if N % 2:
         return quadratic_phase_sum(2 * N, sign, N)
     return symmetric_phase_sum(2 * N, sign, N)
-
-
-def eval_complex(s: Scalar) -> tuple[float, float]:
-    """Numerical embedding zeta_M -> e^{2 pi i / M}, returned as (re, im)."""
-    z = s.to_complex()
-    return (z.real, z.imag)
 
 
 def _accumulate(acc: dict, pairs, L: int, sign: int) -> None:

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from .exactnum import Cyc, Scalar, _phase_cached, dot, sqrt_as_cyc
+from .exactnum import Cyc, Scalar, _phase_cached, dot
 from .lattice import GenWord, WeylDesc, _mod1
 
 
@@ -230,38 +230,13 @@ def inner(x: StateVec, y: StateVec) -> Scalar:
     return dot(x.amps, y.amps, conj=True)
 
 
-def root_of_unity_turns(s: Scalar) -> Fraction:
-    """Turns t with s = e^{2 pi i t} for a unit-modulus exact scalar.
-
-    The roots of unity of the field of s = sqrt(rad) c, c in Q(zeta_M), are
-    the order-th ones for order = lcm(2, M, the order of sqrt(rad)).  The
-    one nearest the float value of s is verified exactly; ExactnessLost is
-    raised when it does not match.
-    """
-    import cmath
-    import math
-
-    # fast path: sparse monomial with coefficient +-1 and no radical
-    if s.rad == 1 and len(s.cyc.coeffs) == 1:
-        (k, coeff), = s.cyc.coeffs.items()
-        if coeff == 1:
-            return Fraction(k, s.cyc.order)
-        if coeff == -1:
-            return _mod1(Fraction(k, s.cyc.order) + Fraction(1, 2))
-    order = lcm(2, s.cyc.order, sqrt_as_cyc(s.rad).order)
-    theta = cmath.phase(s.to_complex()) / (2 * math.pi)
-    guess = _mod1(Fraction(round(theta * order), order))
-    if (s - Scalar.phase(guess)).is_zero():
-        return guess
-    raise ExactnessLost("scalar is not a root of unity")
-
-
 def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     """Canonical S-basis: S-eigenvectors on which T acts by index decrement.
 
     Built by projecting a reference vector onto an S-eigenspace
     (sum_k s^{-k} S^k, exact), normalising the seed so its first nonzero
-    amplitude is a positive real multiple of 1, then generating the rest of
+    amplitude a is positive real (scaled by conj(a |a|^-1), see
+    `_unit_phase_inverse`), then generating the rest of
     the basis with T.  S = phase U^m V^n moves e_i to a multiple of
     e_{i-n}, so the projection of e_start is one walk of N steps along the
     orbit of start, O(N) per start.
@@ -314,9 +289,7 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
 
 
 def _unit_phase_inverse(a: Scalar) -> Scalar:
-    """Inverse of the unit-phase part of a scalar (makes it positive real)."""
+    """conj(a |a|^-1) = |a| / a, the phase that makes a positive real; |a|^2
+    must be rational."""
     mag2 = (a.conj() * a).rational_value()
-    mag = Scalar.exact(Cyc.rational(1), mag2.numerator, mag2.denominator)
-    unit = a * mag.inv()
-    t = root_of_unity_turns(unit)
-    return Scalar.phase(_mod1(-t))
+    return (a * Scalar.exact(Cyc.rational(1), mag2.denominator, mag2.numerator)).conj()

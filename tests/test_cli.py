@@ -46,6 +46,11 @@ class TestLattice:
         payload = json.loads(out)
         assert payload["results"]["ocount"] == 6
 
+    def test_includes(self, capsys):
+        code, out = run(capsys, "lattice", "--includes", "1,1/2;1,1/4")
+        assert code == 0
+        assert json.loads(out)["results"] == {"includes": True}
+
 
 class TestBasis:
     def test_v_basis_dump(self, capsys):
@@ -281,6 +286,36 @@ class TestConverge:
         assert payload["meta"]["mu_list"] == [60, 120]
         assert payload["results"] == {"residuals": rep.residuals, "fitted_order": rep.fitted_order}
         assert [c["name"] for c in payload["checks"]] == ["fitted_order_is_minus_one"]
+
+
+    @pytest.mark.parametrize("quantity", ["free", "qho"])
+    def test_residual_quantities_fit_no_order(self, capsys, quantity):
+        # residuals at rounding level carry no order: only ccr fits one
+        code, out = run(capsys, "converge", quantity, "--mu", "300,600")
+        assert code == 0
+        payload = json.loads(out)
+        assert max(payload["results"]["residuals"]) <= 1e-12
+        assert payload["results"]["fitted_order"] is None
+        assert '"fitted_order": null' in out
+        assert [c["name"] for c in payload["checks"]] == ["residuals_within_tol"]
+
+
+class TestPreconditionRefusals:
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "qho", "--triple", "3,4,5", "--h", "2", "--mu", "30"], "need 4 | L = 6"),
+        (["propagator", "qho", "--mu", "300", "--grid=-1000:1000:3"], "grid point outside the submodule window"),
+        (["propagator", "free", "--t", "1/2", "--mu", "12", "--grid=-100:100:3"],
+         "grid point outside the submodule window"),
+        (["propagator", "qho", "--triple", "6,8,10", "--mu", "1200"], "NotPythagorean"),
+        (["propagator", "free", "--t", "1/2", "--h", "-1", "--mu", "12"], "h must be a positive rational"),
+        (["basis", "--alg", "1,1/6", "--which", "s"], "--which s requires --s-word and --t-word"),
+    ], ids=["trace-4|L", "qho-window", "free-window", "not-primitive", "negative-h", "s-without-words"])
+    def test_exit_2_names_the_precondition(self, capsys, argv, message):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
 
 
 class TestReadmeCommands:

@@ -436,25 +436,21 @@ class TestWeakRing:
 class TestCCR:
     def test_residual_positive(self):
         p = ScaleParams(F(1), 60)
-        assert ccr_residual("position", p) > 0
+        assert ccr_residual(p) > 0
 
     def test_halving_ratio(self):
-        rs = {mu: ccr_residual("position", ScaleParams(F(1), mu)) for mu in (60, 120, 240)}
+        rs = {mu: ccr_residual(ScaleParams(F(1), mu)) for mu in (60, 120, 240)}
         for mu in (60, 120):
             ratio = rs[2 * mu] / rs[mu]
             assert 0.45 <= ratio <= 0.55
 
     def test_monotone_decreasing(self):
-        rs = [ccr_residual("position", ScaleParams(F(1), mu)) for mu in (60, 120, 240, 480)]
+        rs = [ccr_residual(ScaleParams(F(1), mu)) for mu in (60, 120, 240, 480)]
         assert all(b < a for a, b in zip(rs, rs[1:]))
 
     def test_kinds(self):
         p = ScaleParams(F(1), 120)
-        for kind in ("position", "sstate"):
-            assert 0 < ccr_residual(kind, p) < 1
-        # in the momentum picture QP - PQ is the position operator: no kind of its own
-        with pytest.raises(ValueError):
-            ccr_residual("momentum", p)
+        assert 0 < ccr_residual(p) < 1
 
     def test_q_eigenvalue_exact_form(self):
         # lattice eigenstates are exact Q-eigenvectors with eigenvalue

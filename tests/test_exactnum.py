@@ -24,7 +24,6 @@ from finiteweyl.exactnum import (
     Scalar,
     cyclotomic_poly,
     dot,
-    eval_complex,
     gauss_sum,
     gauss_sum_float,
     quadratic_phase_sum,
@@ -38,6 +37,12 @@ from finiteweyl.exactnum import (
 
 def approx_eq(z, w, tol=1e-10):
     return abs(z - w) <= tol
+
+
+def eval_complex(s):
+    """(re, im) of an exact Scalar's float value."""
+    z = s.to_complex()
+    return (z.real, z.imag)
 
 
 class TestCyclotomicPoly:
@@ -619,3 +624,100 @@ class TestReduceModCyclotomic:
         # Phi_p is dense and Phi_105 has a coefficient -2: every exponent at once
         coeffs = {k: Fraction(k + 1, 1 + k % 5) for k in range(M)}
         assert _reduce_mod_cyclotomic(coeffs, M) == reduce_oracle(coeffs, M)
+
+
+# ---------------------------------------------------------------------------
+# Cyc.inverse by the Galois norm against the extended Euclid it replaces
+# ---------------------------------------------------------------------------
+
+def _poly_xgcd(a, b):
+    """Return (g, s) with s*a = g mod b and g a constant gcd (a invertible mod b)."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    def divmod_(num, den):
+        num = list(num)
+        q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
+        inv = 1 / den[-1]
+        for i in range(len(num) - len(den), -1, -1):
+            c = num[i + len(den) - 1] * inv
+            q[i] = c
+            if c:
+                for j, dj in enumerate(den):
+                    num[i + j] -= c * dj
+        return q, trim(num)
+
+    r0, r1 = list(a), list(b)
+    s0, s1 = [Fraction(1)], [Fraction(0)]
+    trim(r0), trim(r1)
+    while r1:
+        q, r = divmod_(r0, r1)
+        r0, r1 = r1, r
+        qs = [Fraction(0)] * (len(q) + len(s1) - 1)
+        for i, qi in enumerate(q):
+            if qi:
+                for j, sj in enumerate(s1):
+                    qs[i + j] += qi * sj
+        s0, s1 = s1, [x - y for x, y in zip(s0 + [Fraction(0)] * len(qs), qs + [Fraction(0)] * len(s0))]
+        trim(s1)
+    return r0, s0
+
+
+def inverse_oracle(x):
+    """Oracle: 1/x by extended Euclid of x's canonical form against Phi_M."""
+    a = x.canonical()
+    if not a.coeffs:
+        raise ZeroDivisionError("inverse of zero cyclotomic element")
+    M = a.order
+    deg = len(cyclotomic_poly(M)) - 1
+    dense = [Fraction(0)] * deg
+    for k, c in a.coeffs.items():
+        dense[k] = c
+    phi = [Fraction(c) for c in cyclotomic_poly(M)]
+    g, s = _poly_xgcd(dense, phi)
+    if len(g) != 1:
+        raise ZeroDivisionError("element not invertible (unexpected)")
+    inv = [c / g[0] for c in s]
+    return Cyc(M, {k: c for k, c in enumerate(inv) if c})
+
+
+class TestCycInverse:
+    # primes, prime powers, M = 2 mod 4 and composites up to 60
+    ORDERS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 15, 16, 18, 20, 24, 25, 27, 30, 32, 36,
+              42, 45, 49, 50, 54, 58, 60]
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(st.sampled_from(ORDERS), st.randoms(use_true_random=False))
+    def test_matches_euclid_oracle(self, M, rng):
+        x = Cyc(M, {rng.randrange(M): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(rng.randint(2, 6))})
+        if x.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                x.inverse()
+            return
+        inv = x.inverse()
+        assert inv == inverse_oracle(x)
+        assert x * inv == Cyc.rational(1)
+
+    def test_one_term_takes_no_canonical_form(self, monkeypatch):
+        def fail(self):
+            raise AssertionError("canonical form taken for a one-term inverse")
+
+        for x, k, c in [(Cyc(24, {20: Fraction(3)}), 4, Fraction(1, 3)),
+                        (Cyc(12, {0: -2}, _trusted=True), 0, Fraction(-1, 2)),
+                        (Cyc(10, {5: Fraction(-7, 4)}), 5, Fraction(-4, 7))]:
+            monkeypatch.setattr(Cyc, "canonical", fail)
+            inv = x.inverse()
+            monkeypatch.undo()
+            assert (inv.order, inv.coeffs) == (x.order, {k: c})
+            assert type(inv.coeffs[k]) is Fraction
+            assert x * inv == Cyc.rational(1)
+
+    @pytest.mark.parametrize("x", [Cyc(6, {}), Cyc(3, {0: Fraction(1), 1: Fraction(1), 2: Fraction(1)})],
+                             ids=["empty", "1+z3+z3^2"])
+    def test_zero_refused(self, x):
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()

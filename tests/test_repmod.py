@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finiteweyl import products
-from finiteweyl.errors import ModuleMismatch, NotGenerating, NotInAlgebra
-from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity
+from finiteweyl.errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
+from finiteweyl.exactnum import Cyc, Scalar, dot, gauss_sum, root_of_unity, sqrt_as_cyc
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1
 from finiteweyl.repmod import (
     StateVec,
@@ -17,12 +17,38 @@ from finiteweyl.repmod import (
     build_module,
     inner,
     linear_combination,
-    root_of_unity_turns,
     s_basis,
     u_basis,
     v_basis,
     _kernel_turns,
+    _unit_phase_inverse,
 )
+
+
+def root_of_unity_turns(s: Scalar) -> F:
+    """Turns t with s = e^{2 pi i t} for a unit-modulus exact scalar.
+
+    The roots of unity of the field of s = sqrt(rad) c, c in Q(zeta_M), are
+    the order-th ones for order = lcm(2, M, the order of sqrt(rad)).  The
+    one nearest the float value of s is verified exactly; ExactnessLost is
+    raised when it does not match.
+    """
+    import cmath
+    import math
+
+    # fast path: sparse monomial with coefficient +-1 and no radical
+    if s.rad == 1 and len(s.cyc.coeffs) == 1:
+        (k, coeff), = s.cyc.coeffs.items()
+        if coeff == 1:
+            return F(k, s.cyc.order)
+        if coeff == -1:
+            return _mod1(F(k, s.cyc.order) + F(1, 2))
+    order = lcm(2, s.cyc.order, sqrt_as_cyc(s.rad).order)
+    theta = cmath.phase(s.to_complex()) / (2 * math.pi)
+    guess = _mod1(F(round(theta * order), order))
+    if (s - Scalar.phase(guess)).is_zero():
+        return guess
+    raise ExactnessLost("scalar is not a root of unity")
 
 
 def relate_canonical_bases(b1, b2):
@@ -689,11 +715,17 @@ class TestApplyWordAgainstOracle:
 # s_basis's orbit walk and root_of_unity_turns against the code they replace
 # ---------------------------------------------------------------------------
 
-def s_basis_oracle(M, S, T):
-    """Oracle: s_basis projecting with N - 1 whole-vector apply_words per start,
-    reading the central scalars S^N and T^N off apply_word on e_0."""
-    from finiteweyl.repmod import _unit_phase_inverse
+def unit_phase_inverse_oracle(a):
+    """Oracle: e^{-2 pi i t} for the turns t of a / |a|, found by root_of_unity_turns."""
+    mag2 = (a.conj() * a).rational_value()
+    mag = Scalar.exact(Cyc.rational(1), mag2.numerator, mag2.denominator)
+    return Scalar.phase(_mod1(-root_of_unity_turns(a * mag.inv())))
 
+
+def s_basis_oracle(M, S, T, unit_phase_inverse=_unit_phase_inverse):
+    """Oracle: s_basis projecting with N - 1 whole-vector apply_words per start,
+    reading the central scalars S^N and T^N off apply_word on e_0.  The seed
+    is normalised by `unit_phase_inverse`, by default s_basis's own."""
     N = M.dim
 
     def principal_root_turns(w):
@@ -713,7 +745,7 @@ def s_basis_oracle(M, S, T):
             break
     for a in seed.amps:
         if not a.is_zero():
-            seed = seed.scale(_unit_phase_inverse(a))
+            seed = seed.scale(unit_phase_inverse(a))
             break
     seed = seed.scale(seed.norm2().sqrt_of_rational().inv())
     basis = [seed] + [None] * (N - 1)
@@ -751,6 +783,62 @@ class TestSBasisAgainstOracle:
         assert S.commutator_phase(T) == M.q_phase
         got, expect = s_basis(M, S, T), s_basis_oracle(M, S, T)
         assert [representation(v) for v in got] == [representation(v) for v in expect]
+
+
+class TestSBasisPhaseNormalisation:
+    """s_basis's seed phase by conjugation against the root_of_unity_turns search."""
+
+    CASES = [
+        (WeylDesc(F(1), F(1, 6)), None, "U,V"),
+        (WeylDesc(F(1), F(1, 6)), None, "V,U^-1"),
+        (WeylDesc(F(1), F(1, 8)), None, "UV^2,V"),
+        (WeylDesc(F(1), F(1, 8)), None, "V,U^-1"),
+        (WeylDesc(F(1, 2), F(1, 5)), None, "UV^-1,V"),
+        (WeylDesc(F(1), F(1, 6)), (F(1, 5), F(2, 3)), "phased"),
+        (WeylDesc(F(1), F(1, 12)), (F(3, 4), F(1, 6)), "V,U^-1"),
+    ]
+
+    @pytest.mark.parametrize("A, point, words", CASES, ids=[f"{A.a},{A.b}:{w}" + (":np" if p else "")
+                                                             for A, p, w in CASES])
+    def test_entries_match_by_repr(self, A, point, words):
+        if point is None:
+            M = build_module(A, SpecPoint.principal_point())
+        else:
+            point = SpecPoint(*point)
+            M = build_module(A, point, u_phase=(point.u_phase + 2) / A.N, v_phase=(point.v_phase + 1) / A.N)
+        S, T = {
+            "U,V": (word_U(M), word_V(M)),
+            "V,U^-1": (word_V(M), word_U(M).inv()),
+            "UV^-1,V": (word_U(M) * word_V(M).inv(), word_V(M)),
+            "UV^2,V": (word_U(M) * word_V(M, 2), word_V(M)),
+            "phased": (GenWord(A.a, -2 * A.b, F(3, 7)), GenWord(0, A.b, F(1, 4))),
+        }[words]
+        assert S.commutator_phase(T) == M.q_phase
+        got = s_basis(M, S, T)
+        expect = s_basis_oracle(M, S, T, unit_phase_inverse_oracle)
+        assert [[repr(a) for a in v.amps] for v in got] == [[repr(a) for a in v.amps] for v in expect]
+
+
+class TestUnitPhaseInverse:
+    """s_basis's seeds start with a positive rational amplitude, so the phase
+    rule itself is checked here on amplitudes with every phase."""
+
+    def test_matches_root_of_unity_turns(self):
+        for M in range(1, 25):
+            for k in range(M):
+                z = Cyc.zeta(M, k)
+                # |a|^2 rational: a rational multiple, a radical, 1 + i, a Gauss sum
+                forms = [Scalar(1, z.scale(F(-3, 2))), Scalar(2, z.scale(F(5, 7))),
+                         Scalar(1, z * Cyc(4, {0: F(1), 1: F(1)})),
+                         Scalar(1, z) * gauss_sum(M % 7 + 2)]
+                for a in forms:
+                    u = _unit_phase_inverse(a)
+                    assert u == unit_phase_inverse_oracle(a)
+                    assert a * u == (a.conj() * a).sqrt_of_rational()
+
+    def test_irrational_modulus_refused(self):
+        with pytest.raises(ExactnessLost):
+            _unit_phase_inverse(Scalar(1, Cyc(5, {0: F(1), 1: F(1)})))
 
 
 def root_of_unity_turns_oracle(s):
