@@ -96,7 +96,7 @@ class TraceResult:
 class ConvergenceReport:
     mus: list[int]
     residuals: list[float]
-    fitted_order: float | None  # the log-log slope, fitted for "ccr" only
+    fitted_order: float | None  # the log-log slope, fitted for "ccr" over two or more mu only
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +367,9 @@ def converge_study(quantity: str, mus: list[int], h: Fraction = Fraction(1),
         else:
             raise ValueError(f"unknown quantity {quantity!r}")
     order = None
-    if quantity == "ccr":
+    if quantity == "ccr" and len(mus) > 1:
         import numpy as np
 
         logs = np.log(np.maximum(residuals, 1e-16))
-        order = float(np.polyfit(np.log(mus), logs, 1)[0]) if len(mus) > 1 else 0.0
+        order = float(np.polyfit(np.log(mus), logs, 1)[0])
     return ConvergenceReport(list(mus), residuals, order)

@@ -234,10 +234,8 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     """Canonical S-basis: S-eigenvectors on which T acts by index decrement.
 
     Built by projecting a reference vector onto an S-eigenspace
-    (sum_k s^{-k} S^k, exact), normalising the seed so its first nonzero
-    amplitude a is positive real (scaled by conj(a |a|^-1), see
-    `_unit_phase_inverse`), then generating the rest of
-    the basis with T.  S = phase U^m V^n moves e_i to a multiple of
+    (sum_k s^{-k} S^k, exact), normalising the seed, then generating the
+    rest of the basis with T.  S = phase U^m V^n moves e_i to a multiple of
     e_{i-n}, so the projection of e_start is one walk of N steps along the
     orbit of start, O(N) per start.
     """
@@ -270,11 +268,8 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     if seed is None:
         raise NotGenerating("no S-eigenvector found (S does not act cyclically)")
 
-    # phase convention: first nonzero amplitude positive-real
-    for a in seed.amps:
-        if not a.is_zero():
-            seed = seed.scale(_unit_phase_inverse(a))
-            break
+    # no phase to fix: the first start with a nonzero projection is the smallest
+    # index of its S-orbit, so the first nonzero amplitude is N/L > 0 (orbit length L)
     n2 = seed.norm2()
     if not n2.is_rational():
         raise ExactnessLost("seed norm is not rational")
@@ -286,10 +281,3 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
         cur = apply_word(T, cur).scale(t_inv)
         basis[N - k] = cur
     return basis
-
-
-def _unit_phase_inverse(a: Scalar) -> Scalar:
-    """conj(a |a|^-1) = |a| / a, the phase that makes a positive real; |a|^2
-    must be rational."""
-    mag2 = (a.conj() * a).rational_value()
-    return (a * Scalar.exact(Cyc.rational(1), mag2.denominator, mag2.numerator)).conj()

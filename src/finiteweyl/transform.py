@@ -15,9 +15,9 @@ periodic in x on the range summand; for beta = gamma = 0 it goes to the one
 range vector at x = y/alpha.  The builders fix the constant as 1/sqrt(dim)
 times 1 (Fourier) or the Gauss constant e^{-i pi/4} (Gaussian, conjugate
 for t < 0, and QHO), and as 1 for the diagonal.  `compose` fixes it with one
-dense L2.apply(L1.image(0)); it applies L2 to every image on non-principal
-modules, for a kernel that is not periodic (G o G) or has beta = 0 but not
-gamma = 0, and when the common subalgebra misses V^k of the domain <U^n, V^k>.
+dense L2.apply(L1.image(0)); it applies L2 to every image for a kernel that
+is not periodic (G o G) or has beta = 0 but not gamma = 0, and when the
+common subalgebra misses V^k of the domain <U^n, V^k>.
 """
 
 from __future__ import annotations
@@ -200,14 +200,20 @@ def _kernel_images(M: ModuleRep, n: int, k: int, dim: int, g: Mat2, const: Scala
     return images
 
 
-def _build(name: str, M: ModuleRep, target: ModuleRep, n: int, k: int, gL: Mat2,
-           sigma_names: tuple[str, str], const: Scalar) -> RegUnitary:
+def _build(name: str, M: ModuleRep, n: int, k: int, gL: Mat2, sigma_names: tuple[str, str],
+           const: Scalar) -> RegUnitary:
     """RegUnitary's fields in order: the transform of gL from the principal
-    <U^n, V^|k|>-summand of M, domain words U^n and V^k, into target."""
+    <U^n, V^|k|>-summand of M, domain words U^n and V^k, into the module with
+    roots (u', v') = gL^{-1} (u, v)^T, on which sigma intertwines exactly:
+    M itself when those are M's roots, as on every principal module."""
     A = M.alg
+    (a, b), (c, d) = mat_inv(gL)
+    u, v = a * M.u_phase + b * M.v_phase, c * M.u_phase + d * M.v_phase
+    ran = ModuleRep(A, SpecPoint(M.dim * u, M.dim * v), u, v)
+    ran = M if ran.compatible(M) else ran
     _, domain = summand(M, WeylDesc(n * A.a, abs(k) * A.b))
-    return RegUnitary(name, M, target, (GenWord(n * A.a, 0), GenWord(0, k * A.b)), sigma_names, gL,
-                      domain, _kernel_images(target, n, abs(k), len(domain), gL, const))
+    return RegUnitary(name, M, ran, (GenWord(n * A.a, 0), GenWord(0, k * A.b)), sigma_names, gL,
+                      domain, _kernel_images(ran, n, abs(k), len(domain), gL, const))
 
 
 # ---------------------------------------------------------------------------
@@ -215,13 +221,9 @@ def _build(name: str, M: ModuleRep, target: ModuleRep, n: int, k: int, gL: Mat2,
 # ---------------------------------------------------------------------------
 
 def fourier(M: ModuleRep) -> RegUnitary:
-    """Phi: u_m -> (1/sqrt N) sum_k q^{mk} u'_k, associated with [[0,1],[-1,0]].
-
-    The target module carries roots u' = v^{-1}, v' = u, so that the
-    matrix's sigma: U -> V, V -> U^{-1} intertwines exactly.
-    """
-    target = ModuleRep(M.alg, SpecPoint(-M.dim * M.v_phase, M.dim * M.u_phase), -M.v_phase, M.u_phase)
-    return _build("fourier", M, target, 1, 1, _frac_mat([[0, 1], [-1, 0]]), ("sigma-U", "sigma-V"), Scalar.one())
+    """Phi: u_m -> (1/sqrt N) sum_k q^{mk} u'_k, associated with [[0,1],[-1,0]],
+    into the module with roots u' = v^{-1}, v' = u (`_build`'s rule)."""
+    return _build("fourier", M, 1, 1, _frac_mat([[0, 1], [-1, 0]]), ("sigma-U", "sigma-V"), Scalar.one())
 
 
 def gaussian_dim(N: int, b: int, d: int) -> int:
@@ -247,7 +249,7 @@ def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
     S = qb^{-1/2} U^d V^{-b}.
     """
     gaussian_dim(M.dim, b, d)
-    return _build(f"gaussian[b={b},d={d}]", M, M, d, b, _frac_mat([[1, Fraction(-b, d)], [0, 1]]),
+    return _build(f"gaussian[b={b},d={d}]", M, d, b, _frac_mat([[1, Fraction(-b, d)], [0, 1]]),
                   ("Sv2", "w2"), Scalar.phase(Fraction(-1 if b * d > 0 else 1, 8)))
 
 
@@ -255,7 +257,7 @@ def diagonal(M: ModuleRep, m: int) -> RegUnitary:
     """Diagonal transformation D_m: <U, V^m>-basis -> <U^m, V>-basis."""
     if m <= 0 or M.dim % m != 0:
         raise NotDividing(f"m = {m} must divide N = {M.dim}")
-    return _build(f"diagonal[{m}]", M, M, 1, m, _frac_mat([[m, 0], [0, Fraction(1, m)]]),
+    return _build(f"diagonal[{m}]", M, 1, m, _frac_mat([[m, 0], [0, Fraction(1, m)]]),
                   ("sigma-U", "sigma-V"), Scalar.one())
 
 
@@ -295,7 +297,7 @@ def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:
     """
     qho_dim(M.dim, e, f, c)
     gL = _frac_mat([[Fraction(f, c), Fraction(-e, c)], [Fraction(e, c), Fraction(f, c)]])
-    return _build(f"qho[{e},{f},{c}]", M, M, c, c * e, gL, ("KU", "mKU"), Scalar.phase(Fraction(-1, 8)))
+    return _build(f"qho[{e},{f},{c}]", M, c, c * e, gL, ("KU", "mKU"), Scalar.phase(Fraction(-1, 8)))
 
 
 # ---------------------------------------------------------------------------
@@ -309,8 +311,7 @@ def _composite_images(L2: RegUnitary, L1: RegUnitary, g: Mat2, C_rows, first: St
     M, Mr = L1.ambient_dom, L2.ambient_ran
     n = len(L1.domain[0])
     k, rem = divmod(M.dim, n * L1.dim)
-    if (rem or M.u_phase or M.v_phase or Mr.u_phase or Mr.v_phase
-            or any((k * x).denominator != 1 for x in mat_inv(C_rows)[1])  # (0, k) C^{-1} integral
+    if (rem or any((k * x).denominator != 1 for x in mat_inv(C_rows)[1])  # (0, k) C^{-1} integral
             or summand(M, WeylDesc(n * M.alg.a, k * M.alg.b))[1] != L1.domain):
         return None
     images = _kernel_images(Mr, n, k, L1.dim, g, Scalar.one())

@@ -481,6 +481,11 @@ class TestConvergeStudy:
         rep = converge_study("ccr", [60, 120, 240, 480])
         assert -1.2 <= rep.fitted_order <= -0.8
 
+    def test_single_mu_fits_no_order(self):
+        # one point has no slope: None, as for the quantities that fit none
+        rep = converge_study("ccr", [60])
+        assert rep.fitted_order is None and len(rep.residuals) == 1
+
     def test_free_exact_identity(self):
         rep = converge_study("free", [120, 240])
         assert all(r <= 1e-9 for r in rep.residuals)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from finiteweyl import products
 from finiteweyl.errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from finiteweyl.exactnum import Cyc, Scalar, dot, gauss_sum, root_of_unity, sqrt_as_cyc
+from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity, sqrt_as_cyc
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1
 from finiteweyl.repmod import (
     StateVec,
@@ -21,7 +21,6 @@ from finiteweyl.repmod import (
     u_basis,
     v_basis,
     _kernel_turns,
-    _unit_phase_inverse,
 )
 
 
@@ -722,10 +721,11 @@ def unit_phase_inverse_oracle(a):
     return Scalar.phase(_mod1(-root_of_unity_turns(a * mag.inv())))
 
 
-def s_basis_oracle(M, S, T, unit_phase_inverse=_unit_phase_inverse):
+def s_basis_oracle(M, S, T):
     """Oracle: s_basis projecting with N - 1 whole-vector apply_words per start,
-    reading the central scalars S^N and T^N off apply_word on e_0.  The seed
-    is normalised by `unit_phase_inverse`, by default s_basis's own."""
+    reading the central scalars S^N and T^N off apply_word on e_0.  The seed's
+    first nonzero amplitude is made positive by `unit_phase_inverse_oracle`,
+    the step s_basis drops."""
     N = M.dim
 
     def principal_root_turns(w):
@@ -745,7 +745,7 @@ def s_basis_oracle(M, S, T, unit_phase_inverse=_unit_phase_inverse):
             break
     for a in seed.amps:
         if not a.is_zero():
-            seed = seed.scale(unit_phase_inverse(a))
+            seed = seed.scale(unit_phase_inverse_oracle(a))
             break
     seed = seed.scale(seed.norm2().sqrt_of_rational().inv())
     basis = [seed] + [None] * (N - 1)
@@ -786,7 +786,8 @@ class TestSBasisAgainstOracle:
 
 
 class TestSBasisPhaseNormalisation:
-    """s_basis's seed phase by conjugation against the root_of_unity_turns search."""
+    """s_basis, which fixes no seed phase, against the oracle that does so by the
+    root_of_unity_turns search: equal by repr, so that step is the identity."""
 
     CASES = [
         (WeylDesc(F(1), F(1, 6)), None, "U,V"),
@@ -815,30 +816,12 @@ class TestSBasisPhaseNormalisation:
         }[words]
         assert S.commutator_phase(T) == M.q_phase
         got = s_basis(M, S, T)
-        expect = s_basis_oracle(M, S, T, unit_phase_inverse_oracle)
+        expect = s_basis_oracle(M, S, T)
         assert [[repr(a) for a in v.amps] for v in got] == [[repr(a) for a in v.amps] for v in expect]
-
-
-class TestUnitPhaseInverse:
-    """s_basis's seeds start with a positive rational amplitude, so the phase
-    rule itself is checked here on amplitudes with every phase."""
-
-    def test_matches_root_of_unity_turns(self):
-        for M in range(1, 25):
-            for k in range(M):
-                z = Cyc.zeta(M, k)
-                # |a|^2 rational: a rational multiple, a radical, 1 + i, a Gauss sum
-                forms = [Scalar(1, z.scale(F(-3, 2))), Scalar(2, z.scale(F(5, 7))),
-                         Scalar(1, z * Cyc(4, {0: F(1), 1: F(1)})),
-                         Scalar(1, z) * gauss_sum(M % 7 + 2)]
-                for a in forms:
-                    u = _unit_phase_inverse(a)
-                    assert u == unit_phase_inverse_oracle(a)
-                    assert a * u == (a.conj() * a).sqrt_of_rational()
-
-    def test_irrational_modulus_refused(self):
-        with pytest.raises(ExactnessLost):
-            _unit_phase_inverse(Scalar(1, Cyc(5, {0: F(1), 1: F(1)})))
+        # the seed's first nonzero amplitude N/L over its norm N/sqrt(L), L
+        # nonzero entries: 1/sqrt(L), so the seed's own was the positive N/L
+        support = [a for a in got[0].amps if not a.is_zero()]
+        assert support[0] == Scalar.exact(Cyc.rational(1), 1, len(support))
 
 
 def root_of_unity_turns_oracle(s):

@@ -21,6 +21,7 @@ from finiteweyl.exactnum import Cyc, Scalar, dot
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1, mat_inv
 from finiteweyl.morphism import decompose, summand
 from finiteweyl.repmod import (
+    ModuleRep,
     SpecPoint,
     StateVec,
     apply_word,
@@ -168,33 +169,17 @@ class TestGaussian:
         with pytest.raises(OddOrder):
             gaussian(principal_module(9))
 
-    def test_regularity_phase_under_substitution(self):
-        # replacing the module roots u -> u q^j, v -> v q^{dn} changes the
-        # Gaussian image basis by one scalar zeta with zeta^{2N} = 1
-        N, d = 8, 2
+    def test_range_roots_under_substitution(self):
+        # on the module with roots u = 0, v = d n/N, sigma moves the centre's
+        # character: the images live on the module with roots
+        # gL^{-1} (u, v)^T = (u + b v/d, v) = (n/N, d n/N), not on M
+        N, b, d = 8, 1, 2
         A = WeylDesc(1, F(1, N))
         for n in (1, 2, 3):
-            M1 = build_module(A, SpecPoint.principal_point())
-            M2 = ModuleRep = build_module(
-                A, SpecPoint(F(0), F(0)), u_phase=F(0), v_phase=F(d * n, N)
-            )
-            G1, G2 = gaussian(M1, b=1, d=d), gaussian(M2, b=1, d=d)
-            # compare image coordinates: both live in reference coordinates of
-            # modules that share the same coordinate space
-            ratios = []
-            for m in range(G1.dim):
-                r = None
-                for a, bamp in zip(G2.image(m).amps, G1.image(m).amps):
-                    if not bamp.is_zero():
-                        r = a / bamp
-                        break
-                ratios.append(r)
-            zeta = ratios[0]
-            assert all((r - zeta).is_zero() for r in ratios)
-            acc = Scalar.one()
-            for _ in range(2 * N):
-                acc = acc * zeta
-            assert (acc - Scalar.one()).is_zero()
+            M = build_module(A, SpecPoint.principal_point(), u_phase=F(0), v_phase=F(d * n, N))
+            G = gaussian(M, b=b, d=d)
+            assert (G.ambient_ran.u_phase, G.ambient_ran.v_phase) == (F(n, N), F(d * n, N))
+            assert all(rep.holds for rep in verify_conjugation(G))
 
 
 class TestDiagonal:
@@ -822,6 +807,32 @@ class TestImagesAgainstOracle:
         assert len(L.images) == len(oracle)
         for img, amps in zip(L.images, oracle):
             assert terms(img.amps) == terms(amps)
+
+
+class TestRangeModule:
+    """Each builder lands on the module with roots gL^{-1} (u, v)^T."""
+
+    @pytest.mark.parametrize("M", MODULES, ids=repr)
+    def test_every_builder_and_composite_verifies(self, M):
+        first, pairs, triples = instance_set(M)
+        for _, L, _ in first:
+            assert all(rep.holds for rep in verify_conjugation(L)), L.name
+        for _, _, C, _ in pairs + triples:
+            if C.materialized:
+                assert all(rep.holds for rep in verify_conjugation(C, sample=3)), C.name
+
+    @pytest.mark.parametrize("M", MODULES, ids=repr)
+    def test_fourier_roots_match_the_hand_written_rule(self, M):
+        # the rule fourier wrote out by hand: u' = v^{-1}, v' = u
+        N, u, v = M.dim, M.u_phase, M.v_phase
+        Phi = next(L for spec, L, _ in instance_set(M)[0] if spec == ("fourier",))
+        assert Phi.ambient_ran.compatible(ModuleRep(M.alg, SpecPoint(-N * v, N * u), -v, u))
+
+    @pytest.mark.parametrize("M", [M for M in MODULES if not (M.u_phase or M.v_phase)], ids=repr)
+    def test_principal_module_is_its_own_range(self, M):
+        first, pairs, triples = instance_set(M)
+        assert all(L.ambient_ran is M for _, L, _ in first)
+        assert all(C.ambient_ran is M for _, _, C, _ in pairs + triples)
 
 
 SWAPPED_REFUSED = [(("fourier",), ("diagonal", 2)), (("diagonal", 2), ("gaussian", 1, 2)),
