@@ -63,79 +63,87 @@ def _rat(x) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# cyclotomic polynomials
+# the Zumbroich basis of Q(zeta_M)
 # ---------------------------------------------------------------------------
-
-def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
-    """Exact division of integer polynomials (den monic, divides num)."""
-    num = list(num)
-    dn, dd = len(num) - 1, len(den) - 1
-    out = [0] * (dn - dd + 1)
-    for i in range(dn - dd, -1, -1):
-        c = num[i + dd]
-        out[i] = c
-        if c:
-            for j, dj in enumerate(den):
-                num[i + j] -= c * dj
-    return out
-
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(M: int) -> tuple[int, ...]:
-    """Coefficients (low to high) of the M-th cyclotomic polynomial.
-
-    Computed by dividing x^M - 1 by the cyclotomic polynomials of the
-    proper divisors of M.
-    """
-    if M == 1:
-        return (-1, 1)
+    """Coefficients (low to high) of Phi_M: x^M - 1 divided by Phi_d for
+    every proper divisor d.  No reduction uses it: the tests' power-basis
+    oracles do, and bench/run.py reports its cache."""
     poly = [-1] + [0] * (M - 1) + [1]
     for d in range(1, M):
         if M % d == 0:
-            poly = _poly_div_exact(poly, list(cyclotomic_poly(d)))
+            den, quo = cyclotomic_poly(d), []
+            for i in range(len(poly) - len(den), -1, -1):  # long division by the monic Phi_d
+                c = poly[i + len(den) - 1]
+                quo.append(c)
+                for j, dj in enumerate(den):
+                    poly[i + j] -= c * dj
+            poly = quo[::-1]
     return tuple(poly)
 
 
 @lru_cache(maxsize=None)
-def _monomial_rows(M: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Rows of x^e mod Phi_M for e = deg..M-1, each as its nonzero
-    (j, integer coefficient) pairs."""
-    phi = cyclotomic_poly(M)
-    deg = len(phi) - 1
-    rows = []
-    cur = [-c for c in phi[:deg]]  # x^deg mod Phi (monic)
-    for _ in range(deg, M):
-        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
-        lead = cur[-1]
-        cur = [0] + cur[:-1]
-        if lead:
-            for j in range(deg):
-                cur[j] -= lead * phi[j]
-    return tuple(rows)
+def _monomial_rows(M: int) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
+    """The Zumbroich basis of Q(zeta_M) and every zeta_M^e, e < M, on it.
 
-
-def _reduce_mod_cyclotomic(coeffs: dict[int, Fraction], M: int) -> dict[int, Fraction]:
-    """Reduce a sparse exponent->coefficient map modulo Phi_M.
-
-    The coefficients go over one common denominator, their integer
-    numerators are reduced in a list of length phi(M), and each surviving
-    term becomes one Fraction.
+    Returns (basis, rows): the basis exponents in increasing order, and
+    rows[e], the (basis exponent, +-1) terms of zeta_M^e: ((e, 1),) when e
+    is in the basis, else led by another exponent.  By CRT zeta_M^e is the
+    product over the prime powers Q || M of zeta_Q^f, f = e (M/Q)^-1 mod Q.
+    With f = j + k Q/p and j < Q/p, zeta_Q^f is a basis factor when k >= 1
+    (p odd) or k = 0 (p = 2); otherwise it is -zeta_Q^j (p = 2) or
+    -sum_{k'=1..p-1} zeta_Q^(j + k' Q/p) (p odd), as the p-th roots of
+    unity sum to zero.
     """
-    deg = len(cyclotomic_poly(M)) - 1
-    if all(k < deg for k in coeffs):
+    rows = {0: ((0, 1),)}
+    for p, nu in _factorize(M).items():
+        Q = p ** nu
+        s, t = M // Q, Q // p
+        factors = [((f * s, 1),) if (f < t) == (p == 2)
+                   else tuple(((f % t + i * t) * s, -1) for i in (range(1, p) if p > 2 else (0,)))
+                   for f in range(Q)]
+        rows = {(e + f * s) % M: tuple(((a + b) % M, x * y) for a, x in row for b, y in factor)
+                for e, row in rows.items() for f, factor in enumerate(factors)}
+    return tuple(e for e in range(M) if rows[e][0][0] == e), tuple(rows[e] for e in range(M))
+
+
+def _on_basis(coeffs: dict, M: int) -> dict:
+    """An exponent -> rational map at order M on the Zumbroich basis: copied
+    when already on it, else its integer numerators over one denominator
+    summed row by row, one Fraction per surviving term."""
+    rows = _monomial_rows(M)[1]
+    if all(rows[k][0][0] == k for k in coeffs):
         return {k: c for k, c in coeffs.items() if c}
-    rows = _monomial_rows(M)
     den = lcm(*[c.denominator for c in coeffs.values()])
-    acc = [0] * deg
+    acc = [0] * M
     for k, c in coeffs.items():
         n = c.numerator * (den // c.denominator)
-        k %= M
-        if k < deg:
-            acc[k] += n
-        else:
-            for j, r in rows[k - deg]:
-                acc[j] += n * r
-    return {j: Fraction(n, den) for j, n in enumerate(acc) if n}
+        for b, sign in rows[k]:
+            acc[b] += sign * n
+    return {b: Fraction(n, den) for b, n in enumerate(acc) if n}
+
+
+def _subfield(coeffs: dict, M: int):
+    """(m, the value on the basis at m) for a proper divisor m of M whose
+    field holds the value, given on the Zumbroich basis at M; None when M
+    is its conductor."""
+    # no basis exponent is a multiple of an odd p || M, so g | M has only primes
+    # p = 2 or p^2 | M, where the basis at M/g is the basis at M on multiples of g
+    g = gcd(M, *coeffs)
+    if g > 1:
+        return M // g, {k // g: c for k, c in coeffs.items()}
+    for p, nu in _factorize(M).items():
+        if p == 2 or nu > 1:
+            continue
+        # p || M, p odd: terms that differ only in their zeta_p factor f = 1..p-1
+        # and share one c sum to -c zeta_{M/p}^((e - (M/p) f)/p); each term's
+        # group is complete when every term finds the next one, f + 1 or f = 1
+        m, u = M // p, pow(M // p, -1, p)
+        if all(coeffs.get((k + m if k * u % p < p - 1 else k - (p - 2) * m) % M) == c
+               for k, c in coeffs.items()):
+            return m, {(k - m) % M // p: -c for k, c in coeffs.items() if k * u % p == 1}
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +153,10 @@ def _reduce_mod_cyclotomic(coeffs: dict[int, Fraction], M: int) -> dict[int, Fra
 class Cyc:
     """Element of Q(zeta_M), stored sparsely as exponent -> rational coefficient.
 
-    The representation is reduced modulo Phi_M only when a canonical form is
-    required (equality, zero tests), keeping products of monomials cheap.
+    Terms are kept as built, at any order M that holds the value; they go
+    to the canonical form (`canonical`: the Zumbroich basis at the
+    conductor) only when one is required (equality, zero tests, printing),
+    keeping products of monomials cheap.
     """
 
     __slots__ = ("order", "coeffs", "_canon")
@@ -187,17 +197,6 @@ class Cyc:
             return self
         step = order // self.order
         return Cyc(order, {k * step: c for k, c in self.coeffs.items()}, _trusted=True)
-
-    def _shrink(self) -> "Cyc":
-        """Reduce the order when every exponent shares a factor with it."""
-        if not self.coeffs:
-            return Cyc(1, {}) if self.order != 1 else self
-        g = self.order
-        for k in self.coeffs:
-            g = gcd(g, k)
-            if g == 1:
-                return self
-        return Cyc(self.order // g, {k // g: c for k, c in self.coeffs.items()}, _trusted=True)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "Cyc") -> "Cyc":
@@ -257,7 +256,7 @@ class Cyc:
     def inverse(self) -> "Cyc":
         """1/x.  One term c zeta^k inverts to c^-1 zeta^-k at the same order.
         Otherwise x^-1 = prod_{j != 1} sigma_j(x) / N(x), where sigma_j sends
-        zeta_M to zeta_M^j for each j coprime to the minimal order M and the
+        zeta_M to zeta_M^j for each j coprime to the conductor M and the
         norm N(x) = x prod_{j != 1} sigma_j(x) is rational (Washington,
         Introduction to Cyclotomic Fields).  Zero raises ZeroDivisionError."""
         if len(self.coeffs) == 1:
@@ -275,13 +274,17 @@ class Cyc:
 
     # -- canonical form ------------------------------------------------------
     def canonical(self) -> "Cyc":
-        """Representative reduced modulo Phi_M with minimal order."""
+        """The value on the Zumbroich basis of Q(zeta_M) at its conductor M,
+        the least order whose field holds it: one form per value, whatever
+        the order and route it was built by.  The terms are rewritten on the
+        basis, then the order steps down (`_subfield`) while a smaller field
+        holds the value; each step lands on the smaller basis."""
         if self._canon is not None:
             return self._canon
-        red = Cyc(self.order, _reduce_mod_cyclotomic(self.coeffs, self.order), _trusted=True)
-        red = red._shrink()
-        if red.order != self.order:
-            red = red.canonical()
+        M, coeffs = self.order, _on_basis(self.coeffs, self.order)
+        while (step := _subfield(coeffs, M)) is not None:
+            M, coeffs = step
+        red = Cyc(M, coeffs, _trusted=True)
         red._canon = red
         self._canon = red
         return red
@@ -294,16 +297,13 @@ class Cyc:
         return not self.canonical().coeffs
 
     def is_rational(self) -> bool:
-        c = self.canonical()
-        return all(k == 0 for k in c.coeffs)
+        return self.canonical().order == 1
 
     def rational_value(self) -> Fraction:
         c = self.canonical()
-        if not c.coeffs:
-            return Fraction(0)
-        if not c.is_rational():
+        if c.order != 1:
             raise ExactnessLost("cyclotomic element is not rational")
-        return c.coeffs[0]
+        return c.coeffs.get(0, Fraction(0))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Cyc):

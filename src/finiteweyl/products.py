@@ -2,7 +2,8 @@
 
 It has two strategies.  Large sums of one-term entries zeta_M^k c sqrt(r)
 go to a kernel in which each output coordinate is one numpy exponent
-histogram, and the histograms are reduced mod Phi_L together.  Integer
+histogram, and the histograms are reduced to the Zumbroich basis of
+Q(zeta_L) together, from the table `Cyc.canonical` reads.  Integer
 counts are held in float64 only while they stay below 2^53, and the
 one-term forms guessed from float values are verified exactly.  Every
 other sum is gathered per coordinate and summed by `dot`, a coordinate of
@@ -24,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import (Cyc, Scalar, _factorize, _monomial_rows, cyclotomic_poly, dot,
-                       split_square, sqrt_as_cyc)
+from .exactnum import Cyc, Scalar, _factorize, _monomial_rows, dot, split_square, sqrt_as_cyc
 
 
 # Fewest nonzero products the histogram kernel takes on.  Measured crossover
@@ -42,15 +42,17 @@ _FLOAT_EXACT = 1 << 53
 
 
 class _Reduction(NamedTuple):
-    """_monomial_rows(L) as numpy arrays.
+    """The Zumbroich table of L (`exactnum._monomial_rows`) as numpy arrays.
 
-    Pair p sends x^(deg + src[p]) to coef[p] x^dst[p].  growth bounds how
-    much reducing a histogram can enlarge its largest entry: the largest sum
-    of |coef| landing on one power, that power's own count included.  cos
-    and sin hold the embedding of zeta_L^e, e < L, for the float guesses.
+    Histogram column basis[i] is basis position i, and pair p sends column
+    src[p], an exponent off the basis (there is one, as L >= 2), to coef[p]
+    (+-1) times position dst[p].  growth bounds how much rewriting a
+    histogram on the basis can enlarge its largest entry: the most pairs
+    landing on one position, plus that position's own count.  cos and sin
+    hold the embedding of zeta_L^e, e < L, for the float guesses.
     """
 
-    deg: int
+    basis: object
     src: object
     dst: object
     coef: object
@@ -61,28 +63,23 @@ class _Reduction(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _reduction(L: int) -> _Reduction:
-    """The reduction mod Phi_L, built once per L."""
-    rows = _monomial_rows(L)
-    deg = len(cyclotomic_poly(L)) - 1
-    sums = [1] * deg
-    for r in rows:
-        for j, c in r:
-            sums[j] += abs(c)
-    src = np.repeat(np.arange(len(rows), dtype=np.int64), [len(r) for r in rows])
-    dst = np.array([j for r in rows for j, _ in r], dtype=np.int64)
-    coef = np.array([float(c) for r in rows for _, c in r], dtype=np.float64)
+    """The reduction to the Zumbroich basis of Q(zeta_L), built once per L."""
+    basis, rows = _monomial_rows(L)
+    pos = {b: i for i, b in enumerate(basis)}
+    src, dst, coef = map(np.array, zip(*[(e, pos[b], c) for e, row in enumerate(rows)
+                                         if row[0][0] != e for b, c in row]))
     angle = 2 * np.pi * np.arange(L) / L
-    return _Reduction(deg, src, dst, coef, max(sums), np.cos(angle), np.sin(angle))
+    return _Reduction(np.array(basis), src, dst, coef, 1 + int(np.bincount(dst).max()),
+                      np.cos(angle), np.sin(angle))
 
 
 def _reduce_rows(H, red):
-    """Rows of exponent counts (float64, rows x L) reduced mod Phi_L: rows x deg."""
-    deg, src, dst, coef = red.deg, red.src, red.dst, red.coef
-    out = H[:, :deg].copy()
-    if len(src):
-        w = len(H)
-        keys = (np.arange(w)[:, None] * deg + dst).ravel()
-        out += np.bincount(keys, (H[:, deg + src] * coef).ravel(), minlength=w * deg).reshape(w, deg)
+    """Rows of exponent counts (float64, rows x L) on the Zumbroich basis:
+    rows x len(red.basis)."""
+    out = H[:, red.basis]
+    w, deg = out.shape
+    keys = (np.arange(w)[:, None] * deg + red.dst).ravel()
+    out += np.bincount(keys, (H[:, red.src] * red.coef).ravel(), minlength=w * deg).reshape(w, deg)
     return out
 
 
@@ -224,10 +221,11 @@ def _monomial_products(rows, cols, dim: int, conj: bool):
     distinct Scalar once, and nothing is kept between calls.  Every output
     coordinate is one np.bincount histogram of exponents at L, the lcm of 2
     and the orders, weighted by integer numerators over a common
-    denominator; the histograms are reduced mod Phi_L together, a chunk of
-    coordinates at a time (PRODUCTS_CHUNK_BYTES).  A coordinate whose value
-    is t zeta^j sqrt(r') comes back as that one-term Scalar at minimal
-    order; others as their reduced power-basis form.
+    denominator; the histograms are reduced to the Zumbroich basis of
+    Q(zeta_L) together, a chunk of coordinates at a time
+    (PRODUCTS_CHUNK_BYTES).  A coordinate whose value is t zeta^j sqrt(r')
+    comes back as that one-term Scalar at minimal order; others as their
+    terms on that basis.
 
     Returns None, for the per-coordinate path, when the inputs have fewer
     than PRODUCTS_MIN nonzero products, when the first nonzero coordinate
@@ -271,7 +269,8 @@ def _monomial_products(rows, cols, dim: int, conj: bool):
             nz = np.flatnonzero(counts)
             if not len(nz):
                 return zero
-            return Scalar(r, Cyc(L, {k: Fraction(int(counts[k]) * s, den) for k in nz.tolist()},
+            return Scalar(r, Cyc(L, {b: Fraction(int(n) * s, den) for b, n
+                                     in zip(red.basis[nz].tolist(), counts[nz].tolist())},
                                  _trusted=True))
         out = shared.get(found)
         if out is None:

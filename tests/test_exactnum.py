@@ -20,8 +20,9 @@ from finiteweyl.exactnum import (
     PHASE_BLOCK,
     PHASE_GROUP,
     Cyc,
-    _reduce_mod_cyclotomic,
     Scalar,
+    _monomial_rows,
+    _on_basis,
     cyclotomic_poly,
     dot,
     gauss_sum,
@@ -580,11 +581,12 @@ class TestSumAbs2:
 
 
 # ---------------------------------------------------------------------------
-# reduction mod Phi_M on integer numerators against Fraction long division
+# the Zumbroich basis against Fraction long division by Phi_M
 # ---------------------------------------------------------------------------
 
 def reduce_oracle(coeffs, M):
-    """Oracle: long division by Phi_M with one Fraction operation per entry."""
+    """Oracle: the power-basis form, by long division by Phi_M with one
+    Fraction operation per entry."""
     phi = cyclotomic_poly(M)
     deg = len(phi) - 1
     poly = [Fraction(0)] * max(M, deg)
@@ -599,6 +601,19 @@ def reduce_oracle(coeffs, M):
 
 
 class TestReduceModCyclotomic:
+    """`_on_basis` and `Cyc.canonical` against the power basis, as values."""
+
+    def check(self, coeffs, M):
+        got = _on_basis(Cyc(M, coeffs).coeffs, M)
+        assert set(got) <= set(_monomial_rows(M)[0])
+        assert reduce_oracle(got, M) == reduce_oracle(coeffs, M)
+        assert all(type(c) is Fraction for c in got.values())
+        canon = Cyc(M, coeffs).canonical()
+        assert M % canon.order == 0
+        assert set(canon.coeffs) <= set(_monomial_rows(canon.order)[0])
+        assert reduce_oracle(canon.lift(M).coeffs, M) == reduce_oracle(coeffs, M)
+        return got
+
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.sampled_from([1, 2, 8, 12, 120, 240, 600, 1024]),
            st.randoms(use_true_random=False), st.booleans())
@@ -612,9 +627,7 @@ class TestReduceModCyclotomic:
                 for j, p in enumerate(cyclotomic_poly(M)):
                     prod[(k + j) % M] = prod.get((k + j) % M, 0) + c * p
             coeffs = {k: c for k, c in prod.items() if c} or {0: Fraction(0)}
-        got = _reduce_mod_cyclotomic(coeffs, M)
-        assert got == reduce_oracle(coeffs, M)
-        assert all(type(c) is Fraction for c in got.values())
+        got = self.check(coeffs, M)
         if cancel:
             assert got == {}
             assert Cyc(M, coeffs).is_zero()
@@ -622,8 +635,51 @@ class TestReduceModCyclotomic:
     @pytest.mark.parametrize("M", [3, 97, 105, 210])
     def test_dense_rows(self, M):
         # Phi_p is dense and Phi_105 has a coefficient -2: every exponent at once
-        coeffs = {k: Fraction(k + 1, 1 + k % 5) for k in range(M)}
-        assert _reduce_mod_cyclotomic(coeffs, M) == reduce_oracle(coeffs, M)
+        self.check({k: Fraction(k + 1, 1 + k % 5) for k in range(M)}, M)
+
+    def test_basis(self):
+        # phi(M) exponents: for M = 12, zeta_4^{0,1} times zeta_3^{1,2}
+        assert _monomial_rows(12)[0] == (4, 7, 8, 11)
+        for M in range(1, 200):
+            assert len(_monomial_rows(M)[0]) == len(cyclotomic_poly(M)) - 1
+
+
+class TestOneNormalForm:
+    """Equal values print identically, whatever order and route built them."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.integers(1, 2048), st.randoms(use_true_random=False))
+    def test_routes_print_alike(self, L, rng):
+        divisors = [d for d in range(1, L + 1) if L % d == 0]
+
+        def terms(order, count):
+            return {rng.randrange(order): Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                    for _ in range(count)}
+
+        d, e = rng.choice(divisors), rng.choice(divisors)
+        x, y = Cyc(d, terms(d, rng.randint(1, 5))), Cyc(e, terms(e, rng.randint(1, 4)))
+        w = Cyc.zeta(e, rng.randrange(e))
+        # x term by term, each term lifted to its own divisor of L that d divides
+        parts = [Cyc(d, {k: c}).lift(rng.choice([m for m in divisors if m % d == 0]))
+                 for k, c in x.coeffs.items()]
+        routes = {"built": x, "lifted": x.lift(L), "difference": (x - y) + y,
+                  "product": (x * w) * w.conj(), "sum": sum(parts, Cyc.zero())}
+        printed = {name: repr(v) for name, v in routes.items()}
+        assert len(set(printed.values())) == 1, printed
+        canon = x.canonical()
+        assert set(canon.coeffs) <= set(_monomial_rows(canon.order)[0])
+        assert abs(canon.eval() - x.eval()) <= 1e-9 * (1 + abs(x.eval()))
+
+    @pytest.mark.parametrize("routes, form", [
+        ([Cyc(6, {1: 1}), Cyc(3, {2: -1})], "-1*z3^2"),
+        ([Cyc.zeta(15, 9), Cyc.zeta(5, 3)], "1*z5^3"),
+        ([Cyc.zeta(5, 4), Cyc.zeta(20, 16)], "1*z5^4"),
+        ([sqrt_as_cyc(2), Cyc(8, {1: 1, 7: 1}), Cyc(16, {2: 1, 14: 1}),
+          Cyc(4, {0: 1, 1: 1}) * Cyc.zeta(8, 7)], "1*z8^1 + -1*z8^3"),
+        ([Cyc(12, {0: 1}), Cyc(5, {1: -1, 2: -1, 3: -1, 4: -1})], "1"),
+    ], ids=["zeta6", "zeta5^3 at 15", "zeta5^4", "sqrt2", "one"])
+    def test_cases(self, routes, form):
+        assert {repr(x) for x in routes} == {form}
 
 
 # ---------------------------------------------------------------------------
@@ -667,14 +723,15 @@ def _poly_xgcd(a, b):
 
 
 def inverse_oracle(x):
-    """Oracle: 1/x by extended Euclid of x's canonical form against Phi_M."""
+    """Oracle: 1/x by extended Euclid of x's canonical form, mapped to the
+    power basis, against Phi_M."""
     a = x.canonical()
     if not a.coeffs:
         raise ZeroDivisionError("inverse of zero cyclotomic element")
     M = a.order
     deg = len(cyclotomic_poly(M)) - 1
     dense = [Fraction(0)] * deg
-    for k, c in a.coeffs.items():
+    for k, c in reduce_oracle(a.coeffs, M).items():  # Zumbroich exponents to the power basis
         dense[k] = c
     phi = [Fraction(c) for c in cyclotomic_poly(M)]
     g, s = _poly_xgcd(dense, phi)

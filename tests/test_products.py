@@ -4,12 +4,14 @@ The kernel's oracle is linear_combinations as it stood before the kernel:
 one scan of the vectors' nonzero entries per call and one `dot` per
 coordinate and row.  The entry point's oracle is the naive
 sum_i row[i] * cols[i][j] in Scalar arithmetic.  Results are compared term
-for term after reducing both sides mod Phi_L at a common order L.
+for term after reducing both sides mod Phi_L at a common order L, by the
+power-basis reduction the library used before the Zumbroich basis.
 """
 
 import random
 import tracemalloc
 from contextlib import contextmanager
+from functools import cache
 from fractions import Fraction as F
 from math import lcm
 
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finiteweyl import products
-from finiteweyl.exactnum import Cyc, Scalar, _reduce_mod_cyclotomic, dot
+from finiteweyl.exactnum import Cyc, Scalar, cyclotomic_poly, dot
 from finiteweyl.products import PRODUCTS_CHUNK_BYTES
 from finiteweyl.lattice import WeylDesc
 from finiteweyl.repmod import SpecPoint, StateVec, build_module, linear_combination, v_basis
@@ -57,6 +59,43 @@ def linear_combinations_oracle(module, rows, vecs):
     return out
 
 
+@cache
+def power_rows(M):
+    """Rows of x^e mod Phi_M for e = deg..M-1, each as its nonzero
+    (j, integer coefficient) pairs."""
+    phi = cyclotomic_poly(M)
+    deg = len(phi) - 1
+    rows = []
+    cur = [-c for c in phi[:deg]]  # x^deg mod Phi (monic)
+    for _ in range(deg, M):
+        rows.append(tuple((j, c) for j, c in enumerate(cur) if c))
+        lead = cur[-1]
+        cur = [0] + cur[:-1]
+        if lead:
+            for j in range(deg):
+                cur[j] -= lead * phi[j]
+    return tuple(rows)
+
+
+def reduce_mod_cyclotomic(coeffs, M):
+    """A sparse exponent -> coefficient map reduced mod Phi_M, on the power
+    basis 1, x, ..., x^(deg - 1), with integer numerators over one
+    common denominator."""
+    deg = len(cyclotomic_poly(M)) - 1
+    rows = power_rows(M)
+    den = lcm(1, *[c.denominator for c in coeffs.values()])
+    acc = [0] * deg
+    for k, c in coeffs.items():
+        n = c.numerator * (den // c.denominator)
+        k %= M
+        if k < deg:
+            acc[k] += n
+        else:
+            for j, r in rows[k - deg]:
+                acc[j] += n * r
+    return {j: F(n, den) for j, n in enumerate(acc) if n}
+
+
 def same(a, b):
     """a = b, term for term after reduction mod Phi_L at a common order L.
 
@@ -68,8 +107,8 @@ def same(a, b):
         za, zb = a.to_complex(), b.to_complex()
         return same(a * a, b * b) and abs(za - zb) <= 1e-9 * (1 + abs(za))
     L = lcm(a.cyc.order, b.cyc.order)
-    return (_reduce_mod_cyclotomic(a.cyc.lift(L).coeffs, L)
-            == _reduce_mod_cyclotomic(b.cyc.lift(L).coeffs, L))
+    return (reduce_mod_cyclotomic(a.cyc.lift(L).coeffs, L)
+            == reduce_mod_cyclotomic(b.cyc.lift(L).coeffs, L))
 
 
 def module(N):

@@ -709,15 +709,22 @@ def sweep_modules():
         yield build_module(A, SpecPoint(F(1, 3), F(2, 5)))
 
 
+_INSTANCES = {}
+
+
 def instances(M):
-    """(spec, L, hand-written sigma) for every entry of SPECS that M admits."""
-    out = []
-    for kind, *params in SPECS:
-        try:
-            out.append(((kind, *params), *built(kind, M, *params)))
-        except (NotDividing, OddOrder, DivisibilityViolation):
-            pass
-    return out
+    """(spec, L, hand-written sigma) for every entry of SPECS that M admits,
+    built once per module up to `compatible` (ModuleRep has no hash)."""
+    key = (M.alg, M.point, M.u_phase, M.v_phase)
+    if key not in _INSTANCES:
+        out = []
+        for kind, *params in SPECS:
+            try:
+                out.append(((kind, *params), *built(kind, M, *params)))
+            except (NotDividing, OddOrder, DivisibilityViolation):
+                pass
+        _INSTANCES[key] = out
+    return _INSTANCES[key]
 
 
 MODULES = list(sweep_modules())
@@ -729,13 +736,9 @@ def instance_set(M):
     two-factor composites over every pair whose modules line up and a sample
     of three-factor ones."""
     first = instances(M)
-
-    def on(module):
-        return first if module.compatible(M) else instances(module)
-
     pairs = []
     for _, *f1 in first:
-        for _, *f2 in on(f1[0].ambient_ran):
+        for _, *f2 in instances(f1[0].ambient_ran):
             try:
                 pairs.append((f2[0], f1[0], *composed(f2, f1)))
             except NoCommonSubalgebra:
@@ -743,7 +746,7 @@ def instance_set(M):
     rng = random.Random(repr(M))
     triples = []
     for _, _, *f12 in rng.sample(pairs, 12):
-        _, *f3 = rng.choice(on(f12[0].ambient_ran))
+        _, *f3 = rng.choice(instances(f12[0].ambient_ran))
         try:
             triples.append((f3[0], f12[0], *composed(f3, f12)))
         except NoCommonSubalgebra:
