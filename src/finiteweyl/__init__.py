@@ -7,9 +7,9 @@ embeddings between modules, regular unitary transformations with
 SL(2,Q) bookkeeping, and Dirac-rescaled finite-N propagators and traces
 that reproduce the continuum closed forms.
 
-All algebraic layers work in exact cyclotomic arithmetic (elements of
-Q(zeta_M) scaled by square roots of rationals); the numeric layer
-evaluates large-N kernels in floats.  Values are immutable after
+All algebraic layers work in exact cyclotomic arithmetic: one number
+class, `Scalar`, holds sqrt(r) times an element of Q(zeta_M), r a
+squarefree integer; the numeric layer evaluates large-N kernels in floats.  Values are immutable after
 construction, so everything here is safe to share across threads.
 
 The names below are resolved on first access, so `import finiteweyl`
@@ -25,7 +25,7 @@ _EXPORTS = {
     "TraceResult": "dirac", "auto_mu": "dirac", "ccr_residual": "dirac",
     "converge_study": "dirac", "free_propagator": "dirac", "qho_propagator": "dirac",
     "qho_trace": "dirac", "st_mu": "dirac",
-    "Cyc": "exactnum", "Scalar": "exactnum",
+    "Scalar": "exactnum",
     "gauss_sum": "exactnum", "root_of_unity": "exactnum",
     "GenWord": "lattice", "WeylDesc": "lattice", "center": "lattice", "includes": "lattice",
     "join": "lattice", "maximal_commutative": "lattice", "q_order": "lattice",

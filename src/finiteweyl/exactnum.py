@@ -1,17 +1,18 @@
 """Exact arithmetic over roots of unity with radical scale factors.
 
-Values are elements of Q(zeta_M) scaled by a square root of a positive
-rational, i.e. r * sqrt(s) * (cyclotomic element).  This covers every
-constant the algebraic layers produce: q^(k/2) phases, 1/sqrt(N) basis
-normalisations, quadratic Gauss sums and the constant e^{-i pi/4}.
-Floats appear only where a value leaves the exact layer: `Cyc.eval`
-embeds zeta_M -> e^{2 pi i/M}, and the quadratic phase sums at the end of
-this module serve the float kernels in `dirac`.  Those sums form every
-term e^{2 pi i (n^2 mod P)/P} as a product of three phases with exactly
-reduced integer exponents, two of them shared by a block of 64 x 64 terms
-and one from a table built once per sum, so a block costs one real matrix
-product instead of a cos and a sin per term (about 1.3 ns per term against
-44 ns on a 2-vCPU x86-64 box, Python 3.11, numpy 2.4, OpenBLAS 0.3.31).
+Every exact value is one `Scalar`: an element of Q(zeta_M) scaled by the
+square root of a squarefree integer, sqrt(rad) * sum_k c_k zeta_M^k.
+This covers every constant the algebraic layers produce: q^(k/2) phases,
+1/sqrt(N) basis normalisations, quadratic Gauss sums and the constant
+e^{-i pi/4}.  Floats appear only where a value leaves the exact layer:
+`Scalar.to_complex` embeds zeta_M -> e^{2 pi i/M}, and the quadratic
+phase sums at the end of this module serve the float kernels in `dirac`.
+Those sums form every term e^{2 pi i (n^2 mod P)/P} as a product of three
+phases with exactly reduced integer exponents, two of them shared by a
+block of 64 x 64 terms and one from a table built once per sum, so a
+block costs one real matrix product instead of a cos and a sin per term
+(about 1.3 ns per term against 44 ns on a 2-vCPU x86-64 box, Python 3.11,
+numpy 2.4, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -147,144 +148,207 @@ def _subfield(coeffs: dict, M: int):
 
 
 # ---------------------------------------------------------------------------
-# Cyc: elements of Q(zeta_M)
+# Scalar: exact values sqrt(rad) * (element of Q(zeta_M))
 # ---------------------------------------------------------------------------
 
-class Cyc:
-    """Element of Q(zeta_M), stored sparsely as exponent -> rational coefficient.
+class Scalar:
+    """Exact value sqrt(rad) * sum_k coeffs[k] zeta_order^k.
 
-    Terms are kept as built, at any order M that holds the value; they go
-    to the canonical form (`canonical`: the Zumbroich basis at the
-    conductor) only when one is required (equality, zero tests, printing),
-    keeping products of monomials cheap.
+    rad is a positive squarefree integer and coeffs a sparse exponent ->
+    rational map.  Terms are kept as built, at any order that holds the
+    value; they go to the canonical form (`canonical`: the Zumbroich basis
+    at the conductor) only when one is required (equality, zero tests,
+    printing), keeping products of monomials cheap.  Every operator takes
+    an int or a Fraction on either side; a float is refused.
     """
 
-    __slots__ = ("order", "coeffs", "_canon")
+    __slots__ = ("order", "coeffs", "rad", "_canon")
 
-    def __init__(self, order: int, coeffs: dict[int, Fraction], _trusted: bool = False):
+    def __init__(self, order: int, coeffs: dict, rad: int = 1, _trusted: bool = False):
         self.order = order
-        if _trusted:
-            self.coeffs = coeffs
-        else:
-            coeffs = {k: _rat(c) for k, c in coeffs.items()}
-            reduced = {k % order: c for k, c in coeffs.items() if c}
-            if len(reduced) < len(coeffs):
-                # keys that collide mod order must add up, not overwrite
-                reduced = {}
-                for k, c in coeffs.items():
-                    k %= order
-                    reduced[k] = reduced.get(k, 0) + c
-                reduced = {k: c for k, c in reduced.items() if c}
-            self.coeffs = reduced
+        self.rad = rad
+        if not _trusted:
+            reduced: dict[int, Fraction] = {}
+            for k, c in coeffs.items():  # keys that collide mod order add up
+                k %= order
+                reduced[k] = reduced.get(k, 0) + _rat(c)
+            coeffs = {k: c for k, c in reduced.items() if c}
+        self.coeffs = coeffs
         self._canon = None
 
-    # -- constructors -------------------------------------------------------
+    # -- constructors --------------------------------------------------------
     @staticmethod
-    def zero() -> "Cyc":
-        return Cyc(1, {}, _trusted=True)
+    def zero() -> "Scalar":
+        return Scalar(1, {}, _trusted=True)
 
     @staticmethod
-    def rational(r) -> "Cyc":
-        return Cyc(1, {0: _rat(r)})
+    def rational(x) -> "Scalar":
+        x = _rat(x)
+        return Scalar(1, {0: x} if x else {}, _trusted=True)
 
     @staticmethod
-    def zeta(M: int, k: int = 1) -> "Cyc":
-        return Cyc(M, {k % M: Fraction(1)})
+    def one() -> "Scalar":
+        return Scalar.rational(1)
+
+    @staticmethod
+    def zeta(M: int, k: int = 1) -> "Scalar":
+        return Scalar(M, {k % M: Fraction(1)}, _trusted=True)
+
+    @staticmethod
+    def exact(c: "Scalar", rad_num: int | Fraction = 1, rad_den: int | Fraction = 1) -> "Scalar":
+        """sqrt(rad_num/rad_den) * c for rationals, normalised to an integer radicand."""
+        num, den = _rat(rad_num), _rat(rad_den)
+        if num <= 0 or den <= 0:
+            raise ValueError("radicand must be positive")
+        x = num / den
+        # sqrt(p/q) = sqrt(p*q)/q
+        s, r = split_square(x.numerator * x.denominator)
+        return c * Scalar(1, {0: Fraction(s, x.denominator)}, r, _trusted=True)
+
+    @staticmethod
+    def phase(turns: Fraction) -> "Scalar":
+        """e^{2 pi i turns} for rational turns."""
+        t = _rat(turns)
+        return _phase_cached(t.numerator % t.denominator, t.denominator)
 
     # -- conversions ---------------------------------------------------------
-    def lift(self, order: int) -> "Cyc":
+    @property
+    def cyc(self) -> "Scalar":
+        """The factor without sqrt(rad): the same terms at radicand 1."""
+        return self if self.rad == 1 else Scalar(self.order, self.coeffs, _trusted=True)
+
+    def lift(self, order: int) -> "Scalar":
+        """The same terms at a multiple of the order."""
         if order == self.order:
             return self
         step = order // self.order
-        return Cyc(order, {k * step: c for k, c in self.coeffs.items()}, _trusted=True)
+        return Scalar(order, {k * step: c for k, c in self.coeffs.items()}, self.rad, _trusted=True)
+
+    def lift_radical(self) -> "Scalar":
+        """The same value with sqrt(rad) folded into the terms (rad becomes 1)."""
+        if self.rad == 1:
+            return self
+        return self.cyc * sqrt_as_cyc(self.rad)
 
     # -- arithmetic ----------------------------------------------------------
-    def __add__(self, other: "Cyc") -> "Cyc":
-        L = lcm(self.order, other.order)
-        a, b = self.lift(L), other.lift(L)
-        out = dict(a.coeffs)
-        for k, c in b.coeffs.items():
+    @staticmethod
+    def _coerce(other) -> "Scalar":
+        """Scalars pass through and ints or Fractions become rational scalars."""
+        if isinstance(other, Scalar):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return Scalar.rational(other)
+        raise TypeError(f"cannot coerce {other!r} to an exact Scalar")
+
+    def __add__(self, other) -> "Scalar":
+        a, b = self, self._coerce(other)
+        if a.rad != b.rad:
+            a, b = a.lift_radical(), b.lift_radical()
+        L = lcm(a.order, b.order)
+        out = dict(a.lift(L).coeffs)
+        for k, c in b.lift(L).coeffs.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
             else:
                 out.pop(k, None)
-        return Cyc(L, out, _trusted=True)
+        return Scalar(L, out, a.rad, _trusted=True)
 
-    def __neg__(self) -> "Cyc":
-        return Cyc(self.order, {k: -c for k, c in self.coeffs.items()}, _trusted=True)
+    __radd__ = __add__
 
-    def __sub__(self, other: "Cyc") -> "Cyc":
+    def __neg__(self) -> "Scalar":
+        return Scalar(self.order, {k: -c for k, c in self.coeffs.items()}, self.rad, _trusted=True)
+
+    def __sub__(self, other) -> "Scalar":
+        other = self._coerce(other)
+        # identical forms give zero without -other and the sum: without this
+        # test the exact-structure benchmark ran at 132-136 ops/s against
+        # 157-168, op_p90_ms 14.9-15.4 against 11.6-12.5 (10 alternated
+        # pairs, 2-vCPU x86-64, Python 3.11)
+        if self.rad == other.rad and self.order == other.order and self.coeffs == other.coeffs:
+            return Scalar.zero()
         return self + (-other)
 
-    def __mul__(self, other: "Cyc") -> "Cyc":
+    def __rsub__(self, other) -> "Scalar":
+        return self._coerce(other) - self
+
+    def __mul__(self, other) -> "Scalar":
+        if not isinstance(other, Scalar):
+            other = self._coerce(other)
+        s, r = (1, 1) if self.rad == 1 and other.rad == 1 else split_square(self.rad * other.rad)
         L = lcm(self.order, other.order)
         if not self.coeffs or not other.coeffs:
-            return Cyc(L, {}, _trusted=True)
+            return Scalar(L, {}, r, _trusted=True)
         if len(self.coeffs) == 1 and len(other.coeffs) == 1:
             (k1, c1), = self.coeffs.items()
             (k2, c2), = other.coeffs.items()
             k = k1 * (L // self.order) + k2 * (L // other.order)
             # a phase times a monomial: reuse the other coefficient, no Fraction product
             c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
-            return Cyc(L, {k % L: c}, _trusted=True)
+            return Scalar(L, {k % L: c if s == 1 else c * s}, r, _trusted=True)
         a, b = self.lift(L), other.lift(L)
         out: dict[int, Fraction] = {}
         for k1, c1 in a.coeffs.items():
+            if s != 1:
+                c1 = c1 * s
             for k2, c2 in b.coeffs.items():
                 k = (k1 + k2) % L
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
+                t = out.get(k, 0) + c1 * c2
+                if t:
+                    out[k] = t
                 else:
                     out.pop(k, None)
-        return Cyc(L, out, _trusted=True)
+        return Scalar(L, out, r, _trusted=True)
 
-    def scale(self, r) -> "Cyc":
-        r = _rat(r)
-        if not r:
-            return Cyc(self.order, {}, _trusted=True)
-        return Cyc(self.order, {k: c * r for k, c in self.coeffs.items()}, _trusted=True)
+    __rmul__ = __mul__
 
-    def conj(self) -> "Cyc":
-        return Cyc(
-            self.order,
-            {(self.order - k) % self.order: c for k, c in self.coeffs.items()},
-            _trusted=True,
-        )
-
-    def inverse(self) -> "Cyc":
-        """1/x.  One term c zeta^k inverts to c^-1 zeta^-k at the same order.
-        Otherwise x^-1 = prod_{j != 1} sigma_j(x) / N(x), where sigma_j sends
-        zeta_M to zeta_M^j for each j coprime to the conductor M and the
-        norm N(x) = x prod_{j != 1} sigma_j(x) is rational (Washington,
-        Introduction to Cyclotomic Fields).  Zero raises ZeroDivisionError."""
+    def inv(self) -> "Scalar":
+        """1/x.  For x = sqrt(r) y, 1/x = sqrt(r) y^-1 / r.  One term c zeta^k
+        inverts to c^-1 zeta^-k at the same order.  Otherwise y^-1 =
+        prod_{j != 1} sigma_j(y) / N(y), where sigma_j sends zeta_M to zeta_M^j
+        for each j coprime to the conductor M and the norm N(y) = y
+        prod_{j != 1} sigma_j(y) is rational (Washington, Introduction to
+        Cyclotomic Fields).  Zero raises ZeroDivisionError."""
         if len(self.coeffs) == 1:
             (k, c), = self.coeffs.items()
-            return Cyc(self.order, {-k % self.order: 1 / Fraction(c)}, _trusted=True)
-        a = self.canonical()
+            return Scalar(self.order, {-k % self.order: Fraction(1) / (c * self.rad)}, self.rad,
+                          _trusted=True)
+        a = self.canonical().cyc
         if not a.coeffs:
-            raise ZeroDivisionError("inverse of zero cyclotomic element")
+            raise ZeroDivisionError("inverse of zero")
         M = a.order
-        rest = Cyc.rational(1)
+        rest = Scalar.one()
         for j in range(2, M):
             if gcd(j, M) == 1:
-                rest = rest * Cyc(M, {k * j % M: c for k, c in a.coeffs.items()}, _trusted=True)
-        return rest.scale(1 / (a * rest).rational_value())
+                rest = rest * Scalar(M, {k * j % M: c for k, c in a.coeffs.items()}, _trusted=True)
+        norm = (a * rest).rational_value() * self.rad
+        return Scalar(rest.order, {k: c / norm for k, c in rest.coeffs.items()}, self.rad,
+                      _trusted=True)
 
-    # -- canonical form ------------------------------------------------------
-    def canonical(self) -> "Cyc":
-        """The value on the Zumbroich basis of Q(zeta_M) at its conductor M,
-        the least order whose field holds it: one form per value, whatever
-        the order and route it was built by.  The terms are rewritten on the
-        basis, then the order steps down (`_subfield`) while a smaller field
-        holds the value; each step lands on the smaller basis."""
+    def __truediv__(self, other) -> "Scalar":
+        return self * self._coerce(other).inv()
+
+    def __rtruediv__(self, other) -> "Scalar":
+        return self._coerce(other) * self.inv()
+
+    def conj(self) -> "Scalar":
+        M = self.order
+        return Scalar(M, {-k % M: c for k, c in self.coeffs.items()}, self.rad, _trusted=True)
+
+    # -- canonical form and tests ---------------------------------------------
+    def canonical(self) -> "Scalar":
+        """The value with its terms on the Zumbroich basis of Q(zeta_M) at
+        their conductor M, the least order whose field holds them: one form
+        per value and radicand, whatever the order and route it was built by.
+        The terms are rewritten on the basis, then the order steps down
+        (`_subfield`) while a smaller field holds them; each step lands on
+        the smaller basis."""
         if self._canon is not None:
             return self._canon
         M, coeffs = self.order, _on_basis(self.coeffs, self.order)
         while (step := _subfield(coeffs, M)) is not None:
             M, coeffs = step
-        red = Cyc(M, coeffs, _trusted=True)
+        red = Scalar(M, coeffs, self.rad, _trusted=True)
         red._canon = red
         self._canon = red
         return red
@@ -297,27 +361,29 @@ class Cyc:
         return not self.canonical().coeffs
 
     def is_rational(self) -> bool:
-        return self.canonical().order == 1
+        return self.lift_radical().canonical().order == 1
 
     def rational_value(self) -> Fraction:
-        c = self.canonical()
+        """The value as a Fraction; ExactnessLost when it is not rational."""
+        c = self.lift_radical().canonical()
         if c.order != 1:
-            raise ExactnessLost("cyclotomic element is not rational")
+            raise ExactnessLost("value is not rational")
         return c.coeffs.get(0, Fraction(0))
 
+    def sqrt_of_rational(self) -> "Scalar":
+        """sqrt of a nonnegative rational scalar (norms)."""
+        v = self.rational_value()
+        if v < 0:
+            raise ExactnessLost("negative radicand")
+        return Scalar.exact(Scalar.one(), v.numerator, v.denominator)
+
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Cyc):
+        if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
         return (self - other).is_zero()
 
-    def __repr__(self) -> str:
-        c = self.canonical()
-        if not c.coeffs:
-            return "0"
-        terms = [f"{v}*z{c.order}^{k}" if k else f"{v}" for k, v in sorted(c.coeffs.items())]
-        return " + ".join(terms)
-
-    def eval(self) -> complex:
+    # -- numerics ------------------------------------------------------------
+    def to_complex(self) -> complex:
         """Value under zeta_M -> e^{2 pi i/M}, the terms summed by math.fsum.
 
         Each root is taken from its nearest quarter turn: with 4k = qM + n and
@@ -335,7 +401,21 @@ class Cyc:
             c = float(c)
             re.append(c * x)
             im.append(c * y)
-        return complex(math.fsum(re), math.fsum(im))
+        return complex(math.fsum(re), math.fsum(im)) * math.sqrt(self.rad)
+
+    # the name bench/run.py's known-defect probe calls
+    eval = to_complex
+
+    def __repr__(self) -> str:
+        c = self.canonical()
+        terms = " + ".join(f"{v}*z{c.order}^{k}" if k else f"{v}"
+                           for k, v in sorted(c.coeffs.items())) or "0"
+        return f"Scalar({terms})" if self.rad == 1 else f"Scalar(sqrt({self.rad})*({terms}))"
+
+
+# The former name of the Q(zeta_M) part, now the same class: bench/ builds
+# values as Cyc(order, coeffs), Cyc.rational and Cyc.zeta.
+Cyc = Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -343,169 +423,22 @@ class Cyc:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def sqrt_as_cyc(n: int) -> Cyc:
-    """sqrt(n) for squarefree n >= 1 as an element of Q(zeta_{4n})."""
-    if n == 1:
-        return Cyc.rational(1)
-    out = Cyc.rational(1)
+def sqrt_as_cyc(n: int) -> Scalar:
+    """sqrt(n) for squarefree n >= 1 as an element of Q(zeta_{4n}) (radicand 1)."""
+    out = Scalar.one()
     for p in _factorize(n):
         if p == 2:
-            root = Cyc(8, {1: Fraction(1), 7: Fraction(1)})
+            root = Scalar(8, {1: Fraction(1), 7: Fraction(1)}, _trusted=True)
         else:
-            g = Cyc(p, {})
+            g = Scalar(p, {}, _trusted=True)
             for k in range(p):
-                g = g + Cyc.zeta(p, (k * k) % p)
+                g = g + Scalar.zeta(p, (k * k) % p)
             if p % 4 == 1:
                 root = g
             else:
-                root = Cyc.zeta(4, 3) * g  # sqrt(p) = -i * (i sqrt(p))
+                root = Scalar.zeta(4, 3) * g  # sqrt(p) = -i * (i sqrt(p))
         out = out * root
     return out
-
-
-# ---------------------------------------------------------------------------
-# Scalar: exact sqrt(rad) * cyc
-# ---------------------------------------------------------------------------
-
-class Scalar:
-    """Amplitude value sqrt(rad) * cyc, rad a positive squarefree integer."""
-
-    __slots__ = ("rad", "cyc")
-
-    def __init__(self, rad: int, cyc: Cyc):
-        self.rad = rad
-        self.cyc = cyc
-
-    # -- constructors --------------------------------------------------------
-    @staticmethod
-    def exact(cyc: Cyc, rad_num: int | Fraction = 1, rad_den: int | Fraction = 1) -> "Scalar":
-        """sqrt(rad_num/rad_den) * cyc for rationals, normalised to an integer radicand."""
-        num, den = _rat(rad_num), _rat(rad_den)
-        if num <= 0 or den <= 0:
-            raise ValueError("radicand must be positive")
-        x = num / den
-        # sqrt(p/q) = sqrt(p*q)/q
-        s, r = split_square(x.numerator * x.denominator)
-        return Scalar(r, cyc.scale(Fraction(s, x.denominator)))
-
-    @staticmethod
-    def rational(x) -> "Scalar":
-        return Scalar(1, Cyc.rational(x))
-
-    @staticmethod
-    def zero() -> "Scalar":
-        return Scalar(1, Cyc.zero())
-
-    @staticmethod
-    def one() -> "Scalar":
-        return Scalar.rational(1)
-
-    @staticmethod
-    def phase(turns: Fraction) -> "Scalar":
-        """e^{2 pi i turns} for rational turns."""
-        t = _rat(turns)
-        return _phase_cached(t.numerator % t.denominator, t.denominator)
-
-    # -- radical handling ----------------------------------------------------
-    def lift_radical(self) -> "Scalar":
-        """Fold sqrt(rad) into the cyclotomic part (rad becomes 1)."""
-        if self.rad == 1:
-            return self
-        return Scalar(1, self.cyc * sqrt_as_cyc(self.rad))
-
-    # -- arithmetic ----------------------------------------------------------
-    @staticmethod
-    def _coerce(other) -> "Scalar":
-        """Scalars pass through and ints or Fractions become rational scalars."""
-        if isinstance(other, Scalar):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar.rational(other)
-        raise TypeError(f"cannot coerce {other!r} to an exact Scalar")
-
-    def __mul__(self, other) -> "Scalar":
-        if not isinstance(other, Scalar):
-            other = self._coerce(other)
-        if self.rad == 1 and other.rad == 1:
-            return Scalar(1, self.cyc * other.cyc)
-        s, r = split_square(self.rad * other.rad)
-        cyc = self.cyc * other.cyc
-        return Scalar(r, cyc if s == 1 else cyc.scale(s))
-
-    __rmul__ = __mul__
-
-    def __add__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if self.rad == other.rad:
-            return Scalar(self.rad, self.cyc + other.cyc)
-        a, b = self.lift_radical(), other.lift_radical()
-        return Scalar(1, a.cyc + b.cyc)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.rad, -self.cyc)
-
-    def __sub__(self, other) -> "Scalar":
-        other = self._coerce(other)
-        if (
-            self.rad == other.rad
-            and self.cyc.order == other.cyc.order
-            and self.cyc.coeffs == other.cyc.coeffs
-        ):
-            return Scalar(1, Cyc.zero())
-        return self + (-other)
-
-    def inv(self) -> "Scalar":
-        # 1/(sqrt(r) c) = sqrt(r) c^{-1} / r
-        return Scalar(self.rad, self.cyc.inverse().scale(Fraction(1, self.rad)))
-
-    def __truediv__(self, other) -> "Scalar":
-        return self * self._coerce(other).inv()
-
-    def conj(self) -> "Scalar":
-        return Scalar(self.rad, self.cyc.conj())
-
-    def __eq__(self, other) -> bool:
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def is_zero(self) -> bool:
-        return self.cyc.is_zero()
-
-    def canonical(self) -> "Scalar":
-        """The same value with its cyclotomic part in canonical form."""
-        return Scalar(self.rad, self.cyc.canonical())
-
-    def is_rational(self) -> bool:
-        return self.rad == 1 and self.cyc.is_rational()
-
-    def rational_value(self) -> Fraction:
-        if self.rad != 1:
-            if self.cyc.is_zero():
-                return Fraction(0)
-            raise ExactnessLost("scalar carries a radical factor")
-        return self.cyc.rational_value()
-
-    def sqrt_of_rational(self) -> "Scalar":
-        """sqrt of a nonnegative rational scalar (norms)."""
-        v = self.rational_value()
-        if v < 0:
-            raise ExactnessLost("negative radicand")
-        return Scalar.exact(Cyc.rational(1), v.numerator, v.denominator)
-
-    # -- numerics ------------------------------------------------------------
-    def to_complex(self) -> complex:
-        return self.cyc.eval() * math.sqrt(self.rad)
-
-    def __repr__(self) -> str:
-        if self.rad == 1:
-            return f"Scalar({self.cyc!r})"
-        return f"Scalar(sqrt({self.rad})*({self.cyc!r}))"
-
 
 # ---------------------------------------------------------------------------
 # public operations
@@ -513,14 +446,14 @@ class Scalar:
 
 @lru_cache(maxsize=20000)
 def _phase_cached(num: int, den: int) -> Scalar:
-    return Scalar(1, Cyc.zeta(den, num))
+    return Scalar.zeta(den, num)
 
 
 def root_of_unity(M: int, k: int) -> Scalar:
     """Exact zeta_M^k."""
     if M < 1:
         raise ValueError("order must be positive")
-    return Scalar(1, Cyc.zeta(M, k % M))
+    return Scalar.zeta(M, k)
 
 
 def gauss_sum(N: int) -> Scalar:
@@ -532,7 +465,7 @@ def gauss_sum(N: int) -> Scalar:
     for m in range(N):
         k = (m * m) % M
         counts[k] = counts.get(k, 0) + 1
-    return Scalar(1, Cyc(M, {k: Fraction(c) for k, c in counts.items()}, _trusted=True))
+    return Scalar(M, {k: Fraction(c) for k, c in counts.items()}, _trusted=True)
 
 
 # quadratic_phase_sum writes n = a B + b1 S + b0 with S = PHASE_SIDE and a block
@@ -646,10 +579,10 @@ def _accumulate(acc: dict, pairs, L: int, sign: int) -> None:
     get = acc.get
     for a, b in pairs:
         s, r = split_square(a.rad * b.rad)
-        sa, sb = sign * (L // a.cyc.order), L // b.cyc.order
-        for ka, fa in a.cyc.coeffs.items():
+        sa, sb = sign * (L // a.order), L // b.order
+        for ka, fa in a.coeffs.items():
             ka, na, da = ka * sa, fa.numerator * s, fa.denominator
-            for kb, fb in b.cyc.coeffs.items():
+            for kb, fb in b.coeffs.items():
                 key = (r, da * fb.denominator, (ka + kb * sb) % L)
                 acc[key] = get(key, 0) + na * fb.numerator
 
@@ -673,7 +606,7 @@ def _scalar_of(acc: dict, L: int, scale: int) -> Scalar:
         den = dens[r] * scale
         coeffs = {k: Fraction(n, den) for k, n in part.items() if n}
         if coeffs:
-            term = Scalar(r, Cyc(L, coeffs, _trusted=True))
+            term = Scalar(L, coeffs, r, _trusted=True)
             total = term if total is None else total + term
     return Scalar.zero() if total is None else total
 
@@ -686,13 +619,13 @@ def dot(xs, ys, conj: bool = False) -> Scalar:
     exponent at L, the lcm of the orders, and each term of the result
     becomes one Fraction at the end.
     """
-    pairs = [(a, b) for a, b in zip(xs, ys) if a.cyc.coeffs and b.cyc.coeffs]
+    pairs = [(a, b) for a, b in zip(xs, ys) if a.coeffs and b.coeffs]
     if not pairs:
         return Scalar.zero()
     if len(pairs) == 1:  # a single product: no accumulation to share
         a, b = pairs[0]
         return (a.conj() if conj else a) * b
-    L = lcm(*{s.cyc.order for pair in pairs for s in pair})
+    L = lcm(*{s.order for pair in pairs for s in pair})
     acc: dict[tuple[int, int, int], int] = {}
     _accumulate(acc, pairs, L, -1 if conj else 1)
     return _scalar_of(acc, L, 1)
@@ -707,13 +640,13 @@ def sum_abs2(forms) -> Scalar:
     to all forms.  |s|^2 = conj(s) s goes into one accumulator by the same
     rule, and each term of the result becomes one Fraction at the end.
     """
-    forms = [[(a, b) for a, b in zip(xs, ys) if a.cyc.coeffs and b.cyc.coeffs]
+    forms = [[(a, b) for a, b in zip(xs, ys) if a.coeffs and b.coeffs]
              for xs, ys in forms]
-    cycs = {id(s): s.cyc for form in forms for pair in form for s in pair}.values()
-    if not cycs:
+    values = {id(s): s for form in forms for pair in form for s in pair}.values()
+    if not values:
         return Scalar.zero()
-    L = lcm(*{c.order for c in cycs})
-    D2 = lcm(*{f.denominator for c in cycs for f in c.coeffs.values()}) ** 2
+    L = lcm(*{s.order for s in values})
+    D2 = lcm(*{f.denominator for s in values for f in s.coeffs.values()}) ** 2
     acc: dict[tuple[int, int, int], int] = {}
     for form in forms:
         terms: dict[tuple[int, int, int], int] = {}
@@ -722,7 +655,7 @@ def sum_abs2(forms) -> Scalar:
         for (r, d, k), n in terms.items():
             part = parts.setdefault(r, {})
             part[k] = part.get(k, 0) + n * (D2 // d)
-        ops = [Scalar(r, Cyc(L, {k: n for k, n in part.items() if n}, _trusted=True))
+        ops = [Scalar(L, {k: n for k, n in part.items() if n}, r, _trusted=True)
                for r, part in parts.items()]
         _accumulate(acc, [(x, y) for x in ops for y in ops], L, -1)
     return _scalar_of(acc, L, D2 * D2)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
-from .exactnum import Cyc, Scalar, sum_abs2
+from .exactnum import Scalar, sum_abs2
 from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
 from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner
 
@@ -37,7 +37,7 @@ class Embedding:
         if not self.sub.compatible(x.module):
             raise ModuleMismatch("vector does not live in the embedded module")
         return StateVec.from_pairs(self.amb, [(idx, c * b) for c, col in zip(x.amps, self.columns)
-                                              if c.cyc.coeffs for idx, b in col])
+                                              if c.coeffs for idx, b in col])
 
 
 @dataclass
@@ -83,7 +83,7 @@ def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
 
 def _amplitudes(M: ModuleRep, n: int):
     """t -> q^t/sqrt(n), each value built on first use and then shared."""
-    inv_sqrt_n = Scalar.exact(Cyc.rational(1), 1, n)
+    inv_sqrt_n = Scalar.exact(Scalar.one(), 1, n)
     return cache(lambda t: inv_sqrt_n * M.q_power(t))
 
 

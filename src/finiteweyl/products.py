@@ -3,7 +3,7 @@
 It has two strategies.  Large sums of one-term entries zeta_M^k c sqrt(r)
 go to a kernel in which each output coordinate is one numpy exponent
 histogram, and the histograms are reduced to the Zumbroich basis of
-Q(zeta_L) together, from the table `Cyc.canonical` reads.  Integer
+Q(zeta_L) together, from the table `Scalar.canonical` reads.  Integer
 counts are held in float64 only while they stay below 2^53, and the
 one-term forms guessed from float values are verified exactly.  Every
 other sum is gathered per coordinate and summed by `dot`, a coordinate of
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import Cyc, Scalar, _factorize, _monomial_rows, dot, split_square, sqrt_as_cyc
+from .exactnum import Scalar, _factorize, _monomial_rows, dot, split_square, sqrt_as_cyc
 
 
 # Fewest nonzero products the histogram kernel takes on.  Measured crossover
@@ -118,7 +118,7 @@ def _monomial_side(objs):
     rad = None
     out = []
     for s in objs:
-        coeffs = s.cyc.coeffs
+        coeffs = s.coeffs
         if not coeffs:
             out.append((1, 0, 0))
             continue
@@ -126,7 +126,7 @@ def _monomial_side(objs):
             return None
         rad = s.rad
         (k, c), = coeffs.items()
-        out.append((s.cyc.order, k, c))
+        out.append((s.order, k, c))
     return (1 if rad is None else rad), out
 
 
@@ -146,9 +146,9 @@ def _exact_arrays(entries, L: int):
 def _probe_terms(cols) -> int:
     """Nonzero entries at the first nonzero coordinate of the first nonzero column."""
     for col in cols:
-        j = next((j for j, a in enumerate(col) if a.cyc.coeffs), None)
+        j = next((j for j, a in enumerate(col) if a.coeffs), None)
         if j is not None:
-            return sum(1 for c in cols if c[j].cyc.coeffs)
+            return sum(1 for c in cols if c[j].coeffs)
     return 0
 
 
@@ -269,15 +269,14 @@ def _monomial_products(rows, cols, dim: int, conj: bool):
             nz = np.flatnonzero(counts)
             if not len(nz):
                 return zero
-            return Scalar(r, Cyc(L, {b: Fraction(int(n) * s, den) for b, n
-                                     in zip(red.basis[nz].tolist(), counts[nz].tolist())},
-                                 _trusted=True))
+            return Scalar(L, {b: Fraction(int(n) * s, den) for b, n
+                              in zip(red.basis[nz].tolist(), counts[nz].tolist())}, r, _trusted=True)
         out = shared.get(found)
         if out is None:
             t, r2, j = found
             s2, rr = split_square(r * r2)
             g = gcd(j, L)
-            out = Scalar(rr, Cyc(L // g, {j // g: Fraction(s * s2 * t, den)}, _trusted=True))
+            out = Scalar(L // g, {j // g: Fraction(s * s2 * t, den)}, rr, _trusted=True)
             shared[found] = out
         return out
 
@@ -316,7 +315,7 @@ def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[S
     each row, one term or many.
     """
     n = min((len(r) for r in rows), default=0)
-    live = [i for i in range(min(n, len(cols))) if any(r[i].cyc.coeffs for r in rows)]
+    live = [i for i in range(min(n, len(cols))) if any(r[i].coeffs for r in rows)]
     sub = rows if len(live) == n else [[r[i] for i in live] for r in rows]
     out = _monomial_products(sub, [cols[i] for i in live], dim, conj)
     if out is not None:
@@ -325,7 +324,7 @@ def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[S
     amps: list[list[Scalar]] = [[] for _ in range(dim)]
     for i in live:
         for j, a in enumerate(cols[i]):
-            if a.cyc.coeffs:
+            if a.coeffs:
                 idx[j].append(i)
                 amps[j].append(a)
     zero = Scalar.zero()

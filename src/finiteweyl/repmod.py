@@ -17,7 +17,7 @@ from functools import cache
 from math import gcd
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from .exactnum import Cyc, Scalar, _phase_cached, dot
+from .exactnum import Scalar, _phase_cached, dot
 from .lattice import GenWord, WeylDesc, _mod1
 
 
@@ -115,7 +115,7 @@ class StateVec:
 
     def scale(self, s) -> "StateVec":
         s = Scalar._coerce(s)
-        return StateVec(self.module, [s * a if a.cyc.coeffs else a for a in self.amps])
+        return StateVec(self.module, [s * a if a.coeffs else a for a in self.amps])
 
     def _check(self, other: "StateVec"):
         if not self.module.compatible(other.module):
@@ -183,7 +183,7 @@ def apply_word(w: GenWord, x: StateVec) -> StateVec:
     amps = x.amps
     for j in range(N):
         src = amps[(j + n) % N]
-        if src.cyc.coeffs and not src.is_zero():
+        if src.coeffs and not src.is_zero():
             out[j] = factor(j * m % N) * src
     return StateVec(M, out)
 
@@ -194,7 +194,7 @@ def u_basis(M: ModuleRep) -> list[StateVec]:
 
 def _v_amplitudes(M: ModuleRep) -> list[Scalar]:
     """q^r/sqrt(N) for r mod N: since q^N = 1, every amplitude of the V-basis."""
-    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, M.dim)
+    inv_sqrt = Scalar.exact(Scalar.one(), 1, M.dim)
     return [inv_sqrt * M.q_power(r) for r in range(M.dim)]
 
 
@@ -247,20 +247,19 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
     N = M.dim
 
     # S^N and T^N are central: scalars e^{2 pi i t}; divide by their
-    # principal N-th roots e^{2 pi i t/N}
-    s0_inv = Scalar.phase(_mod1(-_kernel_turns(S ** N, M) / N))
+    # principal N-th roots e^{2 pi i t/N}, for S by walking S e^{-2 pi i t/N}
     t_inv = Scalar.phase(_mod1(-_kernel_turns(T ** N, M) / N))
 
     m, n = alg.word_coords(S)
-    factor = _word_factor(S, M)
+    factor = _word_factor(S * GenWord(0, 0, -_kernel_turns(S ** N, M) / N), M)
     seed = None
     for start in range(N):
         acc = M.basis_vector(start)
         i, c = start, acc.amps[start]
         for _ in range(N - 1):
-            # the entry apply_word(S, .) then scale(s0_inv) would give
+            # the entry apply_word of the walked word would give
             i = (i - n) % N
-            c = s0_inv * (factor(i * m % N) * c)
+            c = factor(i * m % N) * c
             acc.amps[i] = acc.amps[i] + c
         if not acc.is_zero():
             seed = acc

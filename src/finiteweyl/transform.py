@@ -38,7 +38,7 @@ from .errors import (
     OddOrder,
     OutOfRange,
 )
-from .exactnum import Cyc, Scalar, dot
+from .exactnum import Scalar, dot
 from .lattice import (GenWord, Mat2, WeylDesc, lattice_intersect, mat_det, mat_inv, mat_mul, rat_gcd,
                       word_image)
 from .morphism import summand
@@ -123,7 +123,7 @@ class RegUnitary:
         for g in self.domain:
             xs = [amps[j] for j, _ in g]
             c = Scalar.zero()
-            if any(a.cyc.coeffs for a in xs):
+            if any(a.coeffs for a in xs):
                 bs = [b for _, b in g]
                 c = dot(bs, xs, conj=True)
                 if not all((a - c * bj).is_zero() for a, bj in zip(xs, bs)):
@@ -165,7 +165,7 @@ def _kernel_images(M: ModuleRep, n: int, k: int, dim: int, g: Mat2, const: Scala
     period, dim_r = N // nr, N // (nr * kr)
     D = lcm(a.denominator, b.denominator, c.denominator, e.denominator)
     A, B, C, E = (int(x * D) for x in (a, b, c, e))
-    amp = Scalar.exact(Cyc.rational(1), 1, nr)  # every amplitude of a principal summand vector
+    amp = Scalar.exact(Scalar.one(), 1, nr)  # every amplitude of a principal summand vector
     zero = Scalar.zero()
     rows = []
     if B == 0:
@@ -179,7 +179,7 @@ def _kernel_images(M: ModuleRep, n: int, k: int, dim: int, g: Mat2, const: Scala
         P = 2 * abs(B) * N
         if (2 * D * period * k) % P or (2 * A * period * kr) % P or (A * period * period) % P:
             return None
-        phases = _Phases(M, 2 * B, const * Scalar.exact(Cyc.rational(1), 1, dim_r) * amp)
+        phases = _Phases(M, 2 * B, const * Scalar.exact(Scalar.one(), 1, dim_r) * amp)
         # the exponent at (m, j) is lin m j + quad[j] - E k^2 m^2
         lin = 2 * D * k * kr
         quad = [-A * (kr * j) ** 2 % P for j in range(dim_r)]
@@ -317,7 +317,7 @@ def _composite_images(L2: RegUnitary, L1: RegUnitary, g: Mat2, C_rows, first: St
     images = _kernel_images(Mr, n, k, L1.dim, g, Scalar.one())
     if images is None:
         return None
-    i, t = next((i, a) for i, a in enumerate(images[0].amps) if a.cyc.coeffs)
+    i, t = next((i, a) for i, a in enumerate(images[0].amps) if a.coeffs)
     c = first.amps[i] / t
     images = [img.scale(c.canonical()) for img in images]
     return images if all((a - b).is_zero() for a, b in zip(images[0].amps, first.amps)) else None
@@ -412,7 +412,7 @@ def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[Conjuga
                 continue
             rhs = apply_word(Wimg, L.image(m))
             for a, b in zip(lhs.amps, rhs.amps):
-                if a.cyc.coeffs or b.cyc.coeffs:
+                if a.coeffs or b.coeffs:
                     d = a - b
                     if not d.is_zero():
                         ok = False

@@ -20,7 +20,7 @@ from finiteweyl.dirac import (
     qho_trace,
     weakring_max_phase_error,
 )
-from finiteweyl.exactnum import Cyc, Scalar, gauss_sum, gauss_sum_float, root_of_unity
+from finiteweyl.exactnum import Scalar, gauss_sum, gauss_sum_float, root_of_unity
 from finiteweyl.lattice import GenWord, WeylDesc
 from finiteweyl.morphism import decompose, embed_pbeta, pairing_row_sum
 from finiteweyl.repmod import SpecPoint, StateVec, apply_word, build_module, inner, v_basis
@@ -53,7 +53,7 @@ class TestAcceptance:
         for N in range(2, 65):
             M = principal(N)
             vb = v_basis(M)
-            inv_sqrt = Scalar.exact(Cyc.rational(1), 1, N)
+            inv_sqrt = Scalar.exact(Scalar.rational(1), 1, N)
             for m in range(N):
                 for k in range(N):
                     val = inner(M.basis_vector(k), vb[m])
@@ -67,7 +67,7 @@ class TestAcceptance:
         ok = True
         for N in range(2, 65, 2):
             # G(N) = sqrt(N) e^{i pi/4} exactly, i.e. cc = sqrt(N)/G(N) = e^{-i pi/4}
-            if not (gauss_sum(N) - Scalar.exact(Cyc.zeta(8, 1), N, 1)).is_zero():
+            if not (gauss_sum(N) - Scalar.exact(Scalar.zeta(8, 1), N, 1)).is_zero():
                 ok = False
         for N in (2, 16, 128, 510, 1024, 2050, 4096):
             cc = math.sqrt(N) / gauss_sum_float(N)
@@ -187,7 +187,7 @@ class TestAcceptance:
                 ok = False
             # row sums equal 1 exactly for a random exact unit vector
             amps = [
-                Scalar.exact(Cyc.rational(1), 1, NA) * root_of_unity(NA, rng.randrange(NA))
+                Scalar.exact(Scalar.rational(1), 1, NA) * root_of_unity(NA, rng.randrange(NA))
                 for _ in range(NA)
             ]
             f = StateVec(Mamb, amps)

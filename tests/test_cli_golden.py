@@ -5,7 +5,7 @@ golden_cli.json holds, per command, its argv, exit code and stdout as
 paths were merged.  Commands whose output is a numpy float sum
 (`propagator`, `trace`, `converge`) are left out: their last bits may
 differ between machines.  `basis` prints each amplitude in the one
-canonical form of `Cyc.canonical` (the Zumbroich basis at the conductor),
+canonical form of `Scalar.canonical` (the Zumbroich basis at the conductor),
 which does not depend on how the value was built; the N = 6 bases were
 re-recorded when that form replaced the power basis (ζ₆ had printed as
 `1/6*z6^1`, and −1 − ζ₃ as `-1/6 + -1/6*z3^1`).  Every recorded `basis`
@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from finiteweyl.cli import main, parse_desc
-from finiteweyl.exactnum import Cyc, Scalar
+from finiteweyl.exactnum import Scalar
 from finiteweyl.lattice import GenWord
 from finiteweyl.repmod import SpecPoint, build_module, s_basis, u_basis, v_basis
 
@@ -41,12 +41,12 @@ def value(text):
     each term `c` or `c*zM^k`."""
     m = re.fullmatch(r"Scalar\((?:sqrt\((\d+)\)\*\((.*)\)|(.*))\)", text)
     rad, terms = (int(m[1]), m[2]) if m[1] else (1, m[3])
-    cyc = Cyc.zero()
+    total = Scalar.zero()
     for term in terms.split(" + "):
         c, _, root = term.partition("*z")
         order, _, k = root.partition("^")
-        cyc = cyc + Cyc(int(order or 1), {int(k or 0): Fraction(c)})
-    return Scalar(rad, cyc)
+        total = total + Scalar(int(order or 1), {int(k or 0): Fraction(c)})
+    return Scalar.exact(total, rad)
 
 
 @pytest.mark.parametrize("case", BASES, ids=[" ".join(c["argv"]) for c in BASES])

@@ -1,11 +1,13 @@
-"""Exact values are built directly only where their representation is decided.
+"""Exact values are built and read apart only where their representation is decided.
 
-`exactnum` owns the Cyc and Scalar representations, and `products` decodes
-its histogram kernel's sums into them.  Every other module builds exact
-values through their arithmetic or named constructors (Scalar.phase,
-Cyc.rational, ...), so each convention about orders, exponents and
+`exactnum` owns the Scalar representation, and `products` decodes its
+histogram kernel's sums into it.  Every other module builds exact values
+through their arithmetic or named constructors (Scalar.phase,
+Scalar.rational, ...), so each convention about orders, exponents and
 radicands lives in one place.  A direct `Scalar(...)` or `Cyc(...)` call
-in any other module of the package fails this test.
+in any other module of the package fails this test.  So does a read of
+`.cyc`, the factor without the radical, anywhere in the package but
+`exactnum`: other modules read `.order`, `.coeffs` and `.rad` directly.
 """
 
 import ast
@@ -31,10 +33,25 @@ def direct_constructions(tree):
             if isinstance(node, ast.Call) and (name := called_name(node.func)) in CLASSES]
 
 
+def cyc_reads(tree):
+    """Lines that read an attribute named `cyc`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "cyc" and isinstance(node.ctx, ast.Load))
+
+
+def parsed_modules(skip):
+    return {p.name: ast.parse(p.read_text(), filename=str(p))
+            for p in sorted(PACKAGE.glob("*.py")) if p.stem not in skip}
+
+
 def test_only_owners_construct_exact_values():
-    found = {p.name: direct_constructions(ast.parse(p.read_text(), filename=str(p)))
-             for p in sorted(PACKAGE.glob("*.py")) if p.stem not in OWNERS}
+    found = {name: direct_constructions(tree) for name, tree in parsed_modules(OWNERS).items()}
     assert {name: calls for name, calls in found.items() if calls} == {}
+
+
+def test_only_exactnum_reads_cyc():
+    found = {name: cyc_reads(tree) for name, tree in parsed_modules({"exactnum"}).items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_checker_flags_bare_and_qualified_calls_only():
@@ -47,3 +64,17 @@ def test_checker_flags_bare_and_qualified_calls_only():
         "g = [Cyc(2, {}) for _ in range(3)]\n"
     )
     assert sorted(direct_constructions(tree)) == [(1, "Scalar"), (3, "Cyc"), (6, "Cyc")]
+
+
+def test_checker_flags_cyc_reads_only():
+    # a read anywhere in an expression counts; a store, a name and another
+    # attribute that merely contains "cyc" do not
+    tree = ast.parse(
+        "a = s.cyc.coeffs\n"
+        "b = f(x.cyc)\n"
+        "s.cyc = c\n"
+        "cyc = s.coeffs\n"
+        "d = s.cyclic + s.cyc_order\n"
+        "e = [t.cyc for t in xs]\n"
+    )
+    assert cyc_reads(tree) == [1, 2, 6]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from finiteweyl import morphism, products, repmod
 from finiteweyl.errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
-from finiteweyl.exactnum import Cyc, Scalar, dot, root_of_unity, sum_abs2
+from finiteweyl.exactnum import Scalar, dot, root_of_unity, sum_abs2
 from finiteweyl.lattice import (
     GenWord,
     WeylDesc,
@@ -296,10 +296,9 @@ class TestRowSums:
         M = module_of_dim(9)
         B = sub_desc(M, 3, 1)
         # random unit vector with root-of-unity amplitudes / sqrt(N)
-        from finiteweyl.exactnum import Cyc
 
         amps = [
-            Scalar.exact(Cyc.rational(1), 1, 9) * root_of_unity(9, rng.randrange(9))
+            Scalar.exact(Scalar.rational(1), 1, 9) * root_of_unity(9, rng.randrange(9))
             for _ in range(9)
         ]
         f = StateVec(M, amps)
@@ -317,7 +316,7 @@ def decompose_oracle(M, B):
     N = M.dim
     NB = N // (n * k)
     q = M.q_phase
-    inv_sqrt_n = Scalar.exact(Cyc.rational(1), 1, n)
+    inv_sqrt_n = Scalar.exact(Scalar.rational(1), 1, n)
     out = []
     for ell_u in range(n):
         for ell_v in range(k):
@@ -355,12 +354,12 @@ def embed_oracle(Msub, Mamb, parts, root=0):
 def terms(vec):
     """A vector's amplitudes as (radicand, order, coefficients): equal only
     when built the same way, not merely equal in value."""
-    return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in vec.amps]
+    return [(a.rad, a.order, a.coeffs) for a in vec.amps]
 
 
 def pair_terms(pairs):
     """(index, radicand, order, coefficients) of each (index, amplitude) pair."""
-    return [(j, a.rad, a.cyc.order, a.cyc.coeffs) for j, a in pairs]
+    return [(j, a.rad, a.order, a.coeffs) for j, a in pairs]
 
 
 # (N, n, k, ambient point, extra u/v root steps): qho's B = <U^5, V^15> at
@@ -393,7 +392,7 @@ class TestSummandAgainstOracle:
         for ell, (beta, basis) in enumerate(oracle):
             got_beta, pairs = summand(M, B, *divmod(ell, k))
             assert got_beta == parts[ell][0] == beta
-            support = [[(j, a) for j, a in enumerate(v.amps) if a.cyc.coeffs] for v in basis]
+            support = [[(j, a) for j, a in enumerate(v.amps) if a.coeffs] for v in basis]
             assert [pair_terms(g) for g in pairs] == [pair_terms(g) for g in support]
             assert [terms(v) for v in parts[ell][1]] == [terms(v) for v in basis]
 
@@ -407,7 +406,7 @@ class TestSummandAgainstOracle:
             ell_u = ell // 2
             for v in basis:
                 for idx, a in enumerate(v.amps):
-                    if a.cyc.coeffs:
+                    if a.coeffs:
                         ids.setdefault(ell_u * idx % 24, set()).add(id(a))
         assert len(ids) == 24 and all(len(group) == 1 for group in ids.values())
         _, pairs = summand(M, B, 2, 1)
@@ -440,7 +439,7 @@ class TestSummandAgainstOracle:
         for ell, (beta, _) in enumerate(parts):
             Msub = build_module(B, beta)
             NB = Msub.dim
-            dense = StateVec(Msub, [Scalar((1, 2, 3, 6)[j % 4], Cyc(12, {j: F(1, j + 1), j + 5: F(-3)}))
+            dense = StateVec(Msub, [Scalar(12, {j: F(1, j + 1), j + 5: F(-3)}, (1, 2, 3, 6)[j % 4])
                                     for j in range(NB)])
             for root in (0, 1):
                 emb = embed_pbeta(Msub, Mamb, root=root)
@@ -510,11 +509,11 @@ def random_amplitude(rng):
     order = rng.choice([4, 6, 8, 12])
     terms = {rng.randrange(order): F(rng.randint(-3, 3) or 1, rng.randint(1, 4))
              for _ in range(rng.randint(1, 3))}
-    return Scalar(rng.choice([1, 2, 3, 6]), Cyc(order, terms))
+    return Scalar(order, terms, rng.choice([1, 2, 3, 6]))
 
 
 def unit_vector(M, rng):
-    c = Scalar.exact(Cyc.rational(1), 1, M.dim)
+    c = Scalar.exact(Scalar.rational(1), 1, M.dim)
     return StateVec(M, [c * root_of_unity(M.dim, rng.randrange(M.dim)) for _ in range(M.dim)])
 
 

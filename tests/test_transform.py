@@ -17,7 +17,7 @@ from finiteweyl.errors import (
     OddOrder,
     OutOfRange,
 )
-from finiteweyl.exactnum import Cyc, Scalar, dot
+from finiteweyl.exactnum import Scalar, dot
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1, mat_inv
 from finiteweyl.morphism import decompose, summand
 from finiteweyl.repmod import (
@@ -55,7 +55,7 @@ def sub_v_basis(L):
     # infer the domain clock step from the ambient module: q^(N/Nb)
     M = L.ambient_dom
     step = M.dim // Nb
-    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
+    inv_sqrt = Scalar.exact(Scalar.rational(1), 1, Nb)
     out = []
     for p in range(Nb):
         vec = StateVec(M, [Scalar.zero()] * M.dim)
@@ -100,7 +100,7 @@ class TestFourier:
         for m in (0, 3, 5):
             for k in (0, 1, 7):
                 val = inner(Phi.ambient_ran.basis_vector(k), Phi.image(m))
-                expect = Scalar.exact(Cyc.rational(1), 1, 8) * M.q_power(k * m)
+                expect = Scalar.exact(Scalar.rational(1), 1, 8) * M.q_power(k * m)
                 assert (val - expect).is_zero()
 
 
@@ -192,7 +192,7 @@ class TestDiagonal:
     def test_m2_n4_averages(self):
         M = principal_module(4)
         D = diagonal(M, 2)
-        half = Scalar.exact(Cyc.rational(1), 1, 2)
+        half = Scalar.exact(Scalar.rational(1), 1, 2)
         for k in range(2):
             expect = (M.basis_vector(k) + M.basis_vector(k + 2)).scale(half)
             assert (D.image(k) - expect).is_zero()
@@ -364,7 +364,7 @@ class TestQHO:
             for m in range(K.dim):
                 lhs = inner(K.dom(n), K.image(m))
                 expo = F(e * c * c * ((n * n + m * m) * f - 2 * c * n * m), 2) * M.q_phase
-                rhs = C0 * Scalar.exact(Cyc.rational(1), e * c, 225) * Scalar.phase(expo - int(expo))
+                rhs = C0 * Scalar.exact(Scalar.rational(1), e * c, 225) * Scalar.phase(expo - int(expo))
                 assert (lhs - rhs).is_zero()
 
     def test_unitary_and_conjugations(self):
@@ -400,7 +400,7 @@ class TestQHO:
 def qho_images_oracle(M, e, f, c):
     """Oracle: the QHO images built by adding each term to a zero amplitude."""
     N = M.dim
-    pref = Scalar.phase(F(-1, 8)) * Scalar.exact(Cyc.rational(1), e, N)
+    pref = Scalar.phase(F(-1, 8)) * Scalar.exact(Scalar.rational(1), e, N)
     images = []
     for m in range(N // (c * c * e)):
         amps = [Scalar.zero()] * N
@@ -426,9 +426,9 @@ class TestQHOAgainstOracle:
         # C0 sqrt(3/225) = zeta_8^{-1} sqrt(3)/15: each image amplitude is one
         # root of unity times sqrt(3), not sqrt(3) folded into a 4-term sum
         K = qho_evolution(principal_module(225), 3, 4, 5)
-        nonzero = [a for img in K.images for a in img.amps if a.cyc.coeffs]
+        nonzero = [a for img in K.images for a in img.amps if a.coeffs]
         assert len(nonzero) == K.dim * 225 // 3
-        assert all(a.rad == 3 and len(a.cyc.coeffs) == 1 for a in nonzero)
+        assert all(a.rad == 3 and len(a.coeffs) == 1 for a in nonzero)
 
 
 def qho_diagonal_sum(K):
@@ -449,7 +449,7 @@ class TestQHOTrace:
     def test_diagonal_sum_closed_form(self, triple, L):
         e, f, c = triple
         K = qho_evolution(principal_module(e * c * c * (c - f) * L), e, f, c)
-        root = Scalar.exact(Cyc.rational(1), 2 * (c - f), c)  # sqrt(2(c-f)/c)
+        root = Scalar.exact(Scalar.rational(1), 2 * (c - f), c)  # sqrt(2(c-f)/c)
         minus_i = Scalar.phase(F(3, 4))
         if L % 4 == 0:
             expect = minus_i * root
@@ -475,7 +475,7 @@ def gaussian_images_oracle(M, b, d):
     _, h = decompose(M, WeylDesc(d * M.alg.a, abs(b) * M.alg.b))[0]
     half_qb = F(b * d) * M.q_phase / 2
     cc = Scalar.phase(F(-1 if b * d > 0 else 1, 8))
-    inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
+    inv_sqrt = Scalar.exact(Scalar.rational(1), 1, Nb)
     weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
     rows = [[weight[abs(l - m)] for l in range(Nb)] for m in range(Nb)]
     return products.linear_combinations(rows, [v.amps for v in h], M.dim)
@@ -484,7 +484,7 @@ def gaussian_images_oracle(M, b, d):
 def terms(amps):
     """Amplitudes as (radicand, order, coefficients): equal only when built
     the same way, not merely equal in value."""
-    return [(a.rad, a.cyc.order, a.cyc.coeffs) for a in amps]
+    return [(a.rad, a.order, a.coeffs) for a in amps]
 
 
 def builder_images_oracle(kind, M, *params):
@@ -499,7 +499,7 @@ def builder_images_oracle(kind, M, *params):
         _, h = summand(M, WeylDesc(d * A.a, abs(b) * A.b))
         half_qb = F(b * d) * M.q_phase / 2
         cc = Scalar.phase(F(-1 if b * d > 0 else 1, 8))
-        inv_sqrt = Scalar.exact(Cyc.rational(1), 1, Nb)
+        inv_sqrt = Scalar.exact(Scalar.rational(1), 1, Nb)
         row = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) * h[0][0][1] for t in range(Nb)]
         images = []
         for m in range(Nb):
@@ -514,7 +514,7 @@ def builder_images_oracle(kind, M, *params):
         _, ran = summand(M, WeylDesc(m * A.a, A.b))
         return [StateVec.from_pairs(M, g).amps for g in ran]
     e, f, c = params
-    pref = Scalar.phase(F(-1, 8)) * Scalar.exact(Cyc.rational(1), e, N)
+    pref = Scalar.phase(F(-1, 8)) * Scalar.exact(Scalar.rational(1), e, N)
     table, images = {}, []
     for m in range(N // (c * c * e)):
         amps = [Scalar.zero()] * N
@@ -884,7 +884,7 @@ class TestWrongMatrix:
         L2, L1 = diagonal(M, 3), gaussian(M, 3, 2)
         dense = compose_images_oracle(L2, L1)
         images = transform._kernel_images(M, 2, 3, L1.dim, mat_mul(L1.gL, L2.gL), Scalar.one())
-        i = next(i for i, a in enumerate(images[0].amps) if a.cyc.coeffs)
+        i = next(i for i, a in enumerate(images[0].amps) if a.coeffs)
         c = dense[0][i] / images[0].amps[i]
         assert same_images([img.scale(c) for img in images], dense)
         assert transform._kernel_images(M, 2, 3, L1.dim, mat_mul(L2.gL, L1.gL), Scalar.one()) is None
@@ -918,7 +918,7 @@ class TestApplyAgainstOracle:
         M = principal_module(12)
         Phi = fourier(M)
         x = fourier(Phi.ambient_ran).apply(Phi.image(4))
-        assert sum(1 for a in x.amps if a.cyc.coeffs and a.is_zero()) == 11
+        assert sum(1 for a in x.amps if a.coeffs and a.is_zero()) == 11
         D = diagonal(M, 2)
         assert same_vector(D.apply(x), apply_oracle(D, x))
         assert same_vector(D.apply(x), D.image(4))
@@ -927,7 +927,7 @@ class TestApplyAgainstOracle:
         D = diagonal(principal_module(24), 2)
         K = qho_evolution(principal_module(225), 3, 4, 5)
         amps = list(K.dom(1).amps)
-        j = next(j for j, a in enumerate(amps) if a.cyc.coeffs)
+        j = next(j for j, a in enumerate(amps) if a.coeffs)
         amps[j] = amps[j] * K.ambient_dom.q_power(1)
         refused = [
             (D, principal_module(24).basis_vector(1), NotIncluded),  # off the support
@@ -942,7 +942,7 @@ class TestApplyAgainstOracle:
 
     def test_overlapping_supports_rejected(self):
         G = gaussian(principal_module(8))
-        overlapping = [[(j, a) for j, a in enumerate(img.amps) if a.cyc.coeffs] for img in G.images]
+        overlapping = [[(j, a) for j, a in enumerate(img.amps) if a.coeffs] for img in G.images]
         with pytest.raises(ValueError, match="disjoint"):
             replace(G, domain=overlapping)
 
