@@ -192,6 +192,8 @@ class Scalar:
 
     @staticmethod
     def zeta(M: int, k: int = 1) -> "Scalar":
+        if M < 1:
+            raise ValueError("order must be positive")
         return Scalar(M, {k % M: Fraction(1)}, _trusted=True)
 
     @staticmethod
@@ -375,7 +377,7 @@ class Scalar:
         v = self.rational_value()
         if v < 0:
             raise ExactnessLost("negative radicand")
-        return Scalar.exact(Scalar.one(), v.numerator, v.denominator)
+        return Scalar.exact(Scalar.one(), v.numerator, v.denominator) if v else Scalar.zero()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Scalar, int, Fraction)):
@@ -451,8 +453,6 @@ def _phase_cached(num: int, den: int) -> Scalar:
 
 def root_of_unity(M: int, k: int) -> Scalar:
     """Exact zeta_M^k."""
-    if M < 1:
-        raise ValueError("order must be positive")
     return Scalar.zeta(M, k)
 
 

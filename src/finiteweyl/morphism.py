@@ -5,18 +5,18 @@ n*k irreducible B-submodules, reached in two steps (first the U-power,
 then the V-power).  Local embeddings V_B(beta) -> V_A(alpha) intertwine
 the B-action and preserve inner products; they are unique up to an
 n_B-th root of unity, which is why only |<.|.>|^2 survives globally.
+Every amplitude is read from one `repmod.PhaseTable` of scaled powers of q.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
 from .exactnum import Scalar, sum_abs2
 from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
-from .repmod import ModuleRep, SpecPoint, StateVec, build_module, inner
+from .repmod import ModuleRep, PhaseTable, SpecPoint, StateVec, build_module, inner
 
 
 @dataclass
@@ -81,23 +81,26 @@ def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
     return _summand(M, n, k, ell_u, ell_v, _amplitudes(M, n))
 
 
-def _amplitudes(M: ModuleRep, n: int):
-    """t -> q^t/sqrt(n), each value built on first use and then shared."""
-    inv_sqrt_n = Scalar.exact(Scalar.one(), 1, n)
-    return cache(lambda t: inv_sqrt_n * M.q_power(t))
+def _amplitudes(M: ModuleRep, n: int, c: Scalar = Scalar.one()) -> PhaseTable:
+    """t -> c q^t/sqrt(n)."""
+    return PhaseTable(M.q_phase, 1, Scalar.exact(c, 1, n))
 
 
-def _supports(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
-    """For each basis vector g_m' of the branch (ell_u, ell_v) summand, its n
-    support pairs (idx, amp(ell_u idx mod N)), idx = (k m' + ell_v + r N/n) mod N."""
+def _support_indices(M: ModuleRep, n: int, k: int, ell_v: int) -> list[list[int]]:
+    """The n support indices (k m' + ell_v + r N/n) mod N of each g_m' of a branch ell_v summand."""
     N = M.dim
-    for mp in range(N // (n * k)):
-        idxs = [(k * mp + ell_v + r * N // n) % N for r in range(n)]
-        yield [(idx, amp(ell_u * idx % N)) for idx in idxs]
+    return [[(k * mp + ell_v + r * N // n) % N for r in range(n)] for mp in range(N // (n * k))]
+
+
+def _supports(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp: PhaseTable):
+    """For each basis vector g_m' of the branch (ell_u, ell_v) summand, its n
+    support pairs (idx, amp[ell_u idx mod N])."""
+    N = M.dim
+    return [[(idx, amp[ell_u * idx % N]) for idx in idxs] for idxs in _support_indices(M, n, k, ell_v)]
 
 
 def _summand(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
-    return _summand_params(M, n, k, ell_u, ell_v)[2], list(_supports(M, n, k, ell_u, ell_v, amp))
+    return _summand_params(M, n, k, ell_u, ell_v)[2], _supports(M, n, k, ell_u, ell_v, amp)
 
 
 def _summand_params(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int):
@@ -137,19 +140,15 @@ def embed_pbeta(Msub: ModuleRep, Mamb: ModuleRep, root: int = 0) -> Embedding:
     if sigma is None or tau is None:
         raise BadBranch("submodule roots are incompatible with the summand")
 
-    # column j is summand vector (j + sigma) mod NB times the alignment
-    # phase qB^{tau j} and the root's phase, together e^{2 pi i t/D} for the
-    # integer t = (tau j qB + root/NB) D mod D, D = NB * denominator(qB)
-    basis = list(_supports(Mamb, n, k, *divmod(ell, k), _amplitudes(Mamb, n)))
-    D = NB * qB.denominator
-    cols = []
-    for j in range(NB):
-        g = basis[(j + sigma) % NB]
-        t = (tau * j * qB.numerator * NB + root % NB * qB.denominator) % D
-        if t:
-            ph = Scalar.phase(Fraction(t, D))
-            g = [(idx, ph * a) for idx, a in g]
-        cols.append(g)
+    # column j is summand vector (j + sigma) mod NB times the alignment phase
+    # qB^{tau j} = q^{nk tau j} and the root's phase: at its index idx each
+    # entry is zeta_NB^root q^{nk tau j + ell_u idx}/sqrt(n)
+    N = Mamb.dim
+    ell_u, ell_v = divmod(ell, k)
+    idxs = _support_indices(Mamb, n, k, ell_v)
+    amp = _amplitudes(Mamb, n, Scalar.phase(Fraction(root, NB)))
+    cols = [[(idx, amp[(n * k * tau * j + ell_u * idx) % N]) for idx in idxs[(j + sigma) % NB]]
+            for j in range(NB)]
     return Embedding(Msub, Mamb, ell, cols)
 
 

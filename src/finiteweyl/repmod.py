@@ -6,14 +6,15 @@ The reference model fixes V_A(alpha) as the coordinate space F^N with
 
 for chosen N-th roots u, v of the spectral parameters.  All canonical
 bases (V-basis, general S-bases) are explicit vectors in this model, so
-every operator identity becomes a finite matrix identity.
+every operator identity becomes a finite matrix identity.  Every amplitude
+of the action is a scaled power of q, and `PhaseTable` is the one memo of
+them: the module's own q_powers, and each scaled table a caller builds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from math import gcd
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
@@ -41,10 +42,28 @@ class SpecPoint:
         return SpecPoint(Fraction(0), Fraction(0))
 
 
+class PhaseTable(dict):
+    """k -> scale * q^{k/den} for integer or rational k, each value built once,
+    on first use, from the lowest-terms exponent of q^{k/den}."""
+
+    def __init__(self, q: Fraction, den: int = 1, scale: Scalar | None = None):
+        super().__init__()
+        self.num = q.numerator if den > 0 else -q.numerator  # q^{k/den} = q^{-k/|den|}
+        self.den, self.scale = q.denominator * abs(den), scale
+
+    def __missing__(self, k) -> Scalar:
+        D = k.denominator * self.den  # t/D = k q/den mod 1, put in lowest terms without a Fraction
+        t = k.numerator * self.num % D
+        g = gcd(t, D)
+        out = _phase_cached(t // g, D // g)
+        out = self[k] = out if self.scale is None else self.scale * out
+        return out
+
+
 class ModuleRep:
     """Concrete irreducible module V_A(alpha) with a fixed reference U-basis."""
 
-    __slots__ = ("alg", "point", "dim", "u_phase", "v_phase", "q_phase", "_qpow")
+    __slots__ = ("alg", "point", "dim", "u_phase", "v_phase", "q_phase", "q_powers")
 
     def __init__(self, alg: WeylDesc, point: SpecPoint, u_phase: Fraction, v_phase: Fraction):
         N = alg.N
@@ -56,19 +75,11 @@ class ModuleRep:
         self.u_phase = _mod1(u_phase)
         self.v_phase = _mod1(v_phase)
         self.q_phase = alg.q_phase
-        self._qpow: dict = {}
+        self.q_powers = PhaseTable(self.q_phase)
 
     # -- scalars of the action ------------------------------------------------
     def q_power(self, k) -> Scalar:
-        out = self._qpow.get(k)
-        if out is None:
-            q = self.q_phase  # t/D = k q mod 1, put in lowest terms without a Fraction
-            D = k.denominator * q.denominator
-            t = k.numerator * q.numerator % D
-            g = gcd(t, D)
-            out = _phase_cached(t // g, D // g)
-            self._qpow[k] = out
-        return out
+        return self.q_powers[k]
 
     # -- vectors ---------------------------------------------------------------
     def basis_vector(self, k: int) -> "StateVec":
@@ -138,15 +149,9 @@ class StateVec:
 # operations
 # ---------------------------------------------------------------------------
 
-def build_module(A: WeylDesc, point: SpecPoint, u_phase: Fraction | None = None,
-                 v_phase: Fraction | None = None) -> ModuleRep:
-    """Instantiate V_A(alpha); roots default to principal values."""
-    N = A.N
-    if u_phase is None:
-        u_phase = point.u_phase / N
-    if v_phase is None:
-        v_phase = point.v_phase / N
-    return ModuleRep(A, point, u_phase, v_phase)
+def build_module(A: WeylDesc, point: SpecPoint) -> ModuleRep:
+    """Instantiate V_A(alpha) with the principal roots; `ModuleRep` takes others."""
+    return ModuleRep(A, point, point.u_phase / A.N, point.v_phase / A.N)
 
 
 def _kernel_turns(w: GenWord, M: ModuleRep) -> Fraction:
@@ -157,15 +162,12 @@ def _kernel_turns(w: GenWord, M: ModuleRep) -> Fraction:
     return _mod1(w.phase + m * M.u_phase + n * M.v_phase)
 
 
-def _word_factor(w: GenWord, M: ModuleRep):
+def _word_factor(w: GenWord, M: ModuleRep) -> PhaseTable:
     """t -> kernel * q^t, the factor w puts on entry j of M at t = j m mod N
-    (q^N = 1), each value built on first use and then shared.  With no kernel
-    phase that is M.q_power itself: 1 * q^t is q^t, term for term."""
+    (q^N = 1).  With no kernel phase that is M.q_powers itself, shared by
+    every call: 1 * q^t is q^t, term for term."""
     turns = _kernel_turns(w, M)
-    if not turns:
-        return M.q_power
-    kernel = Scalar.phase(turns)
-    return cache(lambda t: kernel * M.q_power(t))
+    return PhaseTable(M.q_phase, 1, Scalar.phase(turns)) if turns else M.q_powers
 
 
 def apply_word(w: GenWord, x: StateVec) -> StateVec:
@@ -184,7 +186,7 @@ def apply_word(w: GenWord, x: StateVec) -> StateVec:
     for j in range(N):
         src = amps[(j + n) % N]
         if src.coeffs and not src.is_zero():
-            out[j] = factor(j * m % N) * src
+            out[j] = factor[j * m % N] * src
     return StateVec(M, out)
 
 
@@ -195,7 +197,7 @@ def u_basis(M: ModuleRep) -> list[StateVec]:
 def _v_amplitudes(M: ModuleRep) -> list[Scalar]:
     """q^r/sqrt(N) for r mod N: since q^N = 1, every amplitude of the V-basis."""
     inv_sqrt = Scalar.exact(Scalar.one(), 1, M.dim)
-    return [inv_sqrt * M.q_power(r) for r in range(M.dim)]
+    return [inv_sqrt * M.q_powers[r] for r in range(M.dim)]
 
 
 def v_vector(M: ModuleRep, m: int) -> StateVec:
@@ -259,7 +261,7 @@ def s_basis(M: ModuleRep, S: GenWord, T: GenWord) -> list[StateVec]:
         for _ in range(N - 1):
             # the entry apply_word of the walked word would give
             i = (i - n) % N
-            c = factor(i * m % N) * c
+            c = factor[i * m % N] * c
             acc.amps[i] = acc.amps[i] + c
         if not acc.is_zero():
             seed = acc

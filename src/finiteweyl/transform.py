@@ -11,13 +11,14 @@ By Schur's lemma g = [[alpha, beta], [gamma, delta]] fixes the images up to
 one constant, and `_kernel_images` writes them from g.  For beta != 0 the
 domain vector at position y (U e_y = q^y e_y) goes to the range vectors at
 x with the kernel q^{(2xy - alpha x^2 - delta y^2)/(2 beta)}, if that is
-periodic in x on the range summand; for beta = gamma = 0 it goes to the one
-range vector at x = y/alpha.  The builders fix the constant as 1/sqrt(dim)
-times 1 (Fourier) or the Gauss constant e^{-i pi/4} (Gaussian, conjugate
-for t < 0, and QHO), and as 1 for the diagonal.  `compose` fixes it with one
-dense L2.apply(L1.image(0)); it applies L2 to every image for a kernel that
-is not periodic (G o G) or has beta = 0 but not gamma = 0, and when the
-common subalgebra misses V^k of the domain <U^n, V^k>.
+periodic in x on the range summand, each distinct phase read from one
+`repmod.PhaseTable`; for beta = gamma = 0 it goes to the one range vector at
+x = y/alpha.  The builders fix the constant as 1/sqrt(dim) times 1 (Fourier)
+or the Gauss constant e^{-i pi/4} (Gaussian, conjugate for t < 0, and QHO),
+and as 1 for the diagonal.  `compose` fixes it with one dense
+L2.apply(L1.image(0)); it applies L2 to every image for a kernel that is not
+periodic (G o G) or has beta = 0 but not gamma = 0, and when the common
+subalgebra misses V^k of the domain <U^n, V^k>.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .exactnum import Scalar, dot
 from .lattice import (GenWord, Mat2, WeylDesc, lattice_intersect, mat_det, mat_inv, mat_mul, rat_gcd,
                       word_image)
 from .morphism import summand
-from .repmod import ModuleRep, SpecPoint, StateVec, apply_word, linear_combination
+from .repmod import ModuleRep, PhaseTable, SpecPoint, StateVec, apply_word, linear_combination
 
 
 def _frac_mat(rows) -> Mat2:
@@ -136,25 +137,14 @@ class RegUnitary:
 # the kernel of an SL(2,Q) matrix
 # ---------------------------------------------------------------------------
 
-class _Phases(dict):
-    """Integer t -> scale * q^{t/den}, each value built on first use."""
-
-    def __init__(self, M: ModuleRep, den: int, scale: Scalar):
-        super().__init__()
-        self.num, self.den, self.scale = M.q_phase.numerator, M.q_phase.denominator * den, scale
-
-    def __missing__(self, t: int) -> Scalar:
-        v = self[t] = self.scale * Scalar.phase(Fraction(self.num * t, self.den))
-        return v
-
-
 def _kernel_images(M: ModuleRep, n: int, k: int, dim: int, g: Mat2, const: Scalar) -> list[StateVec] | None:
     """Images in M of the first `dim` principal <U^n, V^k>-summand vectors under
     the transform of g (the module docstring's kernel times const/sqrt(dim'),
     const for beta = 0), or None where that does not hold.  Vector m sits at
     y = k m, range vector h_j of the principal <U^n', V^k'>-summand, the smallest
-    holding the images of U^n and V^k, at x = k' j.  Each distinct phase is built
-    once, keyed by its integer exponent mod 2|beta|N; each image is one slice store.
+    holding the images of U^n and V^k, at x = k' j.  The scaled phases come from
+    one PhaseTable with den = 2 beta, keyed by their integer exponent mod 2|beta|N;
+    each image is one slice store.
     """
     N = M.dim
     (a, b), (c, e) = g
@@ -179,7 +169,7 @@ def _kernel_images(M: ModuleRep, n: int, k: int, dim: int, g: Mat2, const: Scala
         P = 2 * abs(B) * N
         if (2 * D * period * k) % P or (2 * A * period * kr) % P or (A * period * period) % P:
             return None
-        phases = _Phases(M, 2 * B, const * Scalar.exact(Scalar.one(), 1, dim_r) * amp)
+        phases = PhaseTable(M.q_phase, 2 * B, const * Scalar.exact(Scalar.one(), 1, dim_r) * amp)
         # the exponent at (m, j) is lin m j + quad[j] - E k^2 m^2
         lin = 2 * D * k * kr
         quad = [-A * (kr * j) ** 2 % P for j in range(dim_r)]

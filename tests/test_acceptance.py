@@ -23,7 +23,7 @@ from finiteweyl.dirac import (
 from finiteweyl.exactnum import Scalar, gauss_sum, gauss_sum_float, root_of_unity
 from finiteweyl.lattice import GenWord, WeylDesc
 from finiteweyl.morphism import decompose, embed_pbeta, pairing_row_sum
-from finiteweyl.repmod import SpecPoint, StateVec, apply_word, build_module, inner, v_basis
+from finiteweyl.repmod import ModuleRep, SpecPoint, StateVec, apply_word, build_module, inner, v_basis
 from finiteweyl.transform import (
     compose,
     diagonal,
@@ -120,7 +120,7 @@ class TestAcceptance:
         for N, d, n in [(8, 2, 1), (12, 2, 2), (16, 4, 3), (24, 3, 1)]:
             A = WeylDesc(1, F(1, N))
             M1 = build_module(A, SpecPoint.principal_point())
-            M2 = build_module(A, SpecPoint.principal_point(), u_phase=F(0), v_phase=F(d * n, N))
+            M2 = ModuleRep(A, SpecPoint.principal_point(), F(0), F(d * n, N))
             G1, G2 = gaussian(M1, b=1, d=d), gaussian(M2, b=1, d=d)
             ratios = []
             for m in range(G1.dim):

@@ -83,6 +83,13 @@ class TestRootOfUnity:
         assert root_of_unity(6, 7) == root_of_unity(6, 1)
         assert root_of_unity(5, -1) == root_of_unity(5, 4)
 
+    @pytest.mark.parametrize("M", [0, -4])
+    @pytest.mark.parametrize("build", [Scalar.zeta, root_of_unity], ids=["zeta", "root_of_unity"])
+    def test_order_below_one_refused(self, build, M):
+        # both names refuse alike, before any value is built
+        with pytest.raises(ValueError, match="order must be positive"):
+            build(M, 1)
+
 
 class TestConjugate:
     def test_identity(self):
@@ -496,6 +503,14 @@ class TestZeroAndEquality:
         assert not w.is_rational()
         with pytest.raises(ExactnessLost):
             w.rational_value()
+
+    def test_sqrt_of_rational(self):
+        assert Scalar.zero().sqrt_of_rational() == 0
+        assert Scalar.zero().sqrt_of_rational().is_zero()
+        assert Scalar.rational(Fraction(9, 4)).sqrt_of_rational() == Fraction(3, 2)
+        assert Scalar.rational(2).sqrt_of_rational() == Scalar.exact(Scalar.one(), 2)
+        with pytest.raises(ExactnessLost):
+            Scalar.rational(-1).sqrt_of_rational()
 
     def test_equal_to_plain_numbers(self):
         assert Scalar.rational(1) == 1 and 1 == Scalar.rational(1)

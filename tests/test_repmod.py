@@ -11,6 +11,8 @@ from finiteweyl.errors import ExactnessLost, ModuleMismatch, NotGenerating, NotI
 from finiteweyl.exactnum import Scalar, dot, root_of_unity, sqrt_as_cyc
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1
 from finiteweyl.repmod import (
+    ModuleRep,
+    PhaseTable,
     StateVec,
     SpecPoint,
     apply_word,
@@ -21,6 +23,7 @@ from finiteweyl.repmod import (
     u_basis,
     v_basis,
     _kernel_turns,
+    _word_factor,
 )
 
 
@@ -179,6 +182,44 @@ class TestBuildModule:
         w = word_U(M) ** 3
         vec = apply_word(w, M.basis_vector(0))
         assert vec.amps[0] == Scalar.phase(F(1, 2))
+
+
+class TestPhaseTable:
+    SCALES = {"none": None, "1/sqrt3": Scalar.exact(Scalar.one(), 1, 3), "zeta8": Scalar.zeta(8)}
+
+    @pytest.mark.parametrize("den", [1, 2, 6, -2])
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_values_match_phase(self, den, scale):
+        # scale * q^{k/den} against Scalar.phase, for integer and Fraction k,
+        # at q = 5/12 (a negative den is the Gaussian kernel's 2 beta < 0)
+        q, c = F(5, 12), self.SCALES[scale]
+        table = PhaseTable(q, den, c)
+        keys = [*range(-30, 31), *(F(j, 3) for j in range(-20, 21))]
+        for k in keys:
+            want = Scalar.phase(_mod1(F(k) * q / den))
+            assert table[k] == (want if c is None else c * want)
+        # each value is built once and then shared
+        assert len(table) == len(set(keys))
+        assert all(table[k] is table[k] for k in keys)
+
+    def test_unscaled_values_are_the_phase_cache(self):
+        table = PhaseTable(F(1, 8))
+        assert table[3] is Scalar.phase(F(3, 8))
+
+    def test_module_table(self):
+        M = build_module(WeylDesc(1, F(1, 12)), SpecPoint.principal_point())
+        assert M.q_power(5) is M.q_powers[5] and M.q_power(F(1, 2)) is M.q_powers[F(1, 2)]
+
+    def test_word_factor_shares_the_module_table(self):
+        # a word with no kernel phase reads the module's own table, so repeated
+        # apply_word calls share its q-powers; a phased word gets its own table
+        M = build_module(WeylDesc(1, F(1, 12)), SpecPoint.principal_point())
+        assert _word_factor(word_U(M, 5), M) is M.q_powers
+        assert _word_factor(GenWord(-M.alg.a, 2 * M.alg.b), M) is M.q_powers
+        w = GenWord(M.alg.a, 0, F(1, 3))
+        factor = _word_factor(w, M)
+        assert factor is not M.q_powers
+        assert all(factor[t] == Scalar.phase(F(1, 3)) * M.q_power(t) for t in range(12))
 
 
 class TestVBasis:
@@ -461,7 +502,7 @@ class TestGamma:
             M = build_module(A, SpecPoint.principal_point())
         else:
             point = SpecPoint(F(1, 5), F(2, 3))
-            M = build_module(A, point, u_phase=(point.u_phase + 1) / N, v_phase=(point.v_phase + N - 1) / N)
+            M = ModuleRep(A, point, (point.u_phase + 1) / N, (point.v_phase + N - 1) / N)
             assert M.u_phase and M.v_phase
         rng = random.Random(N)
         x = StateVec(M, [random_amplitude(rng, N, 0.8) for _ in range(N)])
@@ -680,8 +721,8 @@ class TestApplyWordAgainstOracle:
         N = rng.choice([3, 4, 6, 8, 12])
         A = WeylDesc(F(rng.choice([1, 2])), F(1, N * rng.choice([1, 2])))
         point = SpecPoint(F(rng.randrange(5), 5), F(rng.randrange(3), 3))
-        M = build_module(A, point, u_phase=(point.u_phase + rng.randrange(N)) / A.N,
-                         v_phase=(point.v_phase + rng.randrange(N)) / A.N)
+        M = ModuleRep(A, point, (point.u_phase + rng.randrange(N)) / A.N,
+                      (point.v_phase + rng.randrange(N)) / A.N)
         x = random_vectors(rng, M, 1)[0]
         w = GenWord(rng.randrange(-2 * N, 2 * N) * A.a, rng.randrange(-2 * N, 2 * N) * A.b,
                     F(rng.randrange(-7, 8), rng.choice([1, 2, 8, 2 * N])))
@@ -780,7 +821,7 @@ class TestSBasisAgainstOracle:
     def test_word_with_a_phase_on_a_non_principal_module(self):
         A = WeylDesc(F(1), F(1, 6))
         point = SpecPoint(F(1, 5), F(2, 3))
-        M = build_module(A, point, u_phase=(point.u_phase + 2) / A.N, v_phase=(point.v_phase + 1) / A.N)
+        M = ModuleRep(A, point, (point.u_phase + 2) / A.N, (point.v_phase + 1) / A.N)
         S = GenWord(A.a, -2 * A.b, F(3, 7))
         T = GenWord(0, A.b, F(1, 4))
         assert S.commutator_phase(T) == M.q_phase
@@ -809,7 +850,7 @@ class TestSBasisPhaseNormalisation:
             M = build_module(A, SpecPoint.principal_point())
         else:
             point = SpecPoint(*point)
-            M = build_module(A, point, u_phase=(point.u_phase + 2) / A.N, v_phase=(point.v_phase + 1) / A.N)
+            M = ModuleRep(A, point, (point.u_phase + 2) / A.N, (point.v_phase + 1) / A.N)
         S, T = {
             "U,V": (word_U(M), word_V(M)),
             "V,U^-1": (word_V(M), word_U(M).inv()),

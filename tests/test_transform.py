@@ -176,7 +176,7 @@ class TestGaussian:
         N, b, d = 8, 1, 2
         A = WeylDesc(1, F(1, N))
         for n in (1, 2, 3):
-            M = build_module(A, SpecPoint.principal_point(), u_phase=F(0), v_phase=F(d * n, N))
+            M = ModuleRep(A, SpecPoint.principal_point(), F(0), F(d * n, N))
             G = gaussian(M, b=b, d=d)
             assert (G.ambient_ran.u_phase, G.ambient_ran.v_phase) == (F(n, N), F(d * n, N))
             assert all(rep.holds for rep in verify_conjugation(G))
