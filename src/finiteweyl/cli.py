@@ -3,8 +3,10 @@
 Exit codes: 0 when all invoked checks pass tolerance, 1 on a tolerance
 failure, 2 on precondition violations (the violated condition is named).
 Rational inputs are strings "p/q" to avoid float parsing ambiguity.
-Only the float subcommands import `dirac`, so the exact ones start
-without numpy.
+Only the float subcommands import `dirac`, and the exact ones load numpy
+only through `repmod.linear_combinations`, once their sums pass
+PRODUCTS_IMPORT products: `lattice`, `basis`, `pairing` and small
+`transform` runs start and finish without it.
 """
 
 from __future__ import annotations

@@ -27,6 +27,14 @@ from .transform import check_triple, gaussian_dim, qho_dim
 # scale parameters
 # ---------------------------------------------------------------------------
 
+def _positive_h(h) -> Fraction:
+    """h as a Fraction, refused unless positive."""
+    h = Fraction(h)
+    if h <= 0:
+        raise DivisibilityViolation("h must be a positive rational")
+    return h
+
+
 @dataclass(frozen=True)
 class ScaleParams:
     """Planck fraction h and lattice scale mu; N = mu^2/h must be even."""
@@ -35,9 +43,7 @@ class ScaleParams:
     mu: int
 
     def __post_init__(self):
-        object.__setattr__(self, "h", Fraction(self.h))
-        if self.h <= 0:
-            raise DivisibilityViolation("h must be a positive rational")
+        object.__setattr__(self, "h", _positive_h(self.h))
         if self.mu <= 0:
             raise DivisibilityViolation("mu must be a positive integer")
         if self.mu % self.h.numerator or self.mu % self.h.denominator:
@@ -59,7 +65,7 @@ class ScaleParams:
 
 def auto_mu(h: Fraction, divisors: list[int], min_mu: int = 2) -> int:
     """Smallest even mu divisible by h's parts and all required indices."""
-    h = Fraction(h)
+    h = _positive_h(h)
     base = math.lcm(2, h.numerator, h.denominator, *(d for d in divisors if d))
     k = (min_mu + base - 1) // base
     return base * max(1, k)

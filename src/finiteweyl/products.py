@@ -1,17 +1,15 @@
-"""Exact sums of products: linear_combinations, the one entry point.
+"""The histogram kernel for exact sums of products, and the one module that
+imports numpy at load time.
 
-It has two strategies.  Large sums of one-term entries zeta_M^k c sqrt(r)
-go to a kernel in which each output coordinate is one numpy exponent
+`repmod.linear_combinations` routes a sum here, and imports this module on
+first use, only when numpy pays for itself (its PRODUCTS_MIN and
+PRODUCTS_IMPORT).  The kernel takes sums of one-term entries
+zeta_M^k c sqrt(r): each output coordinate is one numpy exponent
 histogram, and the histograms are reduced to the Zumbroich basis of
 Q(zeta_L) together, from the table `Scalar.canonical` reads.  Integer
 counts are held in float64 only while they stay below 2^53, and the
-one-term forms guessed from float values are verified exactly.  Every
-other sum is gathered per coordinate and summed by `dot`, a coordinate of
-a single product included.  `repmod` and `transform` import this module,
-and so numpy, on first use: a process that never sums a product (the
-float kernels, every CLI command but `transform`) does not load it.  A
-`transform` run does, and from N = 8 on its kernel runs too: the unitary
-check's Gram matrix of N dense images has N^3 >= PRODUCTS_MIN products.
+one-term forms guessed from float values are verified exactly.  Where the
+kernel declines, the caller sums by `dot`.
 """
 
 from __future__ import annotations
@@ -25,13 +23,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exactnum import Scalar, _factorize, _monomial_rows, dot, split_square, sqrt_as_cyc
+from . import repmod
+from .exactnum import Scalar, _factorize, _monomial_rows, split_square, sqrt_as_cyc
 
 
-# Fewest nonzero products the histogram kernel takes on.  Measured crossover
-# against the per-coordinate `dot` path on dense applies: equal at 144
-# products (Fourier, N = 12), the kernel 1.6x faster at 256 (N = 16).
-PRODUCTS_MIN = 256
 # Bytes of numpy temporaries one chunk of the histogram kernel may hold; the
 # operands add a 4-byte index and a 1-byte mask per entry on top.
 PRODUCTS_CHUNK_BYTES = 8 << 20
@@ -143,15 +138,6 @@ def _exact_arrays(entries, L: int):
     return exps, np.array(nums, dtype=np.float64), big, den
 
 
-def _probe_terms(cols) -> int:
-    """Nonzero entries at the first nonzero coordinate of the first nonzero column."""
-    for col in cols:
-        j = next((j for j, a in enumerate(col) if a.coeffs), None)
-        if j is not None:
-            return sum(1 for c in cols if c[j].coeffs)
-    return 0
-
-
 def _split_square_over(m: int, primes) -> tuple[int, int] | None:
     """(t, r) with m = t^2 r, r a product of the given primes and squarefree;
     None when m has a square-free part outside them."""
@@ -210,7 +196,7 @@ def _monomials(H, reduced, L: int, red: _Reduction):
     return out
 
 
-def _monomial_products(rows, cols, dim: int, conj: bool):
+def monomial_products(rows, cols, dim: int, conj: bool):
     """[[sum_i row[i] * cols[i][j] for j < dim] for row in rows] as lists of
     Scalars, with conj(row[i]) in place of row[i] when conj is set, or None
     where this kernel does not apply.
@@ -227,18 +213,13 @@ def _monomial_products(rows, cols, dim: int, conj: bool):
     comes back as that one-term Scalar at minimal order; others as their
     terms on that basis.
 
-    Returns None, for the per-coordinate path, when the inputs have fewer
-    than PRODUCTS_MIN nonzero products, when the first nonzero coordinate
-    of the first nonzero column has one term (no sum to share), when an
-    entry has several terms or a side mixes radicands, and when the
-    float64 sums could pass 2^53 (the largest numerators' product times n
-    times the reduction's growth).  The one-term rule is reached only by
-    the sigma checks' applies that combine a single image, as for QHO at
-    N = 450 (six calls in a verify at sample 3).
+    Returns None, for the caller's per-coordinate path, when the inputs
+    have fewer than `repmod.PRODUCTS_MIN` nonzero products, when an entry
+    has several terms or a side mixes radicands, and when the float64 sums
+    could pass 2^53 (the largest numerators' product times n times the
+    reduction's growth).
     """
     n = len(cols)
-    if len(rows) * n * dim < PRODUCTS_MIN or _probe_terms(cols) < 2:
-        return None
     xslots, xobjs = _intern(cols, dim)
     xside = _monomial_side(xobjs)
     rslots, robjs = _intern(rows, n)
@@ -247,7 +228,7 @@ def _monomial_products(rows, cols, dim: int, conj: bool):
         return None
     nzx = np.array([c != 0 for _, _, c in xside[1]])[xslots]
     nzr = np.array([c != 0 for _, _, c in rside[1]])[rslots]
-    if int(nzr.sum(axis=0) @ nzx.sum(axis=1)) < PRODUCTS_MIN:
+    if int(nzr.sum(axis=0) @ nzx.sum(axis=1)) < repmod.PRODUCTS_MIN:
         return None
 
     L = lcm(2, *{o for o, _, _ in rside[1]}, *{o for o, _, _ in xside[1]})
@@ -302,31 +283,3 @@ def _monomial_products(rows, cols, dim: int, conj: bool):
         result.append(coords)
     return result
 
-
-def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[Scalar]]:
-    """[[sum_i row[i] * cols[i][j] for j < dim] for row in rows], with
-    conj(row[i]) in place of row[i] when conj is set.
-
-    As with zip, entries past the shortest row are ignored, and columns
-    whose entry is zero in every row are skipped.  Sums of at least
-    PRODUCTS_MIN nonzero products go to the histogram kernel.  Otherwise,
-    or when that kernel declines, one scan of the columns' nonzero entries
-    gathers the terms of each coordinate and `dot` sums each coordinate of
-    each row, one term or many.
-    """
-    n = min((len(r) for r in rows), default=0)
-    live = [i for i in range(min(n, len(cols))) if any(r[i].coeffs for r in rows)]
-    sub = rows if len(live) == n else [[r[i] for i in live] for r in rows]
-    out = _monomial_products(sub, [cols[i] for i in live], dim, conj)
-    if out is not None:
-        return out
-    idx: list[list[int]] = [[] for _ in range(dim)]
-    amps: list[list[Scalar]] = [[] for _ in range(dim)]
-    for i in live:
-        for j, a in enumerate(cols[i]):
-            if a.coeffs:
-                idx[j].append(i)
-                amps[j].append(a)
-    zero = Scalar.zero()
-    return [[dot([r[i] for i in ix], am, conj=conj) if ix else zero
-             for ix, am in zip(idx, amps)] for r in rows]

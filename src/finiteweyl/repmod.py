@@ -13,6 +13,7 @@ them: the module's own q_powers, and each scaled table a caller builds.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -218,11 +219,84 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
     return [StateVec(M, [amp[(m * k) % N] for k in range(N)]) for m in range(N)]
 
 
-def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
-    """sum_i coeffs[i] * vecs[i], by `products.linear_combinations`."""
-    from . import products  # compiled on first use only
+# Fewest products (rows x live columns x dim) worth the histogram kernel of
+# `products` once numpy is loaded.  Measured against `dot` (2-vCPU host,
+# Python 3.11, numpy 2.4): the N = 12 Fourier Gram (1728 products) takes
+# 2.0-2.5 ms with the kernel and 3.8-5.3 ms without, a dense apply at N = 16
+# (256 products) 0.32-0.50 ms and 0.56-0.97 ms; at N = 12 (144) they tie.
+PRODUCTS_MIN = 256
+# Products a process without numpy sums by `dot` in kernel-sized sums before
+# it imports `products`: the kernel saves 1.4-3 us per product on Grams of
+# N = 12-36, so 2^15 products cost about one numpy import (60-140 ms there).
+PRODUCTS_IMPORT = 1 << 15
+# Products of kernel-sized sums that went to `dot` while numpy was not loaded.
+_dot_products = 0
 
-    sums, = products.linear_combinations([coeffs], [v.amps for v in vecs], module.dim)
+
+def _probe_terms(cols) -> int:
+    """Nonzero entries at the first nonzero coordinate of the first nonzero column."""
+    for col in cols:
+        j = next((j for j, a in enumerate(col) if a.coeffs), None)
+        if j is not None:
+            return sum(1 for c in cols if c[j].coeffs)
+    return 0
+
+
+def _take_kernel(size: int, cols) -> bool:
+    """Whether a sum of `size` products over `cols` goes to the histogram kernel.
+
+    It takes sums of at least PRODUCTS_MIN products whose first nonzero
+    coordinate has two terms or more (else there is no sum to share).
+    Before numpy is loaded, such a sum goes to `dot` instead and counts
+    toward PRODUCTS_IMPORT; the sum that brings the count there imports
+    numpy with the kernel, so a process pays `dot` time of about one import
+    at most before it does.
+    """
+    global _dot_products
+    if size < PRODUCTS_MIN or _probe_terms(cols) < 2:
+        return False
+    if "numpy" in sys.modules:
+        return True
+    _dot_products += size
+    return _dot_products >= PRODUCTS_IMPORT
+
+
+def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[Scalar]]:
+    """[[sum_i row[i] * cols[i][j] for j < dim] for row in rows], with
+    conj(row[i]) in place of row[i] when conj is set.
+
+    As with zip, entries past the shortest row are ignored, and columns
+    whose entry is zero in every row are skipped.  Sums the router
+    (`_take_kernel`) gives to the histogram kernel go to
+    `products.monomial_products`.  Otherwise, or when that kernel declines,
+    one scan of the columns' nonzero entries gathers the terms of each
+    coordinate and `dot` sums each coordinate of each row, one term or many.
+    """
+    n = min((len(r) for r in rows), default=0)
+    live = [i for i in range(min(n, len(cols))) if any(r[i].coeffs for r in rows)]
+    cols = [cols[i] for i in live]
+    if _take_kernel(len(rows) * len(live) * dim, cols):
+        from . import products  # the one import site: it loads numpy
+
+        sub = rows if len(live) == n else [[r[i] for i in live] for r in rows]
+        out = products.monomial_products(sub, cols, dim, conj)
+        if out is not None:
+            return out
+    idx: list[list[int]] = [[] for _ in range(dim)]
+    amps: list[list[Scalar]] = [[] for _ in range(dim)]
+    for i, col in zip(live, cols):
+        for j, a in enumerate(col):
+            if a.coeffs:
+                idx[j].append(i)
+                amps[j].append(a)
+    zero = Scalar.zero()
+    return [[dot([r[i] for i in ix], am, conj=conj) if ix else zero
+             for ix, am in zip(idx, amps)] for r in rows]
+
+
+def linear_combination(module: ModuleRep, coeffs, vecs) -> StateVec:
+    """sum_i coeffs[i] * vecs[i], by `linear_combinations`."""
+    sums, = linear_combinations([coeffs], [v.amps for v in vecs], module.dim)
     return StateVec(module, sums)
 
 

@@ -43,7 +43,8 @@ from .exactnum import Scalar, dot
 from .lattice import (GenWord, Mat2, WeylDesc, lattice_intersect, mat_det, mat_inv, mat_mul, rat_gcd,
                       word_image)
 from .morphism import summand
-from .repmod import ModuleRep, PhaseTable, SpecPoint, StateVec, apply_word, linear_combination
+from .repmod import (ModuleRep, PhaseTable, SpecPoint, StateVec, apply_word, linear_combination,
+                     linear_combinations)
 
 
 def _frac_mat(rows) -> Mat2:
@@ -373,13 +374,11 @@ def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[Conjuga
     reports = []
     idx = range(L.dim) if sample is None or L.dim <= sample else range(0, L.dim, max(1, L.dim // sample))
 
-    from . import products  # compiled on first use only
-
     worst = 0.0
     ok = True
     # the images' Gram matrix as one product
     imgs = [L.image(i).amps for i in idx]
-    gram = products.linear_combinations(imgs, list(zip(*imgs)), len(imgs), conj=True)
+    gram = linear_combinations(imgs, list(zip(*imgs)), len(imgs), conj=True)
     for a, i in enumerate(idx):
         # distinct domain vectors have disjoint supports: <dom i|dom j> = 0
         supp = [b for _, b in L.domain[i]]

@@ -308,8 +308,12 @@ class TestPreconditionRefusals:
          "grid point outside the submodule window"),
         (["propagator", "qho", "--triple", "6,8,10", "--mu", "1200"], "NotPythagorean"),
         (["propagator", "free", "--t", "1/2", "--h", "-1", "--mu", "12"], "h must be a positive rational"),
+        (["trace", "qho", "--h", "0", "--mu", "auto"], "h must be a positive rational"),
+        (["propagator", "free", "--h", "0", "--mu", "auto"], "h must be a positive rational"),
+        (["propagator", "qho", "--h", "0", "--mu", "auto"], "h must be a positive rational"),
         (["basis", "--alg", "1,1/6", "--which", "s"], "--which s requires --s-word and --t-word"),
-    ], ids=["trace-4|L", "qho-window", "free-window", "not-primitive", "negative-h", "s-without-words"])
+    ], ids=["trace-4|L", "qho-window", "free-window", "not-primitive", "negative-h", "zero-h-auto-trace",
+            "zero-h-auto-free", "zero-h-auto-qho", "s-without-words"])
     def test_exit_2_names_the_precondition(self, capsys, argv, message):
         code = main(argv)
         captured = capsys.readouterr()
@@ -388,11 +392,30 @@ class TestOutputFile:
         assert list(tmp_path.iterdir()) == []
 
 
+def numpy_after(argvs):
+    """Exit codes of the argvs run in one fresh interpreter, and whether numpy
+    was loaded after them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from finiteweyl.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
 class TestNumpyFree:
-    # the exact commands, `propagator qho` (scalar cmath) and float commands
-    # refused before any sum, run in one process that must never load numpy
-    COMMANDS = [(case["argv"], case["exit"]) for case in GOLDEN
-                if case["argv"][0] != "transform"] + [
+    # every golden command (the exact ones, transforms whose sums stay below
+    # repmod.PRODUCTS_IMPORT), `propagator qho` (scalar cmath) and float
+    # commands refused before any sum, run in one process that must never
+    # load numpy
+    COMMANDS = [(case["argv"], case["exit"]) for case in GOLDEN] + [
         (["propagator", "qho"], 0),
         (["trace", "qho", "--mu", "7"], 2),
         (["trace", "qho", "--triple", "3,4,5", "--mu", "16"], 2),
@@ -401,22 +424,15 @@ class TestNumpyFree:
     ]
 
     def test_commands_leave_numpy_out(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = (
-            "import contextlib, io, json, sys\n"
-            "from finiteweyl.cli import main\n"
-            "codes = []\n"
-            "for argv in json.loads(sys.argv[1]):\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        codes.append(main(argv))\n"
-            "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
-        )
-        argvs = json.dumps([argv for argv, _ in self.COMMANDS])
-        proc = subprocess.run([sys.executable, "-c", code, argvs], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
-        codes, numpy_loaded = json.loads(proc.stdout)
+        codes, numpy_loaded = numpy_after([argv for argv, _ in self.COMMANDS])
         assert codes == [expected for _, expected in self.COMMANDS]
         assert not numpy_loaded
+
+    def test_large_transform_loads_numpy(self):
+        # its Gram matrix alone has 36^3 > PRODUCTS_IMPORT products: the
+        # histogram kernel pays for the import
+        assert 36 ** 3 >= repmod.PRODUCTS_IMPORT
+        assert numpy_after([["transform", "--name", "fourier", "--n", "36"]]) == [[0], True]
 
 
 class ReadRecorder(argparse.Namespace):

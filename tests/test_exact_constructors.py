@@ -12,6 +12,11 @@ Scaled powers of q are memoised by `repmod.PhaseTable` alone: a `dict`
 subclass, or a lambda wrapped in `functools.cache`/`lru_cache`, in any
 other module fails here too (a decorated def, a cache of a function of
 its own arguments, does not count).
+numpy is loaded only where an array pays for its import: `products` is the
+one package module that imports it at load time, and the package imports
+`products` at one site, inside `repmod.linear_combinations`, which decides
+when the histogram kernel is worth that import.  Any other module-level
+import of numpy, or any other import of `products`, fails here.
 """
 
 import ast
@@ -22,6 +27,8 @@ OWNERS = {"exactnum", "products"}
 CLASSES = {"Scalar", "Cyc"}
 MEMO_OWNER = "repmod"
 CACHES = {"cache", "lru_cache"}
+NUMPY_OWNER = "products"
+PRODUCTS_SITE = ("repmod.py", "linear_combinations")
 
 
 def called_name(func):
@@ -59,6 +66,40 @@ def hand_rolled_memos(tree):
     return sorted(out)
 
 
+def imported_names(node):
+    """First component of each module an import statement loads, with the
+    package prefix dropped: `numpy` for `import numpy.linalg as la`,
+    `products` for `from . import products` or `from .products import f`."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif node.module in (None, "finiteweyl"):  # `from . import x`: x is a module
+        names = [a.name for a in node.names]
+    else:
+        names = [node.module]
+    return [n.removeprefix("finiteweyl.").split(".")[0] for n in names]
+
+
+def import_sites(tree):
+    """(line, enclosing function or None, module) for each module an import loads."""
+    out = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            out.extend((node.lineno, func, name) for name in imported_names(node))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return out
+
+
+def numpy_at_load(tree):
+    """Lines that import numpy outside every function body."""
+    return [line for line, func, name in import_sites(tree) if name == "numpy" and func is None]
+
+
 def parsed_modules(skip):
     return {p.name: ast.parse(p.read_text(), filename=str(p))
             for p in sorted(PACKAGE.glob("*.py")) if p.stem not in skip}
@@ -77,6 +118,17 @@ def test_only_exactnum_reads_cyc():
 def test_only_repmod_memoises_phases():
     found = {name: hand_rolled_memos(tree) for name, tree in parsed_modules({MEMO_OWNER}).items()}
     assert {name: memos for name, memos in found.items() if memos} == {}
+
+
+def test_only_products_imports_numpy_at_load():
+    found = {name: numpy_at_load(tree) for name, tree in parsed_modules({NUMPY_OWNER}).items()}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_products_is_imported_at_one_lazy_site():
+    found = [(name, func) for name, tree in parsed_modules(set()).items()
+             for _, func, module in import_sites(tree) if module == "products"]
+    assert found == [PRODUCTS_SITE]
 
 
 def test_checker_flags_bare_and_qualified_calls_only():
@@ -120,3 +172,32 @@ def test_checker_flags_dict_classes_and_cached_lambdas_only():
     )
     assert hand_rolled_memos(tree) == [(1, "dict subclass"), (2, "dict subclass"),
                                        (4, "cached lambda"), (5, "cached lambda")]
+
+
+def test_checker_finds_imports_and_their_functions():
+    # imports in a class body, a try or an if run at load; those in a def do not
+    tree = ast.parse(
+        "import numpy as np\n"
+        "from numpy import arange\n"
+        "import numpyro, numpy.linalg\n"
+        "from . import products, repmod\n"
+        "from .products import monomial_products\n"
+        "import finiteweyl.products\n"
+        "try:\n"
+        "    import numpy\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "class A:\n"
+        "    from numpy import pi\n"
+        "def f():\n"
+        "    import numpy\n"
+        "    def g():\n"
+        "        from finiteweyl import products\n"
+        "    return g\n"
+        "from .exactnum import dot\n"
+    )
+    assert numpy_at_load(tree) == [1, 2, 3, 8, 12]
+    assert [(line, func) for line, func, name in import_sites(tree) if name == "products"] == [
+        (4, None), (5, None), (6, None), (16, "g")]
+    assert [name for line, _, name in import_sites(tree) if line in (3, 4, 18)] == [
+        "numpyro", "numpy", "products", "repmod", "exactnum"]

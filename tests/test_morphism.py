@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finiteweyl import morphism, products, repmod
+from finiteweyl import morphism, repmod
 from finiteweyl.errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
 from finiteweyl.exactnum import Scalar, dot, root_of_unity, sum_abs2
 from finiteweyl.lattice import (
@@ -463,7 +463,7 @@ class TestSummandAgainstOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("embedding routed through a sum of products")
 
-        monkeypatch.setattr(products, "linear_combinations", refuse)
+        monkeypatch.setattr(repmod, "linear_combinations", refuse)
         monkeypatch.setattr(repmod, "linear_combination", refuse)
         Mamb = module_of_dim(24)
         B = sub_desc(Mamb, 3, 2)

@@ -1,4 +1,4 @@
-"""products.linear_combinations and its histogram kernel against oracles.
+"""repmod.linear_combinations and the histogram kernel of `products` against oracles.
 
 The kernel's oracle is linear_combinations as it stood before the kernel:
 one scan of the vectors' nonzero entries per call and one `dot` per
@@ -8,18 +8,23 @@ for term after reducing both sides mod Phi_L at a common order L, by the
 power-basis reduction the library used before the Zumbroich basis.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from functools import cache
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finiteweyl import products
+from finiteweyl import products, repmod
 from finiteweyl.exactnum import Scalar, cyclotomic_poly, dot
 from finiteweyl.products import PRODUCTS_CHUNK_BYTES
 from finiteweyl.lattice import WeylDesc
@@ -29,7 +34,7 @@ from finiteweyl.transform import fourier, gaussian
 
 def monomial_products(rows, cols, conj=False):
     """The histogram kernel alone: None where it declines."""
-    return products._monomial_products(rows, cols, len(cols[0]), conj)
+    return products.monomial_products(rows, cols, len(cols[0]), conj)
 
 
 def linear_combinations_oracle(module, rows, vecs):
@@ -117,12 +122,21 @@ def module(N):
 
 @contextmanager
 def products_min(value):
-    saved = products.PRODUCTS_MIN
-    products.PRODUCTS_MIN = value
+    saved = repmod.PRODUCTS_MIN
+    repmod.PRODUCTS_MIN = value
     try:
         yield
     finally:
-        products.PRODUCTS_MIN = saved
+        repmod.PRODUCTS_MIN = saved
+
+
+@pytest.fixture
+def no_kernel(monkeypatch):
+    """Fail any sum routed to the histogram kernel."""
+    def refuse(*args):
+        raise AssertionError("routed to the histogram kernel")
+
+    monkeypatch.setattr(products, "monomial_products", refuse)
 
 
 def monomial(rng, conductor, rad, density=0.8, big=12):
@@ -152,7 +166,7 @@ def check_against_oracle(rows, cols, expect_kernel=True):
     got = monomial_products(rows, cols)
     assert (got is not None) == expect_kernel
     expect = linear_combinations_oracle(M, rows, vecs)
-    routed = products.linear_combinations(rows, cols, dim)
+    routed = repmod.linear_combinations(rows, cols, dim)
     for g, r, e in zip(got or routed, routed, expect):
         assert len(g) == dim
         assert all(same(a, b) for a, b in zip(g, e.amps))
@@ -243,19 +257,19 @@ class TestAgainstOracle:
 class TestDispatch:
     def test_both_sides_of_the_threshold(self):
         rng = random.Random(8)
-        n_min = products.PRODUCTS_MIN
+        n_min = repmod.PRODUCTS_MIN
         # one dense row: n * dim nonzero products
         for n, dim, used in ((16, n_min // 16, True), (16, n_min // 16 - 1, False)):
             rows = [[monomial(rng, 48, 1, density=1.0) for _ in range(n)]]
             cols = [[monomial(rng, 48, 2, density=1.0) for _ in range(dim)] for _ in range(n)]
             check_against_oracle(rows, cols, expect_kernel=used)
 
-    def test_one_term_coordinates_stay_on_dot(self):
+    def test_one_term_coordinates_stay_on_dot(self, no_kernel):
         # a basis with one nonzero entry per coordinate: nothing to sum
         M = module(32)
         rows = [[Scalar(64, {k: F(1)}) for k in range(32)] for _ in range(32)]
         cols = [M.basis_vector(k).amps for k in range(32)]
-        assert monomial_products(rows, cols) is None
+        assert repmod.linear_combinations(rows, cols, 32) == rows
 
 
 def naive_combinations(rows, cols, dim, conj=False):
@@ -273,7 +287,7 @@ def naive_combinations(rows, cols, dim, conj=False):
 
 
 def check_entry_point(rows, cols, dim, conj):
-    got = products.linear_combinations(rows, cols, dim, conj=conj)
+    got = repmod.linear_combinations(rows, cols, dim, conj=conj)
     expect = naive_combinations(rows, cols, dim, conj)
     assert len(got) == len(rows)
     for g, e in zip(got, expect):
@@ -285,7 +299,7 @@ def check_entry_point(rows, cols, dim, conj):
 @pytest.mark.parametrize("conj", [False, True], ids=["plain", "conj"])
 @pytest.mark.parametrize("threshold", [0, 10**9], ids=["kernel-allowed", "below-threshold"])
 class TestEntryPointAgainstNaive:
-    """products.linear_combinations on both sides of PRODUCTS_MIN, against
+    """repmod.linear_combinations on both sides of PRODUCTS_MIN, against
     sum_i row[i] * cols[i][j]."""
 
     def test_dense_one_term_entries(self, conj, threshold):
@@ -295,7 +309,7 @@ class TestEntryPointAgainstNaive:
             assert (monomial_products(rows, cols, conj) is not None) == (threshold == 0)
             check_entry_point(rows, cols, 7, conj)
 
-    def test_block_sparse_one_term_coordinates(self, conj, threshold):
+    def test_block_sparse_one_term_coordinates(self, conj, threshold, no_kernel):
         # a summand basis: column i is nonzero on block i only, so every
         # coordinate is one product, which goes to `dot` like any other
         rng = random.Random(12)
@@ -305,7 +319,6 @@ class TestEntryPointAgainstNaive:
         shared = [Scalar(24, {5: F(3, 2)}, 2), Scalar(8, {3: F(-1)}, 2)]
         rows = [[shared[(i + k) % 2] for i in range(n)] for k in range(3)]
         with products_min(threshold):
-            assert monomial_products(rows, cols, conj) is None
             check_entry_point(rows, cols, block * n, conj)
 
     def test_multi_term_entries_and_mixed_radicands(self, conj, threshold):
@@ -423,3 +436,87 @@ class TestLargeN:
         assert peak < PRODUCTS_CHUNK_BYTES + 5 * (N * N + N) + (1 << 20)
         assert all(len(a.coeffs) == 1 for a in img.amps)
         assert (img - vb[5].scale(M.q_power(F(-25, 2)))).is_zero()
+
+
+# Runs SUMS through repmod.linear_combinations in a fresh interpreter, numpy
+# imported first when argv[1] is "numpy", and prints per sum its product
+# count, whether numpy was loaded after it, and the repr of every coordinate.
+ROUTE_SCRIPT = """
+import json, random, sys
+from fractions import Fraction as F
+if sys.argv[1] == "numpy":
+    import numpy
+from finiteweyl import repmod
+from finiteweyl.exactnum import Scalar
+from finiteweyl.lattice import WeylDesc
+from finiteweyl.repmod import SpecPoint, build_module
+from finiteweyl.transform import fourier, gaussian
+
+def operands(kind, *shape):
+    if kind == "gram":
+        name, N = shape
+        M = build_module(WeylDesc(1, F(1, N)), SpecPoint.principal_point())
+        imgs = [v.amps for v in (fourier if name == "fourier" else gaussian)(M).images]
+        return imgs, list(zip(*imgs)), N, True
+    rng = random.Random(sum(shape))
+    def mono():
+        return Scalar.zeta(24, rng.randrange(24)) * Scalar.rational(F(rng.randint(-5, 5), rng.randint(1, 4)))
+    nrows, n, dim = shape
+    return ([[mono() for _ in range(n)] for _ in range(nrows)],
+            [[mono() for _ in range(dim)] for _ in range(n)], dim, kind == "conj")
+
+out = []
+for spec in json.loads(sys.argv[2]):
+    rows, cols, dim, conj = operands(*spec)
+    got = repmod.linear_combinations(rows, cols, dim, conj)
+    out.append([len(rows) * len(cols) * dim, "numpy" in sys.modules, [[repr(a) for a in r] for r in got]])
+print(json.dumps(out))
+"""
+
+
+class TestRoutesAgree:
+    """The same sums without numpy and with numpy loaded: equal coordinates,
+    and numpy imported exactly when the routing rule says."""
+
+    # below PRODUCTS_MIN, between it and PRODUCTS_IMPORT, then past
+    # PRODUCTS_IMPORT in one sum, then between again
+    SUMS = [("gram", "fourier", 6), ("plain", 1, 8, 16),
+            ("gram", "gaussian", 12), ("conj", 2, 16, 16), ("gram", "fourier", 16),
+            ("plain", 32, 32, 32), ("conj", 3, 16, 24), ("gram", "gaussian", 16)]
+
+    def run(self, mode):
+        src = str(Path(repmod.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", ROUTE_SCRIPT, mode, json.dumps(self.SUMS)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                              timeout=300, check=True)
+        return json.loads(proc.stdout)
+
+    def test_without_and_with_numpy(self):
+        plain, loaded = self.run("plain"), self.run("numpy")
+        counts = [count for count, _, _ in plain]
+        assert counts == [count for count, _, _ in loaded]
+        # every regime is present, and no sum past the first large one
+        # loads numpy on its own
+        assert counts[0] < repmod.PRODUCTS_MIN and counts[1] < repmod.PRODUCTS_MIN
+        assert sum(counts[2:5]) < repmod.PRODUCTS_IMPORT <= counts[5]
+        assert all(repmod.PRODUCTS_MIN <= c < repmod.PRODUCTS_IMPORT for c in counts[2:5] + counts[6:])
+        # the rule: kernel-sized sums count toward PRODUCTS_IMPORT until numpy loads
+        seen, expect = 0, []
+        for c in counts:
+            seen += c if c >= repmod.PRODUCTS_MIN else 0
+            expect.append(seen >= repmod.PRODUCTS_IMPORT)
+        assert [flag for _, flag, _ in plain] == expect == [False] * 5 + [True] * 3
+        assert all(flag for _, flag, _ in loaded)
+        assert [coords for _, _, coords in plain] == [coords for _, _, coords in loaded]
+
+
+@pytest.mark.xfail(strict=True, reason="a sum that is t zeta^j sqrt(r) prints its radicand apart "
+                   "from the kernel and folded from `dot` (one normal form per Scalar, radicand part)")
+def test_recognised_monomials_print_alike():
+    M = module(24)
+    rows, cols = [v_basis(M)[3].amps], [v.amps for v in gaussian(M).images]
+    kernel = repmod.linear_combinations(rows, cols, 24)
+    with products_min(10**9):
+        per_coordinate = repmod.linear_combinations(rows, cols, 24)
+    assert all((a - b).is_zero() for a, b in zip(kernel[0], per_coordinate[0]))
+    assert list(map(repr, kernel[0])) == list(map(repr, per_coordinate[0]))

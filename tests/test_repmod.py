@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finiteweyl import products
+from finiteweyl import repmod
 from finiteweyl.errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
 from finiteweyl.exactnum import Scalar, dot, root_of_unity, sqrt_as_cyc
 from finiteweyl.lattice import GenWord, WeylDesc, _mod1
@@ -633,7 +633,7 @@ class TestLinearCombinations:
         if count:
             for r in rows:
                 r[0] = Scalar.zero()
-        got = products.linear_combinations(rows, [v.amps for v in vecs], M.dim)
+        got = repmod.linear_combinations(rows, [v.amps for v in vecs], M.dim)
         assert len(got) == len(rows)
         for r, amps in zip(rows, got):
             vec = StateVec(M, amps)
@@ -646,7 +646,7 @@ class TestLinearCombinations:
         M = principal_module(6)
         w = [root_of_unity(12, t) for t in range(6)]
         rows = [[w[abs(l - m)] for l in range(6)] for m in range(6)]
-        for r, amps in zip(rows, products.linear_combinations(rows, [v.amps for v in u_basis(M)], 6)):
+        for r, amps in zip(rows, repmod.linear_combinations(rows, [v.amps for v in u_basis(M)], 6)):
             vec = StateVec(M, amps)
             assert terms(vec) == terms(linear_combination_oracle(M, r, u_basis(M)))
             assert all((a - c).is_zero() for a, c in zip(vec.amps, r))
@@ -658,7 +658,7 @@ class TestLinearCombinations:
         got = linear_combination(M, [one, one], u_basis(M))
         assert [a == one for a in got.amps] == [True, True, False, False]
         assert all(a == one for a in linear_combination(M, [one] * 6, u_basis(M)).amps)
-        assert products.linear_combinations([], [v.amps for v in u_basis(M)], 4) == []
+        assert repmod.linear_combinations([], [v.amps for v in u_basis(M)], 4) == []
 
 
 def apply_word_oracle(w, x):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from finiteweyl import products, transform
+from finiteweyl import repmod, transform
 from finiteweyl.dirac import ScaleParams, qho_propagator, qho_trace
 from finiteweyl.errors import (
     DivisibilityViolation,
@@ -478,7 +478,7 @@ def gaussian_images_oracle(M, b, d):
     inv_sqrt = Scalar.exact(Scalar.rational(1), 1, Nb)
     weight = [cc * inv_sqrt * Scalar.phase(_mod1(t * t * half_qb)) for t in range(Nb)]
     rows = [[weight[abs(l - m)] for l in range(Nb)] for m in range(Nb)]
-    return products.linear_combinations(rows, [v.amps for v in h], M.dim)
+    return repmod.linear_combinations(rows, [v.amps for v in h], M.dim)
 
 
 def terms(amps):
@@ -580,7 +580,8 @@ class TestGaussianAgainstOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("builder routed through a sum of products or a dense summand")
 
-        monkeypatch.setattr(products, "linear_combinations", refuse)
+        monkeypatch.setattr(repmod, "linear_combinations", refuse)
+        monkeypatch.setattr(transform, "linear_combinations", refuse)
         assert diagonal(principal_module(24), 3).materialized
         monkeypatch.setattr(StateVec, "from_pairs", refuse)
         for b, d in [(1, 1), (3, 2), (-1, 2)]:
