@@ -4,9 +4,9 @@ Exit codes: 0 when all invoked checks pass tolerance, 1 on a tolerance
 failure, 2 on precondition violations (the violated condition is named).
 Rational inputs are strings "p/q" to avoid float parsing ambiguity.
 Only the float subcommands import `dirac`, and the exact ones load numpy
-only through `repmod.linear_combinations`, once their sums pass
-PRODUCTS_IMPORT products: `lattice`, `basis`, `pairing` and small
-`transform` runs start and finish without it.
+only through `repmod.linear_combinations`, for a sum of PRODUCTS_IMPORT
+products or more: `lattice`, `basis`, `pairing` and small `transform`
+runs start and finish without it.
 """
 
 from __future__ import annotations
@@ -116,6 +116,11 @@ def _check_out(path) -> None:
     else:
         return
     raise ValueError(f"cannot open --out {path!r}: {reason}")
+
+
+def _check(name: str, passed, value, tol) -> dict:
+    """One entry of a payload's "checks" list."""
+    return {"name": name, "passed": bool(passed), "value": value, "tol": tol}
 
 
 def _checks_exit(checks: list[dict]) -> int:
@@ -239,10 +244,7 @@ def cmd_transform(args) -> int:
     else:
         raise ValueError(f"unknown transform {args.name!r}")
     reports = verify_conjugation(L, sample=args.sample)
-    checks = [
-        {"name": r.name, "passed": bool(r.holds), "value": r.residual, "tol": 0.0}
-        for r in reports
-    ]
+    checks = [_check(r.name, r.holds, r.residual, 0.0) for r in reports]
     sampled = {}
     for m in range(min(3, L.dim)):
         col = L.image(m)
@@ -283,7 +285,6 @@ def cmd_propagator(args) -> int:
 
     h = parse_rat(args.h, "--h")
     rows = []
-    checks = []
     xs = _grid(args.grid)
     if args.kind == "free":
         t = parse_rat(args.t, "--t")
@@ -321,7 +322,7 @@ def cmd_propagator(args) -> int:
                 s.abs_err,
             ]
         )
-    checks.append({"name": "kernel_matches_closed_form", "passed": worst <= args.tol, "value": worst, "tol": args.tol})
+    checks = [_check("kernel_matches_closed_form", worst <= args.tol, worst, args.tol)]
     payload = {
         "meta": {
             "command": f"propagator {args.kind}",
@@ -348,9 +349,7 @@ def cmd_trace(args) -> int:
     mu = _resolve_mu(args, [2 * c * e * (c - f)], 200)
     params = dirac.ScaleParams(h, mu)
     r = dirac.qho_trace((e, f, c), params)
-    checks = [
-        {"name": "trace_matches_closed_form", "passed": r.abs_err <= args.tol, "value": r.abs_err, "tol": args.tol}
-    ]
+    checks = [_check("trace_matches_closed_form", r.abs_err <= args.tol, r.abs_err, args.tol)]
     rows = [
         [params.mu, params.N, f"trace qho[{e},{f},{c}]", 0.0, 0.0, r.value.real, r.value.imag,
          r.closed_form.real, r.closed_form.imag, r.abs_err]
@@ -380,21 +379,12 @@ def cmd_converge(args) -> int:
     if args.quantity == "ccr" and len(mus) < 2:
         raise ValueError("converge ccr fits an order and needs at least two mu values")
     rep = dirac.converge_study(args.quantity, mus, h=parse_rat(args.h, "--h"), seed=args.seed)
-    checks = []
     if args.quantity == "ccr":
-        checks.append(
-            {
-                "name": "fitted_order_is_minus_one",
-                "passed": -1.2 <= rep.fitted_order <= -0.8,
-                "value": rep.fitted_order,
-                "tol": 0.2,
-            }
-        )
+        checks = [_check("fitted_order_is_minus_one", -1.2 <= rep.fitted_order <= -0.8,
+                         rep.fitted_order, 0.2)]
     else:
         worst = max(rep.residuals)
-        checks.append(
-            {"name": "residuals_within_tol", "passed": worst <= args.tol, "value": worst, "tol": args.tol}
-        )
+        checks = [_check("residuals_within_tol", worst <= args.tol, worst, args.tol)]
     rows = [
         [mu, "", f"converge {args.quantity}", "", "", "", "", "", "", res]
         for mu, res in zip(rep.mus, rep.residuals)

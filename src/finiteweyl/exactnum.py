@@ -168,11 +168,19 @@ class Scalar:
         self.order = order
         self.rad = rad
         if not _trusted:
+            if order < 1:
+                raise ValueError("order must be positive")
             reduced: dict[int, Fraction] = {}
             for k, c in coeffs.items():  # keys that collide mod order add up
                 k %= order
-                reduced[k] = reduced.get(k, 0) + _rat(c)
-            coeffs = {k: c for k, c in reduced.items() if c}
+                c = _rat(c)
+                if k in reduced:  # no 0 + c: an int plus a Fraction costs a Fraction sum
+                    c += reduced[k]
+                if c:
+                    reduced[k] = c
+                else:
+                    reduced.pop(k, None)
+            coeffs = reduced
         self.coeffs = coeffs
         self._canon = None
 
@@ -192,9 +200,7 @@ class Scalar:
 
     @staticmethod
     def zeta(M: int, k: int = 1) -> "Scalar":
-        if M < 1:
-            raise ValueError("order must be positive")
-        return Scalar(M, {k % M: Fraction(1)}, _trusted=True)
+        return Scalar(M, {k: 1})
 
     @staticmethod
     def exact(c: "Scalar", rad_num: int | Fraction = 1, rad_den: int | Fraction = 1) -> "Scalar":
@@ -288,19 +294,10 @@ class Scalar:
             # a phase times a monomial: reuse the other coefficient, no Fraction product
             c = c2 if c1 == 1 else c1 if c2 == 1 else c1 * c2
             return Scalar(L, {k % L: c if s == 1 else c * s}, r, _trusted=True)
-        a, b = self.lift(L), other.lift(L)
-        out: dict[int, Fraction] = {}
-        for k1, c1 in a.coeffs.items():
-            if s != 1:
-                c1 = c1 * s
-            for k2, c2 in b.coeffs.items():
-                k = (k1 + k2) % L
-                t = out.get(k, 0) + c1 * c2
-                if t:
-                    out[k] = t
-                else:
-                    out.pop(k, None)
-        return Scalar(L, out, r, _trusted=True)
+        # several terms: `dot`'s rule, integer numerators and one Fraction per term
+        acc: dict[tuple[int, int, int], int] = {}
+        _accumulate(acc, ((self, other),), L, 1)
+        return _scalar_of(acc, L, 1)
 
     __rmul__ = __mul__
 
@@ -424,17 +421,20 @@ Cyc = Scalar
 # square roots of squarefree integers as cyclotomic elements
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def sqrt_as_cyc(n: int) -> Scalar:
-    """sqrt(n) for squarefree n >= 1 as an element of Q(zeta_{4n}) (radicand 1)."""
+    """sqrt(n) for squarefree n >= 1 as an element of Q(zeta_{4n}) (radicand 1);
+    ValueError for any other n.  An odd prime p gives the Gauss sum
+    sum_k zeta_p^{k^2}: 1, plus 2 at each quadratic residue."""
+    if not isinstance(n, int) or n < 1 or split_square(n)[0] != 1:
+        raise ValueError(f"sqrt_as_cyc needs a squarefree integer >= 1, got {n!r}")
     out = Scalar.one()
     for p in _factorize(n):
         if p == 2:
             root = Scalar(8, {1: Fraction(1), 7: Fraction(1)}, _trusted=True)
         else:
-            g = Scalar(p, {}, _trusted=True)
-            for k in range(p):
-                g = g + Scalar.zeta(p, (k * k) % p)
+            g = Scalar(p, {0: Fraction(1), **{k * k % p: Fraction(2) for k in range(1, (p + 1) // 2)}},
+                       _trusted=True)
             if p % 4 == 1:
                 root = g
             else:

@@ -1,9 +1,9 @@
 """The histogram kernel for exact sums of products, and the one module that
 imports numpy at load time.
 
-`repmod.linear_combinations` routes a sum here, and imports this module on
-first use, only when numpy pays for itself (its PRODUCTS_MIN and
-PRODUCTS_IMPORT).  The kernel takes sums of one-term entries
+`repmod.linear_combinations` decides which sums come here, by their size
+alone (its PRODUCTS_MIN and PRODUCTS_IMPORT), and imports this module on
+first use.  The kernel takes sums of one-term entries
 zeta_M^k c sqrt(r): each output coordinate is one numpy exponent
 histogram, and the histograms are reduced to the Zumbroich basis of
 Q(zeta_L) together, from the table `Scalar.canonical` reads.  Integer
@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import repmod
 from .exactnum import Scalar, _factorize, _monomial_rows, split_square, sqrt_as_cyc
 
 
@@ -213,11 +212,11 @@ def monomial_products(rows, cols, dim: int, conj: bool):
     comes back as that one-term Scalar at minimal order; others as their
     terms on that basis.
 
-    Returns None, for the caller's per-coordinate path, when the inputs
-    have fewer than `repmod.PRODUCTS_MIN` nonzero products, when an entry
-    has several terms or a side mixes radicands, and when the float64 sums
-    could pass 2^53 (the largest numerators' product times n times the
-    reduction's growth).
+    Returns None, for the caller's per-coordinate path, where only the
+    entries show the kernel cannot serve: when an entry has several terms
+    or a side mixes radicands, and when the float64 sums could pass 2^53
+    (the largest numerators' product times n times the reduction's
+    growth).  How large a sum must be is the caller's decision.
     """
     n = len(cols)
     xslots, xobjs = _intern(cols, dim)
@@ -226,10 +225,7 @@ def monomial_products(rows, cols, dim: int, conj: bool):
     rside = _monomial_side(robjs)
     if xside is None or rside is None:
         return None
-    nzx = np.array([c != 0 for _, _, c in xside[1]])[xslots]
     nzr = np.array([c != 0 for _, _, c in rside[1]])[rslots]
-    if int(nzr.sum(axis=0) @ nzx.sum(axis=1)) < repmod.PRODUCTS_MIN:
-        return None
 
     L = lcm(2, *{o for o, _, _ in rside[1]}, *{o for o, _, _ in xside[1]})
     red = _reduction(L)

@@ -66,12 +66,10 @@ class ModuleRep:
 
     __slots__ = ("alg", "point", "dim", "u_phase", "v_phase", "q_phase", "q_powers")
 
-    def __init__(self, alg: WeylDesc, point: SpecPoint, u_phase: Fraction, v_phase: Fraction):
+    def __init__(self, alg: WeylDesc, u_phase: Fraction, v_phase: Fraction):
         N = alg.N
-        if _mod1(N * u_phase) != point.u_phase or _mod1(N * v_phase) != point.v_phase:
-            raise ValueError("chosen roots do not match the spectral point")
         self.alg = alg
-        self.point = point
+        self.point = SpecPoint(N * u_phase, N * v_phase)  # U^{aN} acts as u^N, V^{bN} as v^N
         self.dim = N
         self.u_phase = _mod1(u_phase)
         self.v_phase = _mod1(v_phase)
@@ -87,12 +85,7 @@ class ModuleRep:
         return StateVec.from_pairs(self, [(k % self.dim, Scalar.one())])
 
     def compatible(self, other: "ModuleRep") -> bool:
-        return (
-            self.alg == other.alg
-            and self.point == other.point
-            and self.u_phase == other.u_phase
-            and self.v_phase == other.v_phase
-        )
+        return self.alg == other.alg and self.u_phase == other.u_phase and self.v_phase == other.v_phase
 
     def __repr__(self):
         return f"ModuleRep({self.alg}, dim={self.dim}, u={self.u_phase}, v={self.v_phase})"
@@ -152,7 +145,7 @@ class StateVec:
 
 def build_module(A: WeylDesc, point: SpecPoint) -> ModuleRep:
     """Instantiate V_A(alpha) with the principal roots; `ModuleRep` takes others."""
-    return ModuleRep(A, point, point.u_phase / A.N, point.v_phase / A.N)
+    return ModuleRep(A, point.u_phase / A.N, point.v_phase / A.N)
 
 
 def _kernel_turns(w: GenWord, M: ModuleRep) -> Fraction:
@@ -225,12 +218,10 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
 # 2.0-2.5 ms with the kernel and 3.8-5.3 ms without, a dense apply at N = 16
 # (256 products) 0.32-0.50 ms and 0.56-0.97 ms; at N = 12 (144) they tie.
 PRODUCTS_MIN = 256
-# Products a process without numpy sums by `dot` in kernel-sized sums before
-# it imports `products`: the kernel saves 1.4-3 us per product on Grams of
-# N = 12-36, so 2^15 products cost about one numpy import (60-140 ms there).
+# Fewest products of one sum worth importing numpy for: the kernel saves
+# 1.4-3 us per product on Grams of N = 12-36, so 2^15 products save about
+# one numpy import (60-140 ms there).
 PRODUCTS_IMPORT = 1 << 15
-# Products of kernel-sized sums that went to `dot` while numpy was not loaded.
-_dot_products = 0
 
 
 def _probe_terms(cols) -> int:
@@ -246,19 +237,14 @@ def _take_kernel(size: int, cols) -> bool:
     """Whether a sum of `size` products over `cols` goes to the histogram kernel.
 
     It takes sums of at least PRODUCTS_MIN products whose first nonzero
-    coordinate has two terms or more (else there is no sum to share).
-    Before numpy is loaded, such a sum goes to `dot` instead and counts
-    toward PRODUCTS_IMPORT; the sum that brings the count there imports
-    numpy with the kernel, so a process pays `dot` time of about one import
-    at most before it does.
+    coordinate has two terms or more (else there is no sum to share), once
+    numpy is loaded; before, only a sum of PRODUCTS_IMPORT products or
+    more, which imports numpy with the kernel.  Nothing is kept between
+    calls: the same sum routes alike in any process with numpy in the same
+    state.
     """
-    global _dot_products
-    if size < PRODUCTS_MIN or _probe_terms(cols) < 2:
-        return False
-    if "numpy" in sys.modules:
-        return True
-    _dot_products += size
-    return _dot_products >= PRODUCTS_IMPORT
+    return (size >= PRODUCTS_MIN and _probe_terms(cols) >= 2
+            and ("numpy" in sys.modules or size >= PRODUCTS_IMPORT))
 
 
 def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[Scalar]]:

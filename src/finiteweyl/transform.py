@@ -43,8 +43,7 @@ from .exactnum import Scalar, dot
 from .lattice import (GenWord, Mat2, WeylDesc, lattice_intersect, mat_det, mat_inv, mat_mul, rat_gcd,
                       word_image)
 from .morphism import summand
-from .repmod import (ModuleRep, PhaseTable, SpecPoint, StateVec, apply_word, linear_combination,
-                     linear_combinations)
+from .repmod import ModuleRep, PhaseTable, StateVec, apply_word, linear_combination, linear_combinations
 
 
 def _frac_mat(rows) -> Mat2:
@@ -200,7 +199,7 @@ def _build(name: str, M: ModuleRep, n: int, k: int, gL: Mat2, sigma_names: tuple
     A = M.alg
     (a, b), (c, d) = mat_inv(gL)
     u, v = a * M.u_phase + b * M.v_phase, c * M.u_phase + d * M.v_phase
-    ran = ModuleRep(A, SpecPoint(M.dim * u, M.dim * v), u, v)
+    ran = ModuleRep(A, u, v)
     ran = M if ran.compatible(M) else ran
     _, domain = summand(M, WeylDesc(n * A.a, abs(k) * A.b))
     return RegUnitary(name, M, ran, (GenWord(n * A.a, 0), GenWord(0, k * A.b)), sigma_names, gL,

@@ -120,7 +120,7 @@ class TestAcceptance:
         for N, d, n in [(8, 2, 1), (12, 2, 2), (16, 4, 3), (24, 3, 1)]:
             A = WeylDesc(1, F(1, N))
             M1 = build_module(A, SpecPoint.principal_point())
-            M2 = ModuleRep(A, SpecPoint.principal_point(), F(0), F(d * n, N))
+            M2 = ModuleRep(A, F(0), F(d * n, N))
             G1, G2 = gaussian(M1, b=1, d=d), gaussian(M2, b=1, d=d)
             ratios = []
             for m in range(G1.dim):

@@ -84,9 +84,13 @@ class TestRootOfUnity:
         assert root_of_unity(5, -1) == root_of_unity(5, 4)
 
     @pytest.mark.parametrize("M", [0, -4])
-    @pytest.mark.parametrize("build", [Scalar.zeta, root_of_unity], ids=["zeta", "root_of_unity"])
+    @pytest.mark.parametrize("build", [Scalar.zeta, root_of_unity, lambda M, k: Scalar(M, {k: 1}),
+                                       lambda M, k: Scalar(M, {0: k})],
+                             ids=["zeta", "root_of_unity", "Scalar", "Scalar-rational"])
     def test_order_below_one_refused(self, build, M):
-        # both names refuse alike, before any value is built
+        # every name and the constructor refuse alike, before any value is
+        # built: Scalar(-4, {1: 1}) once printed by an IndexError and
+        # Scalar(0, {0: 1}) raised ZeroDivisionError
         with pytest.raises(ValueError, match="order must be positive"):
             build(M, 1)
 
@@ -323,6 +327,21 @@ class TestScalarAlgebra:
         for n in (2, 3, 5, 6, 7, 10, 13):
             assert approx_eq(sqrt_as_cyc(n).to_complex(), math.sqrt(n), 1e-10)
 
+    def test_sqrt_as_cyc_squares_to_its_argument(self):
+        squarefree = [n for n in range(1, 201) if split_square(n)[0] == 1]
+        for n in squarefree:
+            root = sqrt_as_cyc(n)
+            assert root * root == n
+            assert (root.order, root.coeffs, root.rad) == sqrt_oracle(n)
+
+    @pytest.mark.parametrize("n", [0, -1, -3, 4, 8, 12, 18, 2.0, Fraction(2)])
+    def test_sqrt_as_cyc_refuses_non_squarefree(self, n):
+        # once sqrt_as_cyc(4) was sqrt(2), sqrt_as_cyc(0) was 1 and
+        # sqrt_as_cyc(-3) was sqrt(3); 2.0 must not reach the cached sqrt(2)
+        sqrt_as_cyc(2)
+        with pytest.raises(ValueError, match="squarefree"):
+            sqrt_as_cyc(n)
+
     def test_mixed_radicand_addition(self):
         import math
 
@@ -448,6 +467,35 @@ class TestScalarAlgebra:
             got = x * y
             assert (got.order, got.coeffs) == expect
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.randoms(use_true_random=False))
+    def test_product_matches_the_term_loop(self, rng):
+        # mixed orders, radicands 1/2/3/6 and zero operands; y is sometimes
+        # x with flipped signs, so that products cancel term for term
+        x = random_amplitude(rng, rng.randint(1, 12))
+        if x.coeffs and rng.random() < 0.3:
+            y = Scalar(x.order, {k: rng.choice([1, -1]) * c for k, c in x.coeffs.items()},
+                       rng.choice([1, 2, 3, 6]))
+        else:
+            y = random_amplitude(rng, rng.randint(1, 12))
+        got = x * y
+        order, terms, rad = mul_oracle(x, y)
+        assert got.coeffs == terms
+        assert all(type(c) is Fraction for c in got.coeffs.values())
+        if terms:
+            assert (got.order, got.rad) == (order, rad)
+
+    def test_product_cancelling_to_zero(self):
+        # (1 + i^2)(1 - i^2): every term cancels; (1 + i)(1 - i) = 2 keeps two
+        for x, y, expect in [
+            (Scalar(4, {0: 1, 2: 1}), Scalar(4, {0: 1, 2: -1}), {}),
+            (Scalar(4, {0: 1, 2: 1}, 2), Scalar(4, {0: Fraction(1, 3), 2: Fraction(-1, 3)}, 2), {}),
+            (Scalar(4, {0: 1, 1: 1}), Scalar(4, {0: 1, 1: -1}), {0: 1, 2: -1}),
+        ]:
+            got = x * y
+            assert got.coeffs == expect == mul_oracle(x, y)[1]
+            assert got == (0 if not expect else 2)
+
     def test_unequal_scalars_detected(self):
         assert root_of_unity(7, 1) != root_of_unity(7, 2)
         assert Scalar.exact(Scalar.rational(1), 2, 1) != Scalar.rational(1)
@@ -560,6 +608,39 @@ class TestEvalPrecision:
 # ---------------------------------------------------------------------------
 # the fused dot kernel against Scalar * and + as the oracle
 # ---------------------------------------------------------------------------
+
+def mul_oracle(x, y):
+    """Oracle: (order, terms, radicand) of x * y as the product loop formed
+    them before `_accumulate`, one Fraction product per pair of terms."""
+    s, r = split_square(x.rad * y.rad)
+    L = math.lcm(x.order, y.order)
+    out = {}
+    for k1, c1 in x.lift(L).coeffs.items():
+        for k2, c2 in y.lift(L).coeffs.items():
+            k = (k1 + k2) % L
+            t = out.get(k, 0) + c1 * s * c2
+            if t:
+                out[k] = t
+            else:
+                out.pop(k, None)
+    return L, out, r
+
+
+def sqrt_oracle(n):
+    """Oracle: (order, terms, radicand) of sqrt_as_cyc(n) as it summed each
+    Gauss sum, one root of unity at a time."""
+    out = Scalar.one()
+    for p in exactnum._factorize(n):
+        if p == 2:
+            root = Scalar(8, {1: 1, 7: 1})
+        else:
+            g = Scalar(p, {})
+            for k in range(p):
+                g = g + Scalar.zeta(p, k * k % p)
+            root = g if p % 4 == 1 else Scalar.zeta(4, 3) * g
+        out = out * root
+    return out.order, out.coeffs, out.rad
+
 
 def naive_dot(xs, ys, conj=False):
     total = Scalar.zero()

@@ -385,7 +385,7 @@ SUMMAND_CASES = [
 def ambient(N, point, steps):
     A = WeylDesc(F(1), F(1, N))
     pt = SpecPoint(*point)
-    return ModuleRep(A, pt, pt.u_phase / N + F(steps[0], N), pt.v_phase / N + F(steps[1], N))
+    return ModuleRep(A, pt.u_phase / N + F(steps[0], N), pt.v_phase / N + F(steps[1], N))
 
 
 class TestSummandAgainstOracle:
@@ -538,7 +538,7 @@ class TestRowSumAgainstOracle:
         parts = decompose(build_module(join(B, D), SpecPoint(*point)), D)
         beta = rng.choice(parts)[0]
         ND = build_module(D, beta).dim
-        MD = ModuleRep(D, beta, beta.u_phase / ND + F(rng.randrange(ND), ND),
+        MD = ModuleRep(D, beta.u_phase / ND + F(rng.randrange(ND), ND),
                        beta.v_phase / ND + F(rng.randrange(ND), ND))
         f = StateVec(MD, [random_amplitude(rng) for _ in range(ND)])
         assert (pairing_row_sum(B, f) - row_sum_oracle(B, f)).is_zero()

@@ -131,6 +131,22 @@ def products_min(value):
 
 
 @pytest.fixture
+def kernel_calls(monkeypatch):
+    """Whether each sum the router sent to the histogram kernel came back
+    (True) or was declined (False), in call order."""
+    calls = []
+    kernel = products.monomial_products
+
+    def record(*args):
+        out = kernel(*args)
+        calls.append(out is not None)
+        return out
+
+    monkeypatch.setattr(products, "monomial_products", record)
+    return calls
+
+
+@pytest.fixture
 def no_kernel(monkeypatch):
     """Fail any sum routed to the histogram kernel."""
     def refuse(*args):
@@ -255,14 +271,20 @@ class TestAgainstOracle:
 
 
 class TestDispatch:
-    def test_both_sides_of_the_threshold(self):
+    def test_both_sides_of_the_threshold(self, kernel_calls):
+        # the size rule is the router's alone: the kernel serves either sum,
+        # and the router sends it the one of PRODUCTS_MIN products only
         rng = random.Random(8)
         n_min = repmod.PRODUCTS_MIN
         # one dense row: n * dim nonzero products
         for n, dim, used in ((16, n_min // 16, True), (16, n_min // 16 - 1, False)):
             rows = [[monomial(rng, 48, 1, density=1.0) for _ in range(n)]]
             cols = [[monomial(rng, 48, 2, density=1.0) for _ in range(dim)] for _ in range(n)]
-            check_against_oracle(rows, cols, expect_kernel=used)
+            assert repmod._take_kernel(n * dim, cols) == used
+            kernel_calls.clear()
+            check_against_oracle(rows, cols)
+            # the direct call, then the routed one when the router takes the kernel
+            assert kernel_calls == ([True, True] if used else [True])
 
     def test_one_term_coordinates_stay_on_dot(self, no_kernel):
         # a basis with one nonzero entry per coordinate: nothing to sum
@@ -302,12 +324,14 @@ class TestEntryPointAgainstNaive:
     """repmod.linear_combinations on both sides of PRODUCTS_MIN, against
     sum_i row[i] * cols[i][j]."""
 
-    def test_dense_one_term_entries(self, conj, threshold):
+    def test_dense_one_term_entries(self, conj, threshold, kernel_calls):
         rng = random.Random(11)
         rows, cols = random_operands(rng, 120, 3, 6, 7, rads=(2, 3))
         with products_min(threshold):
-            assert (monomial_products(rows, cols, conj) is not None) == (threshold == 0)
             check_entry_point(rows, cols, 7, conj)
+        # the router declines below its threshold; the kernel serves these entries
+        assert kernel_calls == ([True] if threshold == 0 else [])
+        assert monomial_products(rows, cols, conj) is not None
 
     def test_block_sparse_one_term_coordinates(self, conj, threshold, no_kernel):
         # a summand basis: column i is nonzero on block i only, so every
@@ -483,30 +507,38 @@ class TestRoutesAgree:
     SUMS = [("gram", "fourier", 6), ("plain", 1, 8, 16),
             ("gram", "gaussian", 12), ("conj", 2, 16, 16), ("gram", "fourier", 16),
             ("plain", 32, 32, 32), ("conj", 3, 16, 24), ("gram", "gaussian", 16)]
+    # two sums of about 20 000 products each: together past PRODUCTS_IMPORT
+    BELOW_IMPORT = [("plain", 20, 32, 32), ("conj", 20, 32, 32)]
 
-    def run(self, mode):
+    def run(self, mode, sums):
         src = str(Path(repmod.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", ROUTE_SCRIPT, mode, json.dumps(self.SUMS)],
+        proc = subprocess.run([sys.executable, "-c", ROUTE_SCRIPT, mode, json.dumps(sums)],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
                               timeout=300, check=True)
         return json.loads(proc.stdout)
 
     def test_without_and_with_numpy(self):
-        plain, loaded = self.run("plain"), self.run("numpy")
+        plain, loaded = self.run("plain", self.SUMS), self.run("numpy", self.SUMS)
         counts = [count for count, _, _ in plain]
         assert counts == [count for count, _, _ in loaded]
         # every regime is present, and no sum past the first large one
         # loads numpy on its own
         assert counts[0] < repmod.PRODUCTS_MIN and counts[1] < repmod.PRODUCTS_MIN
-        assert sum(counts[2:5]) < repmod.PRODUCTS_IMPORT <= counts[5]
+        assert counts[5] >= repmod.PRODUCTS_IMPORT
         assert all(repmod.PRODUCTS_MIN <= c < repmod.PRODUCTS_IMPORT for c in counts[2:5] + counts[6:])
-        # the rule: kernel-sized sums count toward PRODUCTS_IMPORT until numpy loads
-        seen, expect = 0, []
-        for c in counts:
-            seen += c if c >= repmod.PRODUCTS_MIN else 0
-            expect.append(seen >= repmod.PRODUCTS_IMPORT)
+        # the rule: numpy loads with the first sum of PRODUCTS_IMPORT products
+        expect = [any(c >= repmod.PRODUCTS_IMPORT for c in counts[:i + 1]) for i in range(len(counts))]
         assert [flag for _, flag, _ in plain] == expect == [False] * 5 + [True] * 3
         assert all(flag for _, flag, _ in loaded)
+        assert [coords for _, _, coords in plain] == [coords for _, _, coords in loaded]
+
+    def test_sums_below_the_import_stay_on_dot(self):
+        # each sum routes by its own size: the second does not import numpy
+        # for the products of the first
+        plain, loaded = self.run("plain", self.BELOW_IMPORT), self.run("numpy", self.BELOW_IMPORT)
+        counts = [count for count, _, _ in plain]
+        assert all(repmod.PRODUCTS_MIN <= c < repmod.PRODUCTS_IMPORT <= sum(counts) for c in counts)
+        assert [flag for _, flag, _ in plain] == [False, False]
         assert [coords for _, _, coords in plain] == [coords for _, _, coords in loaded]
 
 

@@ -183,6 +183,17 @@ class TestBuildModule:
         vec = apply_word(w, M.basis_vector(0))
         assert vec.amps[0] == Scalar.phase(F(1, 2))
 
+    def test_point_follows_from_the_roots(self):
+        # U^N and V^N act as u^N and v^N: the spectral point is derived, and
+        # modules with the same point but other roots are not compatible
+        A = WeylDesc(F(1), F(1, 6))
+        M = ModuleRep(A, F(1, 30) + F(2, 6), F(2, 3) / 6 + F(5, 6))
+        assert M.point == SpecPoint(F(1, 5), F(2, 3))
+        assert M.compatible(ModuleRep(A, F(1, 30) + F(2, 6) - 1, F(2, 3) / 6 + F(5, 6)))
+        other = ModuleRep(A, F(1, 30), F(2, 3) / 6)
+        assert other.point == M.point and not M.compatible(other)
+        assert build_module(A, M.point).compatible(other)  # the principal roots
+
 
 class TestPhaseTable:
     SCALES = {"none": None, "1/sqrt3": Scalar.exact(Scalar.one(), 1, 3), "zeta8": Scalar.zeta(8)}
@@ -502,7 +513,7 @@ class TestGamma:
             M = build_module(A, SpecPoint.principal_point())
         else:
             point = SpecPoint(F(1, 5), F(2, 3))
-            M = ModuleRep(A, point, (point.u_phase + 1) / N, (point.v_phase + N - 1) / N)
+            M = ModuleRep(A, (point.u_phase + 1) / N, (point.v_phase + N - 1) / N)
             assert M.u_phase and M.v_phase
         rng = random.Random(N)
         x = StateVec(M, [random_amplitude(rng, N, 0.8) for _ in range(N)])
@@ -721,7 +732,7 @@ class TestApplyWordAgainstOracle:
         N = rng.choice([3, 4, 6, 8, 12])
         A = WeylDesc(F(rng.choice([1, 2])), F(1, N * rng.choice([1, 2])))
         point = SpecPoint(F(rng.randrange(5), 5), F(rng.randrange(3), 3))
-        M = ModuleRep(A, point, (point.u_phase + rng.randrange(N)) / A.N,
+        M = ModuleRep(A, (point.u_phase + rng.randrange(N)) / A.N,
                       (point.v_phase + rng.randrange(N)) / A.N)
         x = random_vectors(rng, M, 1)[0]
         w = GenWord(rng.randrange(-2 * N, 2 * N) * A.a, rng.randrange(-2 * N, 2 * N) * A.b,
@@ -821,7 +832,7 @@ class TestSBasisAgainstOracle:
     def test_word_with_a_phase_on_a_non_principal_module(self):
         A = WeylDesc(F(1), F(1, 6))
         point = SpecPoint(F(1, 5), F(2, 3))
-        M = ModuleRep(A, point, (point.u_phase + 2) / A.N, (point.v_phase + 1) / A.N)
+        M = ModuleRep(A, (point.u_phase + 2) / A.N, (point.v_phase + 1) / A.N)
         S = GenWord(A.a, -2 * A.b, F(3, 7))
         T = GenWord(0, A.b, F(1, 4))
         assert S.commutator_phase(T) == M.q_phase
@@ -850,7 +861,7 @@ class TestSBasisPhaseNormalisation:
             M = build_module(A, SpecPoint.principal_point())
         else:
             point = SpecPoint(*point)
-            M = ModuleRep(A, point, (point.u_phase + 2) / A.N, (point.v_phase + 1) / A.N)
+            M = ModuleRep(A, (point.u_phase + 2) / A.N, (point.v_phase + 1) / A.N)
         S, T = {
             "U,V": (word_U(M), word_V(M)),
             "V,U^-1": (word_V(M), word_U(M).inv()),

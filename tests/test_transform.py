@@ -176,7 +176,7 @@ class TestGaussian:
         N, b, d = 8, 1, 2
         A = WeylDesc(1, F(1, N))
         for n in (1, 2, 3):
-            M = ModuleRep(A, SpecPoint.principal_point(), F(0), F(d * n, N))
+            M = ModuleRep(A, F(0), F(d * n, N))
             G = gaussian(M, b=b, d=d)
             assert (G.ambient_ran.u_phase, G.ambient_ran.v_phase) == (F(n, N), F(d * n, N))
             assert all(rep.holds for rep in verify_conjugation(G))
@@ -830,7 +830,7 @@ class TestRangeModule:
         # the rule fourier wrote out by hand: u' = v^{-1}, v' = u
         N, u, v = M.dim, M.u_phase, M.v_phase
         Phi = next(L for spec, L, _ in instance_set(M)[0] if spec == ("fourier",))
-        assert Phi.ambient_ran.compatible(ModuleRep(M.alg, SpecPoint(-N * v, N * u), -v, u))
+        assert Phi.ambient_ran.compatible(ModuleRep(M.alg, -v, u))
 
     @pytest.mark.parametrize("M", [M for M in MODULES if not (M.u_phase or M.v_phase)], ids=repr)
     def test_principal_module_is_its_own_range(self, M):
