@@ -3,10 +3,15 @@
 Exit codes: 0 when all invoked checks pass tolerance, 1 on a tolerance
 failure, 2 on precondition violations (the violated condition is named).
 Rational inputs are strings "p/q" to avoid float parsing ambiguity.
-Only the float subcommands import `dirac`, and the exact ones load numpy
-only through `repmod.linear_combinations`, for a sum of PRODUCTS_IMPORT
-products or more: `lattice`, `basis`, `pairing` and small `transform`
-runs start and finish without it.
+Only the float subcommands import `dirac`.  numpy loads only for one sum
+large enough to pay for its import (`exactnum.numpy_pays`): an exact sum
+of PRODUCTS_IMPORT products in `repmod.linear_combinations`, or a float
+sum of FLOAT_TERMS_IMPORT terms in `exactnum.quadratic_phase_sum` or
+`dirac.ccr_residual`.  `lattice`, `basis`, `pairing`, small `transform`
+runs, `propagator qho` and every `converge` but `free` start and finish
+without it, and so do `propagator free`, `converge free` and `trace` while
+each of their sums stays below FLOAT_TERMS_IMPORT terms (`propagator free
+--mu 240`, `trace qho --mu auto`).
 """
 
 from __future__ import annotations

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DivisibilityViolation, NotPythagorean, OutOfRange
-from .exactnum import gauss_sum_float, symmetric_phase_sum
+from .exactnum import FLOAT_TERMS_IMPORT, gauss_sum_float, numpy_pays, symmetric_phase_sum
 from .transform import check_triple, gaussian_dim, qho_dim
 
 
@@ -206,7 +206,10 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
     overflow int64, before anything is summed.  Time is linear in L: about
     1.3 ns per summed term (2-vCPU x86-64, Python 3.11, numpy 2.4 with
     OpenBLAS 0.3.31: 0.027 s at L = 4.0e7), so a trace at the int64 cap,
-    L ~ 6.07e9, takes about 5 s.
+    L ~ 6.07e9, takes about 5 s.  Below FLOAT_TERMS_IMPORT summed terms
+    (L < 2^19) in a process without numpy the sum is plain Python, about
+    0.22 us per term (1.5 ms at L = 13 872, mu = 1020), and numpy is never
+    imported.
     """
     e, f, c = triple
     check_triple(e, f, c)  # so c > f: sin(t/2) != 0
@@ -284,57 +287,64 @@ def weakring_max_phase_error(params: ScaleParams, count: int = 1000, seed: int =
     return worst
 
 
-def _position_window(params: ScaleParams):
-    """Discrete-Gaussian regularization of the x=0 state, lattice width sqrt(mu/h).
-
-    A basis eigenstate has a Theta(1) CCR residual (the commutator has zero
-    diagonal in any Q-eigenbasis), and a fixed-width packet gives O(1/mu^2):
-    the geometric-mean width is the scaling at which the residual decays at
-    the advertised O(1/mu) rate.
-    """
-    import numpy as np
-
-    sigma = math.sqrt(params.mu / float(params.h))
-    W = max(8, int(10 * sigma))
-    k = np.arange(-W, W + 1, dtype=np.int64)
-    psi = np.exp(-(k.astype(float) ** 2) / (4 * sigma * sigma)).astype(complex)
-    psi /= np.linalg.norm(psi)
-    return k, psi
-
-
 def ccr_residual(params: ScaleParams) -> float:
     """||(QP - PQ) e - i hbar e|| / hbar for the regularized eigenstate e.
 
     Q = mu (U - U^{-1})/2i acts diagonally with eigenvalues mu sin(hbar k/mu^2);
     P = mu (V - V^{-1})/2i is the symmetric difference; e is the x=0
-    regularization in the U-basis.
+    regularization in the U-basis: the discrete Gaussian e^{-k^2/(4 sigma^2)}
+    of lattice width sigma = sqrt(mu/h) on |k| <= W, normalized.  A basis
+    eigenstate has a Theta(1) CCR residual (the commutator has zero diagonal
+    in any Q-eigenbasis), and a fixed-width packet gives O(1/mu^2): the
+    geometric-mean width is the scaling at which the residual decays at the
+    advertised O(1/mu) rate.  The 2W + 1 entries are numpy arrays where
+    numpy pays (`exactnum.numpy_pays` with FLOAT_TERMS_IMPORT), and lists
+    otherwise: 309 entries at mu = 240.
     """
-    import numpy as np
-
     hbar, mu = params.hbar, params.mu
-    k, psi = _position_window(params)
-    diag = q_operator_eigenvalue(k, params)
+    sigma = math.sqrt(mu / float(params.h))
+    W = max(8, int(10 * sigma))
+    if numpy_pays(2 * W + 1, FLOAT_TERMS_IMPORT):
+        import numpy as np
 
-    def apply_shift(v):
-        # mu (T_down - T_up)/2i with T_down v|_j = v_{j+1} (V-action)
-        vp = np.empty_like(v)
-        vm = np.empty_like(v)
-        vp[:-1] = v[1:]
-        vp[-1] = 0
-        vm[1:] = v[:-1]
-        vm[0] = 0
-        return mu * (vp - vm) / 2j
+        k = np.arange(-W, W + 1, dtype=np.int64)
+        psi = np.exp(-(k.astype(float) ** 2) / (4 * sigma * sigma)).astype(complex)
+        psi /= np.linalg.norm(psi)
+        diag = mu * np.sin(hbar * k / mu ** 2)  # q_operator_eigenvalue at every k
 
-    r = diag * apply_shift(psi) - apply_shift(diag * psi) - 1j * hbar * psi
-    return float(np.linalg.norm(r) / hbar)
+        def apply_shift(v):
+            # mu (T_down - T_up)/2i with T_down v|_j = v_{j+1} (V-action)
+            vp = np.empty_like(v)
+            vm = np.empty_like(v)
+            vp[:-1] = v[1:]
+            vp[-1] = 0
+            vm[1:] = v[:-1]
+            vm[0] = 0
+            return mu * (vp - vm) / 2j
+
+        r = diag * apply_shift(psi) - apply_shift(diag * psi) - 1j * hbar * psi
+        return float(np.linalg.norm(r) / hbar)
+
+    ks = range(-W, W + 1)
+    psi = [math.exp(-(k * k) / (4 * sigma * sigma)) for k in ks]
+    norm = math.sqrt(math.fsum(x * x for x in psi))
+    psi = [x / norm for x in psi]
+    diag = [q_operator_eigenvalue(k, params) for k in ks]
+
+    def shift(v):
+        # P v = -i shift(v): mu (v_{j+1} - v_{j-1})/2, zero past the window
+        ext = [0.0, *v, 0.0]
+        return [mu * (b - a) / 2 for a, b in zip(ext, ext[2:])]
+
+    # psi is real, so r = -i (Q shift(psi) - shift(Q psi) + hbar psi)
+    r = [d * x - y + hbar * p
+         for d, x, y, p in zip(diag, shift(psi), shift([d * p for d, p in zip(diag, psi)]), psi)]
+    return math.sqrt(math.fsum(x * x for x in r)) / hbar
 
 
 def q_operator_eigenvalue(k: int, params: ScaleParams) -> float:
-    """Exact eigenvalue of Q = mu(U - U^{-1})/2i on the lattice state u(q^k);
-    k may be an array of indices."""
-    import numpy as np
-
-    return params.mu * np.sin(params.hbar * k / params.mu ** 2)
+    """Exact eigenvalue of Q = mu(U - U^{-1})/2i on the lattice state u(q^k)."""
+    return params.mu * math.sin(params.hbar * k / params.mu ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +384,13 @@ def converge_study(quantity: str, mus: list[int], h: Fraction = Fraction(1),
             raise ValueError(f"unknown quantity {quantity!r}")
     order = None
     if quantity == "ccr" and len(mus) > 1:
-        import numpy as np
-
-        logs = np.log(np.maximum(residuals, 1e-16))
-        order = float(np.polyfit(np.log(mus), logs, 1)[0])
+        order = _slope([math.log(mu) for mu in mus], [math.log(max(r, 1e-16)) for r in residuals])
     return ConvergenceReport(list(mus), residuals, order)
+
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of ys against xs, in closed form:
+    sum (x - xbar)(y - ybar) / sum (x - xbar)^2."""
+    xbar, ybar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dx = [x - xbar for x in xs]
+    return math.fsum(d * (y - ybar) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)

@@ -13,13 +13,12 @@ them: the module's own q_powers, and each scaled table a caller builds.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from .exactnum import Scalar, _phase_cached, dot
+from .exactnum import Scalar, _phase_cached, dot, numpy_pays
 from .lattice import GenWord, WeylDesc, _mod1
 
 
@@ -218,9 +217,10 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
 # 2.0-2.5 ms with the kernel and 3.8-5.3 ms without, a dense apply at N = 16
 # (256 products) 0.32-0.50 ms and 0.56-0.97 ms; at N = 12 (144) they tie.
 PRODUCTS_MIN = 256
-# Fewest products of one sum worth importing numpy for: the kernel saves
-# 1.4-3 us per product on Grams of N = 12-36, so 2^15 products save about
-# one numpy import (60-140 ms there).
+# Fewest products of one sum worth importing numpy for (`exactnum.numpy_pays`,
+# the rule the float sums share): the kernel saves 1.4-3 us per product on
+# Grams of N = 12-36, so 2^15 products save about one numpy import (60-140
+# ms there).
 PRODUCTS_IMPORT = 1 << 15
 
 
@@ -244,7 +244,7 @@ def _take_kernel(size: int, cols) -> bool:
     state.
     """
     return (size >= PRODUCTS_MIN and _probe_terms(cols) >= 2
-            and ("numpy" in sys.modules or size >= PRODUCTS_IMPORT))
+            and numpy_pays(size, PRODUCTS_IMPORT))
 
 
 def linear_combinations(rows, cols, dim: int, conj: bool = False) -> list[list[Scalar]]:

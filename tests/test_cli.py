@@ -1,7 +1,10 @@
 import argparse
+import contextlib
 import csv
+import importlib.util
 import io
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from finiteweyl import cli, dirac, repmod
+from finiteweyl import cli, dirac, exactnum, repmod
 from finiteweyl.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -392,31 +395,65 @@ class TestOutputFile:
         assert list(tmp_path.iterdir()) == []
 
 
-def numpy_after(argvs):
-    """Exit codes of the argvs run in one fresh interpreter, and whether numpy
-    was loaded after them."""
+def run_fresh(argvs, preload_numpy=False):
+    """Exit codes and stdouts of the argvs run in one fresh interpreter, which
+    imports numpy first when asked, and whether numpy was loaded after them."""
     src = str(Path(cli.__file__).resolve().parents[1])
     code = (
         "import contextlib, io, json, sys\n"
-        "from finiteweyl.cli import main\n"
-        "codes = []\n"
+        + ("import numpy\n" if preload_numpy else "")
+        + "from finiteweyl.cli import main\n"
+        "codes, outs = [], []\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
         "        codes.append(main(argv))\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        "    outs.append(out.getvalue())\n"
+        "print(json.dumps([codes, outs, 'numpy' in sys.modules]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     return json.loads(proc.stdout)
 
 
+def assert_same_but_last_bits(a, b, path="$"):
+    """Equal JSON values, except that floats need only agree to 1e-12: each
+    agrees relatively, or, for an error that is itself rounding noise (an
+    abs_err of 1e-16), absolutely."""
+    if isinstance(a, float) or isinstance(b, float):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12), (path, a, b)
+    elif isinstance(a, dict):
+        assert list(a) == list(b), path
+        for k in a:
+            assert_same_but_last_bits(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list):
+        assert len(a) == len(b), path
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same_but_last_bits(x, y, f"{path}[{i}]")
+    else:
+        assert type(a) is type(b) and a == b, (path, a, b)
+
+
+# The float commands of the cli benchmark workload (bench/workloads.py), and
+# `converge free` over the mu of README's `converge ccr`: their sums stay
+# below exactnum.FLOAT_TERMS_IMPORT.
+FLOAT_COMMANDS = [
+    *(["propagator", "free", "--t", t, "--mu", "240", "--grid=-1:1:5"] for t in ("1/2", "1", "3/2")),
+    ["trace", "qho", "--triple", "3,4,5", "--h", "1", "--mu", "auto", "--mu-min", "1000"],
+    ["converge", "ccr", "--mu", "30,60,120,240"],
+    ["converge", "free", "--mu", "60,120,240,480"],
+]
+
+
 class TestNumpyFree:
     # every golden command (the exact ones, transforms whose sums stay below
-    # repmod.PRODUCTS_IMPORT), `propagator qho` (scalar cmath) and float
+    # repmod.PRODUCTS_IMPORT), `propagator qho` (scalar cmath), the float
+    # commands whose sums stay below exactnum.FLOAT_TERMS_IMPORT and float
     # commands refused before any sum, run in one process that must never
     # load numpy
     COMMANDS = [(case["argv"], case["exit"]) for case in GOLDEN] + [
         (["propagator", "qho"], 0),
+        *((argv, 0) for argv in FLOAT_COMMANDS),
         (["trace", "qho", "--mu", "7"], 2),
         (["trace", "qho", "--triple", "3,4,5", "--mu", "16"], 2),
         (["propagator", "free", "--t", "1/3", "--mu", "10"], 2),
@@ -424,7 +461,7 @@ class TestNumpyFree:
     ]
 
     def test_commands_leave_numpy_out(self):
-        codes, numpy_loaded = numpy_after([argv for argv, _ in self.COMMANDS])
+        codes, _, numpy_loaded = run_fresh([argv for argv, _ in self.COMMANDS])
         assert codes == [expected for _, expected in self.COMMANDS]
         assert not numpy_loaded
 
@@ -432,7 +469,105 @@ class TestNumpyFree:
         # its Gram matrix alone has 36^3 > PRODUCTS_IMPORT products: the
         # histogram kernel pays for the import
         assert 36 ** 3 >= repmod.PRODUCTS_IMPORT
-        assert numpy_after([["transform", "--name", "fourier", "--n", "36"]]) == [[0], True]
+        codes, _, numpy_loaded = run_fresh([["transform", "--name", "fourier", "--n", "36"]])
+        assert (codes, numpy_loaded) == ([0], True)
+
+    def test_large_trace_loads_numpy(self):
+        # mu = 8010: its Gauss sum has L/2 + 1 = 427 735 terms, over the
+        # budget, so numpy pays for its import and sums them
+        argv = ["trace", "qho", "--mu-min", "8000"]
+        assert largest_float_sum(argv) > exactnum.FLOAT_TERMS_IMPORT
+        codes, _, numpy_loaded = run_fresh([argv])
+        assert (codes, numpy_loaded) == ([0], True)
+
+    def test_int64_refusal_on_both_routes(self):
+        for preload in (False, True):
+            assert run_fresh([["trace", "qho", "--mu-min", "1000000"]], preload) == [[2], [""], preload]
+
+    @pytest.mark.parametrize("argv", FLOAT_COMMANDS, ids=" ".join)
+    def test_float_command_agrees_with_numpy_loaded(self, argv):
+        (plain_code,), (plain,), plain_numpy = run_fresh([argv])
+        (loaded_code,), (loaded,), loaded_numpy = run_fresh([argv], preload_numpy=True)
+        assert plain_code == loaded_code == 0
+        assert (plain_numpy, loaded_numpy) == (False, True)
+        assert_same_but_last_bits(json.loads(plain), json.loads(loaded))
+
+
+def largest_float_sum(argv, cwd=None):
+    """The most terms of one float sum (a quadratic phase sum or a CCR
+    window) that argv makes, run in this process with no cached Gauss
+    constant; 0 when it makes none."""
+    sizes = []
+    take = exactnum.numpy_pays
+
+    def record(size, import_size):
+        if import_size == exactnum.FLOAT_TERMS_IMPORT:
+            sizes.append(size)
+        return take(size, import_size)
+
+    dirac._gauss_constant.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+            mp.setattr(exactnum, "numpy_pays", record)
+            mp.setattr(dirac, "numpy_pays", record)
+            if cwd is not None:
+                mp.chdir(cwd)
+            assert main(argv) == 0
+    finally:
+        dirac._gauss_constant.cache_clear()
+    return max(sizes, default=0)
+
+
+def load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = load_workloads()
+FLOAT_KINDS = ("propagator", "trace", "converge")
+README_FLOAT = [argv[1:] for argv in README_COMMANDS if argv[1] in FLOAT_KINDS]
+CLI_FLOAT = sorted({tuple(op["argv"]) for rnd in WORKLOADS.make_inputs("cli", 0) for op in rnd
+                    if op["expect"] == 0 and op["argv"][0] in FLOAT_KINDS})
+# at its default mu = 2520 the Gauss sum has 1 587 601 terms: a plain Python
+# sum would take about 0.35 s, several numpy imports
+README_FREE = ["propagator", "free", "--t", "1/2", "--h", "1", "--mu", "auto", "--grid=-1:1:5"]
+
+
+class TestFloatBudget:
+    """exactnum.FLOAT_TERMS_IMPORT against the sums real traffic makes."""
+
+    def test_every_kind_is_covered(self):
+        assert README_FREE in README_FLOAT
+        assert {tuple(argv[:2]) for argv in README_FLOAT} == {
+            ("propagator", "free"), ("propagator", "qho"), ("trace", "qho"), ("converge", "ccr"),
+            ("converge", "weakring")}
+        assert {argv[:2] for argv in CLI_FLOAT} == {
+            ("propagator", "free"), ("propagator", "qho"), ("trace", "qho"), ("converge", "ccr")}
+
+    @pytest.mark.parametrize("argv", [argv for argv in README_FLOAT if argv != README_FREE], ids=" ".join)
+    def test_readme_sums_below_the_budget(self, argv, tmp_path):
+        assert largest_float_sum(argv, cwd=tmp_path) < exactnum.FLOAT_TERMS_IMPORT
+
+    def test_readme_free_propagator_above_the_budget(self):
+        assert largest_float_sum(README_FREE) == 1_587_601 > exactnum.FLOAT_TERMS_IMPORT
+
+    @pytest.mark.parametrize("argv", [list(argv) for argv in CLI_FLOAT], ids=" ".join)
+    def test_cli_workload_sums_below_the_budget(self, argv):
+        assert largest_float_sum(argv) < exactnum.FLOAT_TERMS_IMPORT
+
+    @pytest.mark.parametrize("argv", FLOAT_COMMANDS, ids=" ".join)
+    def test_numpy_free_commands_below_the_budget(self, argv):
+        assert 0 < largest_float_sum(argv) < exactnum.FLOAT_TERMS_IMPORT
+
+    @pytest.mark.parametrize("mu", WORKLOADS.LARGE_TRACE_MU)
+    def test_float_continuum_large_traces_above_the_budget(self, mu):
+        # those traces keep numpy on purpose, not only because the
+        # benchmark loads it before its first operation
+        argv = ["trace", "qho", "--triple", "3,4,5", "--mu", str(mu)]
+        assert largest_float_sum(argv) > exactnum.FLOAT_TERMS_IMPORT
 
 
 class ReadRecorder(argparse.Namespace):

@@ -1,17 +1,25 @@
 import cmath
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction as F
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from finiteweyl import exactnum
 from finiteweyl.dirac import (
     KernelSample,
     ScaleParams,
     _gauss_constant,
+    _slope,
     auto_mu,
     ccr_residual,
     converge_study,
@@ -476,10 +484,90 @@ class TestCCR:
         assert np.allclose(P, P.conj().T)
 
 
+# Run in a fresh interpreter that never loads numpy: the plain-Python sums.
+PLAIN_ROUTE_SCRIPT = """
+import json, sys
+from fractions import Fraction
+from finiteweyl import dirac, exactnum
+cases = json.loads(sys.argv[1])
+out = {"phase": [[z.real, z.imag] for z in (exactnum.quadratic_phase_sum(*a) for a in cases["phase"])],
+       "gauss": [[z.real, z.imag] for z in (exactnum.gauss_sum_float(*a) for a in cases["gauss"])],
+       "ccr": [dirac.ccr_residual(dirac.ScaleParams(Fraction(1), mu)) for mu in cases["ccr"]],
+       "numpy": "numpy" in sys.modules}
+print(json.dumps(out))
+"""
+
+B = exactnum.PHASE_BLOCK
+
+
+class TestRoutesAgree:
+    """The float sums without numpy (plain Python, below FLOAT_TERMS_IMPORT)
+    against the numpy route that this process takes."""
+
+    # (P, sign, stop): shorter than one block, whole blocks with and without
+    # a tail, a modulus beyond int64 squares, and the empty sum
+    PHASE = [(7, 1, 5), (1000, 1, B // 2 + 3), (B + 1, -1, B - 1), (3 * B + 1, 1, 3 * B + 17),
+             (10**6 + 3, -1, 5 * B + 100), (3 * B + 2, 1, 2 * B), (2**61 - 1, 1, 2 * B + 5),
+             (811_200, -1, 105_601), (7, 1, 0)]
+    # (N, sign) at odd N (all N terms) and even N (half of them)
+    GAUSS = [(4801, 1), (9999, 1), (12345, -1), (9600, 1), (57600, -1)]
+    CCR_MU = [30, 60, 120, 240, 480]
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        src = str(Path(exactnum.__file__).resolve().parents[1])
+        cases = {"phase": self.PHASE, "gauss": self.GAUSS, "ccr": self.CCR_MU}
+        proc = subprocess.run([sys.executable, "-c", PLAIN_ROUTE_SCRIPT, json.dumps(cases)],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                              timeout=120, check=True)
+        out = json.loads(proc.stdout)
+        assert not out["numpy"]  # so every sum there took the plain-Python route
+        assert "numpy" in sys.modules  # so this process takes the numpy route
+        return out
+
+    @staticmethod
+    def agree(plain, loaded, terms):
+        # 1e-12 of the sum's scale: its modulus, or sqrt(terms) where the
+        # unit terms cancel below that (an odd-N Gauss sum has modulus 1)
+        return abs(complex(*plain) - loaded) <= 1e-12 * max(abs(loaded), math.sqrt(terms))
+
+    @pytest.mark.parametrize("i", range(len(PHASE)))
+    def test_quadratic_phase_sum(self, plain, i):
+        P, sign, stop = self.PHASE[i]
+        assert self.agree(plain["phase"][i], exactnum.quadratic_phase_sum(P, sign, stop), stop)
+
+    @pytest.mark.parametrize("i", range(len(GAUSS)))
+    def test_gauss_sum_float(self, plain, i):
+        N, sign = self.GAUSS[i]
+        assert self.agree(plain["gauss"][i], exactnum.gauss_sum_float(N, sign), N)
+
+    @pytest.mark.parametrize("i", range(len(CCR_MU)))
+    def test_ccr_residual(self, plain, i):
+        loaded = ccr_residual(ScaleParams(F(1), self.CCR_MU[i]))
+        assert abs(plain["ccr"][i] - loaded) <= 1e-12 * loaded
+
+
 class TestConvergeStudy:
     def test_ccr_order(self):
         rep = converge_study("ccr", [60, 120, 240, 480])
         assert -1.2 <= rep.fitted_order <= -0.8
+
+    def test_ccr_order_is_the_least_squares_slope(self):
+        # np.polyfit, the former fit, is the oracle
+        mus = [30, 60, 120, 240]
+        rep = converge_study("ccr", mus)
+        fit = np.polyfit(np.log(mus), np.log(rep.residuals), 1)[0]
+        assert abs(rep.fitted_order - fit) <= 1e-12 * abs(fit)
+
+    @pytest.mark.parametrize("points", [2, 3, 4])
+    def test_slope_matches_polyfit(self, points):
+        rng = random.Random(points)
+        for _ in range(50):
+            xs = sorted(rng.sample(range(1, 10**4), points))
+            xs = [math.log(x) for x in xs]
+            ys = [rng.uniform(-40, 5) for _ in xs]
+            fit = np.polyfit(xs, ys, 1)[0]
+            assert abs(_slope(xs, ys) - fit) <= 1e-12 * max(abs(fit), 1)
 
     def test_single_mu_fits_no_order(self):
         # one point has no slope: None, as for the quantities that fit none

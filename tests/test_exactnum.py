@@ -308,6 +308,21 @@ class TestCycConstruction:
     def test_zero_coefficients_dropped(self):
         assert Scalar(6, {1: 0, 7: 0}).coeffs == {}
 
+    # a radicand that is not a squarefree int >= 1: 4 once printed sqrt(4)
+    # and raised from sqrt_as_cyc on == 2, 0 built a nonzero-looking value,
+    # -3 raised a math domain error in to_complex
+    @pytest.mark.parametrize("rad", [4, 12, 0, -3, 2.0, 1.0, Fraction(2), Fraction(1)])
+    def test_radicand_must_be_squarefree_int(self, rad):
+        with pytest.raises(ValueError, match="radicand must be a squarefree integer >= 1"):
+            Scalar(1, {0: 1}, rad)
+
+    @pytest.mark.parametrize("rad", [1, 2, 3, 6, 30])
+    def test_squarefree_radicand_accepted(self, rad):
+        a = Scalar(1, {0: 1}, rad)
+        assert a.rad == rad
+        assert approx_eq(a.to_complex(), math.sqrt(rad), 1e-12)
+        assert a * a == rad
+
 
 class TestScalarAlgebra:
     def test_split_square(self):
