@@ -1,7 +1,9 @@
 """Command-line driver: lattice queries, basis dumps, transforms, propagators.
 
-Exit codes: 0 when all invoked checks pass tolerance, 1 on a tolerance
-failure, 2 on precondition violations (the violated condition is named).
+Each subcommand returns its report (meta, results, checks, rows), and
+`_emit` alone writes it, as JSON or as CSV rows, and picks the exit code:
+0 when all invoked checks pass tolerance, 1 on a tolerance failure.  `main`
+exits 2 on precondition violations (the violated condition is named).
 Rational inputs are strings "p/q" to avoid float parsing ambiguity.
 Only the float subcommands import `dirac`.  numpy loads only for one sum
 large enough to pay for its import (`exactnum.numpy_pays`): an exact sum
@@ -20,6 +22,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -88,7 +91,16 @@ def fmt_rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def _emit(payload: dict, args, rows=None) -> None:
+def _row(params, quantity: str, x1: float, x2: float, value: complex, closed: complex,
+         err: float) -> list:
+    """One CSV_HEADER row: a sampled value against its closed form."""
+    return [params.mu, params.N, quantity, x1, x2, value.real, value.imag, closed.real, closed.imag, err]
+
+
+def _emit(args, meta: dict, results: dict, checks: list[dict], rows: list | None) -> int:
+    """Write the report: {meta, results, checks} as JSON, or under --format
+    csv the rows of a command that has them, to stdout or --out.  The exit
+    code: 0 when every check passed, 1 otherwise."""
     try:
         out = sys.stdout if args.out is None else open(args.out, "w")
     except OSError as exc:
@@ -99,11 +111,12 @@ def _emit(payload: dict, args, rows=None) -> None:
             w.writerow(CSV_HEADER)
             w.writerows(rows)
         else:
-            json.dump(payload, out, indent=2, default=str)
+            json.dump({"meta": meta, "results": results, "checks": checks}, out, indent=2, default=str)
             out.write("\n")
     finally:
         if out is not sys.stdout:
             out.close()
+    return 0 if all(c["passed"] for c in checks) else 1
 
 
 def _check_out(path) -> None:
@@ -128,29 +141,28 @@ def _check(name: str, passed, value, tol) -> dict:
     return {"name": name, "passed": bool(passed), "value": value, "tol": tol}
 
 
-def _checks_exit(checks: list[dict]) -> int:
-    return 0 if all(c["passed"] for c in checks) else 1
-
-
 def _check_n(n: int) -> None:
     """Refuse a module dimension --n below 1 (OutOfRange) before anything is built."""
     if n < 1:
         raise OutOfRange(f"--n must be at least 1, got {n}")
 
 
-def _resolve_mu(args, divisors: list[int], default_min: int) -> int:
+def _resolve_mu(args, divisors: list[int], default_min: int) -> tuple[int, str]:
+    """The mu of --mu, and the policy that chose it (reported as meta.mu_policy)."""
     if args.mu == "auto":
         from . import dirac
 
-        return dirac.auto_mu(parse_rat(args.h, "--h"), divisors, min_mu=args.mu_min or default_min)
-    return parse_option(args.mu, int, "--mu", 'an integer or "auto"')
+        return (dirac.auto_mu(parse_rat(args.h, "--h"), divisors, min_mu=args.mu_min or default_min),
+                "auto: lcm of h parts and required indices, scaled to --mu-min")
+    return parse_option(args.mu, int, "--mu", 'an integer or "auto"'), "explicit"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (meta, results, checks, rows) for `_emit`, rows
+# None when it has no CSV form
 # ---------------------------------------------------------------------------
 
-def cmd_lattice(args) -> int:
+def cmd_lattice(args) -> tuple:
     results = {}
     if args.center:
         A = parse_desc(args.center, "--center")
@@ -171,12 +183,10 @@ def cmd_lattice(args) -> int:
         gens = maximal_commutative(A)
         results["ocount"] = len(gens)
         results["ogenerators"] = [f"U^{fmt_rat(g.u_exp)} V^{fmt_rat(g.v_exp)}" for g in gens]
-    payload = {"meta": {"command": "lattice"}, "results": results, "checks": []}
-    _emit(payload, args)
-    return 0
+    return {"command": "lattice"}, results, [], None
 
 
-def cmd_basis(args) -> int:
+def cmd_basis(args) -> tuple:
     A = parse_desc(args.alg, "--alg")
     M = build_module(A, SpecPoint.principal_point())
     if args.which == "u":
@@ -196,17 +206,11 @@ def cmd_basis(args) -> int:
         dump = [[[z.real, z.imag] for z in (a.to_complex() for a in vec.amps)] for vec in basis]
     else:
         dump = [[str(a) for a in vec.amps] for vec in basis]
-    payload = {
-        "meta": {"command": "basis", "alg": args.alg, "which": args.which,
-                 "mode": args.mode, "dim": M.dim},
-        "results": {"basis": dump},
-        "checks": [],
-    }
-    _emit(payload, args)
-    return 0
+    meta = {"command": "basis", "alg": args.alg, "which": args.which, "mode": args.mode, "dim": M.dim}
+    return meta, {"basis": dump}, [], None
 
 
-def cmd_pairing(args) -> int:
+def cmd_pairing(args) -> tuple:
     _check_n(args.n)
     N = args.n
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())
@@ -221,16 +225,11 @@ def cmd_pairing(args) -> int:
 
     res = pairing(vec_of(args.left, "--left"), vec_of(args.right, "--right"))
     value = res.value.to_complex().real
-    payload = {
-        "meta": {"command": "pairing", "n": N, "left": args.left, "right": args.right},
-        "results": {"value": value, "compatible": res.compatible},
-        "checks": [],
-    }
-    _emit(payload, args)
-    return 0
+    meta = {"command": "pairing", "n": N, "left": args.left, "right": args.right}
+    return meta, {"value": value, "compatible": res.compatible}, [], None
 
 
-def cmd_transform(args) -> int:
+def cmd_transform(args) -> tuple:
     _check_n(args.n)
     check_sample(args.sample)
     N = args.n
@@ -261,19 +260,9 @@ def cmd_transform(args) -> int:
             if len(entries) >= 8:
                 break
         sampled[m] = entries
-    payload = {
-        "meta": {
-            "command": "transform",
-            "name": L.name,
-            "n": N,
-            "gL": [[fmt_rat(x) for x in row] for row in L.gL],
-            "dim": L.dim,
-        },
-        "results": {"sampled_columns": sampled},
-        "checks": checks,
-    }
-    _emit(payload, args)
-    return _checks_exit(checks)
+    meta = {"command": "transform", "name": L.name, "n": N,
+            "gL": [[fmt_rat(x) for x in row] for row in L.gL], "dim": L.dim}
+    return meta, {"sampled_columns": sampled}, checks, None
 
 
 def _grid(spec: str) -> list[float]:
@@ -285,98 +274,55 @@ def _grid(spec: str) -> list[float]:
     return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
 
 
-def cmd_propagator(args) -> int:
+def cmd_propagator(args) -> tuple:
     from . import dirac
 
     h = parse_rat(args.h, "--h")
-    rows = []
     xs = _grid(args.grid)
     if args.kind == "free":
         t = parse_rat(args.t, "--t")
-        mu = _resolve_mu(args, [2 * t.numerator * t.denominator], 2520)
-        params = dirac.ScaleParams(h, mu)
+        mu, policy = _resolve_mu(args, [2 * t.numerator * t.denominator], 2520)
         quantity = f"free[t={args.t}]"
 
         def sample(x1, x2):
             return dirac.free_propagator(x1, x2, t, params)
     else:
         e, f, c = parse_triple(args.triple)
-        mu = _resolve_mu(args, [2 * c * e * (c - f), c * c * e], 4000)
-        params = dirac.ScaleParams(h, mu)
+        mu, policy = _resolve_mu(args, [2 * c * e * (c - f), c * c * e], 4000)
         quantity = f"qho[{e},{f},{c}]"
 
         def sample(x1, x2):
             return dirac.qho_propagator(x1, x2, (e, f, c), params)
 
+    params = dirac.ScaleParams(h, mu)
     samples = [sample(x1, x2) for x1 in xs for x2 in xs]
-
-    worst = 0.0
-    for s in samples:
-        worst = max(worst, s.abs_err)
-        rows.append(
-            [
-                params.mu,
-                params.N,
-                quantity,
-                s.x1,
-                s.x2,
-                s.value.real,
-                s.value.imag,
-                s.closed_form.real,
-                s.closed_form.imag,
-                s.abs_err,
-            ]
-        )
+    worst = max(0.0, *(s.abs_err for s in samples))
+    rows = [_row(params, quantity, s.x1, s.x2, s.value, s.closed_form, s.abs_err) for s in samples]
     checks = [_check("kernel_matches_closed_form", worst <= args.tol, worst, args.tol)]
-    payload = {
-        "meta": {
-            "command": f"propagator {args.kind}",
-            "h": args.h,
-            "mu": params.mu,
-            "mu_policy": "auto: lcm of h parts and required indices, scaled to --mu-min" if args.mu == "auto" else "explicit",
-            "N": params.N,
-            "grid": args.grid,
-            "t": args.t if args.kind == "free" else None,
-            "triple": args.triple if args.kind == "qho" else None,
-        },
-        "results": {"max_abs_err": worst, "samples": len(samples)},
-        "checks": checks,
-    }
-    _emit(payload, args, rows=rows)
-    return _checks_exit(checks)
+    meta = {"command": f"propagator {args.kind}", "h": args.h, "mu": params.mu, "mu_policy": policy,
+            "N": params.N, "grid": args.grid, "t": args.t if args.kind == "free" else None,
+            "triple": args.triple if args.kind == "qho" else None}
+    return meta, {"max_abs_err": worst, "samples": len(samples)}, checks, rows
 
 
-def cmd_trace(args) -> int:
+def cmd_trace(args) -> tuple:
     from . import dirac
 
     h = parse_rat(args.h, "--h")
     e, f, c = parse_triple(args.triple)
-    mu = _resolve_mu(args, [2 * c * e * (c - f)], 200)
+    mu, policy = _resolve_mu(args, [2 * c * e * (c - f)], 200)
     params = dirac.ScaleParams(h, mu)
     r = dirac.qho_trace((e, f, c), params)
     checks = [_check("trace_matches_closed_form", r.abs_err <= args.tol, r.abs_err, args.tol)]
-    rows = [
-        [params.mu, params.N, f"trace qho[{e},{f},{c}]", 0.0, 0.0, r.value.real, r.value.imag,
-         r.closed_form.real, r.closed_form.imag, r.abs_err]
-    ]
-    payload = {
-        "meta": {"command": f"trace {args.kind}", "h": args.h, "mu": params.mu, "N": params.N,
-                 "triple": args.triple, "terms": r.terms},
-        "results": {
-            "tr_re": r.value.real,
-            "tr_im": r.value.imag,
-            "tr_abs": abs(r.value),
-            "closed_re": r.closed_form.real,
-            "closed_im": r.closed_form.imag,
-            "abs_err": r.abs_err,
-        },
-        "checks": checks,
-    }
-    _emit(payload, args, rows=rows)
-    return _checks_exit(checks)
+    rows = [_row(params, f"trace qho[{e},{f},{c}]", 0.0, 0.0, r.value, r.closed_form, r.abs_err)]
+    meta = {"command": f"trace {args.kind}", "h": args.h, "mu": params.mu, "mu_policy": policy,
+            "N": params.N, "triple": args.triple, "terms": r.terms}
+    results = {"tr_re": r.value.real, "tr_im": r.value.imag, "tr_abs": abs(r.value),
+               "closed_re": r.closed_form.real, "closed_im": r.closed_form.imag, "abs_err": r.abs_err}
+    return meta, results, checks, rows
 
 
-def cmd_converge(args) -> int:
+def cmd_converge(args) -> tuple:
     from . import dirac
 
     mus = parse_option(args.mu_list, lambda v: [int(x) for x in v.split(",")], "--mu",
@@ -394,13 +340,8 @@ def cmd_converge(args) -> int:
         [mu, "", f"converge {args.quantity}", "", "", "", "", "", "", res]
         for mu, res in zip(rep.mus, rep.residuals)
     ]
-    payload = {
-        "meta": {"command": f"converge {args.quantity}", "h": args.h, "mu_list": rep.mus, "seed": args.seed},
-        "results": {"residuals": rep.residuals, "fitted_order": rep.fitted_order},
-        "checks": checks,
-    }
-    _emit(payload, args, rows=rows)
-    return _checks_exit(checks)
+    meta = {"command": f"converge {args.quantity}", "h": args.h, "mu_list": rep.mus, "seed": args.seed}
+    return meta, {"residuals": rep.residuals, "fitted_order": rep.fitted_order}, checks, rows
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +356,14 @@ def make_parser() -> argparse.ArgumentParser:
     checked = argparse.ArgumentParser(add_help=False)
     checked.add_argument("--format", choices=["json", "csv"], default="json")
     checked.add_argument("--tol", type=float, default=1e-9)
+    # options of the commands that scale the module by h and mu: propagator and trace
+    scaled = argparse.ArgumentParser(add_help=False)
+    scaled.add_argument("--h", default="1")
+    scaled.add_argument("--mu", default="auto",
+                        help='integer, or "auto": smallest even mu divisible by the parts of h '
+                             "and every index the computation needs, scaled up to --mu-min")
+    scaled.add_argument("--mu-min", type=int, default=None)
+    scaled.add_argument("--triple", default="3,4,5")
 
     p = argparse.ArgumentParser(
         prog="finiteweyl",
@@ -422,8 +371,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_parser(name, checks=False, **kw):
-        return sub.add_parser(name, parents=[common, checked] if checks else [common], **kw)
+    def add_parser(name, *parents, **kw):
+        return sub.add_parser(name, parents=[common, *parents], **kw)
 
     lat = add_parser("lattice", help="inclusion/center/O(A) queries")
     lat.add_argument("--center", help='algebra "a,b"')
@@ -461,27 +410,17 @@ def make_parser() -> argparse.ArgumentParser:
                     help="check about this many evenly spaced basis indices (at least 1)")
     tr.set_defaults(func=cmd_transform)
 
-    mu_help = ('integer, or "auto": smallest even mu divisible by the parts of h '
-               "and every index the computation needs, scaled up to --mu-min")
-    prop_p = add_parser("propagator", checks=True, help="free/qho kernels vs closed forms")
+    prop_p = add_parser("propagator", checked, scaled, help="free/qho kernels vs closed forms")
     prop_p.add_argument("kind", choices=["free", "qho"])
-    prop_p.add_argument("--h", default="1")
-    prop_p.add_argument("--mu", default="auto", help=mu_help)
-    prop_p.add_argument("--mu-min", type=int, default=None)
     prop_p.add_argument("--t", default="1/2")
-    prop_p.add_argument("--triple", default="3,4,5")
     prop_p.add_argument("--grid", default="-1:1:5")
     prop_p.set_defaults(func=cmd_propagator)
 
-    trc = add_parser("trace", checks=True, help="QHO trace vs 1/(i|sin(t/2)|)")
+    trc = add_parser("trace", checked, scaled, help="QHO trace vs 1/(i|sin(t/2)|)")
     trc.add_argument("kind", choices=["qho"])
-    trc.add_argument("--triple", default="3,4,5")
-    trc.add_argument("--h", default="1")
-    trc.add_argument("--mu", default="auto", help=mu_help)
-    trc.add_argument("--mu-min", type=int, default=None)
     trc.set_defaults(func=cmd_trace)
 
-    cv = add_parser("converge", checks=True, help="residual sweeps over mu")
+    cv = add_parser("converge", checked, help="residual sweeps over mu")
     cv.add_argument("quantity", choices=["ccr", "free", "qho", "weakring"])
     cv.add_argument("--mu", dest="mu_list", required=True, help="comma list of mu")
     cv.add_argument("--h", default="1")
@@ -493,14 +432,15 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse reads a word such as "-1,0" as an option: glue it to its flag
+    # argparse reads a value such as "-1,0" or "-1/2" as an option: glue
+    # every value that starts with "-" and a digit to the --option before it
     for i in reversed(range(len(argv) - 1)):
-        if argv[i] in ("--s-word", "--t-word") and not argv[i + 1].startswith("--"):
+        if re.fullmatch(r"--[\w-]+", argv[i]) and re.match(r"-\d", argv[i + 1]):
             argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
     args = make_parser().parse_args(argv)
     try:
         _check_out(args.out)
-        return args.func(args)
+        return _emit(args, *args.func(args))
     except FiniteWeylError as exc:
         print(f"precondition violated ({type(exc).__name__}): {exc}", file=sys.stderr)
         return 2

@@ -217,11 +217,14 @@ def fourier(M: ModuleRep) -> RegUnitary:
 
 
 def gaussian_dim(N: int, b: int, d: int) -> int:
-    """Nb = N/|bd| for the Gaussian's <U^d, V^b>-submodule; refuses b or d = 0,
-    bd not dividing N (NotDividing) and odd Nb (OddOrder: sqrt(Nb)/G(Nb) needs
-    even order).  `gaussian` and `dirac.free_propagator` both check here."""
-    if b == 0 or d == 0:
-        raise DivisibilityViolation("b and d must be nonzero")
+    """Nb = N/|bd| for the Gaussian's <U^d, V^b>-submodule; refuses b = 0 or
+    d < 1 (the sign of t = b/d is b's), bd not dividing N (NotDividing) and
+    odd Nb (OddOrder: sqrt(Nb)/G(Nb) needs even order).  `gaussian` and
+    `dirac.free_propagator` both check here."""
+    if b == 0:
+        raise DivisibilityViolation("b must be nonzero")
+    if d < 1:
+        raise DivisibilityViolation(f"d must be a positive integer, got {d}: the sign of t = b/d goes in b")
     bd = abs(b * d)
     if N % bd != 0:
         raise NotDividing(f"bd = {bd} must divide N = {N}")

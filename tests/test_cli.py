@@ -104,6 +104,35 @@ class TestPairing:
         assert json.loads(out)["results"]["value"] == pytest.approx(1 / 20000, rel=1e-12)
 
 
+class TestNegativeValues:
+    """A value that starts with "-" and a digit is its option's value,
+    spaced as well as glued with "="."""
+
+    CASES = [
+        (["transform", "--name", "free", "--n", "8"], "--t", "-1/2", 0),
+        (["propagator", "free", "--mu", "240", "--grid=-1:1:3"], "--t", "-1/2", 0),
+        (["propagator", "free", "--t", "1/2", "--mu", "240"], "--grid", "-1:1:3", 0),
+        (["propagator", "qho", "--mu", "300", "--grid=0:0:1"], "--tol", "-1e-9", 1),
+        (["converge", "ccr"], "--mu", "-60,60", 2),
+        (["propagator", "free", "--t", "1/2", "--grid=0:0:1"], "--mu", "-240", 2),
+    ]
+
+    @pytest.mark.parametrize("argv,option,value,code", CASES,
+                             ids=[" ".join([*argv, option, value]) for argv, option, value, _ in CASES])
+    def test_spaced_and_glued_agree(self, capsys, argv, option, value, code):
+        spaced = main([*argv, option, value]), *capsys.readouterr()
+        glued = main([*argv, f"{option}={value}"]), *capsys.readouterr()
+        assert spaced == glued
+        assert spaced[0] == code
+
+    def test_negative_mu_names_its_precondition(self, capsys):
+        code = main(["converge", "ccr", "--mu", "-60,60"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "mu must be a positive integer" in captured.err
+
+
 class TestMalformedOptions:
     @pytest.mark.parametrize("argv,option", [
         (["basis", "--alg", "1"], "--alg"),
@@ -186,6 +215,17 @@ class TestTransform:
         assert captured.out == ""
         assert "sample must be at least 1" in captured.err
 
+    def test_negative_d_names_its_precondition(self, capsys):
+        # t = b/d carries its sign in b: --b -1 --d 2 runs, --d -1 is refused
+        # by the Gaussian's own rule, not by a branch of the module
+        code = main(["transform", "--name", "gaussian", "--n", "12", "--d", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "precondition violated (DivisibilityViolation)" in captured.err
+        assert "the sign of t = b/d goes in b" in captured.err
+        assert run(capsys, "transform", "--name", "gaussian", "--n", "12", "--b", "-1", "--d", "2")[0] == 0
+
 
 class TestTrace:
     def test_spec_example(self, capsys):
@@ -218,6 +258,19 @@ class TestTrace:
         assert code == 2
         assert captured.out == ""
         assert exc.__name__ in captured.err
+
+    @pytest.mark.parametrize("mu", ["auto", "210"])
+    def test_mu_policy_reported(self, capsys, mu):
+        # the same mu either way, and the same words as `propagator`
+        code, out = run(capsys, "trace", "qho", "--mu", mu)
+        assert code == 0
+        meta = json.loads(out)["meta"]
+        code, out = run(capsys, "propagator", "qho", "--mu", "auto" if mu == "auto" else "300",
+                        "--grid=0:0:1")
+        assert code == 0
+        assert meta["mu"] == 210
+        assert meta["mu_policy"] == json.loads(out)["meta"]["mu_policy"]
+        assert meta["mu_policy"].startswith("auto:") == (mu == "auto")
 
 
 class TestPropagator:
@@ -611,7 +664,7 @@ class TestEveryOptionIsRead:
         for argv in self.ARGVS[command]:
             args = ReadRecorder(**vars(parser.parse_args(argv)))
             dests |= set(vars(args)) - {"command", "func", "_read"}
-            assert args.func(args) == 0
+            assert cli._emit(args, *args.func(args)) == 0
             read |= object.__getattribute__(args, "_read")
         capsys.readouterr()
         assert dests - read == set()

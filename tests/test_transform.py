@@ -169,6 +169,13 @@ class TestGaussian:
         with pytest.raises(OddOrder):
             gaussian(principal_module(9))
 
+    @pytest.mark.parametrize("d", [-2, -1, 0])
+    def test_non_positive_d_rejected(self, d):
+        # t = b/d carries its sign in b; a d below 1 is refused before any
+        # summand is taken
+        with pytest.raises(DivisibilityViolation, match="sign of t = b/d goes in b"):
+            gaussian(principal_module(12), b=1, d=d)
+
     def test_range_roots_under_substitution(self):
         # on the module with roots u = 0, v = d n/N, sigma moves the centre's
         # character: the images live on the module with roots
