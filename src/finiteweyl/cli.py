@@ -69,6 +69,14 @@ def split_option(value: str, sep: str, parse: tuple, option: str, form: str) -> 
     return parse_option(value, convert, option, form)
 
 
+def parse_time(s: str) -> Fraction:
+    """--t, refused at 0 (no evolution) before gaussian_dim sees it."""
+    t = parse_rat(s, "--t")
+    if t == 0:
+        raise ValueError(f"--t must be a nonzero rational, got {s!r}")
+    return t
+
+
 def parse_desc(s: str, option: str) -> WeylDesc:
     return WeylDesc(*split_option(s, ",", (Fraction, Fraction), option, '"a,b"'))
 
@@ -241,7 +249,7 @@ def cmd_transform(args) -> tuple:
     elif args.name == "diagonal":
         L = diagonal(M, args.m)
     elif args.name == "free":
-        t = parse_rat(args.t, "--t")
+        t = parse_time(args.t)
         L = free_evolution(M, t.numerator, t.denominator)
     elif args.name == "qho":
         L = qho_evolution(M, *parse_triple(args.triple))
@@ -280,7 +288,7 @@ def cmd_propagator(args) -> tuple:
     h = parse_rat(args.h, "--h")
     xs = _grid(args.grid)
     if args.kind == "free":
-        t = parse_rat(args.t, "--t")
+        t = parse_time(args.t)
         mu, policy = _resolve_mu(args, [2 * t.numerator * t.denominator], 2520)
         quantity = f"free[t={args.t}]"
 
@@ -440,6 +448,8 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         _check_out(args.out)
+        if "tol" in args and not args.tol >= 0:  # a tolerance no error can meet, NaN too
+            raise ValueError(f"--tol must be a nonnegative number, got {args.tol}")
         return _emit(args, *args.func(args))
     except FiniteWeylError as exc:
         print(f"precondition violated ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -41,6 +41,7 @@ class ScaleParams:
 
     h: Fraction
     mu: int
+    N: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h", _positive_h(self.h))
@@ -50,13 +51,10 @@ class ScaleParams:
             raise DivisibilityViolation(
                 f"numerator and denominator of h = {self.h} must divide mu = {self.mu}"
             )
+        # exact: h's numerator divides mu
+        object.__setattr__(self, "N", self.mu * self.mu * self.h.denominator // self.h.numerator)
         if self.N % 2:
             raise DivisibilityViolation(f"N = {self.N} must be even (choose even mu)")
-
-    @property
-    def N(self) -> int:
-        n = Fraction(self.mu * self.mu) / self.h
-        return int(n)
 
     @property
     def hbar(self) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import NotCommutative, NotIncluded, NotInAlgebra
 
@@ -219,42 +219,18 @@ def spectrum_project(B: WeylDesc, A: WeylDesc, beta):
 # transformations)
 # ---------------------------------------------------------------------------
 
-def _row_hnf_2col(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Hermite-style basis of the row lattice generated by integer 2-vectors."""
-    rows = [(int(x), int(y)) for x, y in rows if x or y]
-    if not rows:
-        return []
-    piv = None
-    rest = []
-    for r in rows:
-        if piv is None:
-            piv = r
-            continue
-        a, b = piv, r
-        while b[0]:
-            q, (a, b) = a[0] // b[0], (b, a)
-            b = (b[0] - q * a[0], b[1] - q * a[1])
-        piv = a
-        if b[1]:
-            rest.append(b)
-    if piv is not None and piv[0] == 0:
-        if piv[1]:
-            rest.append(piv)
-        piv = None
-    g2 = 0
-    for _, y in rest:
-        g2 = gcd(g2, abs(y))
-    out = []
-    if piv is not None:
-        x, y = piv
-        if x < 0:
-            x, y = -x, -y
-        if g2:
-            y %= g2
-        out.append((x, y))
-    if g2:
-        out.append((0, g2))
-    return out
+def _row_basis(rows: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Basis (x, y), (0, g) with x > 0 and 0 <= y < g of the full-rank lattice
+    that integer 2-vectors span: one Euclid pass on the first column, each row
+    carried along, and g the gcd of the second entries left over."""
+    piv, g = rows[0], 0
+    for r in rows[1:]:
+        while r[0]:
+            f = piv[0] // r[0]
+            piv, r = r, (piv[0] - f * r[0], piv[1] - f * r[1])
+        g = gcd(g, r[1])
+    x, y = piv if piv[0] > 0 else (-piv[0], -piv[1])
+    return [(x, y % g), (0, g)]
 
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
@@ -298,13 +274,7 @@ def lattice_intersect(rows1, rows2):
     lattice with basis rows M has basis rows (M^T)^{-1}.
     """
     stacked = mat_inv(tuple(zip(*rows1))) + mat_inv(tuple(zip(*rows2)))
-    den = 1
-    for r in stacked:
-        for x in r:
-            den = den * x.denominator // gcd(den, x.denominator)
-    int_rows = [(int(x * den), int(y * den)) for x, y in stacked]
-    H = _row_hnf_2col(int_rows)
-    if len(H) != 2:
-        raise ValueError("dual sum is not full rank")
+    den = lcm(*(x.denominator for r in stacked for x in r))
+    H = _row_basis([(int(x * den), int(y * den)) for x, y in stacked])
     sum_basis = [[Fraction(x, den) for x in r] for r in H]
     return list(mat_inv(tuple(zip(*sum_basis))))

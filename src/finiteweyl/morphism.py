@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import BadBranch, ModuleMismatch, NotDividing, NotIncluded
 from .exactnum import Scalar, sum_abs2
-from .lattice import WeylDesc, _mod1, includes, join, relative_indices, spectrum_project
+from .lattice import WeylDesc, includes, join, relative_indices, spectrum_project
 from .repmod import ModuleRep, PhaseTable, SpecPoint, StateVec, build_module, inner
 
 
@@ -62,8 +62,9 @@ def decompose(M: ModuleRep, B: WeylDesc):
     """
     n, k = _indices(M, B)
     amp = _amplitudes(M, n)
-    parts = (_summand(M, n, k, ell_u, ell_v, amp) for ell_u in range(n) for ell_v in range(k))
-    return [(beta, [StateVec.from_pairs(M, g) for g in pairs]) for beta, pairs in parts]
+    return [(_point(M, n, k, ell_u, ell_v),
+             [StateVec.from_pairs(M, g) for g in _columns(M, n, k, ell_u, ell_v, amp)])
+            for ell_u in range(n) for ell_v in range(k)]
 
 
 def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
@@ -78,7 +79,7 @@ def summand(M: ModuleRep, B: WeylDesc, ell_u: int = 0, ell_v: int = 0):
     n, k = _indices(M, B)
     if not (0 <= ell_u < n and 0 <= ell_v < k):
         raise BadBranch(f"branch ({ell_u},{ell_v}) is outside {n} x {k}")
-    return _summand(M, n, k, ell_u, ell_v, _amplitudes(M, n))
+    return _point(M, n, k, ell_u, ell_v), _columns(M, n, k, ell_u, ell_v, _amplitudes(M, n))
 
 
 def _amplitudes(M: ModuleRep, n: int, c: Scalar = Scalar.one()) -> PhaseTable:
@@ -86,70 +87,55 @@ def _amplitudes(M: ModuleRep, n: int, c: Scalar = Scalar.one()) -> PhaseTable:
     return PhaseTable(M.q_phase, 1, Scalar.exact(c, 1, n))
 
 
-def _support_indices(M: ModuleRep, n: int, k: int, ell_v: int) -> list[list[int]]:
-    """The n support indices (k m' + ell_v + r N/n) mod N of each g_m' of a branch ell_v summand."""
+def _columns(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp: PhaseTable,
+             sigma: int = 0, tau: int = 0) -> list[list]:
+    """For each j < N_B, the n support pairs (idx, amp[t]) of q^{nk tau j} g_{(j + sigma) mod N_B},
+    g_m' the branch (ell_u, ell_v) summand vector: idx = k m' + ell_v + r N/n for r < n, each
+    below N since k m' + ell_v < N/n, and t = nk tau j + ell_u idx mod N."""
     N = M.dim
-    return [[(k * mp + ell_v + r * N // n) % N for r in range(n)] for mp in range(N // (n * k))]
+    NB = N // (n * k)
+    return [[(idx, amp[(n * k * tau * j + ell_u * idx) % N])
+             for idx in range(k * ((j + sigma) % NB) + ell_v, N, N // n)]
+            for j in range(NB)]
 
 
-def _supports(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp: PhaseTable):
-    """For each basis vector g_m' of the branch (ell_u, ell_v) summand, its n
-    support pairs (idx, amp[ell_u idx mod N])."""
-    N = M.dim
-    return [[(idx, amp[ell_u * idx % N]) for idx in idxs] for idxs in _support_indices(M, n, k, ell_v)]
+def _point(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int) -> SpecPoint:
+    """Spectral point of the branch (ell_u, ell_v) summand, whose roots are
+    n (u + ell_v q) and k (v + ell_u q)."""
+    q, NB = M.q_phase, M.dim // (n * k)
+    return SpecPoint(NB * n * (M.u_phase + ell_v * q), NB * k * (M.v_phase + ell_u * q))
 
 
-def _summand(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int, amp):
-    return _summand_params(M, n, k, ell_u, ell_v)[2], _supports(M, n, k, ell_u, ell_v, amp)
-
-
-def _summand_params(M: ModuleRep, n: int, k: int, ell_u: int, ell_v: int):
-    """(u_sub, v_sub, beta): phases and spectral point of the branch (ell_u, ell_v) summand."""
-    q = M.q_phase
-    u_sub = _mod1(n * M.u_phase + n * ell_v * q)
-    v_sub = _mod1(k * (M.v_phase + ell_u * q))
-    NB = M.dim // (n * k)
-    return u_sub, v_sub, SpecPoint(_mod1(NB * u_sub), _mod1(NB * v_sub))
+def _solve(a: Fraction, b: Fraction) -> int | None:
+    """The x in [0, D) with a x = b mod 1, D the denominator of a (a = c/D with c
+    a unit mod D); None when no x solves it, that is when b D is not an integer."""
+    D = a.denominator
+    t = b * D
+    return t.numerator * pow(a.numerator, -1, D) % D if t.denominator == 1 else None
 
 
 def embed_pbeta(Msub: ModuleRep, Mamb: ModuleRep, root: int = 0) -> Embedding:
     """Local embedding p^beta of V_B(beta) onto its copy inside V_A(alpha).
 
     There are exactly n_B embeddings; `root` selects the n_B-th root of
-    unity multiplying the canonical one.
+    unity multiplying the canonical one.  The branch and the alignment are
+    solved for: Msub's roots are n (u + q x) and k (v + q y) with
+    x = ell_v + k sigma and y = ell_u + n tau, and column j is the summand
+    vector (j + sigma) mod n_B times q^{nk tau j} and the root's phase.
     """
     B, A = Msub.alg, Mamb.alg
     if not includes(B, A):
         raise NotIncluded(f"{B} is not a subalgebra of {A}")
-    if spectrum_project(B, A, Msub.point) != Mamb.point:
-        raise BadBranch("submodule point does not project onto the ambient point")
-
     n, k = _indices(Mamb, B)
-    NB = Msub.dim
-    # the branch is found from the summands' spectral points alone
-    params = (_summand_params(Mamb, n, k, *divmod(ell, k)) for ell in range(n * k))
-    found = next(((ell, p) for ell, p in enumerate(params) if p[2] == Msub.point), None)
-    if found is None:
-        raise BadBranch("no summand carries the requested spectral point")
-    ell, (u_sub, v_sub, _) = found
-
-    qB = _mod1(Fraction(n * k) * Mamb.q_phase)
-    # align eigenvalues: u_dom = u_sub * qB^sigma, v_dom = v_sub * qB^tau
-    sigma = next((s for s in range(NB) if _mod1(u_sub + s * qB) == Msub.u_phase), None)
-    tau = next((t for t in range(NB) if _mod1(v_sub + t * qB) == Msub.v_phase), None)
-    if sigma is None or tau is None:
-        raise BadBranch("submodule roots are incompatible with the summand")
-
-    # column j is summand vector (j + sigma) mod NB times the alignment phase
-    # qB^{tau j} = q^{nk tau j} and the root's phase: at its index idx each
-    # entry is zeta_NB^root q^{nk tau j + ell_u idx}/sqrt(n)
-    N = Mamb.dim
-    ell_u, ell_v = divmod(ell, k)
-    idxs = _support_indices(Mamb, n, k, ell_v)
-    amp = _amplitudes(Mamb, n, Scalar.phase(Fraction(root, NB)))
-    cols = [[(idx, amp[(n * k * tau * j + ell_u * idx) % N]) for idx in idxs[(j + sigma) % NB]]
-            for j in range(NB)]
-    return Embedding(Msub, Mamb, ell, cols)
+    q = Mamb.q_phase
+    x = _solve(n * q, Msub.u_phase - n * Mamb.u_phase)
+    y = _solve(k * q, Msub.v_phase - k * Mamb.v_phase)
+    if x is None or y is None:
+        raise BadBranch("submodule roots are not those of any summand of the ambient module")
+    sigma, ell_v = divmod(x, k)
+    tau, ell_u = divmod(y, n)
+    amp = _amplitudes(Mamb, n, Scalar.phase(Fraction(root, Msub.dim)))
+    return Embedding(Msub, Mamb, ell_u * k + ell_v, _columns(Mamb, n, k, ell_u, ell_v, amp, sigma, tau))
 
 
 def pairing(e: StateVec, f: StateVec) -> PairingResult:
@@ -188,4 +174,4 @@ def pairing_row_sum(B: WeylDesc, f: StateVec) -> Scalar:
     n, k = _indices(Mamb, B)
     amp = _amplitudes(Mamb, n)
     return sum_abs2(([a for _, a in g], [pf[idx] for idx, _ in g])
-                    for ell in range(n * k) for g in _supports(Mamb, n, k, *divmod(ell, k), amp))
+                    for ell in range(n * k) for g in _columns(Mamb, n, k, *divmod(ell, k), amp))

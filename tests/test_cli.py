@@ -112,7 +112,7 @@ class TestNegativeValues:
         (["transform", "--name", "free", "--n", "8"], "--t", "-1/2", 0),
         (["propagator", "free", "--mu", "240", "--grid=-1:1:3"], "--t", "-1/2", 0),
         (["propagator", "free", "--t", "1/2", "--mu", "240"], "--grid", "-1:1:3", 0),
-        (["propagator", "qho", "--mu", "300", "--grid=0:0:1"], "--tol", "-1e-9", 1),
+        (["propagator", "qho", "--mu", "300", "--grid=0:0:1"], "--tol", "-1e-9", 2),
         (["converge", "ccr"], "--mu", "-60,60", 2),
         (["propagator", "free", "--t", "1/2", "--grid=0:0:1"], "--mu", "-240", 2),
     ]
@@ -354,6 +354,48 @@ class TestConverge:
         assert payload["results"]["fitted_order"] is None
         assert '"fitted_order": null' in out
         assert [c["name"] for c in payload["checks"]] == ["residuals_within_tol"]
+
+
+class TestToleranceAndTime:
+    """A --tol that no error can meet and a zero --t are refused, naming the option."""
+
+    TOL_COMMANDS = [
+        ["propagator", "qho", "--mu", "300", "--grid=0:0:1"],
+        ["propagator", "free", "--t", "1/2", "--mu", "240", "--grid=0:0:1"],
+        ["trace", "qho", "--mu", "auto"],
+        ["converge", "weakring", "--mu", "100"],
+        ["converge", "ccr", "--mu", "30,60"],
+    ]
+
+    @pytest.mark.parametrize("tol", ["-1e-9", "-1", "nan"])
+    @pytest.mark.parametrize("argv", TOL_COMMANDS, ids=" ".join)
+    def test_bad_tol_refused_before_the_work(self, capsys, monkeypatch, argv, tol):
+        def fail(*args, **kwargs):
+            raise AssertionError("the command ran before --tol was refused")
+
+        for command in ("cmd_propagator", "cmd_trace", "cmd_converge"):
+            monkeypatch.setattr(cli, command, fail)
+        code = main([*argv, "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: --tol must be a nonnegative number")
+
+    @pytest.mark.parametrize("argv", TOL_COMMANDS, ids=" ".join)
+    def test_zero_tol_runs(self, capsys, argv):
+        code, out = run(capsys, *argv, "--tol", "0")
+        assert code in (0, 1)
+        assert all(c["tol"] == (0.2 if argv[1] == "ccr" else 0.0) for c in json.loads(out)["checks"])
+
+    @pytest.mark.parametrize("argv", [["transform", "--name", "free", "--n", "8"],
+                                      ["propagator", "free", "--mu", "240"]], ids=" ".join)
+    @pytest.mark.parametrize("t", ["0", "0/5", "-0"])
+    def test_zero_time_names_t(self, capsys, argv, t):
+        code = main([*argv, "--t", t])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"invalid input: --t must be a nonzero rational, got {t!r}\n"
 
 
 class TestPreconditionRefusals:

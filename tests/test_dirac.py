@@ -132,6 +132,22 @@ class TestScaleParams:
         with pytest.raises(DivisibilityViolation):
             ScaleParams(F(1), 5)
 
+    @pytest.mark.parametrize("h", [F(1), F(2), F(1, 2), F(2, 3), F(3, 2)], ids=str)
+    def test_n_is_mu_squared_over_h(self, h):
+        for mu in (6, 12, 60, 210, 2520, 10_002):
+            p = ScaleParams(h, mu)
+            assert p.N == int(F(mu * mu) / h) and type(p.N) is int
+
+    def test_frozen_comparable_hashable(self):
+        p = ScaleParams(F(1, 2), 60)
+        with pytest.raises(AttributeError):
+            p.mu = 120
+        with pytest.raises(AttributeError):
+            p.N = 2
+        assert p == ScaleParams(F(1, 2), 60) != ScaleParams(F(1), 60)
+        assert len({p, ScaleParams(F(1, 2), 60), ScaleParams(F(1), 60)}) == 2
+        assert repr(p) == "ScaleParams(h=Fraction(1, 2), mu=60)"
+
     def test_auto_mu(self):
         mu = auto_mu(F(1), [3, 5, 2], min_mu=2520)
         assert mu % 3 == 0 and mu % 5 == 0 and mu % 2 == 0 and mu >= 2520

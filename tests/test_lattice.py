@@ -14,7 +14,9 @@ from finiteweyl.lattice import (
     center,
     includes,
     join,
+    _row_basis,
     lattice_intersect,
+    mat_inv,
     mat_mul,
     maximal_commutative,
     q_order,
@@ -378,3 +380,90 @@ class TestLatticeIntersect:
             for row in L:
                 assert in_lattice(row, [[F(x) for x in r] for r in A])
                 assert in_lattice(row, [[F(x) for x in r] for r in B])
+
+
+# ---------------------------------------------------------------------------
+# the one-pass row basis against the general row reduction it replaced, kept
+# as the oracle
+# ---------------------------------------------------------------------------
+
+def row_hnf_oracle(rows):
+    """Oracle: Hermite-style basis of the row lattice of integer 2-vectors,
+    with the cases of no nonzero row and of a zero first column."""
+    rows = [(int(x), int(y)) for x, y in rows if x or y]
+    if not rows:
+        return []
+    piv = None
+    rest = []
+    for r in rows:
+        if piv is None:
+            piv = r
+            continue
+        a, b = piv, r
+        while b[0]:
+            q, (a, b) = a[0] // b[0], (b, a)
+            b = (b[0] - q * a[0], b[1] - q * a[1])
+        piv = a
+        if b[1]:
+            rest.append(b)
+    if piv is not None and piv[0] == 0:
+        if piv[1]:
+            rest.append(piv)
+        piv = None
+    g2 = 0
+    for _, y in rest:
+        g2 = gcd(g2, abs(y))
+    out = []
+    if piv is not None:
+        x, y = piv
+        if x < 0:
+            x, y = -x, -y
+        if g2:
+            y %= g2
+        out.append((x, y))
+    if g2:
+        out.append((0, g2))
+    return out
+
+
+def intersect_oracle(rows1, rows2):
+    """Oracle: `lattice_intersect` through `row_hnf_oracle`, the common
+    denominator built pairwise."""
+    stacked = mat_inv(tuple(zip(*rows1))) + mat_inv(tuple(zip(*rows2)))
+    den = 1
+    for r in stacked:
+        for x in r:
+            den = den * x.denominator // gcd(den, x.denominator)
+    H = row_hnf_oracle([(int(x * den), int(y * den)) for x, y in stacked])
+    if len(H) != 2:
+        raise ValueError("dual sum is not full rank")
+    return list(mat_inv(tuple(zip(*[[F(x, den) for x in r] for r in H]))))
+
+
+def random_full_rank(rng, bound=12):
+    """Two rows of entries p/q, |p|, q <= bound, with nonzero determinant."""
+    while True:
+        rows = [tuple(F(rng.randint(-bound, bound), rng.randint(1, bound)) for _ in range(2))
+                for _ in range(2)]
+        if rows[0][0] * rows[1][1] != rows[0][1] * rows[1][0]:
+            return rows
+
+
+class TestRowBasisAgainstOracle:
+    def test_intersections_equal_oracle(self):
+        rng = random.Random(2029)
+        for _ in range(10_000):
+            rows1, rows2 = random_full_rank(rng), random_full_rank(rng)
+            assert lattice_intersect(rows1, rows2) == intersect_oracle(rows1, rows2)
+
+    def test_row_bases_equal_oracle(self):
+        # full-rank sets of two to five rows, zero entries and zero rows included
+        rng = random.Random(29)
+        for _ in range(3000):
+            rows = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(rng.randint(2, 5))]
+            if len(row_hnf_oracle(rows)) != 2:
+                continue
+            basis = _row_basis(rows)
+            assert basis == row_hnf_oracle(rows)
+            (x, y), (zero, g) = basis
+            assert x > 0 and zero == 0 and 0 <= y < g

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,7 @@ from finiteweyl.lattice import (
 from finiteweyl.morphism import decompose, embed_pbeta, pairing, pairing_row_sum, summand
 from finiteweyl.repmod import (
     ModuleRep,
+    PhaseTable,
     SpecPoint,
     StateVec,
     apply_word,
@@ -474,6 +476,106 @@ class TestSummandAgainstOracle:
         assert (pairing(e, f).value - s.conj() * s).is_zero()
         assert pairing(e, v_basis(Msub)[2]).value == Scalar.rational(F(1, 4))
         assert pairing_row_sum(B, unit_vector(Mamb, random.Random(5))) == Scalar.one()
+
+
+# ---------------------------------------------------------------------------
+# the solved branch and alignment against the search they replaced, kept as
+# the oracle
+# ---------------------------------------------------------------------------
+
+def embed_search_oracle(Msub, Mamb, root=0):
+    """Oracle: (ell, columns) of p^beta, found by search: the projection
+    pre-check, a scan of the n k summand points for Msub's point, and scans
+    of N_B steps for the alignment sigma and tau.  BadBranch when none fits."""
+    B, A = Msub.alg, Mamb.alg
+    if spectrum_project(B, A, Msub.point) != Mamb.point:
+        raise BadBranch("submodule point does not project onto the ambient point")
+    n, k = relative_indices(B, A)
+    N, NB, q = Mamb.dim, Msub.dim, Mamb.q_phase
+
+    def params(ell):
+        ell_u, ell_v = divmod(ell, k)
+        u_sub = _mod1(n * Mamb.u_phase + n * ell_v * q)
+        v_sub = _mod1(k * (Mamb.v_phase + ell_u * q))
+        return u_sub, v_sub, SpecPoint(_mod1(NB * u_sub), _mod1(NB * v_sub))
+
+    found = next(((ell, p) for ell, p in enumerate(map(params, range(n * k))) if p[2] == Msub.point), None)
+    if found is None:
+        raise BadBranch("no summand carries the requested spectral point")
+    ell, (u_sub, v_sub, _) = found
+    qB = _mod1(F(n * k) * q)
+    sigma = next((s for s in range(NB) if _mod1(u_sub + s * qB) == Msub.u_phase), None)
+    tau = next((t for t in range(NB) if _mod1(v_sub + t * qB) == Msub.v_phase), None)
+    if sigma is None or tau is None:
+        raise BadBranch("submodule roots are incompatible with the summand")
+    ell_u, ell_v = divmod(ell, k)
+    idxs = [[(k * mp + ell_v + r * N // n) % N for r in range(n)] for mp in range(NB)]
+    amp = PhaseTable(q, 1, Scalar.exact(Scalar.phase(F(root, NB)), 1, n))
+    return ell, [[(idx, amp[(n * k * tau * j + ell_u * idx) % N]) for idx in idxs[(j + sigma) % NB]]
+                 for j in range(NB)]
+
+
+def random_fraction(rng, den):
+    return F(rng.randrange(den), den)
+
+
+def random_embedding_case(rng):
+    """(Msub, Mamb, root): A = A(a, c/(N a)) with N <= 36 and c a unit, B =
+    <U^{na}, V^{kb}> with nk | N, ambient roots with denominators up to N^2.
+    Msub sits on the roots of a random aligned summand, or about three times
+    in ten on random roots, which mostly fit no summand."""
+    N = rng.randint(1, 36)
+    c = rng.choice([c for c in range(-N, N + 1) if c and gcd(c, N) == 1])
+    a = F(rng.choice([-1, 1]) * rng.randint(1, 4), rng.randint(1, 4))
+    A = WeylDesc(a, F(c, N) / a)
+    n = rng.choice([d for d in range(1, N + 1) if N % d == 0])
+    k = rng.choice([d for d in range(1, N // n + 1) if (N // n) % d == 0])
+    B = WeylDesc(n * A.a, k * A.b)
+    Mamb = ModuleRep(A, random_fraction(rng, rng.randint(1, N * N)), random_fraction(rng, rng.randint(1, N * N)))
+    if rng.random() < 0.3:
+        u, v = random_fraction(rng, rng.randint(1, N * N)), random_fraction(rng, rng.randint(1, N * N))
+    else:
+        q = Mamb.q_phase
+        u = n * (Mamb.u_phase + q * rng.randrange(N // n))
+        v = k * (Mamb.v_phase + q * rng.randrange(N // k))
+    return ModuleRep(B, u, v), Mamb, rng.randrange(2 * N)
+
+
+def column_reprs(cols):
+    return [[(idx, repr(a)) for idx, a in col] for col in cols]
+
+
+class TestEmbeddingAgainstSearch:
+    def test_equals_search_oracle(self):
+        # both refuse, or both give the same branch and the same columns
+        rng = random.Random(2029)
+        refused = 0
+        for _ in range(2000):
+            Msub, Mamb, root = random_embedding_case(rng)
+            try:
+                want = embed_search_oracle(Msub, Mamb, root)
+            except BadBranch:
+                refused += 1
+                with pytest.raises(BadBranch):
+                    embed_pbeta(Msub, Mamb, root)
+                continue
+            emb = embed_pbeta(Msub, Mamb, root)
+            assert (emb.ell, column_reprs(emb.columns)) == (want[0], column_reprs(want[1]))
+        assert 400 < refused < 1000
+
+    def test_bad_branch_names_the_roots(self):
+        Mamb = module_of_dim(6)
+        B = sub_desc(Mamb, 2, 1)
+        with pytest.raises(BadBranch, match="submodule roots are not those of any summand"):
+            embed_pbeta(ModuleRep(B, F(1, 7), F(0)), Mamb)
+
+    def test_branch_is_solved_not_searched(self, monkeypatch):
+        # the branch is solved, not searched: no summand point is computed
+        monkeypatch.setattr(morphism, "_point", None)
+        Mamb = module_of_dim(24)
+        B = sub_desc(Mamb, 3, 2)
+        for ell, (beta, _) in enumerate(decompose_oracle(Mamb, B)):
+            assert embed_pbeta(build_module(B, beta), Mamb).ell == ell
 
 
 # ---------------------------------------------------------------------------
