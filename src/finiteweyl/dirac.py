@@ -20,7 +20,7 @@ from math import gcd
 
 from .errors import DivisibilityViolation, NotPythagorean, OutOfRange
 from .exactnum import FLOAT_TERMS_IMPORT, gauss_sum_float, numpy_pays, symmetric_phase_sum
-from .transform import check_triple, gaussian_dim, qho_dim
+from .lattice import check_triple, gaussian_dim, qho_dim
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +119,7 @@ def free_propagator(x1: float, x2: float, t: Fraction, params: ScaleParams) -> K
     The finite value is the Dirac-rescaled Gaussian matrix element on the
     <U^d, V^b>-submodule with qb = q^{bd}, with the constant computed from
     the actual quadratic Gauss sum (not the closed form).  The submodule's
-    rules are the exact Gaussian's (`transform.gaussian_dim`).
+    rules are the exact Gaussian's (`lattice.gaussian_dim`).
     """
     t = Fraction(t)
     b, d = t.numerator, t.denominator
@@ -156,7 +156,7 @@ def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
     sin t = e/c, cos t = f/c for the Pythagorean triple (e,f,c).  The finite
     value is the Dirac-rescaled inner product <u^{c,ce}(n)|K u^{c,ce}(m)>,
     evaluated by summing the c lattice contributions directly.  The triple
-    and submodule rules are the exact evolution's (`transform.qho_dim`).
+    and submodule rules are the exact evolution's (`lattice.qho_dim`).
     """
     e, f, c = triple
     N = params.N

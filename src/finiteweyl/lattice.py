@@ -6,6 +6,10 @@ inverse to the center, joins, maximal commutative subalgebras and spectra
 projections.  A matrix g of SL(2,Q) acts on words by `word_image`, the one
 statement of that action (every transform's sigma is derived from it), and
 `lattice_intersect` finds the common subalgebra when transforms compose.
+The integer rules of the Gaussian and harmonic-oscillator submodules
+(`gaussian_dim`, `check_triple`, `qho_dim`) are written here once, where
+both the exact `transform` builders and the float `dirac` propagators
+read them without loading each other.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import NotCommutative, NotIncluded, NotInAlgebra
+from .errors import (DivisibilityViolation, NotCommutative, NotDividing, NotIncluded, NotInAlgebra,
+                     NotPythagorean, OddOrder)
 
 
 def _mod1(x) -> Fraction:
@@ -212,6 +217,49 @@ def spectrum_project(B: WeylDesc, A: WeylDesc, beta):
     if ru.denominator != 1 or rv.denominator != 1:
         raise NotIncluded("central generators do not align (unexpected)")
     return SpecPoint(beta.u_phase * int(ru), beta.v_phase * int(rv))
+
+
+# ---------------------------------------------------------------------------
+# submodule rules of the Gaussian and the harmonic oscillator
+# ---------------------------------------------------------------------------
+
+def gaussian_dim(N: int, b: int, d: int) -> int:
+    """Nb = N/|bd| for the Gaussian's <U^d, V^b>-submodule; refuses b = 0 or
+    d < 1 (the sign of t = b/d is b's), bd not dividing N (NotDividing) and
+    odd Nb (OddOrder: sqrt(Nb)/G(Nb) needs even order).  `transform.gaussian`
+    and `dirac.free_propagator` both check here."""
+    if b == 0:
+        raise DivisibilityViolation("b must be nonzero")
+    if d < 1:
+        raise DivisibilityViolation(f"d must be a positive integer, got {d}: the sign of t = b/d goes in b")
+    bd = abs(b * d)
+    if N % bd != 0:
+        raise NotDividing(f"bd = {bd} must divide N = {N}")
+    Nb = N // bd
+    if Nb % 2 != 0:
+        raise OddOrder(f"submodule dimension {Nb} is odd; the constant needs even order")
+    return Nb
+
+
+def check_triple(e: int, f: int, c: int) -> None:
+    """Refuse (e, f, c) unless it is a Pythagorean triple of positive
+    integers, sin t = e/c and cos t = f/c (NotPythagorean).  `qho_dim`, for
+    the exact and float evolutions, and `dirac.qho_trace` both check here."""
+    if e <= 0 or f <= 0 or c <= 0 or e * e + f * f != c * c:
+        raise NotPythagorean(f"({e},{f},{c}) is not a Pythagorean triple of positive integers")
+
+
+def qho_dim(N: int, e: int, f: int, c: int) -> int:
+    """N/(c^2 e) for the QHO's <U^c, V^{ce}>-submodule; refuses a triple that
+    `check_triple` refuses, c^2 e not dividing N and odd f N/e, where the
+    kernel is not periodic on the module, so no transform has this matrix.
+    `transform.qho_evolution` and `dirac.qho_propagator` both check here."""
+    check_triple(e, f, c)
+    if N % (c * c * e):
+        raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
+    if f * N // e % 2:
+        raise DivisibilityViolation(f"need f N/e = {f * N // e} even")
+    return N // (c * c * e)
 
 
 # ---------------------------------------------------------------------------

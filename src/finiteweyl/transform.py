@@ -28,20 +28,10 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .errors import (
-    BadMatrix,
-    DivisibilityViolation,
-    ModuleMismatch,
-    NoCommonSubalgebra,
-    NotDividing,
-    NotIncluded,
-    NotPythagorean,
-    OddOrder,
-    OutOfRange,
-)
+from .errors import BadMatrix, ModuleMismatch, NoCommonSubalgebra, NotDividing, NotIncluded, OutOfRange
 from .exactnum import Scalar, dot
-from .lattice import (GenWord, Mat2, WeylDesc, lattice_intersect, mat_det, mat_inv, mat_mul, rat_gcd,
-                      word_image)
+from .lattice import (GenWord, Mat2, WeylDesc, gaussian_dim, lattice_intersect, mat_det, mat_inv, mat_mul,
+                      qho_dim, rat_gcd, word_image)
 from .morphism import summand
 from .repmod import ModuleRep, PhaseTable, StateVec, apply_word, linear_combination, linear_combinations
 
@@ -216,24 +206,6 @@ def fourier(M: ModuleRep) -> RegUnitary:
     return _build("fourier", M, 1, 1, _frac_mat([[0, 1], [-1, 0]]), ("sigma-U", "sigma-V"), Scalar.one())
 
 
-def gaussian_dim(N: int, b: int, d: int) -> int:
-    """Nb = N/|bd| for the Gaussian's <U^d, V^b>-submodule; refuses b = 0 or
-    d < 1 (the sign of t = b/d is b's), bd not dividing N (NotDividing) and
-    odd Nb (OddOrder: sqrt(Nb)/G(Nb) needs even order).  `gaussian` and
-    `dirac.free_propagator` both check here."""
-    if b == 0:
-        raise DivisibilityViolation("b must be nonzero")
-    if d < 1:
-        raise DivisibilityViolation(f"d must be a positive integer, got {d}: the sign of t = b/d goes in b")
-    bd = abs(b * d)
-    if N % bd != 0:
-        raise NotDividing(f"bd = {bd} must divide N = {N}")
-    Nb = N // bd
-    if Nb % 2 != 0:
-        raise OddOrder(f"submodule dimension {Nb} is odd; the constant needs even order")
-    return Nb
-
-
 def gaussian(M: ModuleRep, b: int = 1, d: int = 1) -> RegUnitary:
     """Gaussian transformation on the <U^d, V^b>-submodule, associated with
     [[1, -b/d], [0, 1]]: u_m -> (c/sqrt(Nb)) sum_l qb^{(l-m)^2/2} u_l on the
@@ -260,26 +232,6 @@ def free_evolution(M: ModuleRep, b: int, d: int) -> RegUnitary:
     Satisfies K U^d K^{-1} = qb^{-1/2} U^d V^{-b} and K V^b K^{-1} = V^b.
     """
     return replace(gaussian(M, b=b, d=d), name=f"free[t={b}/{d}]")
-
-
-def check_triple(e: int, f: int, c: int) -> None:
-    """Refuse (e, f, c) unless it is a Pythagorean triple of positive
-    integers, sin t = e/c and cos t = f/c (NotPythagorean)."""
-    if e <= 0 or f <= 0 or c <= 0 or e * e + f * f != c * c:
-        raise NotPythagorean(f"({e},{f},{c}) is not a Pythagorean triple of positive integers")
-
-
-def qho_dim(N: int, e: int, f: int, c: int) -> int:
-    """N/(c^2 e) for the QHO's <U^c, V^{ce}>-submodule; refuses a triple that
-    `check_triple` refuses, c^2 e not dividing N and odd f N/e, where the
-    kernel is not periodic on the module, so no transform has this matrix.
-    `qho_evolution` and `dirac.qho_propagator` both check here."""
-    check_triple(e, f, c)
-    if N % (c * c * e):
-        raise DivisibilityViolation(f"need c^2 e = {c * c * e} | N = {N}")
-    if f * N // e % 2:
-        raise DivisibilityViolation(f"need f N/e = {f * N // e} even")
-    return N // (c * c * e)
 
 
 def qho_evolution(M: ModuleRep, e: int, f: int, c: int) -> RegUnitary:

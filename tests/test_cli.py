@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from finiteweyl import cli, dirac, exactnum, repmod
+from finiteweyl import cli, dirac, exactnum, repmod, transform
 from finiteweyl.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -95,7 +95,6 @@ class TestPairing:
         def fail(*args):
             raise AssertionError("pairing built the whole V-basis")
 
-        monkeypatch.setattr(cli, "v_basis", fail)
         monkeypatch.setattr(repmod, "v_basis", fail)
         case, = (c for c in GOLDEN if c["argv"][0] == "pairing")
         assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"])
@@ -180,7 +179,7 @@ class TestModuleDimension:
         def fail(*args):
             raise AssertionError("module built for a refused --n")
 
-        monkeypatch.setattr(cli, "build_module", fail)
+        monkeypatch.setattr(repmod, "build_module", fail)
         code = main(argv + ["--n", n])
         captured = capsys.readouterr()
         assert code == 2
@@ -208,7 +207,7 @@ class TestTransform:
         def fail(*args):
             raise AssertionError("transform built for a refused sample")
 
-        monkeypatch.setattr(cli, "fourier", fail)
+        monkeypatch.setattr(transform, "fourier", fail)
         code = main(["transform", "--name", "fourier", "--n", "8", "--sample", sample])
         captured = capsys.readouterr()
         assert code == 2
@@ -341,7 +340,16 @@ class TestConverge:
         rep = dirac.converge_study("ccr", [60, 120])
         assert payload["meta"]["mu_list"] == [60, 120]
         assert payload["results"] == {"residuals": rep.residuals, "fitted_order": rep.fitted_order}
-        assert [c["name"] for c in payload["checks"]] == ["fitted_order_is_minus_one"]
+        assert [(c["name"], c["tol"]) for c in payload["checks"]] == [("fitted_order_is_minus_one", 0.2)]
+
+    @pytest.mark.parametrize("scale, code", [(1.01, 0), (0.99, 1)])
+    def test_ccr_band_is_tol(self, capsys, scale, code):
+        # --tol is the half-width of the band around order -1: a band just
+        # wider than the fitted order's distance from -1 holds it, one just
+        # narrower does not
+        tol = abs(dirac.converge_study("ccr", [60, 120]).fitted_order + 1) * scale
+        got, out = run(capsys, "converge", "ccr", "--mu", "60,120", "--tol", repr(tol))
+        assert (got, [c["tol"] for c in json.loads(out)["checks"]]) == (code, [tol])
 
 
     @pytest.mark.parametrize("quantity", ["free", "qho"])
@@ -385,7 +393,7 @@ class TestToleranceAndTime:
     def test_zero_tol_runs(self, capsys, argv):
         code, out = run(capsys, *argv, "--tol", "0")
         assert code in (0, 1)
-        assert all(c["tol"] == (0.2 if argv[1] == "ccr" else 0.0) for c in json.loads(out)["checks"])
+        assert all(c["tol"] == 0.0 for c in json.loads(out)["checks"])
 
     @pytest.mark.parametrize("argv", [["transform", "--name", "free", "--n", "8"],
                                       ["propagator", "free", "--mu", "240"]], ids=" ".join)
@@ -509,6 +517,54 @@ def run_fresh(argvs, preload_numpy=False):
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
     return json.loads(proc.stdout)
+
+
+def modules_loaded(argv):
+    """The exit code of argv run alone in a fresh interpreter, and the
+    finiteweyl.* modules loaded when it returned."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from finiteweyl.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    code = main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('finiteweyl.'))]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    code, modules = json.loads(proc.stdout)
+    return code, {m.removeprefix("finiteweyl.") for m in modules}
+
+
+class TestModulesLoaded:
+    """Each subcommand loads the layers it runs and no other: `cli`,
+    `errors` and `lattice` always, then only what the command imports."""
+
+    BASE = {"cli", "errors", "lattice"}
+    FLOAT = BASE | {"exactnum", "dirac"}
+    CASES = [
+        (["lattice", "--center", "1/2,1/2"], 0, BASE),
+        (["lattice", "--ocount", "1/5,1", "--includes", "1,1/2;1,1/4"], 0, BASE),
+        (["basis", "--alg", "1,1/8", "--which", "v", "--mode", "float"], 0, BASE | {"exactnum", "repmod"}),
+        (["basis", "--alg", "1,1/6", "--which", "s", "--s-word", "0,1/6", "--t-word", "-1,0"], 0,
+         BASE | {"exactnum", "repmod"}),
+        (["pairing", "--n", "16", "--left", "u:3", "--right", "v:5"], 0,
+         BASE | {"exactnum", "repmod", "morphism"}),
+        (["transform", "--name", "fourier", "--n", "12"], 0,
+         BASE | {"exactnum", "repmod", "morphism", "transform"}),
+        (["propagator", "free", "--t", "1/2", "--mu", "240", "--grid=-1:1:5"], 0, FLOAT),
+        (["propagator", "qho", "--triple", "3,4,5", "--mu", "300", "--grid=-1:1:5"], 0, FLOAT),
+        (["trace", "qho", "--triple", "3,4,5", "--mu", "auto", "--mu-min", "1000"], 0, FLOAT),
+        (["converge", "ccr", "--mu", "30,60,120,240"], 0, FLOAT),
+        # one refusal per float command, each raised once dirac is loaded
+        (["propagator", "free", "--t", "1/3", "--mu", "10"], 2, FLOAT),
+        (["trace", "qho", "--mu", "7"], 2, FLOAT),
+        (["converge", "ccr", "--mu", "240,60"], 2, FLOAT),
+    ]
+
+    @pytest.mark.parametrize("argv, code, modules", CASES, ids=[" ".join(c[0]) for c in CASES])
+    def test_command_loads_its_layers_alone(self, argv, code, modules):
+        assert modules_loaded(argv) == (code, modules)
 
 
 def assert_same_but_last_bits(a, b, path="$"):

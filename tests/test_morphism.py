@@ -195,6 +195,15 @@ class TestEmbedding:
         with pytest.raises(NotIncluded):
             embed_pbeta(Msub, Mamb)
 
+    def test_not_included_has_one_message(self):
+        # the one inclusion check is lattice.relative_indices'
+        Mamb = module_of_dim(4)
+        Msub = build_module(WeylDesc(F(1, 2), F(1, 4)), SpecPoint.principal_point())
+        with pytest.raises(NotIncluded) as exc:
+            embed_pbeta(Msub, Mamb)
+        assert type(exc.value) is NotIncluded
+        assert str(exc.value) == "A(1/2,1/4) is not included in A(1,1/4)"
+
     def test_bad_branch(self):
         # beta lies over the point (1/3, 0), not over the principal ambient point
         B = sub_desc(module_of_dim(6), 2, 1)

@@ -18,7 +18,7 @@ from finiteweyl.errors import (
     OutOfRange,
 )
 from finiteweyl.exactnum import Scalar, dot
-from finiteweyl.lattice import GenWord, WeylDesc, _mod1, mat_inv
+from finiteweyl.lattice import GenWord, WeylDesc, _mod1, check_triple, mat_inv
 from finiteweyl.morphism import decompose, summand
 from finiteweyl.repmod import (
     ModuleRep,
@@ -32,7 +32,6 @@ from finiteweyl.repmod import (
 )
 from finiteweyl.transform import (
     RegUnitary,
-    check_triple,
     compose,
     diagonal,
     fourier,
