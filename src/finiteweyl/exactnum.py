@@ -386,9 +386,28 @@ class Scalar:
         return Scalar.exact(Scalar.one(), v.numerator, v.denominator) if v else Scalar.zero()
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Scalar, int, Fraction)):
-            return NotImplemented
-        return (self - other).is_zero()
+        """Exact equality.  Two one-term values sqrt(r) c zeta_M^k and
+        sqrt(r') c' zeta_M'^k' compare by integer arithmetic alone: they are
+        equal iff r = r' and either c = c' with k/M = k'/M' mod 1, or c = -c'
+        with the turns half a turn apart, i.e. (k M' - k' M) mod M M' is 0 or
+        M M'/2.  Different radicands never agree: if sqrt(r/r') = x zeta for
+        a rational x and a root of unity zeta, then zeta^2 = r/(r' x^2) is a
+        positive rational root of unity, so zeta^2 = 1 and r r' = (r' x)^2
+        is a square, which for squarefree r, r' means r = r'.  Zero and
+        multi-term operands are compared by (self - other).is_zero()."""
+        if not isinstance(other, Scalar):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Scalar.rational(other)
+        if len(self.coeffs) != 1 or len(other.coeffs) != 1:
+            return (self - other).is_zero()
+        if self.rad != other.rad:
+            return False
+        (k1, c1), = self.coeffs.items()
+        (k2, c2), = other.coeffs.items()
+        M1, M2 = self.order, other.order
+        turns = (k1 * M2 - k2 * M1) % (M1 * M2)
+        return turns == 0 if c1 == c2 else c1 == -c2 and 2 * turns == M1 * M2
 
     # -- numerics ------------------------------------------------------------
     def to_complex(self) -> complex:

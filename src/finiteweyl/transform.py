@@ -72,10 +72,9 @@ class RegUnitary:
         if not all(self.ambient_ran.alg.contains_word(w) for _, _, w in self.sigma):
             raise ValueError("associated matrix maps a domain word outside the target algebra")
         if self.domain is not None:
-            covered = {j for g in self.domain for j, _ in g}
-            if len(covered) < sum(map(len, self.domain)):
+            self._group = {j: m for m, g in enumerate(self.domain) for j, _ in g}
+            if len(self._group) < sum(map(len, self.domain)):
                 raise ValueError("domain basis vectors must have disjoint supports")
-            self._off = [j for j in range(self.ambient_dom.dim) if j not in covered]
 
     @property
     def sigma(self) -> tuple[tuple[str, GenWord, GenWord], ...]:
@@ -102,24 +101,35 @@ class RegUnitary:
     def apply(self, x: StateVec) -> StateVec:
         """Map a vector of the domain submodule; exact expansion in the domain basis.
 
-        Each coefficient is read off x on its basis vector's support; x must
-        vanish off the supports and be proportional to the basis on each.
+        Only the basis vectors whose supports hold a nonzero entry of x are
+        visited: each coefficient is read off x on its basis vector's
+        support, and x must vanish off the supports and be proportional to
+        the basis on each.  When one basis vector is touched, as for a word
+        applied to a domain basis vector, the result is the coefficient
+        times its image, O(N) one-term products; otherwise the images are
+        combined by `linear_combination`.
         """
         if not self.ambient_dom.compatible(x.module):
             raise ModuleMismatch("vectors live in different modules")
-        amps = x.amps
-        if not all(amps[j].is_zero() for j in self._off):
-            raise NotIncluded("vector does not lie in the transformation domain")
-        coeffs = []
-        for g in self.domain:
-            xs = [amps[j] for j, _ in g]
-            c = Scalar.zero()
-            if any(a.coeffs for a in xs):
-                bs = [b for _, b in g]
-                c = dot(bs, xs, conj=True)
-                if not all((a - c * bj).is_zero() for a, bj in zip(xs, bs)):
+        amps, group = x.amps, self._group
+        touched = set()
+        for j, a in enumerate(amps):
+            if a.coeffs:
+                m = group.get(j)
+                if m is not None:
+                    touched.add(m)
+                elif not a.is_zero():
                     raise NotIncluded("vector does not lie in the transformation domain")
-            coeffs.append(c)
+        coeffs = [Scalar.zero()] * self.dim
+        for m in touched:
+            xs, bs = [amps[j] for j, _ in self.domain[m]], [b for _, b in self.domain[m]]
+            c = coeffs[m] = dot(bs, xs, conj=True)
+            if not all(a == c * bj for a, bj in zip(xs, bs)):
+                raise NotIncluded("vector does not lie in the transformation domain")
+        if len(touched) == 1 and c.coeffs:
+            # linear_combination's one-term sums, without the gather: c * a, and Scalar.zero()
+            zero = Scalar.zero()
+            return StateVec(self.ambient_ran, [c * a if a.coeffs else zero for a in self.images[m].amps])
         return linear_combination(self.ambient_ran, coeffs, self.images)
 
 
@@ -265,7 +275,7 @@ def _composite_images(L2: RegUnitary, L1: RegUnitary, g: Mat2, C_rows, first: St
     i, t = next((i, a) for i, a in enumerate(images[0].amps) if a.coeffs)
     c = first.amps[i] / t
     images = [img.scale(c.canonical()) for img in images]
-    return images if all((a - b).is_zero() for a, b in zip(images[0].amps, first.amps)) else None
+    return images if all(a == b for a, b in zip(images[0].amps, first.amps)) else None
 
 
 def compose(L2: RegUnitary, L1: RegUnitary) -> RegUnitary:
@@ -320,7 +330,11 @@ def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[Conjuga
     Checks inner-product preservation ("unitary"), then each sigma pair
     (W, W(x gL)) as L(W x) = W(x gL) L(x), so the associated matrix itself
     is checked; on the domain basis, or on about `sample` evenly spaced
-    basis indices when sample (at least 1) is given.
+    basis indices when sample (at least 1) is given.  W x is a phase times
+    one domain basis vector, so `RegUnitary.apply` maps it without a
+    linear combination: one sampled sigma identity costs O(N) one-term
+    products and comparisons, and entries are compared with `==`, a
+    difference being formed only for the residual of entries that differ.
     """
     check_sample(sample)
     if not L.materialized:
@@ -330,6 +344,7 @@ def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[Conjuga
 
     worst = 0.0
     ok = True
+    zero = Scalar.zero()
     # the images' Gram matrix as one product
     imgs = [L.image(i).amps for i in idx]
     gram = linear_combinations(imgs, list(zip(*imgs)), len(imgs), conj=True)
@@ -338,10 +353,10 @@ def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[Conjuga
         supp = [b for _, b in L.domain[i]]
         norm2 = dot(supp, supp, conj=True)
         for c, j in enumerate(idx):
-            diff = gram[a][c] - (norm2 if i == j else Scalar.zero())
-            if not diff.is_zero():
+            want = norm2 if i == j else zero
+            if gram[a][c] != want:
                 ok = False
-                worst = max(worst, abs(diff.to_complex()))
+                worst = max(worst, abs((gram[a][c] - want).to_complex()))
     reports.append(ConjugationReport("unitary", ok, worst))
 
     for nm, W, Wimg in L.sigma:
@@ -355,10 +370,8 @@ def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[Conjuga
                 continue
             rhs = apply_word(Wimg, L.image(m))
             for a, b in zip(lhs.amps, rhs.amps):
-                if a.coeffs or b.coeffs:
-                    d = a - b
-                    if not d.is_zero():
-                        ok = False
-                        worst = max(worst, abs(d.to_complex()))
+                if (a.coeffs or b.coeffs) and a != b:
+                    ok = False
+                    worst = max(worst, abs((a - b).to_complex()))
         reports.append(ConjugationReport(nm, ok, worst))
     return reports

@@ -594,6 +594,73 @@ class TestZeroAndEquality:
         assert c.cyc is c
 
 
+def one_term(rng):
+    """sqrt(r) c zeta_M^k with r in {1, 2, 3, 6} and c = +-1, +-2 or +-1/2."""
+    M = rng.choice([1, 2, 3, 4, 6, 8, 12])
+    c = rng.choice([1, 2, Fraction(1, 2)]) * rng.choice([1, -1])
+    return Scalar(M, {rng.randrange(M): c}, rng.choice([1, 2, 3, 6]))
+
+
+def equal_forms(x, f):
+    """x at order f M, and x with its sign flipped and half a turn added at 2 f M."""
+    (k, c), = x.coeffs.items()
+    M = x.order
+    return [Scalar(f * M, {f * k: c}, x.rad), Scalar(2 * f * M, {2 * f * k + f * M: -c}, x.rad)]
+
+
+class TestOneTermEquality:
+    """The one-term rule of Scalar.__eq__ against (x - y).is_zero()."""
+
+    def test_random_pairs_agree_with_the_difference(self):
+        rng = random.Random(61)
+        equal = 0
+        for _ in range(600):
+            x = one_term(rng)
+            ys = [one_term(rng)]
+            for f in range(2, 6):
+                ys += equal_forms(x, f)
+                y = one_term(rng)
+                ys += equal_forms(y, f)
+            for y in ys:
+                assert (x == y) is (x - y).is_zero() is not (x != y)
+                assert (y == x) is (x == y)
+                equal += x == y
+        assert equal >= 600 * 8
+
+    def test_int_and_fraction_operands(self):
+        rng = random.Random(62)
+        for _ in range(300):
+            v = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 4)])
+            x = Scalar(rng.choice([1, 2, 4, 6]), {rng.choice([0, 1, 2, 3]): rng.choice([v, -v, 1])},
+                       rng.choice([1, 1, 2]))
+            for y in (v, -v, Scalar.rational(v)):
+                assert (x == y) is (x - y).is_zero()
+        assert Scalar(2, {1: 1}) == -1 and Scalar(4, {2: Fraction(1, 2)}) == Fraction(-1, 2)
+        assert Scalar(4, {1: 1}) != 1 and Scalar(1, {0: 1}, 2) != 1
+
+    def test_zero_and_multi_term_operands_take_the_difference(self, monkeypatch):
+        calls = []
+        sub = Scalar.__sub__
+
+        def counted(self, other):
+            calls.append(1)
+            return sub(self, other)
+
+        monkeypatch.setattr(Scalar, "__sub__", counted)
+        zeta2 = Scalar(2, {1: 1})  # -1
+        root2 = Scalar(8, {1: 1, 3: -1})  # zeta_8 - zeta_8^3 = sqrt(2)
+        cases = [(zeta2, -1, True), (zeta2, Scalar(4, {2: 1}), True), (zeta2, 1, False),
+                 (Scalar.exact(Scalar.one(), 2), root2, True), (root2, Scalar.exact(Scalar.one(), 2), True),
+                 (root2, Scalar(8, {1: 1, 7: 1}), True), (root2, Scalar(8, {1: 1}), False),
+                 (Scalar.zero(), 0, True), (Scalar.zero(), zeta2, False), (Scalar(6, {}, 2), Scalar.zero(), True),
+                 (Scalar(4, {0: 1, 2: 1}), 0, True), (zeta2, Scalar(4, {0: 1, 2: 1}), False)]
+        for x, y, want in cases:
+            one_term_pair = len(x.coeffs) == 1 and len(Scalar._coerce(y).coeffs) == 1
+            calls.clear()
+            assert (x == y) is want
+            assert len(calls) == (0 if one_term_pair else 1)
+
+
 class TestEvalPrecision:
     def test_high_precision_eval(self):
         z = root_of_unity(360, 77)

@@ -625,6 +625,12 @@ def same_vector(x, y):
     return x.module.compatible(y.module) and all((a - b).is_zero() for a, b in zip(x.amps, y.amps))
 
 
+def same_terms(x, y):
+    """x and y printed alike and built alike, entry by entry."""
+    return (x.module.compatible(y.module) and [repr(a) for a in x.amps] == [repr(b) for b in y.amps]
+            and terms(x.amps) == terms(y.amps))
+
+
 def hand_sigma(kind, M, *params):
     """Oracle: the sigma images each builder stated by hand before sigma was
     derived from gL, as (identity name, W, W')."""
@@ -905,6 +911,18 @@ class TestWrongMatrix:
             "unitary": True, "sigma-C1": False, "sigma-C2": False}
 
 
+def corrupted(L, m, zero=False):
+    """L with image m multiplied by q, or by 0."""
+    images = list(L.images)
+    images[m] = images[m].scale(Scalar.zero() if zero else L.ambient_ran.q_power(1))
+    return replace(L, name="corrupt", images=images)
+
+
+# image 3 of fourier and gaussian[b=1,d=1] at N = 24, image 0 of qho at N = 225
+CORRUPTED = [corrupted(BUILDERS[0], 3), corrupted(BUILDERS[0], 3, zero=True),
+             corrupted(BUILDERS[1], 3), corrupted(BUILDERS[8], 0)]
+
+
 class TestApplyAgainstOracle:
     @pytest.mark.parametrize("L", BUILDERS, ids=lambda L: f"{L.name}-N{L.ambient_dom.dim}")
     def test_domain_vectors_and_dense_combinations(self, L):
@@ -918,6 +936,25 @@ class TestApplyAgainstOracle:
             xs.append(linear_combination(L.ambient_dom, coeffs, [L.dom(m) for m in range(L.dim)]))
         for x in xs:
             assert same_vector(L.apply(x), apply_oracle(L, x))
+
+    @pytest.mark.parametrize("L", BUILDERS + CORRUPTED, ids=lambda L: f"{L.name}-N{L.ambient_dom.dim}")
+    def test_words_on_domain_vectors(self, L):
+        # the sigma checks' inputs take the one-group route; the residuals read
+        # the terms, so the result must be built as the oracle builds it
+        for _, W, _ in L.sigma:
+            for m in range(L.dim):
+                x = apply_word(W, L.dom(m))
+                assert same_terms(L.apply(x), apply_oracle(L, x))
+
+    @pytest.mark.parametrize("M", MODULES, ids=repr)
+    def test_words_on_composite_domain_vectors(self, M):
+        _, pairs, triples = instance_set(M)
+        for _, _, C, _ in pairs + triples:
+            if C.materialized:
+                for _, W, _ in C.sigma:
+                    for m in range(C.dim):
+                        x = apply_word(W, C.dom(m))
+                        assert same_terms(C.apply(x), apply_oracle(C, x)), C.name
 
     def test_unreduced_zero_coordinates(self):
         # Phi2 Phi u_4 = u_8 at N = 12 comes back with 11 coordinates that are
@@ -954,18 +991,6 @@ class TestApplyAgainstOracle:
             replace(G, domain=overlapping)
 
 
-def corrupted(L, m, zero=False):
-    """L with image m multiplied by q, or by 0."""
-    images = list(L.images)
-    images[m] = images[m].scale(Scalar.zero() if zero else L.ambient_ran.q_power(1))
-    return replace(L, name="corrupt", images=images)
-
-
-# image 3 of fourier and gaussian[b=1,d=1] at N = 24, image 0 of qho at N = 225
-CORRUPTED = [corrupted(BUILDERS[0], 3), corrupted(BUILDERS[0], 3, zero=True),
-             corrupted(BUILDERS[1], 3), corrupted(BUILDERS[8], 0)]
-
-
 class TestVerifyAgainstOracle:
     @pytest.mark.parametrize("L", BUILDERS + CORRUPTED, ids=lambda L: f"{L.name}-N{L.ambient_dom.dim}")
     def test_reports_equal_oracle(self, L):
@@ -977,6 +1002,23 @@ class TestVerifyAgainstOracle:
             assert got == verify_oracle(L, sample)
             if L in CORRUPTED:
                 assert any(not ok and worst > 0 for _, ok, worst in got)
+
+    @pytest.mark.parametrize("kind,N,params,sample", [("fourier", 120, (), 4), ("qho", 450, (3, 4, 5), 3)])
+    def test_gram_is_the_one_linear_combination(self, kind, N, params, sample, monkeypatch):
+        # the sigma checks map each W dom(m) as one image times a coefficient
+        calls = []
+
+        def counted(f):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return f(*args, **kwargs)
+            return wrapper
+
+        L = BUILD[kind](principal_module(N), *params)
+        monkeypatch.setattr(transform, "linear_combinations", counted(transform.linear_combinations))
+        monkeypatch.setattr(repmod, "linear_combinations", counted(repmod.linear_combinations))
+        assert all(r.holds for r in verify_conjugation(L, sample=sample))
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("sample", [0, -2])
     def test_sample_below_one(self, sample):
