@@ -27,12 +27,12 @@ _EXPORTS = {
     "qho_trace": "dirac", "st_mu": "dirac",
     "Scalar": "exactnum",
     "gauss_sum": "exactnum", "root_of_unity": "exactnum",
-    "GenWord": "lattice", "WeylDesc": "lattice", "center": "lattice", "includes": "lattice",
-    "join": "lattice", "maximal_commutative": "lattice", "q_order": "lattice",
+    "GenWord": "lattice", "SpecPoint": "lattice", "WeylDesc": "lattice", "center": "lattice",
+    "includes": "lattice", "join": "lattice", "maximal_commutative": "lattice", "q_order": "lattice",
     "spectrum_project": "lattice", "up_functor": "lattice",
     "Embedding": "morphism", "PairingResult": "morphism", "decompose": "morphism",
     "embed_pbeta": "morphism", "pairing": "morphism", "pairing_row_sum": "morphism",
-    "ModuleRep": "repmod", "SpecPoint": "repmod", "StateVec": "repmod",
+    "ModuleRep": "repmod", "StateVec": "repmod",
     "apply_word": "repmod", "build_module": "repmod", "inner": "repmod",
     "s_basis": "repmod", "u_basis": "repmod", "v_basis": "repmod",
     "ConjugationReport": "transform", "RegUnitary": "transform", "compose": "transform",

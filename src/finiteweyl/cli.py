@@ -14,12 +14,12 @@ interpreter loads only these package modules besides `cli`, `errors` and
     basis                          exactnum, repmod
     pairing                        exactnum, repmod, morphism
     transform                      exactnum, repmod, morphism, transform
-    propagator, trace, converge    exactnum, dirac
+    propagator, trace, converge    dirac
 
 numpy loads only for one sum large enough to pay for its import
-(`exactnum.numpy_pays`): an exact sum of PRODUCTS_IMPORT products in
+(`lattice.numpy_pays`): an exact sum of PRODUCTS_IMPORT products in
 `repmod.linear_combinations`, or a float sum of FLOAT_TERMS_IMPORT terms in
-`exactnum.quadratic_phase_sum` or `dirac.ccr_residual`.  `lattice`,
+`dirac.quadratic_phase_sum` or `dirac.ccr_residual`.  `lattice`,
 `basis`, `pairing`, small `transform` runs, `propagator qho` and every
 `converge` but `free` start and finish without it, and so do `propagator
 free`, `converge free` and `trace` while each of their sums stays below
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -161,18 +162,20 @@ def _check(name: str, passed, value, tol) -> dict:
     return {"name": name, "passed": bool(passed), "value": value, "tol": tol}
 
 
-def _check_n(n: int) -> None:
-    """Refuse a module dimension --n below 1 (OutOfRange) before anything is built."""
-    if n < 1:
-        raise OutOfRange(f"--n must be at least 1, got {n}")
+def _check_positive(value: int, option: str) -> None:
+    """Refuse an integer option below 1 (OutOfRange) before anything is built."""
+    if value < 1:
+        raise OutOfRange(f"{option} must be at least 1, got {value}")
 
 
 def _resolve_mu(args, divisors: list[int], default_min: int) -> tuple[int, str]:
     """The mu of --mu, and the policy that chose it (reported as meta.mu_policy)."""
+    min_mu = default_min if args.mu_min is None else args.mu_min
+    _check_positive(min_mu, "--mu-min")
     if args.mu == "auto":
         from . import dirac
 
-        return (dirac.auto_mu(parse_rat(args.h, "--h"), divisors, min_mu=args.mu_min or default_min),
+        return (dirac.auto_mu(parse_rat(args.h, "--h"), divisors, min_mu=min_mu),
                 "auto: lcm of h parts and required indices, scaled to --mu-min")
     return parse_option(args.mu, int, "--mu", 'an integer or "auto"'), "explicit"
 
@@ -234,7 +237,7 @@ def cmd_pairing(args) -> tuple:
     from .morphism import pairing
     from .repmod import SpecPoint, build_module, v_vector
 
-    _check_n(args.n)
+    _check_positive(args.n, "--n")
     N = args.n
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())
 
@@ -257,7 +260,7 @@ def cmd_transform(args) -> tuple:
     from .transform import (check_sample, diagonal, fourier, free_evolution, gaussian, qho_evolution,
                             verify_conjugation)
 
-    _check_n(args.n)
+    _check_positive(args.n, "--n")
     check_sample(args.sample)
     N = args.n
     M = build_module(WeylDesc(1, Fraction(1, N)), SpecPoint.principal_point())
@@ -292,8 +295,15 @@ def cmd_transform(args) -> tuple:
     return meta, {"sampled_columns": sampled}, checks, None
 
 
+def _finite(s: str) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError  # parse_option names --grid and its form
+    return x
+
+
 def _grid(spec: str) -> list[float]:
-    lo, hi, count = split_option(spec, ":", (float, float, int), "--grid", '"lo:hi:count"')
+    lo, hi, count = split_option(spec, ":", (_finite, _finite, int), "--grid", '"lo:hi:count"')
     if count < 1:
         raise ValueError(f"grid point count must be at least 1, got {count}")
     if count == 1:

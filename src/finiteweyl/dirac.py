@@ -7,6 +7,15 @@ a finite continuum limit.  Each propagator's step is its Delta k: |b| hbar/mu
 for the free evolution at t = b/d, e hbar/mu for the harmonic oscillator
 with triple (e, f, c).  Closed continuum formulas are evaluated alongside
 for comparison.
+
+The quadratic phase sums behind the Gauss constants and the QHO trace form
+every term e^{2 pi i (n^2 mod P)/P} as a product of three phases with
+exactly reduced integer exponents, two of them shared by a block of 64 x 64
+terms and one from a table built once per sum, so a block costs one real
+matrix product instead of a cos and a sin per term (about 1.3 ns per term
+against 44 ns on a 2-vCPU x86-64 box, Python 3.11, numpy 2.4, OpenBLAS
+0.3.31).  A sum too short to pay for importing numpy is summed in plain
+Python instead (`lattice.numpy_pays`, FLOAT_TERMS_IMPORT).
 """
 
 from __future__ import annotations
@@ -19,8 +28,130 @@ from functools import lru_cache
 from math import gcd
 
 from .errors import DivisibilityViolation, NotPythagorean, OutOfRange
-from .exactnum import FLOAT_TERMS_IMPORT, gauss_sum_float, numpy_pays, symmetric_phase_sum
-from .lattice import check_triple, gaussian_dim, qho_dim
+from .lattice import check_triple, gaussian_dim, numpy_pays, qho_dim
+
+
+# ---------------------------------------------------------------------------
+# quadratic phase sums
+# ---------------------------------------------------------------------------
+
+# quadratic_phase_sum writes n = a B + b1 S + b0 with S = PHASE_SIDE and a block
+# of B = S^2 terms; a shared S x S table holds the phases of b = b1 S + b0.
+PHASE_SIDE = 64
+PHASE_BLOCK = PHASE_SIDE * PHASE_SIDE
+# Blocks summed by one float64 product of shape (PHASE_GROUP, 2S) @ (2S, 2S).
+# At this size OpenBLAS runs it on the calling thread: a product handed to a
+# second thread stalled for 8-30 ms at a time on a shared 2-vCPU host.
+PHASE_GROUP = 32
+# Largest n whose square int64 holds (3037000499).
+INT64_SQRT_MAX = math.isqrt(2**63 - 1)
+# Fewest terms of one float sum worth importing numpy for: the plain-Python
+# sum costs about 0.22 us a term (2-vCPU x86-64, Python 3.11), so 2^18
+# terms take about 57 ms, under the 70-90 ms a numpy import adds to a fresh
+# interpreter there.
+FLOAT_TERMS_IMPORT = 1 << 18
+
+
+def quadratic_phase_sum(P: int, sign: int, stop: int) -> complex:
+    """sum_{0 <= n < stop} e^{2 pi i sign (n^2 mod P)/P}, in bounded memory.
+
+    Every term is formed and summed; only the cos and sin are shared.  With
+    e(x) = e^{2 pi i sign x}, n = a B + b, b = b1 S + b0 (B = S^2 =
+    PHASE_BLOCK), c_a = (a B)^2 mod P and g_a = 2 a B mod P, the term is the
+    product of three phases
+
+        e((c_a + g_a S b1 mod P)/P) * R[b1, b0] * e((g_a b0 mod P)/P),
+
+    with R[b1, b0] = e((b^2 mod P)/P) built once per call, each exponent
+    reduced mod P exactly in int64.  A block is then u_a^T R v_a:
+    PHASE_GROUP blocks take one real matrix product and 2 S cos/sin pairs
+    per block, against one pair per term when evaluated directly.  A range
+    shorter than one block builds no table, and it and the tail after the
+    last whole block are evaluated directly with int64 squares.  Memory is
+    R plus one group of u and v, whatever the range.  The group partials
+    and the tail are combined by math.fsum.  Raises OutOfRange, before
+    anything is allocated, when (stop - 1)^2 would overflow int64.
+
+    A sum of fewer than FLOAT_TERMS_IMPORT terms in a process that has not
+    loaded numpy (`numpy_pays`) is summed in plain Python instead: one cos
+    and one sin of w (n^2 mod P) per term, PHASE_BLOCK terms at a time, all
+    partials combined by math.fsum.  That costs about 0.22 us per term
+    (2-vCPU x86-64, Python 3.11: 6.3 ms at 28 801 terms, 57 ms at 2^18)
+    and never imports numpy.
+    """
+    if stop - 1 > INT64_SQRT_MAX:
+        raise OutOfRange(
+            f"largest index n = {stop - 1} would overflow int64 in n^2 "
+            f"(need n <= {INT64_SQRT_MAX})"
+        )
+    if not numpy_pays(stop, FLOAT_TERMS_IMPORT):
+        w = 2 * math.pi * sign / P
+        re, im = [], []
+        for lo in range(0, stop, PHASE_BLOCK):
+            t = [w * (n * n % P) for n in range(lo, min(lo + PHASE_BLOCK, stop))]
+            re.append(math.fsum(map(math.cos, t)))
+            im.append(math.fsum(map(math.sin, t)))
+        return complex(math.fsum(re), math.fsum(im))
+    import numpy as np
+
+    S, B = PHASE_SIDE, PHASE_BLOCK
+    w = 2 * np.pi * sign / P
+    blocks = max(stop, 0) // B
+    re, im = [], []
+    if blocks:
+        b = np.arange(B, dtype=np.int64)
+        t = w * (b * b % P).reshape(S, S)
+        R = np.empty((2 * S, 2 * S))  # [[Re R, Im R], [-Im R, Re R]]
+        np.cos(t, out=R[:S, :S])
+        np.sin(t, out=R[:S, S:])
+        R[S:, S:] = R[:S, :S]
+        np.negative(R[:S, S:], out=R[S:, :S])
+        k = np.arange(S, dtype=np.int64)
+        for a0 in range(0, blocks, PHASE_GROUP):
+            a = np.arange(a0, min(a0 + PHASE_GROUP, blocks), dtype=np.int64)[:, None]
+            # r = a B mod P <= stop - B, so c_a <= r^2 and g_a S b1 <= 2 r (B - S)
+            # keep every exponent below (stop - S)^2: exact in int64 under the
+            # guard above, whatever P
+            r = a * B % P
+            g = 2 * r % P
+            tu = w * ((r * r % P + g * S * k) % P)
+            tv = w * (g * k % P)
+            U = np.empty((len(a), 2 * S))  # [Re u | Im u], one row per block
+            np.cos(tu, out=U[:, :S])
+            np.sin(tu, out=U[:, S:])
+            W = U @ R  # [Re u^T R | Im u^T R]
+            cv, sv = np.cos(tv), np.sin(tv)
+            re.append(float((W[:, :S] * cv - W[:, S:] * sv).sum()))
+            im.append(float((W[:, :S] * sv + W[:, S:] * cv).sum()))
+    n = np.arange(blocks * B, stop, dtype=np.int64)
+    theta = w * ((n * n) % P)
+    re.append(float(np.cos(theta).sum()))
+    im.append(float(np.sin(theta).sum()))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def symmetric_phase_sum(P: int, sign: int, K: int) -> complex:
+    """sum_{0 <= n < K} e^{2 pi i sign (n^2 mod P)/P} from half the terms.
+
+    Requires K even with P | 2K and P | K^2, so that n and K - n give the
+    same n^2 mod P: the sum is twice the terms n = 0..K/2 less the two
+    unpaired ones, n = 0 and n = K/2.
+    """
+    if K % 2 or (2 * K) % P or (K * K) % P:
+        raise ValueError(f"n -> K - n is not a symmetry of n^2 mod {P} for K = {K}")
+    half = K // 2
+    middle = cmath.exp(2j * math.pi * sign * (half * half % P) / P)
+    return 2 * quadratic_phase_sum(P, sign, half + 1) - 1 - middle
+
+
+def gauss_sum_float(N: int, sign: int = 1) -> complex:
+    """G(N) = sum_{m<N} e^{i pi sign m^2/N} by direct summation in floats.
+
+    For even N, m and N - m agree mod 2N in m^2, so half the terms suffice.
+    """
+    if N % 2:
+        return quadratic_phase_sum(2 * N, sign, N)
+    return symmetric_phase_sum(2 * N, sign, N)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +326,7 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
     phases e^{-2 pi i M (n^2 mod N)/N}, M = e c^2 (c-f), N = M L.  Since
     M (n^2 mod N) = M (n^2 mod L) mod N, they repeat with period L, and n,
     L - n give the same n^2 mod L: the actual Gauss sum is evaluated from
-    L/2 + 1 terms in fixed-size blocks (exactnum.symmetric_phase_sum), never
+    L/2 + 1 terms in fixed-size blocks (symmetric_phase_sum), never
     replaced by its closed form.  The value is c/(c-f) times the exact
     S = sum_m <dom m|K dom m> of `transform.qho_evolution`, a quadratic Gauss
     sum: -i sqrt(2(c-f)/c) when 4 | L, (+-1 - i) sqrt(2(c-f)/c)/2 for odd L,
@@ -296,7 +427,7 @@ def ccr_residual(params: ScaleParams) -> float:
     in any Q-eigenbasis), and a fixed-width packet gives O(1/mu^2): the
     geometric-mean width is the scaling at which the residual decays at the
     advertised O(1/mu) rate.  The 2W + 1 entries are numpy arrays where
-    numpy pays (`exactnum.numpy_pays` with FLOAT_TERMS_IMPORT), and lists
+    numpy pays (`lattice.numpy_pays` with FLOAT_TERMS_IMPORT), and lists
     otherwise: 309 entries at mu = 240.  Lists over half the window (the
     residual is even) cost 0.04-0.14 ms at mu = 30-480 against numpy's
     0.03 ms, which slowed the float benchmark by 3%, so numpy stays where

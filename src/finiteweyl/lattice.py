@@ -3,17 +3,18 @@
 Everything here is exact rational/integer arithmetic on generator
 exponents: words and their group law, inclusion, centers, the up functor
 inverse to the center, joins, maximal commutative subalgebras and spectra
-projections.  A matrix g of SL(2,Q) acts on words by `word_image`, the one
-statement of that action (every transform's sigma is derived from it), and
-`lattice_intersect` finds the common subalgebra when transforms compose.
-The integer rules of the Gaussian and harmonic-oscillator submodules
-(`gaussian_dim`, `check_triple`, `qho_dim`) are written here once, where
-both the exact `transform` builders and the float `dirac` propagators
-read them without loading each other.
+projections of their points (`SpecPoint`).  A matrix g of SL(2,Q) acts on
+words by `word_image`, the one statement of that action (every transform's
+sigma is derived from it), and `lattice_intersect` finds the common
+subalgebra when transforms compose.  The Gaussian and harmonic-oscillator
+submodule rules (`gaussian_dim`, `check_triple`, `qho_dim`) and the numpy
+routing rule (`numpy_pays`) are written here once, where the exact layers
+and the float `dirac` both read them without loading each other.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -129,6 +130,26 @@ class GenWord:
         return f"GenWord(U^{self.u_exp} V^{self.v_exp}, e2pi({self.phase}))"
 
 
+@dataclass(frozen=True)
+class SpecPoint:
+    """Maximal ideal of the center: values of U^{aN} and V^{bN}.
+
+    Spectra are restricted to the unit-modulus (root of unity) part, so a
+    point is stored as two phases e^{2 pi i u_phase}, e^{2 pi i v_phase}.
+    """
+
+    u_phase: Fraction = Fraction(0)
+    v_phase: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "u_phase", _mod1(self.u_phase))
+        object.__setattr__(self, "v_phase", _mod1(self.v_phase))
+
+    @staticmethod
+    def principal_point() -> "SpecPoint":
+        return SpecPoint(Fraction(0), Fraction(0))
+
+
 # ---------------------------------------------------------------------------
 # lattice operations
 # ---------------------------------------------------------------------------
@@ -202,25 +223,23 @@ def maximal_commutative(A: WeylDesc) -> list[GenWord]:
     return [GenWord(g1 * A.a, g2 * A.b) for g1, g2 in _cyclic_subgroups_order_n(N)]
 
 
-def spectrum_project(B: WeylDesc, A: WeylDesc, beta):
+def spectrum_project(B: WeylDesc, A: WeylDesc, beta: SpecPoint) -> SpecPoint:
     """pi_BA: spectra of B map onto spectra of A by raising to relative powers.
 
     Z(A) = <U^{Na a}, V^{Na b}> sits inside Z(B); its generators are the
     (Na/(n Nb))-th and (Na/(k Nb))-th powers of Z(B)'s generators.
     """
-    from .repmod import SpecPoint
-
     n, k = relative_indices(B, A)
     NA, NB = q_order(A), q_order(B)
     ru = Fraction(NA, n * NB)
     rv = Fraction(NA, k * NB)
     if ru.denominator != 1 or rv.denominator != 1:
-        raise NotIncluded("central generators do not align (unexpected)")
+        raise NotDividing(f"indices ({n},{k}) do not divide the dimension {NA}")
     return SpecPoint(beta.u_phase * int(ru), beta.v_phase * int(rv))
 
 
 # ---------------------------------------------------------------------------
-# submodule rules of the Gaussian and the harmonic oscillator
+# rules both the exact and float layers read: submodules, numpy routing
 # ---------------------------------------------------------------------------
 
 def gaussian_dim(N: int, b: int, d: int) -> int:
@@ -260,6 +279,15 @@ def qho_dim(N: int, e: int, f: int, c: int) -> int:
     if f * N // e % 2:
         raise DivisibilityViolation(f"need f N/e = {f * N // e} even")
     return N // (c * c * e)
+
+
+def numpy_pays(size: int, import_size: int) -> bool:
+    """Whether a sum of `size` terms is evaluated with numpy: always once
+    numpy is loaded, and before that only a sum of `import_size` terms or
+    more, whose plain-Python time would exceed the import.  The rule reads
+    only its input and the process: the same sum routes alike in any process
+    with numpy in the same state."""
+    return "numpy" in sys.modules or size >= import_size
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .errors import BadBranch, ModuleMismatch, NotDividing
 from .exactnum import Scalar, sum_abs2
-from .lattice import WeylDesc, join, relative_indices, spectrum_project
-from .repmod import ModuleRep, PhaseTable, SpecPoint, StateVec, build_module, inner
+from .lattice import SpecPoint, WeylDesc, join, relative_indices, spectrum_project
+from .repmod import ModuleRep, PhaseTable, StateVec, build_module, inner
 
 
 @dataclass

@@ -13,33 +13,12 @@ them: the module's own q_powers, and each scaled table a caller builds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import ExactnessLost, ModuleMismatch, NotGenerating, NotInAlgebra
-from .exactnum import Scalar, _phase_cached, dot, numpy_pays
-from .lattice import GenWord, WeylDesc, _mod1
-
-
-@dataclass(frozen=True)
-class SpecPoint:
-    """Maximal ideal of the center: values of U^{aN} and V^{bN}.
-
-    Spectra are restricted to the unit-modulus (root of unity) part, so a
-    point is stored as two phases e^{2 pi i u_phase}, e^{2 pi i v_phase}.
-    """
-
-    u_phase: Fraction = Fraction(0)
-    v_phase: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        object.__setattr__(self, "u_phase", _mod1(self.u_phase))
-        object.__setattr__(self, "v_phase", _mod1(self.v_phase))
-
-    @staticmethod
-    def principal_point() -> "SpecPoint":
-        return SpecPoint(Fraction(0), Fraction(0))
+from .exactnum import Scalar, _phase_cached, dot
+from .lattice import GenWord, SpecPoint, WeylDesc, _mod1, numpy_pays
 
 
 class PhaseTable(dict):
@@ -217,7 +196,7 @@ def v_basis(M: ModuleRep) -> list[StateVec]:
 # 2.0-2.5 ms with the kernel and 3.8-5.3 ms without, a dense apply at N = 16
 # (256 products) 0.32-0.50 ms and 0.56-0.97 ms; at N = 12 (144) they tie.
 PRODUCTS_MIN = 256
-# Fewest products of one sum worth importing numpy for (`exactnum.numpy_pays`,
+# Fewest products of one sum worth importing numpy for (`lattice.numpy_pays`,
 # the rule the float sums share): the kernel saves 1.4-3 us per product on
 # Grams of N = 12-36, so 2^15 products save about one numpy import (60-140
 # ms there).

@@ -16,11 +16,12 @@ from finiteweyl.dirac import (
     ScaleParams,
     converge_study,
     free_propagator,
+    gauss_sum_float,
     qho_propagator,
     qho_trace,
     weakring_max_phase_error,
 )
-from finiteweyl.exactnum import Scalar, gauss_sum, gauss_sum_float, root_of_unity
+from finiteweyl.exactnum import Scalar, gauss_sum, root_of_unity
 from finiteweyl.lattice import GenWord, WeylDesc
 from finiteweyl.morphism import decompose, embed_pbeta, pairing_row_sum
 from finiteweyl.repmod import ModuleRep, SpecPoint, StateVec, apply_word, build_module, inner, v_basis

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from finiteweyl import cli, dirac, exactnum, repmod, transform
+from finiteweyl import cli, dirac, repmod, transform
 from finiteweyl.cli import main
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
@@ -153,6 +153,8 @@ class TestMalformedOptions:
         (["pairing", "--n", "8", "--left", "u:3", "--right", "v:1/2"], "--right", '"u:k" or "v:m"', "v:1/2"),
         (["transform", "--name", "qho", "--n", "75", "--triple", "3,4,x"], "--triple", '"e,f,c"', "3,4,x"),
         (["propagator", "free", "--grid=a:1:3"], "--grid", '"lo:hi:count"', "a:1:3"),
+        (["propagator", "qho", "--mu", "300", "--grid=nan:1:3"], "--grid", '"lo:hi:count"', "nan:1:3"),
+        (["propagator", "qho", "--mu", "300", "--grid=0:inf:3"], "--grid", '"lo:hi:count"', "0:inf:3"),
         (["lattice", "--center", "1/0,1"], "--center", '"a,b"', "1/0,1"),
         (["lattice", "--join", "1,1;1,y"], "--join", '"a,b;c,d"', "1,1;1,y"),
         (["basis", "--alg", "1,x"], "--alg", '"a,b"', "1,x"),
@@ -185,6 +187,33 @@ class TestModuleDimension:
         assert code == 2
         assert captured.out == ""
         assert "--n must be at least 1" in captured.err
+
+
+class TestMuMin:
+    """--mu-min is a lower bound on mu: 0 is a value, not "not given"."""
+
+    AUTO = [["propagator", "free", "--t", "1/2", "--mu", "auto"], ["trace", "qho", "--mu", "auto"]]
+
+    @pytest.mark.parametrize("value", [["--mu-min", "0"], ["--mu-min=-4"]], ids=" ".join)
+    @pytest.mark.parametrize("argv", AUTO, ids=" ".join)
+    def test_below_one_exit_2(self, capsys, monkeypatch, argv, value):
+        def fail(*args, **kwargs):
+            raise AssertionError("mu chosen for a refused --mu-min")
+
+        monkeypatch.setattr(dirac, "auto_mu", fail)
+        code = main(argv + value)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        got = value[-1].rpartition("=")[2]
+        assert captured.err == f"precondition violated (OutOfRange): --mu-min must be at least 1, got {got}\n"
+
+    def test_one_is_the_smallest_bound(self, capsys):
+        # the smallest even mu divisible by 2 t.numerator t.denominator = 4,
+        # where --mu-min 0 once fell back to the default 2520
+        code, out = run(capsys, "propagator", "free", "--t", "1/2", "--mu", "auto", "--mu-min", "1")
+        assert code == 0
+        assert json.loads(out)["meta"]["mu"] == 4
 
 
 class TestTransform:
@@ -541,7 +570,7 @@ class TestModulesLoaded:
     `errors` and `lattice` always, then only what the command imports."""
 
     BASE = {"cli", "errors", "lattice"}
-    FLOAT = BASE | {"exactnum", "dirac"}
+    FLOAT = BASE | {"dirac"}
     CASES = [
         (["lattice", "--center", "1/2,1/2"], 0, BASE),
         (["lattice", "--ocount", "1/5,1", "--includes", "1,1/2;1,1/4"], 0, BASE),
@@ -587,7 +616,7 @@ def assert_same_but_last_bits(a, b, path="$"):
 
 # The float commands of the cli benchmark workload (bench/workloads.py), and
 # `converge free` over the mu of README's `converge ccr`: their sums stay
-# below exactnum.FLOAT_TERMS_IMPORT.
+# below dirac.FLOAT_TERMS_IMPORT.
 FLOAT_COMMANDS = [
     *(["propagator", "free", "--t", t, "--mu", "240", "--grid=-1:1:5"] for t in ("1/2", "1", "3/2")),
     ["trace", "qho", "--triple", "3,4,5", "--h", "1", "--mu", "auto", "--mu-min", "1000"],
@@ -599,7 +628,7 @@ FLOAT_COMMANDS = [
 class TestNumpyFree:
     # every golden command (the exact ones, transforms whose sums stay below
     # repmod.PRODUCTS_IMPORT), `propagator qho` (scalar cmath), the float
-    # commands whose sums stay below exactnum.FLOAT_TERMS_IMPORT and float
+    # commands whose sums stay below dirac.FLOAT_TERMS_IMPORT and float
     # commands refused before any sum, run in one process that must never
     # load numpy
     COMMANDS = [(case["argv"], case["exit"]) for case in GOLDEN] + [
@@ -627,7 +656,7 @@ class TestNumpyFree:
         # mu = 8010: its Gauss sum has L/2 + 1 = 427 735 terms, over the
         # budget, so numpy pays for its import and sums them
         argv = ["trace", "qho", "--mu-min", "8000"]
-        assert largest_float_sum(argv) > exactnum.FLOAT_TERMS_IMPORT
+        assert largest_float_sum(argv) > dirac.FLOAT_TERMS_IMPORT
         codes, _, numpy_loaded = run_fresh([argv])
         assert (codes, numpy_loaded) == ([0], True)
 
@@ -649,17 +678,16 @@ def largest_float_sum(argv, cwd=None):
     window) that argv makes, run in this process with no cached Gauss
     constant; 0 when it makes none."""
     sizes = []
-    take = exactnum.numpy_pays
+    take = dirac.numpy_pays
 
     def record(size, import_size):
-        if import_size == exactnum.FLOAT_TERMS_IMPORT:
+        if import_size == dirac.FLOAT_TERMS_IMPORT:
             sizes.append(size)
         return take(size, import_size)
 
     dirac._gauss_constant.cache_clear()
     try:
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
-            mp.setattr(exactnum, "numpy_pays", record)
             mp.setattr(dirac, "numpy_pays", record)
             if cwd is not None:
                 mp.chdir(cwd)
@@ -688,7 +716,7 @@ README_FREE = ["propagator", "free", "--t", "1/2", "--h", "1", "--mu", "auto", "
 
 
 class TestFloatBudget:
-    """exactnum.FLOAT_TERMS_IMPORT against the sums real traffic makes."""
+    """dirac.FLOAT_TERMS_IMPORT against the sums real traffic makes."""
 
     def test_every_kind_is_covered(self):
         assert README_FREE in README_FLOAT
@@ -700,25 +728,25 @@ class TestFloatBudget:
 
     @pytest.mark.parametrize("argv", [argv for argv in README_FLOAT if argv != README_FREE], ids=" ".join)
     def test_readme_sums_below_the_budget(self, argv, tmp_path):
-        assert largest_float_sum(argv, cwd=tmp_path) < exactnum.FLOAT_TERMS_IMPORT
+        assert largest_float_sum(argv, cwd=tmp_path) < dirac.FLOAT_TERMS_IMPORT
 
     def test_readme_free_propagator_above_the_budget(self):
-        assert largest_float_sum(README_FREE) == 1_587_601 > exactnum.FLOAT_TERMS_IMPORT
+        assert largest_float_sum(README_FREE) == 1_587_601 > dirac.FLOAT_TERMS_IMPORT
 
     @pytest.mark.parametrize("argv", [list(argv) for argv in CLI_FLOAT], ids=" ".join)
     def test_cli_workload_sums_below_the_budget(self, argv):
-        assert largest_float_sum(argv) < exactnum.FLOAT_TERMS_IMPORT
+        assert largest_float_sum(argv) < dirac.FLOAT_TERMS_IMPORT
 
     @pytest.mark.parametrize("argv", FLOAT_COMMANDS, ids=" ".join)
     def test_numpy_free_commands_below_the_budget(self, argv):
-        assert 0 < largest_float_sum(argv) < exactnum.FLOAT_TERMS_IMPORT
+        assert 0 < largest_float_sum(argv) < dirac.FLOAT_TERMS_IMPORT
 
     @pytest.mark.parametrize("mu", WORKLOADS.LARGE_TRACE_MU)
     def test_float_continuum_large_traces_above_the_budget(self, mu):
         # those traces keep numpy on purpose, not only because the
         # benchmark loads it before its first operation
         argv = ["trace", "qho", "--triple", "3,4,5", "--mu", str(mu)]
-        assert largest_float_sum(argv) > exactnum.FLOAT_TERMS_IMPORT
+        assert largest_float_sum(argv) > dirac.FLOAT_TERMS_IMPORT
 
 
 class ReadRecorder(argparse.Namespace):

@@ -13,9 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finiteweyl import exactnum
+from finiteweyl import dirac
 from finiteweyl.dirac import (
+    INT64_SQRT_MAX,
+    PHASE_BLOCK,
+    PHASE_GROUP,
     KernelSample,
     ScaleParams,
     _gauss_constant,
@@ -24,10 +29,13 @@ from finiteweyl.dirac import (
     ccr_residual,
     converge_study,
     free_propagator,
+    gauss_sum_float,
     q_operator_eigenvalue,
     qho_propagator,
     qho_trace,
+    quadratic_phase_sum,
     st_mu,
+    symmetric_phase_sum,
     weakring_max_phase_error,
 )
 from finiteweyl.errors import (
@@ -37,6 +45,7 @@ from finiteweyl.errors import (
     OutOfRange,
 )
 from finiteweyl.lattice import GenWord, WeylDesc
+from finiteweyl.exactnum import gauss_sum
 from finiteweyl.repmod import SpecPoint, build_module, inner, v_basis
 from finiteweyl.transform import free_evolution, qho_evolution
 
@@ -500,20 +509,156 @@ class TestCCR:
         assert np.allclose(P, P.conj().T)
 
 
+def approx_eq(z, w, tol=1e-10):
+    return abs(z - w) <= tol
+
+
+def eval_complex(s):
+    """(re, im) of an exact Scalar's float value."""
+    z = s.to_complex()
+    return (z.real, z.imag)
+
+
+# Terms per chunk of the former quadratic_phase_sum.
+PHASE_CHUNK = 1 << 16
+
+
+def direct_phase_sum(P, sign, stop):
+    """The former kernel, kept as the oracle: one cos and one sin per term,
+    PHASE_CHUNK terms at a time, the chunk partials combined by math.fsum."""
+    w = 2 * np.pi * sign / P
+    re, im = [], []
+    for lo in range(0, stop, PHASE_CHUNK):
+        n = np.arange(lo, min(lo + PHASE_CHUNK, stop), dtype=np.int64)
+        theta = w * ((n * n) % P)
+        re.append(float(np.cos(theta).sum()))
+        im.append(float(np.sin(theta).sum()))
+    return complex(math.fsum(re), math.fsum(im))
+
+
+def fsum_phase_sum(P, sign, stop):
+    """Reference: each term e^{2 pi i sign (n^2 mod P)/P} from Python ints,
+    the real and imaginary parts summed by math.fsum."""
+    def terms():
+        return (cmath.exp(2j * math.pi * sign * (n * n % P) / P) for n in range(stop))
+    return complex(math.fsum(z.real for z in terms()), math.fsum(z.imag for z in terms()))
+
+
+B, G = PHASE_BLOCK, PHASE_GROUP
+
+
+class TestQuadraticPhaseSum:
+    # odd and even P on both sides of the block, the former chunk (16 blocks)
+    # and the block-group boundaries
+    SIZES = [B - 1, B, B + 1, 16 * B - 1, 16 * B, 16 * B + 1,
+             B * G - 1, B * G, B * G + 1, B * G + 3, 2 * B * G + 3]
+
+    @pytest.mark.parametrize("P", SIZES)
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_full_period_matches_direct_sum(self, P, sign):
+        assert approx_eq(quadratic_phase_sum(P, sign, P), direct_phase_sum(P, sign, P), 1e-9)
+
+    @pytest.mark.parametrize("P", SIZES)
+    def test_partial_period_matches_direct_sum(self, P):
+        stop = P // 2 + 12345
+        assert approx_eq(quadratic_phase_sum(P, -1, stop), direct_phase_sum(P, -1, stop), 1e-9)
+
+    @pytest.mark.parametrize("P", [7, 1000, B + 1, 2 * B])
+    @pytest.mark.parametrize("stop", [1, 2, B // 2 + 3, B - 1])
+    def test_shorter_than_one_block(self, P, stop):
+        assert approx_eq(quadratic_phase_sum(P, 1, stop), direct_phase_sum(P, 1, stop), 1e-11)
+
+    @pytest.mark.parametrize("P", [3 * B + 1, 3 * B + 2, 10**6 + 3, 10**6 + 4])
+    @pytest.mark.parametrize("stop", [B, 3 * B, B * G, 2 * B * G])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_whole_blocks_without_tail(self, P, stop, sign):
+        assert approx_eq(quadratic_phase_sum(P, sign, stop), direct_phase_sum(P, sign, stop), 1e-9)
+
+    # P above INT64_SQRT_MAX and up to 2^62: the exponents are bounded by the
+    # index range, not by P, so int64 stays exact
+    @pytest.mark.parametrize("P", [INT64_SQRT_MAX + 2, 8 * 10**9 + 4, 2**61 - 1, 2**62 + 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_modulus_beyond_int64_squares(self, P, sign):
+        stop = 3 * B + 17
+        assert approx_eq(quadratic_phase_sum(P, sign, stop), direct_phase_sum(P, sign, stop), 1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10**12), st.integers(0, 4 * B + 100), st.sampled_from([1, -1]))
+    def test_any_modulus_and_length(self, P, stop, sign):
+        assert approx_eq(quadratic_phase_sum(P, sign, stop), direct_phase_sum(P, sign, stop), 1e-10)
+
+    @pytest.mark.parametrize("L", [200_000, 811_200])
+    def test_error_no_larger_than_direct_sum(self, L):
+        # the half period qho_trace sums, against an fsum of exact phases
+        stop = L // 2 + 1
+        ref = fsum_phase_sum(L, -1, stop)
+        assert abs(quadratic_phase_sum(L, -1, stop) - ref) <= abs(direct_phase_sum(L, -1, stop) - ref)
+
+    def test_bounded_memory_over_several_groups(self):
+        tracemalloc.start()
+        try:
+            z = quadratic_phase_sum(10**6 + 3, 1, 5 * B * G + 17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert approx_eq(z, direct_phase_sum(10**6 + 3, 1, 5 * B * G + 17), 1e-9)
+        assert peak < 1 << 20
+
+    def test_empty_range(self):
+        assert quadratic_phase_sum(7, 1, 0) == 0
+
+    @pytest.mark.parametrize("P", [B, 16 * B, B * G + 2, B * G + 4])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_half_period_identity(self, P, sign):
+        # n and P - n give the same n^2 mod P
+        assert approx_eq(symmetric_phase_sum(P, sign, P), direct_phase_sum(P, sign, P), 1e-9)
+
+    @pytest.mark.parametrize("K", [B, 16 * B, B * G + 2])
+    def test_half_period_identity_gauss(self, K):
+        # m and K - m agree mod 2K in m^2 when K is even
+        assert approx_eq(symmetric_phase_sum(2 * K, 1, K), direct_phase_sum(2 * K, 1, K), 1e-9)
+
+    @pytest.mark.parametrize("P,K", [(7, 7), (10, 6), (12, 4)])
+    def test_half_period_rejects_non_symmetry(self, P, K):
+        with pytest.raises(ValueError):
+            symmetric_phase_sum(P, 1, K)
+
+    def test_int64_limit_refused_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange, match="int64"):
+                quadratic_phase_sum(2**61 - 1, 1, INT64_SQRT_MAX + 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+
+class TestGaussSumFloat:
+    def test_float_backend_matches_exact(self):
+        for N in (3, 5, 7, 9, 12):
+            assert approx_eq(complex(*eval_complex(gauss_sum(N))), gauss_sum_float(N), 1e-10)
+
+
+    @pytest.mark.parametrize("N", [3, 12, 70001, 451584])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_float_backend_matches_direct_sum(self, N, sign):
+        # odd N sums the whole range, even N half of it
+        assert approx_eq(gauss_sum_float(N, sign), direct_phase_sum(2 * N, sign, N), 1e-9)
+
+
 # Run in a fresh interpreter that never loads numpy: the plain-Python sums.
 PLAIN_ROUTE_SCRIPT = """
 import json, sys
 from fractions import Fraction
-from finiteweyl import dirac, exactnum
+from finiteweyl import dirac
 cases = json.loads(sys.argv[1])
-out = {"phase": [[z.real, z.imag] for z in (exactnum.quadratic_phase_sum(*a) for a in cases["phase"])],
-       "gauss": [[z.real, z.imag] for z in (exactnum.gauss_sum_float(*a) for a in cases["gauss"])],
+out = {"phase": [[z.real, z.imag] for z in (dirac.quadratic_phase_sum(*a) for a in cases["phase"])],
+       "gauss": [[z.real, z.imag] for z in (dirac.gauss_sum_float(*a) for a in cases["gauss"])],
        "ccr": [dirac.ccr_residual(dirac.ScaleParams(Fraction(1), mu)) for mu in cases["ccr"]],
        "numpy": "numpy" in sys.modules}
 print(json.dumps(out))
 """
-
-B = exactnum.PHASE_BLOCK
 
 
 class TestRoutesAgree:
@@ -531,7 +676,7 @@ class TestRoutesAgree:
 
     @pytest.fixture(scope="class")
     def plain(self):
-        src = str(Path(exactnum.__file__).resolve().parents[1])
+        src = str(Path(dirac.__file__).resolve().parents[1])
         cases = {"phase": self.PHASE, "gauss": self.GAUSS, "ccr": self.CCR_MU}
         proc = subprocess.run([sys.executable, "-c", PLAIN_ROUTE_SCRIPT, json.dumps(cases)],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
@@ -550,12 +695,12 @@ class TestRoutesAgree:
     @pytest.mark.parametrize("i", range(len(PHASE)))
     def test_quadratic_phase_sum(self, plain, i):
         P, sign, stop = self.PHASE[i]
-        assert self.agree(plain["phase"][i], exactnum.quadratic_phase_sum(P, sign, stop), stop)
+        assert self.agree(plain["phase"][i], quadratic_phase_sum(P, sign, stop), stop)
 
     @pytest.mark.parametrize("i", range(len(GAUSS)))
     def test_gauss_sum_float(self, plain, i):
         N, sign = self.GAUSS[i]
-        assert self.agree(plain["gauss"][i], exactnum.gauss_sum_float(N, sign), N)
+        assert self.agree(plain["gauss"][i], gauss_sum_float(N, sign), N)
 
     @pytest.mark.parametrize("i", range(len(CCR_MU)))
     def test_ccr_residual(self, plain, i):

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finiteweyl.errors import BadMatrix, NotCommutative, NotIncluded
+from finiteweyl.errors import BadMatrix, NotCommutative, NotDividing, NotIncluded
 from finiteweyl.lattice import (
     GenWord,
+    SpecPoint,
     WeylDesc,
     center,
     includes,
@@ -26,7 +27,8 @@ from finiteweyl.lattice import (
     up_functor,
     word_image,
 )
-from finiteweyl.repmod import SpecPoint, build_module
+from finiteweyl.morphism import embed_pbeta, pairing
+from finiteweyl.repmod import build_module
 from finiteweyl.transform import fourier
 
 
@@ -225,6 +227,20 @@ class TestSpectrumProject:
     def test_requires_inclusion(self):
         with pytest.raises(NotIncluded):
             spectrum_project(WeylDesc(F(1, 2), 1), WeylDesc(1, 1), SpecPoint.principal_point())
+
+    def test_indices_not_dividing(self):
+        # B = A(3, 1/4) lies in A = A(1, 1/4), both of order 4, but n = 3 does
+        # not divide 4: the pairing and the embedding refuse it alike
+        B, A = WeylDesc(3, F(1, 4)), WeylDesc(1, F(1, 4))
+        M_B = build_module(B, SpecPoint.principal_point())
+        M_A = build_module(A, SpecPoint.principal_point())
+        message = r"^indices \(3,1\) do not divide the dimension 4$"
+        with pytest.raises(NotDividing, match=message):
+            spectrum_project(B, A, M_B.point)
+        with pytest.raises(NotDividing, match=message):
+            pairing(M_B.basis_vector(0), M_A.basis_vector(0))
+        with pytest.raises(NotDividing, match=message):
+            embed_pbeta(M_B, M_A)
 
     def test_fiber_size_is_index(self):
         # B = <U^{2a}, V^{2b}> inside A, N_A = 4: fiber over generic point has 4 elements

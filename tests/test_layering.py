@@ -3,10 +3,13 @@
 Every CLI query runs in a fresh interpreter, and each subcommand imports
 the layers it runs inside its `cmd_*` function, so at module level `cli`
 imports no package module but `errors` and `lattice`.  The float layer
-`dirac` stands on `errors`, `exactnum` and `lattice` alone (the Gaussian
-and QHO submodule rules it shares with `transform` live in `lattice`), and
-no exact layer imports `dirac`, at any level.  This test parses each module
-under src/finiteweyl with `ast`.
+`dirac` stands on `errors` and `lattice` alone (the Gaussian and QHO
+submodule rules and the numpy routing rule it shares with the exact layers
+live in `lattice`), and no exact layer imports `dirac`, at any level.  The
+bottom layers `lattice` and `exactnum` import no package module but
+`errors`, and `exactnum` is exact arithmetic only: it imports neither
+`cmath`, `sys` nor numpy.  This test parses each module under
+src/finiteweyl with `ast`.
 """
 
 import ast
@@ -48,17 +51,42 @@ def package_imports(tree, module_level=True):
     return found
 
 
-def imports_of(module, module_level=True):
+def other_imports(tree):
+    """The top-level names of every module outside the package that a
+    module's import statements load, at any level."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[0] for a in node.names)
+    return found - {"finiteweyl"}
+
+
+def parse(module):
     path = PACKAGE / f"{module}.py"
-    return package_imports(ast.parse(path.read_text(), filename=str(path)), module_level)
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def imports_of(module, module_level=True):
+    return package_imports(parse(module), module_level)
 
 
 def test_cli_loads_errors_and_lattice_alone():
     assert imports_of("cli") <= {"errors", "lattice"}
 
 
-def test_dirac_stands_on_errors_exactnum_and_lattice():
-    assert imports_of("dirac") <= {"errors", "exactnum", "lattice"}
+def test_dirac_stands_on_errors_and_lattice():
+    assert imports_of("dirac", module_level=False) <= {"errors", "lattice"}
+
+
+def test_bottom_layers_stand_on_errors_alone():
+    assert {m: imports_of(m, module_level=False) - {"errors"} for m in ("lattice", "exactnum")} == {
+        "lattice": set(), "exactnum": set()}
+
+
+def test_exactnum_loads_no_float_modules():
+    assert other_imports(parse("exactnum")) & {"cmath", "sys", "numpy"} == set()
 
 
 def test_no_exact_layer_imports_dirac():
@@ -87,3 +115,4 @@ def test_checker_finds_each_kind_of_import():
     module_level = {"errors", "exactnum", "repmod", "morphism", "transform", "products", "lattice"}
     assert package_imports(tree) == module_level
     assert package_imports(tree, module_level=False) == module_level | {"dirac"}
+    assert other_imports(tree) == {"__future__", "json"}
