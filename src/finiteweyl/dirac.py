@@ -50,6 +50,8 @@ INT64_SQRT_MAX = math.isqrt(2**63 - 1)
 # terms take about 57 ms, under the 70-90 ms a numpy import adds to a fresh
 # interpreter there.
 FLOAT_TERMS_IMPORT = 1 << 18
+# e^{-i pi/4} = sqrt(N)/G(N) for even N: the phase of the QHO kernel and trace
+EIGHTH_TURN = cmath.exp(-1j * math.pi / 4)
 
 
 def quadratic_phase_sum(P: int, sign: int, stop: int) -> complex:
@@ -244,6 +246,14 @@ def _gauss_constant(Nb: int, sign: int) -> complex:
     return math.sqrt(Nb) / gauss_sum_float(Nb, sign)
 
 
+def _lattice_index(x: float, step: float, half: int) -> int:
+    """round(x/step) within half of 0, else OutOfRange; a NaN or infinite x/step never reaches round."""
+    q = x / step
+    if not abs(q) < half + 1 or abs(n := round(q)) > half:
+        raise OutOfRange("grid point outside the submodule window")
+    return n
+
+
 def free_propagator(x1: float, x2: float, t: Fraction, params: ScaleParams) -> KernelSample:
     """Finite-N free-particle kernel vs (2 pi i hbar t)^{-1/2} e^{i(x1-x2)^2/(2 t hbar)}.
 
@@ -257,10 +267,7 @@ def free_propagator(x1: float, x2: float, t: Fraction, params: ScaleParams) -> K
     Nb = gaussian_dim(params.N, b, d)
     hbar, mu = params.hbar, params.mu
     dx = abs(b) * hbar / mu
-    l = round(x1 / dx)
-    m = round(x2 / dx)
-    if abs(l) > Nb // 2 or abs(m) > Nb // 2:
-        raise OutOfRange("grid point outside the submodule window")
+    l, m = _lattice_index(x1, dx, Nb // 2), _lattice_index(x2, dx, Nb // 2)
     xs1, xs2 = l * dx, m * dx
     sign = 1 if b * d > 0 else -1
     cc_hat = _gauss_constant(Nb, sign)
@@ -297,10 +304,7 @@ def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
     hbar, mu = params.hbar, params.mu
     dx = e * hbar / mu
     step = c * e * hbar / mu  # index spacing of the domain basis
-    n = round(x1 / step)
-    m = round(x2 / step)
-    if abs(n) > dim // 2 or abs(m) > dim // 2:
-        raise OutOfRange("grid point outside the submodule window")
+    n, m = _lattice_index(x1, step, dim // 2), _lattice_index(x2, step, dim // 2)
     xs1, xs2 = n * step, m * step
 
     # sum over the c overlapping lattice sites: l_k = cn - mf + k N/(ce), at
@@ -309,11 +313,10 @@ def qho_propagator(x1: float, x2: float, triple: tuple[int, int, int],
     for k in range(c):
         lk = c * n - m * f + k * N // (c * e)
         total += cmath.exp(1j * math.pi * _qho_exponent(e, f, m, lk, N) / N)
-    C0 = cmath.exp(-1j * math.pi / 4)
-    value = C0 * math.sqrt(e / N) / math.sqrt(c) * total / dx
+    value = EIGHTH_TURN * math.sqrt(e / N) / math.sqrt(c) * total / dx
 
     sin_t, cos_t = e / c, f / c
-    closed = C0 / math.sqrt(2 * math.pi * hbar * sin_t) * cmath.exp(
+    closed = EIGHTH_TURN / math.sqrt(2 * math.pi * hbar * sin_t) * cmath.exp(
         1j * ((xs1 * xs1 + xs2 * xs2) * cos_t - 2 * xs1 * xs2) / (2 * hbar * sin_t)
     )
     return KernelSample(xs1, xs2, value, closed)
@@ -350,7 +353,7 @@ def qho_trace(triple: tuple[int, int, int], params: ScaleParams) -> TraceResult:
     if L % 4:
         raise DivisibilityViolation(f"need 4 | L = {L} (pick mu with more factors of 2)")
     total = c * symmetric_phase_sum(L, -1, L)
-    value = cmath.exp(-1j * math.pi / 4) * math.sqrt(e * c / N) * total
+    value = EIGHTH_TURN * math.sqrt(e * c / N) * total
     sin_half = math.sqrt((1 - f / c) / 2)
     closed = 1 / (1j * sin_half)
     return TraceResult(value, closed, c * L)
@@ -496,20 +499,12 @@ def converge_study(quantity: str, mus: list[int], h: Fraction = Fraction(1),
         if quantity == "ccr":
             residuals.append(ccr_residual(params))
         elif quantity == "free":
-            worst = 0.0
-            for t in (Fraction(1, 2), Fraction(1, 1)):
-                for x1 in (-1.0, 0.0, 1.0):
-                    for x2 in (-1.0, 0.5, 1.0):
-                        s = free_propagator(x1, x2, t, params)
-                        worst = max(worst, s.abs_err)
-            residuals.append(worst)
+            residuals.append(max(free_propagator(x1, x2, t, params).abs_err
+                                 for t in (Fraction(1, 2), Fraction(1)) for x1 in (-1.0, 0.0, 1.0)
+                                 for x2 in (-1.0, 0.5, 1.0)))
         elif quantity == "qho":
-            worst = 0.0
-            for x1 in (-1.0, 0.0, 1.0):
-                for x2 in (-1.0, 0.5, 1.0):
-                    s = qho_propagator(x1, x2, (3, 4, 5), params)
-                    worst = max(worst, s.abs_err)
-            residuals.append(worst)
+            residuals.append(max(qho_propagator(x1, x2, (3, 4, 5), params).abs_err
+                                 for x1 in (-1.0, 0.0, 1.0) for x2 in (-1.0, 0.5, 1.0)))
         elif quantity == "weakring":
             residuals.append(weakring_max_phase_error(params, count=500, seed=seed))
         else:

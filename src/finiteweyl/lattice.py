@@ -107,16 +107,9 @@ class GenWord:
         return GenWord(-self.u_exp, -self.v_exp, -self.phase + self.u_exp * self.v_exp)
 
     def __pow__(self, n: int) -> "GenWord":
-        if n < 0:
-            return self.inv() ** (-n)
-        out = GenWord(Fraction(0), Fraction(0))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        """w^n for every integer n: phase n p plus u v once per pair of factors, n(n-1)/2 times."""
+        u, v = self.u_exp, self.v_exp
+        return GenWord(n * u, n * v, n * self.phase + n * (n - 1) // 2 * u * v)
 
     def commutator_phase(self, other: "GenWord") -> Fraction:
         """Symplectic pairing t with (other)(self) = e^{2 pi i t} (self)(other).

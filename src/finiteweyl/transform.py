@@ -35,6 +35,8 @@ from .lattice import (GenWord, Mat2, WeylDesc, gaussian_dim, lattice_intersect, 
 from .morphism import summand
 from .repmod import ModuleRep, PhaseTable, StateVec, apply_word, linear_combination, linear_combinations
 
+NO_BASES = "transformation carries no materialized bases"  # what a bookkeeping-only composite refuses
+
 
 def _frac_mat(rows) -> Mat2:
     return tuple(tuple(Fraction(x) for x in r) for r in rows)
@@ -87,11 +89,15 @@ class RegUnitary:
         """Number of domain basis vectors; None for a bookkeeping-only composite."""
         return None if self.domain is None else len(self.domain)
 
-    # -- basis access ---------------------------------------------------------
+    # -- basis access: NoCommonSubalgebra for a bookkeeping-only composite ------
     def dom(self, m: int) -> StateVec:
+        if self.domain is None:
+            raise NoCommonSubalgebra(NO_BASES)
         return StateVec.from_pairs(self.ambient_dom, self.domain[m % self.dim])
 
     def image(self, m: int) -> StateVec:
+        if self.images is None:
+            raise NoCommonSubalgebra(NO_BASES)
         return self.images[m % self.dim]
 
     @property
@@ -109,6 +115,8 @@ class RegUnitary:
         times its image, O(N) one-term products; otherwise the images are
         combined by `linear_combination`.
         """
+        if self.domain is None:
+            raise NoCommonSubalgebra(NO_BASES)
         if not self.ambient_dom.compatible(x.module):
             raise ModuleMismatch("vectors live in different modules")
         amps, group = x.amps, self._group
@@ -338,7 +346,7 @@ def verify_conjugation(L: RegUnitary, sample: int | None = None) -> list[Conjuga
     """
     check_sample(sample)
     if not L.materialized:
-        raise NoCommonSubalgebra("transformation carries no materialized bases")
+        raise NoCommonSubalgebra(NO_BASES)
     reports = []
     idx = range(L.dim) if sample is None or L.dim <= sample else range(0, L.dim, max(1, L.dim // sample))
 

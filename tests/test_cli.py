@@ -208,6 +208,16 @@ class TestMuMin:
         got = value[-1].rpartition("=")[2]
         assert captured.err == f"precondition violated (OutOfRange): --mu-min must be at least 1, got {got}\n"
 
+    @pytest.mark.parametrize("argv", [["propagator", "free", "--t", "1/2", "--mu", "240"],
+                                      ["trace", "qho", "--mu", "1020"]], ids=" ".join)
+    def test_with_integer_mu_exit_2(self, capsys, argv):
+        # an integer --mu leaves no floor to raise: refused, not ignored
+        code = main(argv + ["--mu-min", "1000"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"invalid input: --mu-min applies only to --mu auto, got --mu {argv[-1]}\n"
+
     def test_one_is_the_smallest_bound(self, capsys):
         # the smallest even mu divisible by 2 t.numerator t.denominator = 4,
         # where --mu-min 0 once fell back to the default 2520
@@ -455,6 +465,19 @@ class TestPreconditionRefusals:
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+    @pytest.mark.parametrize("grid", ["1e308:1e308:1", "-1e308:1e308:3"])
+    @pytest.mark.parametrize("argv", [["propagator", "qho", "--mu", "300"],
+                                      ["propagator", "free", "--t", "1/2", "--mu", "240"]], ids=" ".join)
+    def test_huge_grid_point_outside_the_window(self, capsys, argv, grid):
+        # x/step is infinite at x = 1e308, and -1e308:1e308:3 starts at
+        # x = lo + (hi - lo) * 0 = NaN: each is refused as a point beyond the
+        # window, before round sees it
+        code = main(argv + [f"--grid={grid}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "precondition violated (OutOfRange): grid point outside the submodule window\n"
 
 
 class TestReadmeCommands:

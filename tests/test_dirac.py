@@ -24,6 +24,7 @@ from finiteweyl.dirac import (
     KernelSample,
     ScaleParams,
     _gauss_constant,
+    _lattice_index,
     _slope,
     auto_mu,
     ccr_residual,
@@ -336,6 +337,46 @@ class TestQHOPropagator:
             qho_propagator(0, 0, (2, 3, 4), ScaleParams(F(1), 60))
         with pytest.raises(DivisibilityViolation):
             qho_propagator(0, 0, (3, 4, 5), ScaleParams(F(1), 16))
+
+
+def round_then_check(x: float, step: float, half: int) -> int:
+    """The lattice-point rule as the propagators once wrote it, the oracle of
+    _lattice_index: round first, so a NaN or infinite x/step raises from round."""
+    n = round(x / step)
+    if abs(n) > half:
+        raise OutOfRange("grid point outside the submodule window")
+    return n
+
+
+class TestLatticeIndex:
+    @pytest.mark.parametrize("step", [1.0, 0.25, 2 * math.pi / 240, 15 * 2 * math.pi / 300])
+    @pytest.mark.parametrize("half", [0, 1, 2, 7, 1024])
+    def test_agrees_with_round_then_check(self, step, half):
+        # quarters of a step through both edges of the window: exact .5 ties
+        # (exact quotients for the power-of-two steps), +-half, +-(half + 1/2)
+        # and +-(half + 1), each with its float neighbours
+        qs = [k / 4 for k in range(-4 * half - 8, 4 * half + 9)]
+        edges = [e for q in (half, half + 0.5, half + 1) for e in (q, -q)]
+        qs += [math.nextafter(e, d) for e in edges for d in (-math.inf, math.inf)]
+        xs = [q * step for q in qs] + [math.nan, math.inf, -math.inf, 1e308, -1e308]
+        for x in xs:
+            try:
+                want = round_then_check(x, step, half)
+            except (OutOfRange, ValueError, OverflowError):
+                with pytest.raises(OutOfRange, match="grid point outside the submodule window"):
+                    _lattice_index(x, step, half)
+            else:
+                got = _lattice_index(x, step, half)
+                assert got == want and type(got) is int, (x, step, half)
+
+    def test_nan_and_infinite_quotients_never_reach_round(self, monkeypatch):
+        def fail(x):
+            raise AssertionError(f"round({x}) ran")
+
+        monkeypatch.setattr(dirac, "round", fail, raising=False)  # shadows the builtin in dirac
+        for x in (math.nan, math.inf, -math.inf, 1e308, -1e308):
+            with pytest.raises(OutOfRange):
+                _lattice_index(x, 0.25, 7)
 
 
 class TestExactKernels:

@@ -303,6 +303,38 @@ class TestGenWord:
         assert w ** n == acc
 
 
+def pow_by_squaring(w: GenWord, n: int) -> GenWord:
+    """w^n by binary exponentiation over the group law, the oracle of the
+    closed form GenWord.__pow__."""
+    if n < 0:
+        return pow_by_squaring(w.inv(), -n)
+    out = GenWord(F(0), F(0))
+    base = w
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
+class TestPowClosedForm:
+    def test_agrees_with_squaring(self):
+        rng = random.Random(33)
+        for _ in range(3000):
+            w = GenWord(F(rng.randrange(-12, 13), rng.randrange(1, 13)),
+                        F(rng.randrange(-12, 13), rng.randrange(1, 13)),
+                        F(rng.randrange(-30, 31), rng.randrange(1, 31)))
+            n = rng.randrange(-40, 41)
+            assert w ** n == pow_by_squaring(w, n), (w, n)
+
+    def test_negative_powers_invert(self):
+        w = GenWord(F(1, 3), F(-2, 5), F(1, 7))
+        assert w ** -1 == w.inv()
+        assert w ** -5 * w ** 5 == GenWord(0, 0)
+        assert w ** 0 == GenWord(0, 0)
+
+
 def random_sl2z(rng):
     """A random SL(2,Z) matrix, as a product of elementary row operations."""
     g = ((1, 0), (0, 1))

@@ -285,6 +285,18 @@ class TestCompose:
         assert not C.materialized and C.dim is None
         assert C.gL == mat_mul(D.gL, D.gL)
 
+    def test_bookkeeping_composite_refuses_basis_access(self):
+        # diagonal(2) after Fourier on N = 12 keeps gL but maps no basis: its
+        # basis access raises what verify_conjugation raises
+        M = principal_module(12)
+        Phi = fourier(M)
+        C = compose(diagonal(Phi.ambient_ran, 2), Phi)
+        assert not C.materialized
+        for access in (lambda: C.apply(M.basis_vector(0)), lambda: C.image(0), lambda: C.dom(0),
+                       lambda: verify_conjugation(C)):
+            with pytest.raises(NoCommonSubalgebra, match="transformation carries no materialized bases"):
+                access()
+
     @pytest.mark.parametrize("materialized", [True, False])
     def test_mismatched_modules_refused(self, materialized, monkeypatch):
         # Fourier moves the point (1/3, 2/5) of A(1/2, 1/6), so a second
