@@ -22,12 +22,13 @@ interpreter loads only these package modules besides `cli`, `errors` and
 numpy loads only for one sum large enough to pay for its import
 (`lattice.numpy_pays`): an exact sum of PRODUCTS_IMPORT products in
 `repmod.linear_combinations`, or a float sum of FLOAT_TERMS_IMPORT terms in
-`dirac.quadratic_phase_sum` or `dirac.ccr_residual`.  `lattice`,
-`basis`, `pairing`, small `transform` runs, `propagator qho` and every
-`converge` but `free` start and finish without it, and so do `propagator
-free`, `converge free` and `trace` while each of their sums stays below
-FLOAT_TERMS_IMPORT terms (`propagator free --mu 240`, `trace qho --mu
-auto`).
+`dirac.quadratic_phase_sum`.  `dirac.ccr_residual` uses numpy only when it
+is already loaded: its window stays below FLOAT_TERMS_IMPORT entries at
+every mu/h it accepts.  `lattice`, `basis`, `pairing`, small `transform`
+runs, `propagator qho` and every `converge` but `free` start and finish
+without it, and so do `propagator free`, `converge free` and `trace` while
+each of their sums stays below FLOAT_TERMS_IMPORT terms (`propagator free
+--mu 240`, `trace qho --mu auto`).
 """
 
 from __future__ import annotations
@@ -106,24 +107,37 @@ def _row(params, quantity: str, x1: float, x2: float, value: complex, closed: co
 def _emit(args, meta: dict, results: dict, checks: list[dict], rows: list | None) -> int:
     """Write the report: {meta, results, checks} as JSON, or under --format
     csv the rows of a command that has them, to stdout or --out.  The exit
-    code: 0 when every check passed, 1 otherwise."""
+    code: 0 when every check passed, 1 otherwise.  A failed write (a full
+    disk, a stdout pipe whose reader has gone) is refused like a failed
+    open, with a ValueError; after a failed stdout, fd 1 points at
+    os.devnull, so that the interpreter's last flush writes nothing."""
     try:
         out = sys.stdout if args.out is None else open(args.out, "w")
     except OSError as exc:
         raise ValueError(f"cannot open --out {args.out!r}: {exc.strerror}") from exc
     try:
-        if rows is not None and args.format == "csv":
-            import csv  # only CSV output needs it
+        try:
+            if rows is not None and args.format == "csv":
+                import csv  # only CSV output needs it
 
-            w = csv.writer(out)
-            w.writerow(CSV_HEADER)
-            w.writerows(rows)
-        else:
-            json.dump({"meta": meta, "results": results, "checks": checks}, out, indent=2, default=str)
-            out.write("\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                w = csv.writer(out)
+                w.writerow(CSV_HEADER)
+                w.writerows(rows)
+            else:
+                json.dump({"meta": meta, "results": results, "checks": checks}, out, indent=2, default=str)
+                out.write("\n")
+        finally:
+            if out is sys.stdout:
+                out.flush()
+            else:
+                out.close()
+    except OSError as exc:
+        if out is sys.stdout:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        where = "stdout" if out is sys.stdout else f"--out {args.out!r}"
+        raise ValueError(f"cannot write {where}: {exc.strerror}") from exc
     return 0 if all(c["passed"] for c in checks) else 1
 
 

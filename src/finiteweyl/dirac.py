@@ -50,6 +50,12 @@ INT64_SQRT_MAX = math.isqrt(2**63 - 1)
 # terms take about 57 ms, under the 70-90 ms a numpy import adds to a fresh
 # interpreter there.
 FLOAT_TERMS_IMPORT = 1 << 18
+# Largest mu/h = sigma^2 at which ccr_residual runs: the largest power of two
+# at which its float64 rounding error stays below 1e-10 relative.  Against a
+# 40-digit mpmath evaluation of the same sum (h = 1/4, 1, 4, numpy and list
+# routes) the error is at most 4.2e-11 at 2^24, where the residual is
+# 1.29e-8, and 6.6e-10 at 2^25; it grows about 16-fold per doubling.
+CCR_SCALE_MAX = 1 << 24
 # e^{-i pi/4} = sqrt(N)/G(N) for even N: the phase of the QHO kernel and trace
 EIGHTH_TURN = cmath.exp(-1j * math.pi / 4)
 
@@ -151,6 +157,8 @@ def gauss_sum_float(N: int, sign: int = 1) -> complex:
 
     For even N, m and N - m agree mod 2N in m^2, so half the terms suffice.
     """
+    if N < 1:
+        raise ValueError("N must be positive")
     if N % 2:
         return quadratic_phase_sum(2 * N, sign, N)
     return symmetric_phase_sum(2 * N, sign, N)
@@ -420,61 +428,44 @@ def weakring_max_phase_error(params: ScaleParams, count: int = 1000, seed: int =
 
 
 def ccr_residual(params: ScaleParams) -> float:
-    """||(QP - PQ) e - i hbar e|| / hbar for the regularized eigenstate e.
+    """||(QP - PQ) e - i hbar e|| / (hbar ||e||) for the regularized eigenstate e.
 
-    Q = mu (U - U^{-1})/2i acts diagonally with eigenvalues mu sin(hbar k/mu^2);
+    Q = mu (U - U^{-1})/2i acts diagonally with eigenvalues d_k = mu sin(hbar k/mu^2);
     P = mu (V - V^{-1})/2i is the symmetric difference; e is the x=0
     regularization in the U-basis: the discrete Gaussian e^{-k^2/(4 sigma^2)}
-    of lattice width sigma = sqrt(mu/h) on |k| <= W, normalized.  A basis
+    of lattice width sigma = sqrt(mu/h) on |k| <= W.  A basis
     eigenstate has a Theta(1) CCR residual (the commutator has zero diagonal
     in any Q-eigenbasis), and a fixed-width packet gives O(1/mu^2): the
     geometric-mean width is the scaling at which the residual decays at the
-    advertised O(1/mu) rate.  The 2W + 1 entries are numpy arrays where
-    numpy pays (`lattice.numpy_pays` with FLOAT_TERMS_IMPORT), and lists
-    otherwise: 309 entries at mu = 240.  Lists over half the window (the
-    residual is even) cost 0.04-0.14 ms at mu = 30-480 against numpy's
-    0.03 ms, which slowed the float benchmark by 3%, so numpy stays where
-    it is loaded.
+    advertised O(1/mu) rate.  e is real, so the residual vector is -i r with
+
+        r_k = (mu/2) ((d_k - d_{k+1}) e_{k+1} - (d_k - d_{k-1}) e_{k-1}) + hbar e_k
+
+    and e_{+-(W+1)} = 0, one expression over numpy arrays where numpy pays
+    (`lattice.numpy_pays`) and over zipped lists otherwise.  Raises
+    OutOfRange, before anything is built, when mu/h exceeds CCR_SCALE_MAX.
     """
+    if params.mu / params.h > CCR_SCALE_MAX:
+        raise OutOfRange(f"ccr_residual needs mu/h <= CCR_SCALE_MAX = {CCR_SCALE_MAX}, beyond which "
+                         f"float64 cannot resolve the residual; got mu/h = {params.mu / params.h}")
     hbar, mu = params.hbar, params.mu
     sigma = math.sqrt(mu / float(params.h))
     W = max(8, int(10 * sigma))
-    if numpy_pays(2 * W + 1, FLOAT_TERMS_IMPORT):
+    if numpy_pays(2 * W + 3, FLOAT_TERMS_IMPORT):
         import numpy as np
 
-        k = np.arange(-W, W + 1, dtype=np.int64)
-        psi = np.exp(-(k.astype(float) ** 2) / (4 * sigma * sigma)).astype(complex)
-        psi /= np.linalg.norm(psi)
-        diag = mu * np.sin(hbar * k / mu ** 2)  # q_operator_eigenvalue at every k
-
-        def apply_shift(v):
-            # mu (T_down - T_up)/2i with T_down v|_j = v_{j+1} (V-action)
-            vp = np.empty_like(v)
-            vm = np.empty_like(v)
-            vp[:-1] = v[1:]
-            vp[-1] = 0
-            vm[1:] = v[:-1]
-            vm[0] = 0
-            return mu * (vp - vm) / 2j
-
-        r = diag * apply_shift(psi) - apply_shift(diag * psi) - 1j * hbar * psi
-        return float(np.linalg.norm(r) / hbar)
-
-    ks = range(-W, W + 1)
-    psi = [math.exp(-(k * k) / (4 * sigma * sigma)) for k in ks]
-    norm = math.sqrt(math.fsum(x * x for x in psi))
-    psi = [x / norm for x in psi]
-    diag = [q_operator_eigenvalue(k, params) for k in ks]
-
-    def shift(v):
-        # P v = -i shift(v): mu (v_{j+1} - v_{j-1})/2, zero past the window
-        ext = [0.0, *v, 0.0]
-        return [mu * (b - a) / 2 for a, b in zip(ext, ext[2:])]
-
-    # psi is real, so r = -i (Q shift(psi) - shift(Q psi) + hbar psi)
-    r = [d * x - y + hbar * p
-         for d, x, y, p in zip(diag, shift(psi), shift([d * p for d, p in zip(diag, psi)]), psi)]
-    return math.sqrt(math.fsum(x * x for x in r)) / hbar
+        k = np.arange(-W - 1, W + 2)
+        e = np.exp(-(k * k) / (4 * sigma * sigma))
+        e[0] = e[-1] = 0
+        d = mu * np.sin(hbar * k / mu ** 2)  # q_operator_eigenvalue at every k
+        r = mu / 2 * ((d[1:-1] - d[2:]) * e[2:] - (d[1:-1] - d[:-2]) * e[:-2]) + hbar * e[1:-1]
+        return float(np.linalg.norm(r) / (hbar * np.linalg.norm(e)))
+    ks = range(-W - 1, W + 2)
+    e = [0.0, *(math.exp(-(k * k) / (4 * sigma * sigma)) for k in ks[1:-1]), 0.0]
+    d = [q_operator_eigenvalue(k, params) for k in ks]
+    r = [mu / 2 * ((dk - dn) * en - (dk - dp) * ep) + hbar * ek
+         for dp, dk, dn, ep, ek, en in zip(d, d[1:], d[2:], e, e[1:], e[2:])]
+    return math.hypot(*r) / (hbar * math.hypot(*e))
 
 
 def q_operator_eigenvalue(k: int, params: ScaleParams) -> float:
@@ -511,7 +502,7 @@ def converge_study(quantity: str, mus: list[int], h: Fraction = Fraction(1),
             raise ValueError(f"unknown quantity {quantity!r}")
     order = None
     if quantity == "ccr" and len(mus) > 1:
-        order = _slope([math.log(mu) for mu in mus], [math.log(max(r, 1e-16)) for r in residuals])
+        order = _slope([math.log(mu) for mu in mus], [math.log(r) for r in residuals])
     return ConvergenceReport(list(mus), residuals, order)
 
 

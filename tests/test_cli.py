@@ -391,6 +391,16 @@ class TestConverge:
         assert (got, [c["tol"] for c in json.loads(out)["checks"]]) == (code, [tol])
 
 
+    @pytest.mark.parametrize("mus", [f"60,{dirac.CCR_SCALE_MAX + 2}", "1000000000,10000000000,100000000000"])
+    def test_ccr_past_the_bound_exit_2(self, capsys, mus):
+        # float64 cannot resolve the residual there: refused, not fitted
+        code = main(["converge", "ccr", "--mu", mus])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("precondition violated (OutOfRange): ")
+        assert f"CCR_SCALE_MAX = {dirac.CCR_SCALE_MAX}" in captured.err
+
     @pytest.mark.parametrize("quantity", ["free", "qho"])
     def test_residual_quantities_fit_no_order(self, capsys, quantity):
         # residuals at rounding level carry no order: only ccr fits one
@@ -550,6 +560,42 @@ class TestOutputFile:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestWriteFailure:
+    """A report that cannot be written is refused (exit 2, one stderr line),
+    never a check failure (exit 1) or a traceback."""
+
+    @staticmethod
+    def run_cli(argv, **kwargs):
+        """argv run as `python -m finiteweyl.cli` in a fresh interpreter."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        return subprocess.run([sys.executable, "-m", "finiteweyl.cli", *argv], text=True, timeout=120, env=env,
+                              **kwargs)
+
+    @staticmethod
+    def assert_refused(proc, what):
+        assert proc.returncode == 2
+        assert proc.stderr == f"invalid input: cannot write {what}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [["lattice", "--center", "1/2,1/2"],
+                                      ["converge", "ccr", "--mu", "30,60", "--format", "csv"]])
+    def test_full_device(self, argv):
+        proc = self.run_cli([*argv, "--out", "/dev/full"], capture_output=True)
+        assert proc.stdout == ""
+        self.assert_refused(proc, "--out '/dev/full': No space left on device")
+
+    @pytest.mark.parametrize("argv", [["lattice", "--center", "1/2,1/2"], ["basis", "--alg", "1,1/64", "--which", "v"]])
+    def test_stdout_without_reader(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.run_cli(argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        # and nothing more at shutdown ("Exception ignored ... BrokenPipeError")
+        self.assert_refused(proc, "stdout: Broken pipe")
+
+
 def run_fresh(argvs, preload_numpy=False):
     """Exit codes and stdouts of the argvs run in one fresh interpreter, which
     imports numpy first when asked, and whether numpy was loaded after them."""
@@ -661,6 +707,9 @@ class TestNumpyFree:
         (["trace", "qho", "--triple", "3,4,5", "--mu", "16"], 2),
         (["propagator", "free", "--t", "1/3", "--mu", "10"], 2),
         (["trace", "qho", "--mu-min", "1000000"], 2),  # int64 overflow, refused
+        # the largest CCR window (mu/h = dirac.CCR_SCALE_MAX) stays below
+        # FLOAT_TERMS_IMPORT entries
+        (["converge", "ccr", "--mu", f"30,{dirac.CCR_SCALE_MAX}"], 0),
     ]
 
     def test_commands_leave_numpy_out(self):

@@ -550,6 +550,108 @@ class TestCCR:
         assert np.allclose(P, P.conj().T)
 
 
+def two_route_ccr_residual(params: ScaleParams, numpy_route: bool) -> float:
+    """The former ccr_residual, kept as the oracle: complex numpy algebra
+    with a shift operator, or real list algebra with a shift helper, on the
+    normalized Gaussian."""
+    hbar, mu = params.hbar, params.mu
+    sigma = math.sqrt(mu / float(params.h))
+    W = max(8, int(10 * sigma))
+    if numpy_route:
+        k = np.arange(-W, W + 1, dtype=np.int64)
+        psi = np.exp(-(k.astype(float) ** 2) / (4 * sigma * sigma)).astype(complex)
+        psi /= np.linalg.norm(psi)
+        diag = mu * np.sin(hbar * k / mu ** 2)
+
+        def apply_shift(v):
+            # mu (T_down - T_up)/2i with T_down v|_j = v_{j+1} (V-action)
+            vp = np.empty_like(v)
+            vm = np.empty_like(v)
+            vp[:-1] = v[1:]
+            vp[-1] = 0
+            vm[1:] = v[:-1]
+            vm[0] = 0
+            return mu * (vp - vm) / 2j
+
+        r = diag * apply_shift(psi) - apply_shift(diag * psi) - 1j * hbar * psi
+        return float(np.linalg.norm(r) / hbar)
+
+    ks = range(-W, W + 1)
+    psi = [math.exp(-(k * k) / (4 * sigma * sigma)) for k in ks]
+    norm = math.sqrt(math.fsum(x * x for x in psi))
+    psi = [x / norm for x in psi]
+    diag = [q_operator_eigenvalue(k, params) for k in ks]
+
+    def shift(v):
+        # P v = -i shift(v): mu (v_{j+1} - v_{j-1})/2, zero past the window
+        ext = [0.0, *v, 0.0]
+        return [mu * (b - a) / 2 for a, b in zip(ext, ext[2:])]
+
+    r = [d * x - y + hbar * p
+         for d, x, y, p in zip(diag, shift(psi), shift([d * p for d, p in zip(diag, psi)]), psi)]
+    return math.sqrt(math.fsum(x * x for x in r)) / hbar
+
+
+def mpmath_ccr_residual(params: ScaleParams) -> float:
+    """The residual of ccr_residual's formula over the same window, at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        mu, h = params.mu, params.h
+        hbar = 2 * mpmath.pi * h.numerator / h.denominator
+        W = max(8, int(10 * math.sqrt(mu / float(h))))
+        e = [mpmath.exp(-mpmath.mpf(k * k) * h.numerator / (4 * mu * h.denominator)) if abs(k) <= W else 0
+             for k in range(-W - 1, W + 2)]
+        d = [mu * mpmath.sin(hbar * k / mu ** 2) for k in range(-W - 1, W + 2)]
+        r = [mpmath.mpf(mu) / 2 * ((d[i] - d[i + 1]) * e[i + 1] - (d[i] - d[i - 1]) * e[i - 1]) + hbar * e[i]
+             for i in range(1, 2 * W + 2)]
+        return float(mpmath.norm(r) / (hbar * mpmath.norm(e)))
+
+
+class TestCCRFormula:
+    """ccr_residual's one formula on both routes, and its scale bound."""
+
+    # every (mu, h) of mu in {30, 60, 120, 240, 480, 10^4}, h in {1/4, 1}
+    # that is a scale: h = 1/4 needs 4 | mu, which 30 is not
+    SCALES = [(mu, h) for h in (F(1, 4), F(1)) for mu in (30, 60, 120, 240, 480, 10**4) if mu % h.denominator == 0]
+
+    @pytest.fixture(params=[True, False], ids=["numpy", "lists"])
+    def numpy_route(self, request, monkeypatch):
+        monkeypatch.setattr(dirac, "numpy_pays", lambda size, import_size: request.param)
+        return request.param
+
+    @pytest.mark.parametrize("mu, h", SCALES, ids=str)
+    def test_matches_two_route_oracle(self, numpy_route, mu, h):
+        p = ScaleParams(h, mu)
+        old = two_route_ccr_residual(p, numpy_route)
+        assert abs(ccr_residual(p) - old) <= 1e-12 * old
+
+    @pytest.mark.parametrize("mu, h", [(30, F(1)), (120, F(1, 4)), (480, F(1)), (1920, F(4)), (10**4, F(1))], ids=str)
+    def test_matches_40_digit_reference(self, numpy_route, mu, h):
+        # mu/h in {30, 480, 10^4}
+        p = ScaleParams(h, mu)
+        ref = mpmath_ccr_residual(p)
+        assert abs(ccr_residual(p) - ref) <= 1e-9 * ref
+
+    @pytest.mark.parametrize("mu, h", [(dirac.CCR_SCALE_MAX + 2, F(1)), (dirac.CCR_SCALE_MAX // 4 + 4, F(1, 4)),
+                                       (10**9, F(1)), (10**12, F(1))], ids=str)
+    def test_refused_above_the_bound_before_any_work(self, monkeypatch, mu, h):
+        p = ScaleParams(h, mu)
+        assert p.mu / p.h > dirac.CCR_SCALE_MAX
+
+        def fail(*args):
+            raise AssertionError("work began before the refusal")
+
+        for name in ("exp", "sin", "sqrt"):
+            monkeypatch.setattr(math, name, fail)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # `import numpy` raises
+        with pytest.raises(OutOfRange, match=f"CCR_SCALE_MAX = {dirac.CCR_SCALE_MAX}"):
+            ccr_residual(p)
+
+    def test_bound_itself_is_accepted(self, numpy_route):
+        # the largest window: W = 40960, 2W + 3 entries
+        assert 1e-8 < ccr_residual(ScaleParams(F(1, 4), dirac.CCR_SCALE_MAX // 4)) < 2e-8
+
+
 def approx_eq(z, w, tol=1e-10):
     return abs(z - w) <= tol
 
@@ -686,6 +788,12 @@ class TestGaussSumFloat:
     def test_float_backend_matches_direct_sum(self, N, sign):
         # odd N sums the whole range, even N half of it
         assert approx_eq(gauss_sum_float(N, sign), direct_phase_sum(2 * N, sign, N), 1e-9)
+
+    @pytest.mark.parametrize("gauss", [gauss_sum, gauss_sum_float], ids=["exact", "float"])
+    @pytest.mark.parametrize("N", [0, -2, -3])
+    def test_nonpositive_n_refused(self, gauss, N):
+        with pytest.raises(ValueError, match="N must be positive"):
+            gauss(N)
 
 
 # Run in a fresh interpreter that never loads numpy: the plain-Python sums.
